@@ -25,7 +25,6 @@ from .model import (AdamState, DivergenceError, FilterFactorization,
 from .oracle import (EigenSystem, SpectralFilter, eigendecompose, exact_filter,
                      filter_at_node, localization_check, pseudoinverse_demo,
                      run_oracle_checks, translate_filter)
-from .polyfilter import (CoefficientMatrix, PropagationStack, combine,
-                         frequency_response, propagate)
+from .polyfilter import PropagationStack, combine, frequency_response, propagate
 
 __version__ = "0.1.0"

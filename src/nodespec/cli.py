@@ -1,8 +1,7 @@
 """Command-line surface: analysis reports, training, evaluation, sweeps.
 
 Tabular artifacts are CSV, summaries are JSON on stdout. Exit codes: 0 on
-success, 1 on runtime failure, 2 on bad usage. Set NODESPEC_THREADS=1 (the
-default) for fully deterministic kernels.
+success, 1 on runtime failure, 2 on bad usage.
 """
 
 import argparse

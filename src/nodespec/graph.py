@@ -2,32 +2,17 @@
 
 The graph is immutable once built: symmetric adjacency with sorted rows, no
 self-loops, no duplicate edges. Operators derived from it (normalized and
-scaled Laplacians) are symmetric CSR matrices whose rows always contain an
-explicit diagonal entry, so spectral shifts stay structural no-ops.
+scaled Laplacians) are symmetric ``scipy.sparse`` CSR arrays built as matrix
+expressions over the adjacency.
 """
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 NORMALIZED_LAPLACIAN = "normalized_laplacian"
 SCALED_LAPLACIAN = "scaled_laplacian"
-
-# Column-block width for spmm is chosen so the scratch buffer stays near this
-# many float64 entries regardless of feature width.
-_SPMM_BLOCK_ENTRIES = 8_000_000
-
-
-def thread_count() -> int:
-    """Kernel thread count from NODESPEC_THREADS; 1 = deterministic default."""
-    raw = os.environ.get("NODESPEC_THREADS", "1")
-    try:
-        value = int(raw)
-    except ValueError:
-        return 1
-    return max(1, value)
 
 
 @dataclass(frozen=True)
@@ -50,18 +35,15 @@ class Graph:
 class SparseOperator:
     """Symmetric real CSR matrix tagged with the Laplacian variant it holds."""
 
-    n: int
-    row_offsets: np.ndarray
-    col_indices: np.ndarray
-    values: np.ndarray
+    matrix: sp.csr_array
     kind: str
 
+    @property
+    def n(self) -> int:
+        return self.matrix.shape[0]
+
     def to_dense(self) -> np.ndarray:
-        out = np.zeros((self.n, self.n))
-        for i in range(self.n):
-            lo, hi = self.row_offsets[i], self.row_offsets[i + 1]
-            out[i, self.col_indices[lo:hi]] = self.values[lo:hi]
-        return out
+        return self.matrix.toarray()
 
 
 @dataclass
@@ -110,55 +92,33 @@ def build_graph(edges, n: int) -> Graph:
     return Graph(n, offsets, dst.astype(np.int64), int(keys.size))
 
 
+def adjacency(g: Graph) -> sp.csr_array:
+    """The graph's 0/1 adjacency as a CSR array."""
+    return sp.csr_array((np.ones(g.col_indices.size), g.col_indices,
+                         g.row_offsets), shape=(g.n, g.n))
+
+
 def normalized_laplacian(g: Graph) -> SparseOperator:
     """Symmetric normalized Laplacian I - D^{-1/2} A D^{-1/2}.
 
     Isolated nodes get an all-zero row (their D^{-1/2} entry is defined as 0),
-    so the operator stays finite. Every row stores its diagonal explicitly.
+    so the operator stays finite.
     """
-    deg = g.degrees().astype(np.float64)
+    deg = g.degrees()
     inv_sqrt = np.zeros(g.n)
     nz = deg > 0
     inv_sqrt[nz] = 1.0 / np.sqrt(deg[nz])
-
-    counts = np.diff(g.row_offsets) + 1  # adjacency entries plus the diagonal
-    offsets = np.zeros(g.n + 1, dtype=np.int64)
-    np.cumsum(counts, out=offsets[1:])
-    cols = np.empty(offsets[-1], dtype=np.int64)
-    vals = np.empty(offsets[-1])
-    for i in range(g.n):
-        row = g.neighbors(i)
-        pos = np.searchsorted(row, i)
-        lo = offsets[i]
-        cols[lo:lo + pos] = row[:pos]
-        cols[lo + pos] = i
-        cols[lo + pos + 1:offsets[i + 1]] = row[pos:]
-        vals[lo:lo + pos] = -inv_sqrt[i] * inv_sqrt[row[:pos]]
-        vals[lo + pos] = 1.0 if deg[i] > 0 else 0.0
-        vals[lo + pos + 1:offsets[i + 1]] = -inv_sqrt[i] * inv_sqrt[row[pos:]]
-    return SparseOperator(g.n, offsets, cols, vals, NORMALIZED_LAPLACIAN)
+    d = sp.diags_array(inv_sqrt)
+    lap = sp.diags_array(nz.astype(np.float64)) - d @ adjacency(g) @ d
+    return SparseOperator(lap, NORMALIZED_LAPLACIAN)
 
 
 def scaled_laplacian(l: SparseOperator, lambda_max: float = 2.0) -> SparseOperator:
     """Scaled Laplacian 2 L / lambda_max - I, shifting the spectrum to [-1, 1]."""
     if lambda_max <= 0:
         raise ValueError("lambda_max must be positive")
-    vals = l.values * (2.0 / lambda_max)
-    diag_pos = _diagonal_positions(l)
-    vals[diag_pos] -= 1.0
-    return SparseOperator(l.n, l.row_offsets.copy(), l.col_indices.copy(), vals,
-                          SCALED_LAPLACIAN)
-
-
-def _diagonal_positions(op: SparseOperator) -> np.ndarray:
-    pos = np.empty(op.n, dtype=np.int64)
-    for i in range(op.n):
-        lo, hi = op.row_offsets[i], op.row_offsets[i + 1]
-        k = lo + np.searchsorted(op.col_indices[lo:hi], i)
-        if k >= hi or op.col_indices[k] != i:
-            raise ValueError(f"operator row {i} has no structural diagonal")
-        pos[i] = k
-    return pos
+    scaled = (2.0 / lambda_max) * l.matrix - sp.eye_array(l.n)
+    return SparseOperator(scaled, SCALED_LAPLACIAN)
 
 
 def estimate_lambda_max(op: SparseOperator, tol: float = 1e-9,
@@ -190,42 +150,13 @@ def estimate_lambda_max(op: SparseOperator, tol: float = 1e-9,
 def spmm(op: SparseOperator, x: np.ndarray) -> np.ndarray:
     """Sparse-dense product op @ x for x of shape (n,) or (n, c).
 
-    Row sums are accumulated in fixed CSR order, so results are bit-identical
-    whether or not column blocks run on the thread pool.
+    A float operand keeps its dtype; any other operand gives float64.
     """
-    squeeze = x.ndim == 1
-    x2 = x[:, None] if squeeze else x
-    if x2.shape[0] != op.n:
-        raise ValueError(f"operand rows {x2.shape[0]} != operator dim {op.n}")
-    dtype = x2.dtype if x2.dtype.kind == "f" else np.float64
-    out = np.zeros((op.n, x2.shape[1]), dtype=dtype)
-    nnz = op.values.size
-    if nnz:
-        width = max(1, min(x2.shape[1], _SPMM_BLOCK_ENTRIES // nnz))
-        blocks = [(c, min(c + width, x2.shape[1]))
-                  for c in range(0, x2.shape[1], width)]
-        workers = thread_count()
-        if workers > 1 and len(blocks) > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                list(pool.map(lambda b: _spmm_block(op, x2, out, *b), blocks))
-        else:
-            for b in blocks:
-                _spmm_block(op, x2, out, *b)
-    return out[:, 0] if squeeze else out
-
-
-def _spmm_block(op: SparseOperator, x: np.ndarray, out: np.ndarray,
-                c0: int, c1: int) -> None:
-    values = op.values.astype(out.dtype, copy=False)
-    contrib = values[:, None] * x[op.col_indices, c0:c1]
-    starts = op.row_offsets[:-1]
-    nnz = op.values.size
-    # reduceat misbehaves on empty segments: it emits contrib[start] instead
-    # of zero, and errors when start == nnz, so clip and mask afterwards.
-    sums = np.add.reduceat(contrib, np.minimum(starts, nnz - 1), axis=0)
-    empty = np.diff(op.row_offsets) == 0
-    sums[empty] = 0.0
-    out[:, c0:c1] = sums
+    x = np.asarray(x)
+    if x.shape[0] != op.n:
+        raise ValueError(f"operand rows {x.shape[0]} != operator dim {op.n}")
+    dtype = x.dtype if x.dtype.kind == "f" else np.float64
+    return (op.matrix @ x).astype(dtype, copy=False)
 
 
 def hop_sets(g: Graph, v: int, max_hop: int) -> HopSets:
@@ -283,12 +214,5 @@ def induced_subgraph(g: Graph, nodes) -> tuple[Graph, np.ndarray]:
     keep = np.unique(np.asarray(list(nodes), dtype=np.int64))
     if keep.size and (keep[0] < 0 or keep[-1] >= g.n):
         raise ValueError("subgraph node out of range")
-    remap = -np.ones(g.n, dtype=np.int64)
-    remap[keep] = np.arange(keep.size)
-    edges = []
-    for new_i, old_i in enumerate(keep):
-        for old_j in g.neighbors(int(old_i)):
-            new_j = remap[old_j]
-            if new_j >= 0 and new_i < new_j:
-                edges.append((new_i, int(new_j)))
-    return build_graph(edges, keep.size), keep
+    edges = sp.triu(adjacency(g)[keep][:, keep]).tocoo()
+    return build_graph(np.column_stack([edges.row, edges.col]), keep.size), keep

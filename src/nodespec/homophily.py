@@ -15,8 +15,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+import scipy.sparse as sp
 
-from .graph import Graph, hop_sets
+from .graph import Graph, adjacency, hop_sets
 
 ENTROPY_EPS = 1e-10
 
@@ -91,11 +92,29 @@ def graph_homophily(g: Graph, labels) -> float:
 
 
 def per_node_homophily(g: Graph, labels, scope: str = HOP1) -> np.ndarray:
-    labels = np.asarray(labels)
-    out = np.empty(g.n)
-    for v in range(g.n):
-        out[v] = node_homophily(g, labels, v, scope)
-    return out
+    """node_homophily for every node at once."""
+    _, codes = np.unique(np.asarray(labels), return_inverse=True)
+    counts, sizes = _scoped_label_counts(g, codes, scope)
+    with np.errstate(invalid="ignore"):
+        return counts[np.arange(g.n), codes] / sizes
+
+
+def _scoped_label_counts(g: Graph, labels: np.ndarray, scope: str,
+                         class_count: int = 0) -> tuple:
+    """(n x C label counts over each node's scoped neighborhood, sizes).
+
+    C is class_count or one more than the largest label, if that is larger.
+    """
+    a = adjacency(g)
+    if scope == WITHIN2:
+        a = a + a @ a
+        a.data[:] = 1.0
+        a = a - sp.diags_array(a.diagonal())  # drops the zeroed diagonal
+    elif scope != HOP1:
+        raise ValueError(f"unknown scope {scope!r}")
+    width = max(class_count, int(labels.max(initial=-1)) + 1)
+    counts = a @ (labels[:, None] == np.arange(width)).astype(np.float64)
+    return counts, counts.sum(axis=1)
 
 
 def label_entropy(g: Graph, labels, v: int, scope: str,
@@ -116,11 +135,12 @@ def label_entropy(g: Graph, labels, v: int, scope: str,
 
 def per_node_entropy(g: Graph, labels, scope: str,
                      class_count: int) -> np.ndarray:
-    labels = np.asarray(labels)
-    out = np.empty(g.n)
-    for v in range(g.n):
-        out[v] = label_entropy(g, labels, v, scope, class_count)
-    return out
+    """label_entropy for every node at once."""
+    counts, sizes = _scoped_label_counts(g, np.asarray(labels), scope,
+                                         class_count)
+    with np.errstate(invalid="ignore"):
+        p = counts / sizes[:, None] + ENTROPY_EPS
+    return -np.sum(p * np.log(p), axis=1)
 
 
 def histogram(values, bin_count: int = 10, value_range=(0.0, 1.0)):

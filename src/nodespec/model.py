@@ -21,7 +21,6 @@ the loss as an explicit squared-norm penalty.
 import json
 import struct
 from dataclasses import asdict, dataclass, field
-from math import comb
 from typing import Optional
 
 import numpy as np
@@ -30,7 +29,7 @@ from .autodiff import Tensor, parameter, softmax_cross_entropy, sparse_matmul
 from .data import Dataset, Split, subset, validate_split
 from .graph import (Graph, SparseOperator, estimate_lambda_max,
                     normalized_laplacian, scaled_laplacian)
-from .polyfilter import PropagationStack, bernstein_operators, propagate
+from .polyfilter import PropagationStack, polynomial_layers, propagate
 
 MODES = ("appnp_like", "sgc_like", "global_only")
 
@@ -189,8 +188,9 @@ def build_operator(graph: Graph, cfg: TrainConfig) -> SparseOperator:
         return lap
     lam_max = cfg.lambda_max
     if cfg.estimate_spectrum:
-        lam_max, _ = estimate_lambda_max(lap)
-        lam_max = max(lam_max, 1e-12)
+        lam_max, converged = estimate_lambda_max(lap)
+        # an unconverged power iteration underestimates; 2 bounds the spectrum
+        lam_max = max(lam_max, 1e-12) if converged else 2.0
     return scaled_laplacian(lap, lam_max)
 
 
@@ -208,35 +208,6 @@ def _mlp(x: Tensor, tensors: dict, cfg: TrainConfig, training: bool,
     h = (x @ tensors["mlp.w1"] + tensors["mlp.b1"]).relu()
     h = _dropout(h, cfg.dp_l, training, rng)
     return h @ tensors["mlp.w2"] + tensors["mlp.b2"]
-
-
-def _propagation_tensors(op: SparseOperator, x0: Tensor, basis: str,
-                         order: int) -> list:
-    """Differentiable version of the propagation stack, layer k = p_k(op) x0."""
-    if basis == "monomial":
-        layers = [x0]
-        for _ in range(order):
-            layers.append(sparse_matmul(op, layers[-1]))
-    elif basis == "chebyshev":
-        layers = [x0]
-        if order >= 1:
-            layers.append(sparse_matmul(op, x0))
-        for _ in range(2, order + 1):
-            layers.append(sparse_matmul(op, layers[-1]) * 2.0 - layers[-2])
-    elif basis == "bernstein":
-        low, high = bernstein_operators(op)
-        powers = [x0]
-        for _ in range(order):
-            powers.append(sparse_matmul(high, powers[-1]))
-        layers = []
-        for k in range(order + 1):
-            term = powers[k]
-            for _ in range(order - k):
-                term = sparse_matmul(low, term)
-            layers.append(term * float(comb(order, k)))
-    else:
-        raise ValueError(f"unknown basis {basis!r}")
-    return layers
 
 
 def _combine_layers(layers: list, tensors: dict, params: ModelParams,
@@ -291,7 +262,7 @@ def forward_appnp_like(params: ModelParams, features: np.ndarray,
     x = Tensor(np.asarray(features, dtype=cfg.dtype))
     x0 = _mlp(x, tensors, cfg, training, rng)
     x0 = _dropout(x0, cfg.dp_p, training, rng)
-    layers = _propagation_tensors(op, x0, cfg.basis, cfg.order)
+    layers = polynomial_layers(cfg.basis, op, x0, cfg.order, sparse_matmul)
     logits, eta = _combine_layers(layers, tensors, params, cfg)
     _check_finite(logits.data)
     return ForwardTrace(logits=logits, params=tensors, coefficients=eta)

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from math import comb
 
 import numpy as np
+import scipy.sparse as sp
 
 from .graph import (NORMALIZED_LAPLACIAN, SCALED_LAPLACIAN, SparseOperator,
                     spmm)
@@ -35,17 +36,6 @@ class PropagationStack:
         return self.layers[0].shape
 
 
-@dataclass(frozen=True)
-class CoefficientMatrix:
-    """Per-node filter coefficients, one row of length K+1 per node."""
-
-    psi: np.ndarray
-
-    @property
-    def order(self) -> int:
-        return self.psi.shape[1] - 1
-
-
 def _check_basis_operator(basis: str, op: SparseOperator) -> None:
     if basis not in BASES:
         raise ValueError(f"unknown basis {basis!r}; expected one of {BASES}")
@@ -57,17 +47,43 @@ def _check_basis_operator(basis: str, op: SparseOperator) -> None:
 
 def bernstein_operators(op: SparseOperator) -> tuple:
     """The two factors of the degree-split basis: (I - L/2, L/2)."""
-    high = SparseOperator(op.n, op.row_offsets, op.col_indices,
-                          0.5 * op.values, op.kind)
-    vals = -0.5 * op.values
-    low = SparseOperator(op.n, op.row_offsets, op.col_indices, vals, op.kind)
-    for i in range(op.n):
-        lo, hi = op.row_offsets[i], op.row_offsets[i + 1]
-        k = lo + np.searchsorted(op.col_indices[lo:hi], i)
-        if k >= hi or op.col_indices[k] != i:
-            raise ValueError(f"operator row {i} has no structural diagonal")
-        vals[k] += 1.0
-    return low, high
+    half = 0.5 * op.matrix
+    return (SparseOperator(sp.eye_array(op.n) - half, op.kind),
+            SparseOperator(half, op.kind))
+
+
+def polynomial_layers(basis: str, op: SparseOperator, x, order: int,
+                      matmul) -> list:
+    """The K+1 layers p_k(op) @ x, with matmul(op, y) computing op @ y.
+
+    ``matmul`` is ``spmm`` for arrays and ``autodiff.sparse_matmul`` for
+    tensors, so the numpy stack and the differentiable forward share one
+    recursion.
+    """
+    if basis == "monomial":
+        layers = [x]
+        for _ in range(order):
+            layers.append(matmul(op, layers[-1]))
+    elif basis == "chebyshev":
+        layers = [x]
+        if order >= 1:
+            layers.append(matmul(op, x))
+        for _ in range(2, order + 1):
+            layers.append(2.0 * matmul(op, layers[-1]) - layers[-2])
+    elif basis == "bernstein":
+        low, high = bernstein_operators(op)
+        powers = [x]
+        for _ in range(order):
+            powers.append(matmul(high, powers[-1]))
+        layers = []
+        for k in range(order + 1):
+            term = powers[k]
+            for _ in range(order - k):
+                term = matmul(low, term)
+            layers.append(comb(order, k) * term)
+    else:
+        raise ValueError(f"unknown basis {basis!r}")
+    return layers
 
 
 def propagate(basis: str, op: SparseOperator, x: np.ndarray,
@@ -85,34 +101,13 @@ def propagate(basis: str, op: SparseOperator, x: np.ndarray,
         raise ValueError("x must be a dense n x c matrix")
     if x.shape[0] != op.n:
         raise ValueError("x row count does not match operator dimension")
-
-    if basis == "monomial":
-        layers = [x]
-        for _ in range(order):
-            layers.append(spmm(op, layers[-1]))
-    elif basis == "chebyshev":
-        layers = [x]
-        if order >= 1:
-            layers.append(spmm(op, x))
-        for _ in range(2, order + 1):
-            layers.append(2.0 * spmm(op, layers[-1]) - layers[-2])
-    else:  # bernstein
-        low, high = bernstein_operators(op)
-        powers = [x]
-        for _ in range(order):
-            powers.append(spmm(high, powers[-1]))
-        layers = []
-        for k in range(order + 1):
-            term = powers[k]
-            for _ in range(order - k):
-                term = spmm(low, term)
-            layers.append(comb(order, k) * term)
+    layers = polynomial_layers(basis, op, x, order, spmm)
     return PropagationStack(basis=basis, order=order, layers=layers)
 
 
-def combine(stack: PropagationStack, psi) -> np.ndarray:
+def combine(stack: PropagationStack, psi: np.ndarray) -> np.ndarray:
     """Per-node combination: output row i = sum_k psi[i, k] * layers[k] row i."""
-    coeffs = psi.psi if isinstance(psi, CoefficientMatrix) else np.asarray(psi)
+    coeffs = np.asarray(psi)
     if coeffs.ndim != 2 or coeffs.shape[1] != stack.order + 1:
         raise ValueError(f"psi must be n x {stack.order + 1}")
     if coeffs.shape[0] != stack.shape[0]:

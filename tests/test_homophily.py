@@ -5,9 +5,10 @@ from nodespec.graph import build_graph
 from nodespec.homophily import (entropy_report, graph_homophily, histogram,
                                 homophily_report, jaccard_neighbor_distance,
                                 label_entropy, node_homophily,
-                                per_node_homophily, proposition_closed_forms,
+                                per_node_entropy, per_node_homophily,
+                                proposition_closed_forms,
                                 proposition_monte_carlo)
-from nodespec.synthetic import star_graph
+from nodespec.synthetic import er_graph, star_graph
 
 
 def two_hop_chain_epsilons(alpha, classes):
@@ -48,13 +49,31 @@ class TestNodeHomophily:
         assert node_homophily(g, [0, 0, 1], 0, scope="within2") == 0.5
 
 
+def _graph_with_isolated_nodes():
+    g = er_graph(40, 0.08, seed=21)
+    edges = [(i, int(j)) for i in range(g.n) for j in g.neighbors(i) if i < j]
+    return build_graph(edges, g.n + 3)
+
+
+@pytest.mark.parametrize("scope", ["hop1", "within2"])
+@pytest.mark.parametrize("g", [_graph_with_isolated_nodes(), build_graph([], 4)],
+                         ids=["er_plus_isolated", "edgeless"])
+def test_per_node_metrics_match_single_node_api(g, scope):
+    labels = np.random.default_rng(5).integers(0, 3, size=g.n)
+    np.testing.assert_array_equal(
+        per_node_homophily(g, labels, scope),
+        [node_homophily(g, labels, v, scope) for v in range(g.n)])
+    np.testing.assert_array_equal(
+        per_node_entropy(g, labels, scope, 3),
+        [label_entropy(g, labels, v, scope, 3) for v in range(g.n)])
+
+
 class TestGraphHomophily:
     def test_fully_homophilic(self, triangle):
         assert graph_homophily(triangle, [1, 1, 1]) == 1.0
 
     def test_matches_mean_of_node_values(self):
         rng = np.random.default_rng(3)
-        from nodespec.synthetic import er_graph
         g = er_graph(40, 0.15, seed=12)
         labels = rng.integers(0, 3, size=40)
         ratios = per_node_homophily(g, labels)

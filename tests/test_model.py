@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import nodespec
 from nodespec import model
 from nodespec.data import make_split
 from nodespec.evaluate import accuracy
@@ -168,6 +174,35 @@ class TestForward:
         op = model.build_operator(toy.graph, cfg)
         with pytest.raises(model.DivergenceError):
             model.forward_appnp_like(params, bad, op, cfg)
+
+
+def test_unconverged_spectrum_estimate_falls_back_to_bound():
+    # power iteration stalls below 2 on paths; the scaled spectrum must
+    # still lie in [-1, 1]
+    cfg = base_config(basis="chebyshev", estimate_spectrum=True)
+    op = model.build_operator(path_graph(200), cfg)
+    eig = np.linalg.eigvalsh(op.to_dense())
+    assert eig.min() >= -1.0 - 1e-10 and eig.max() <= 1.0 + 1e-10
+
+
+def test_import_and_train_leave_dense_scipy_unloaded():
+    # scipy.linalg (pulled in by scipy.sparse.linalg and csgraph) costs
+    # memory on every run and nothing here needs it
+    script = (
+        "import sys\n"
+        "from nodespec import data, model, synthetic\n"
+        "ds = synthetic.planted_partition_dataset(n=30, seed=1)\n"
+        "split = data.make_split(ds.n, 'dense', seed=0)\n"
+        "model.train(ds, split, model.TrainConfig(epochs=1, order=3))\n"
+        "print(sorted(m for m in sys.modules if m.startswith(\n"
+        "    ('scipy.linalg', 'scipy.sparse.linalg', 'scipy.sparse.csgraph'))))\n"
+    )
+    src = str(Path(nodespec.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    run = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, check=True)
+    assert run.stdout.strip() == "[]"
 
 
 class TestGradients:

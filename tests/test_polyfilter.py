@@ -3,8 +3,8 @@ import pytest
 
 from nodespec.graph import normalized_laplacian, scaled_laplacian, spmm
 from nodespec.oracle import SpectralFilter, eigendecompose, exact_filter
-from nodespec.polyfilter import (BASES, CoefficientMatrix, bernstein_operators,
-                                 combine, frequency_response, propagate)
+from nodespec.polyfilter import (BASES, bernstein_operators, combine,
+                                 frequency_response, propagate)
 from nodespec.synthetic import er_graph, path_graph
 
 
@@ -116,7 +116,7 @@ class TestCombine:
         x = rng.standard_normal((5, 3))
         stack = propagate("monomial", _operators(g)["monomial"], x, 2)
         psi = rng.standard_normal((5, 3))
-        out = combine(stack, CoefficientMatrix(psi))
+        out = combine(stack, psi)
         for i in range(5):
             expected = sum(psi[i, k] * stack.layers[k][i] for k in range(3))
             np.testing.assert_allclose(out[i], expected, atol=1e-12)
