@@ -16,6 +16,7 @@ identical splits on every platform and in any reimplementation.
 """
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -152,11 +153,15 @@ def load_features(path) -> np.ndarray:
     except ValueError:
         _locate_feature_error(path)
         raise
+    if not np.isfinite(feats).all():
+        _locate_feature_error(path)
+        raise DataFormatError(f"{path}: non-finite feature value")
     return feats
 
 
 def _locate_feature_error(path) -> None:
-    """Re-scan the file in Python to report the first bad cell precisely."""
+    """Re-scan the file in Python to report the first bad cell precisely:
+    a ragged row, a cell that is not a decimal float, or NaN/inf."""
     width = None
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -170,11 +175,15 @@ def _locate_feature_error(path) -> None:
                     f"{path}:{lineno}: expected {width} columns, got {len(cells)}")
             for col, cell in enumerate(cells, start=1):
                 try:
-                    float(cell)
+                    value = float(cell)
                 except ValueError:
                     raise DataFormatError(
                         f"{path}:{lineno}:{col}: not a decimal float: {cell!r}"
                     ) from None
+                if not math.isfinite(value):
+                    raise DataFormatError(
+                        f"{path}:{lineno}:{col}: non-finite feature value: "
+                        f"{cell!r}")
 
 
 def load_labels(path) -> np.ndarray:

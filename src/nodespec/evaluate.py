@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graph import Graph
-from .homophily import jaccard_neighbor_distance, per_node_homophily
+from .homophily import jaccard_neighbor_distances, per_node_homophily
 
 
 @dataclass
@@ -118,10 +118,7 @@ def coefficient_distance_report(psi: np.ndarray, graph: Graph, labels,
         keep = ii != jj
         ii, jj = ii[keep], jj[keep]
 
-    jac = np.fromiter(
-        (jaccard_neighbor_distance(graph, int(a), int(b))
-         for a, b in zip(ii, jj)),
-        dtype=np.float64, count=ii.size)
+    jac = jaccard_neighbor_distances(graph, ii, jj)
     dist = np.linalg.norm(psi[ii] - psi[jj], axis=1)
     same = labels[ii] == labels[jj]
     which = _bin_index(jac, jaccard_bins)

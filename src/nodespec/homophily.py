@@ -21,6 +21,11 @@ from .graph import Graph, adjacency, hop_sets
 
 ENTROPY_EPS = 1e-10
 
+# Pairs per sparse row-intersection block in jaccard_neighbor_distances. The
+# two gathered adjacency row blocks hold block * mean degree entries each;
+# gathering all pairs at once took 7x the report's memory at 2e6 pairs.
+JACCARD_BLOCK_PAIRS = 16384
+
 HOP1 = "hop1"
 WITHIN2 = "within2"
 
@@ -252,3 +257,30 @@ def jaccard_neighbor_distance(g: Graph, i: int, j: int) -> float:
         return 0.0
     inter = np.intersect1d(a, b).size
     return 1.0 - inter / union
+
+
+def jaccard_neighbor_distances(g: Graph, ii, jj) -> np.ndarray:
+    """jaccard_neighbor_distance for every pair (ii[k], jj[k]) at once.
+
+    Intersections are counted as row products of the adjacency, a block of
+    JACCARD_BLOCK_PAIRS pairs at a time, so memory stays bounded however many
+    pairs are asked for.
+    """
+    ii = np.asarray(ii, dtype=np.int64)
+    jj = np.asarray(jj, dtype=np.int64)
+    if ii.shape != jj.shape or ii.ndim != 1:
+        raise ValueError("pair index arrays must be 1-D and of equal length")
+    if ii.size and (min(ii.min(), jj.min()) < 0
+                    or max(ii.max(), jj.max()) >= g.n):
+        raise ValueError("node id out of range")
+    a = adjacency(g)
+    inter = np.empty(ii.size)
+    for lo in range(0, ii.size, JACCARD_BLOCK_PAIRS):
+        block = slice(lo, lo + JACCARD_BLOCK_PAIRS)
+        inter[block] = a[ii[block]].multiply(a[jj[block]]).sum(axis=1)
+    deg = g.degrees()
+    union = deg[ii] + deg[jj] - inter
+    out = np.zeros(ii.size)
+    nonempty = union > 0
+    out[nonempty] = 1.0 - inter[nonempty] / union[nonempty]
+    return out

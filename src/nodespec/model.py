@@ -401,6 +401,11 @@ def train(dataset: Dataset, split: Split, cfg: TrainConfig) -> TrainResult:
     """
     cfg.validate()
     validate_split(split, n=dataset.n)
+    for name, index in (("train", split.train),
+                        ("validation", split.validation)):
+        if index.size == 0:
+            raise ValueError(f"the {name} set is empty; training needs both "
+                             "train and validation nodes")
     if split.mode == "inductive":
         observed = split.observed_nodes()
         sub_ds, ids = subset(dataset, observed)
@@ -529,22 +534,33 @@ def save_checkpoint(path, params: ModelParams, cfg: TrainConfig) -> None:
                                           dtype="<f8").tobytes())
 
 
+def _read_exact(fh, size: int, path, what: str) -> bytes:
+    raw = fh.read(size)
+    if len(raw) != size:
+        raise ValueError(f"{path}: truncated checkpoint: {what} needs {size} "
+                         f"bytes, {len(raw)} remain")
+    return raw
+
+
 def load_checkpoint(path) -> tuple[ModelParams, TrainConfig]:
     with open(path, "rb") as fh:
         magic = fh.read(len(CHECKPOINT_MAGIC))
         if magic != CHECKPOINT_MAGIC:
             raise ValueError(f"{path}: not a checkpoint (bad magic)")
-        (length,) = struct.unpack("<I", fh.read(4))
-        header = json.loads(fh.read(length).decode())
+        raw_length = _read_exact(fh, 4, path, "header length")
+        (length,) = struct.unpack("<I", raw_length)
+        header = json.loads(_read_exact(fh, length, path, "header").decode())
         if header.get("version") != 1:
             raise ValueError(f"{path}: unsupported checkpoint version")
         cfg = TrainConfig(**header["config"])
         data = {}
         for name, shape in header["arrays"]:
             count = int(np.prod(shape)) if shape else 1
-            raw = fh.read(count * 8)
+            raw = _read_exact(fh, count * 8, path, f"array {name!r}")
             data[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).astype(
                 cfg.dtype).copy()
+        if fh.read(1):
+            raise ValueError(f"{path}: trailing bytes after the last array")
     mode = header["mode"]
     if mode == "global_only":
         params = ModelParams(data["mlp.w1"], data["mlp.b1"], data["mlp.w2"],

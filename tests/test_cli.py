@@ -159,6 +159,33 @@ def test_runtime_failure_exits_one(tmp_path, capsys):
     assert "error:" in err
 
 
+def test_train_without_validation_nodes_exits_one(data_root, tmp_path,
+                                                  capsys):
+    split = tmp_path / "no_val.json"
+    split.write_text(json.dumps({"seed": 0, "mode": "custom",
+                                 "train": list(range(40)), "validation": [],
+                                 "test": list(range(40, 60))}))
+    code, out, err = run_cli(capsys, "train", "--dataset", "toy",
+                             "--data-root", data_root, "--split", split,
+                             "--epochs", "5")
+    assert code == 1
+    assert out == ""
+    assert "error: the validation set is empty" in err
+
+
+def test_non_finite_features_exit_one(data_root, tmp_path, capsys):
+    bad = tmp_path / "features.csv"
+    rows = (data_root / "toy" / "features.csv").read_text().splitlines()
+    rows[4] = "inf," + rows[4].split(",", 1)[1]
+    bad.write_text("\n".join(rows) + "\n")
+    code, _, err = run_cli(capsys, "analyze", "--edges",
+                           data_root / "toy" / "edges.tsv", "--features", bad,
+                           "--labels", data_root / "toy" / "labels.txt",
+                           "--out-dir", tmp_path / "reports")
+    assert code == 1
+    assert f"error: {bad}:5:1: non-finite feature value" in err
+
+
 def test_inductive_cli_split_roundtrip(data_root, tmp_path, capsys):
     ckpt = tmp_path / "ind.ckpt"
     split = tmp_path / "ind.json"

@@ -40,6 +40,14 @@ class TestLoadDataset:
             load_dataset(toy_files / "edges.tsv", toy_files / "features.csv",
                          toy_files / "labels.txt")
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e999"])
+    def test_non_finite_feature_reports_location(self, toy_files, cell):
+        (toy_files / "features.csv").write_text(f"1.0,2.0\n3.0,4.0\n{cell},5.0\n")
+        with pytest.raises(DataFormatError,
+                           match="features.csv:3:1: non-finite feature value"):
+            load_dataset(toy_files / "edges.tsv", toy_files / "features.csv",
+                         toy_files / "labels.txt")
+
     def test_row_count_mismatch(self, toy_files):
         (toy_files / "labels.txt").write_text("0\n1\n")
         with pytest.raises(DataFormatError, match="row-count mismatch"):

@@ -1,9 +1,15 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from nodespec import homophily
 from nodespec.graph import build_graph
 from nodespec.homophily import (entropy_report, graph_homophily, histogram,
                                 homophily_report, jaccard_neighbor_distance,
+                                jaccard_neighbor_distances,
                                 label_entropy, node_homophily,
                                 per_node_entropy, per_node_homophily,
                                 proposition_closed_forms,
@@ -234,6 +240,59 @@ class TestJaccard:
     def test_both_empty(self):
         g = build_graph([], 2)
         assert jaccard_neighbor_distance(g, 0, 1) == 0.0
+
+
+@st.composite
+def graphs_with_pairs(draw):
+    """A graph on 1..24 nodes (self-loops and duplicate edges in the input,
+    isolated nodes and edgeless graphs allowed), pairs over it, and a block
+    size small enough that the pairs usually span several blocks."""
+    n = draw(st.integers(1, 24))
+    node = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(node, node), max_size=3 * n))
+    pairs = draw(st.lists(st.tuples(node, node), max_size=120))
+    block = draw(st.integers(1, 40))
+    return build_graph(edges, n), pairs, block
+
+
+def assert_batch_matches_single_pairs(g, pairs,
+                                      block=homophily.JACCARD_BLOCK_PAIRS):
+    ii = np.array([a for a, _ in pairs], dtype=np.int64)
+    jj = np.array([b for _, b in pairs], dtype=np.int64)
+    expected = np.array([jaccard_neighbor_distance(g, a, b) for a, b in pairs],
+                        dtype=np.float64)
+    with mock.patch.object(homophily, "JACCARD_BLOCK_PAIRS", block):
+        got = jaccard_neighbor_distances(g, ii, jj)
+    np.testing.assert_array_equal(got, expected)
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs_with_pairs())
+# always cover the edgeless graph, and isolated nodes next to edges
+@example((build_graph([], 5), [(0, 1), (2, 2), (4, 3)], 2))
+@example((build_graph([(0, 1), (1, 2)], 6), [(3, 4), (0, 5), (0, 2)], 1))
+def test_batch_jaccard_matches_single_pair(case):
+    g, pairs, block = case
+    assert_batch_matches_single_pairs(g, pairs, block)
+
+
+def test_batch_jaccard_spans_blocks_at_the_shipped_size():
+    g = er_graph(40, 0.15, seed=3)
+    rng = np.random.default_rng(4)
+    count = homophily.JACCARD_BLOCK_PAIRS + 7
+    pairs = list(zip(rng.integers(0, g.n, count).tolist(),
+                     rng.integers(0, g.n, count).tolist()))
+    assert_batch_matches_single_pairs(g, pairs)
+
+
+def test_batch_jaccard_rejects_bad_pairs():
+    g = build_graph([(0, 1)], 3)
+    with pytest.raises(ValueError, match="out of range"):
+        jaccard_neighbor_distances(g, [0, 3], [1, 1])
+    with pytest.raises(ValueError, match="out of range"):
+        jaccard_neighbor_distances(g, [-1], [1])
+    with pytest.raises(ValueError, match="equal length"):
+        jaccard_neighbor_distances(g, [0, 1], [1])
 
 
 def test_reports_have_consistent_shapes(triangle):

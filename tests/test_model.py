@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,7 +9,7 @@ import pytest
 
 import nodespec
 from nodespec import model
-from nodespec.data import make_split
+from nodespec.data import Split, make_split
 from nodespec.evaluate import accuracy
 from nodespec.graph import build_graph, hop_distances
 from nodespec.polyfilter import propagate
@@ -372,6 +373,15 @@ class TestTrain:
         # divergence is not guaranteed at these sizes, so no assertion if
         # training survives; the test only checks the error carries an epoch
 
+    @pytest.mark.parametrize("empty", ["train", "validation"])
+    def test_empty_train_or_validation_set_rejected(self, empty):
+        ds = planted_partition_dataset()
+        sets = {"train": np.arange(150), "validation": np.arange(150, 200)}
+        sets[empty] = []
+        split = Split(test=np.arange(200, ds.n), seed=0, mode="custom", **sets)
+        with pytest.raises(ValueError, match=f"the {empty} set is empty"):
+            model.train(ds, split, base_config(epochs=5))
+
     def test_inductive_training_runs_on_observed_subgraph(self):
         ds = planted_partition_dataset(n=80, classes=2, feature_dim=6, seed=3)
         split = make_split(ds.n, "inductive", seed=4)
@@ -512,6 +522,27 @@ class TestCheckpoint:
         path.write_bytes(b"not a checkpoint at all")
         with pytest.raises(ValueError, match="magic"):
             model.load_checkpoint(path)
+
+    @pytest.fixture
+    def saved(self, tmp_path, toy):
+        cfg = base_config()
+        params = model.init_params(cfg, toy.feature_dim, toy.class_count,
+                                   np.random.default_rng(5))
+        path = tmp_path / "model.ckpt"
+        model.save_checkpoint(path, params, cfg)
+        return path
+
+    def test_trailing_bytes_rejected(self, saved):
+        saved.write_bytes(saved.read_bytes() + b"\0")
+        with pytest.raises(ValueError, match=re.escape(f"{saved}: trailing bytes")):
+            model.load_checkpoint(saved)
+
+    def test_truncated_file_names_the_array(self, saved):
+        saved.write_bytes(saved.read_bytes()[:-12])
+        with pytest.raises(ValueError,
+                           match=re.escape(f"{saved}: truncated checkpoint: "
+                                           "array 'filter.gamma' needs")):
+            model.load_checkpoint(saved)
 
     def test_byte_identical_saves(self, tmp_path, toy):
         cfg = base_config()
