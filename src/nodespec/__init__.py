@@ -23,8 +23,8 @@ from .model import (AdamState, DivergenceError, FilterFactorization,
                     node_coefficients, parameter_count, predict,
                     save_checkpoint, train)
 from .oracle import (EigenSystem, SpectralFilter, eigendecompose, exact_filter,
-                     filter_at_node, localization_check, pseudoinverse_demo,
-                     run_oracle_checks, translate_filter)
+                     filter_at_node, localization_check, run_oracle_checks,
+                     translate_filter)
 from .polyfilter import PropagationStack, combine, frequency_response, propagate
 
 __version__ = "0.1.0"

@@ -204,17 +204,28 @@ def sparse_matmul(op: SparseOperator, x: Tensor) -> Tensor:
     return out
 
 
-def softmax_cross_entropy(logits: Tensor, labels, index) -> Tensor:
-    """Mean negative log-softmax of the true class over the index set."""
+def log_softmax_nll(logits: np.ndarray, labels, index):
+    """Mean negative log-softmax of the true class over the index set.
+
+    Returns the mean and the log-softmax of the selected rows; the arithmetic
+    runs in the dtype of ``logits``.
+    """
     index = np.asarray(index, dtype=np.int64)
     if index.size == 0:
         raise ValueError("loss over an empty index set")
-    labels = np.asarray(labels, dtype=np.int64)[index]
-    rows = logits.data[index]
+    rows = logits[index]
     shifted = rows - rows.max(axis=1, keepdims=True)
-    log_z = np.log(np.sum(np.exp(shifted), axis=1))
-    log_probs = shifted - log_z[:, None]
-    value = -np.mean(log_probs[np.arange(index.size), labels])
+    log_probs = shifted - np.log(np.sum(np.exp(shifted), axis=1))[:, None]
+    picked = log_probs[np.arange(index.size),
+                       np.asarray(labels, dtype=np.int64)[index]]
+    return -np.mean(picked), log_probs
+
+
+def softmax_cross_entropy(logits: Tensor, labels, index) -> Tensor:
+    """Mean negative log-softmax of the true class over the index set."""
+    value, log_probs = log_softmax_nll(logits.data, labels, index)
+    index = np.asarray(index, dtype=np.int64)
+    labels = np.asarray(labels, dtype=np.int64)[index]
     out = Tensor(value, parents=(logits,))
 
     def push(g):

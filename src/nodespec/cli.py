@@ -17,7 +17,7 @@ from . import evaluate, homophily, model
 from .data import (Dataset, load_dataset, load_named_dataset, load_split,
                    make_split, save_split)
 from .oracle import run_oracle_checks
-from .polyfilter import basis_matrix, frequency_response
+from .polyfilter import BASES, basis_matrix, frequency_response
 
 MODE_ALIASES = {
     "appnp": "appnp_like", "appnp_like": "appnp_like",
@@ -53,8 +53,7 @@ def _load_dataset(args) -> Dataset:
 
 def _add_train_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--mode", default="appnp", choices=sorted(MODE_ALIASES))
-    p.add_argument("--basis", default="chebyshev",
-                   choices=["monomial", "chebyshev", "bernstein"])
+    p.add_argument("--basis", default="chebyshev", choices=BASES)
     p.add_argument("--K", "--order", dest="order", type=int, default=10)
     p.add_argument("--d", "--rank", dest="rank", type=int, default=1)
     p.add_argument("--f-h", "--hidden", dest="hidden", type=int, default=64)
@@ -234,8 +233,13 @@ def cmd_filter_response(args) -> int:
                 rows.append((f"base_{j}", table @ gamma[:, j]))
         if args.nodes:
             dataset = _load_dataset(args)
+            nodes = [int(tok) for tok in args.nodes.split(",")]
+            for v in nodes:
+                if not 0 <= v < dataset.n:
+                    raise ValueError(f"node {v} out of range for a graph with "
+                                     f"n = {dataset.n} nodes")
             psi = model.node_coefficients(params, dataset, cfg)
-            for v in (int(tok) for tok in args.nodes.split(",")):
+            for v in nodes:
                 rows.append((f"node_{v}", table @ psi[v]))
     else:
         raise SystemExit("provide --coeffs or --checkpoint")
@@ -364,8 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_dataset_args(p)
     p.add_argument("--checkpoint")
     p.add_argument("--coeffs", help="comma-separated coefficient vector")
-    p.add_argument("--basis", default="chebyshev",
-                   choices=["monomial", "chebyshev", "bernstein"])
+    p.add_argument("--basis", default="chebyshev", choices=BASES)
     p.add_argument("--nodes", help="comma-separated node ids for local filters")
     p.add_argument("--grid-points", type=int, default=201)
     p.add_argument("--out")

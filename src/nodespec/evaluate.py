@@ -6,7 +6,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graph import Graph
-from .homophily import jaccard_neighbor_distances, per_node_homophily
+from .homophily import (JACCARD_BLOCK_PAIRS, jaccard_neighbor_distances,
+                        per_node_homophily)
 
 
 @dataclass
@@ -119,7 +120,11 @@ def coefficient_distance_report(psi: np.ndarray, graph: Graph, labels,
         ii, jj = ii[keep], jj[keep]
 
     jac = jaccard_neighbor_distances(graph, ii, jj)
-    dist = np.linalg.norm(psi[ii] - psi[jj], axis=1)
+    # pair blocks bound the two gathered pairs x (K+1) row copies
+    dist = np.empty(ii.size)
+    for lo in range(0, ii.size, JACCARD_BLOCK_PAIRS):
+        block = slice(lo, lo + JACCARD_BLOCK_PAIRS)
+        dist[block] = np.linalg.norm(psi[ii[block]] - psi[jj[block]], axis=1)
     same = labels[ii] == labels[jj]
     which = _bin_index(jac, jaccard_bins)
 

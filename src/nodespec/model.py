@@ -25,8 +25,10 @@ from typing import Optional
 
 import numpy as np
 
-from .autodiff import Tensor, parameter, softmax_cross_entropy, sparse_matmul
+from .autodiff import (Tensor, log_softmax_nll, parameter,
+                       softmax_cross_entropy, sparse_matmul)
 from .data import Dataset, Split, subset, validate_split
+from .evaluate import accuracy
 from .graph import (Graph, SparseOperator, estimate_lambda_max,
                     normalized_laplacian, scaled_laplacian)
 from .polyfilter import PropagationStack, polynomial_layers, propagate
@@ -78,6 +80,12 @@ class TrainConfig:
             raise ValueError("polynomial order must be >= 1")
         if self.rank < 1:
             raise ValueError("factorization rank must be >= 1")
+        if self.hidden < 1:
+            raise ValueError("hidden width must be >= 1")
+        if self.epochs < 1:
+            raise ValueError("epochs must be >= 1")
+        if self.batch_size is not None and self.batch_size < 1:
+            raise ValueError("batch size must be >= 1 when set")
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.precision not in ("float64", "float32"):
@@ -297,16 +305,11 @@ def forward_sgc_like(params: ModelParams, stack: PropagationStack,
 def loss(logits: np.ndarray, labels: np.ndarray, index_set,
          params: ModelParams, l2: float) -> float:
     """Mean cross-entropy over index_set plus l2 * sum of squared parameters."""
-    index = np.asarray(index_set, dtype=np.int64)
-    if index.size == 0:
-        raise ValueError("loss over an empty index set")
-    rows = np.asarray(logits, dtype=np.float64)[index]
-    shifted = rows - rows.max(axis=1, keepdims=True)
-    log_probs = shifted - np.log(np.sum(np.exp(shifted), axis=1))[:, None]
-    picked = log_probs[np.arange(index.size), np.asarray(labels)[index]]
+    nll, _ = log_softmax_nll(np.asarray(logits, dtype=np.float64), labels,
+                             index_set)
     penalty = sum(float(np.sum(a.astype(np.float64) ** 2))
                   for a in params.arrays().values())
-    return float(-np.mean(picked) + l2 * penalty)
+    return float(nll + l2 * penalty)
 
 
 def attach_loss(trace: ForwardTrace, labels: np.ndarray, index_set,
@@ -376,20 +379,25 @@ def parameter_count(cfg: TrainConfig, feature_dim: int,
     return {"filter": filt, "mlp": mlp, "total": filt + mlp}
 
 
-def _evaluate_logits(params: ModelParams, dataset: Dataset, cfg: TrainConfig,
-                     op: SparseOperator,
-                     stack: Optional[PropagationStack]) -> ForwardTrace:
+def _operator_and_stack(dataset: Dataset, cfg: TrainConfig
+                        ) -> tuple[SparseOperator, Optional[PropagationStack]]:
+    """The propagation operator and, for sgc_like, the precomputed stack."""
+    op = build_operator(dataset.graph, cfg)
+    if cfg.mode != "sgc_like":
+        return op, None
+    return op, propagate(cfg.basis, op, dataset.features.astype(cfg.dtype),
+                         cfg.order)
+
+
+def _forward(params: ModelParams, dataset: Dataset, cfg: TrainConfig,
+             op: SparseOperator, stack: Optional[PropagationStack],
+             training: bool = False,
+             rng: Optional[np.random.Generator] = None) -> ForwardTrace:
+    """Full-batch forward pass of the configured pipeline."""
     if cfg.mode == "sgc_like":
-        return forward_sgc_like(params, stack, cfg, training=False)
-    return forward_appnp_like(params, dataset.features, op, cfg, training=False)
-
-
-def _accuracy(logits: np.ndarray, labels: np.ndarray, index) -> float:
-    index = np.asarray(index, dtype=np.int64)
-    if index.size == 0:
-        return float("nan")
-    pred = np.argmax(logits[index], axis=1)
-    return float(np.mean(pred == labels[index]))
+        return forward_sgc_like(params, stack, cfg, training=training, rng=rng)
+    return forward_appnp_like(params, dataset.features, op, cfg,
+                              training=training, rng=rng)
 
 
 def train(dataset: Dataset, split: Split, cfg: TrainConfig) -> TrainResult:
@@ -421,11 +429,7 @@ def train(dataset: Dataset, split: Split, cfg: TrainConfig) -> TrainResult:
 
     rng = np.random.default_rng(cfg.seed)
     params = init_params(cfg, work.feature_dim, work.class_count, rng)
-    op = build_operator(work.graph, cfg)
-    stack = None
-    if cfg.mode == "sgc_like":
-        stack = propagate(cfg.basis, op, work.features.astype(cfg.dtype),
-                          cfg.order)
+    op, stack = _operator_and_stack(work, cfg)
 
     adam = AdamState()
     best = params.copy()
@@ -446,26 +450,21 @@ def train(dataset: Dataset, split: Split, cfg: TrainConfig) -> TrainResult:
                     attach_loss(trace, labels[batch],
                                 np.arange(batch.size), cfg.l2)
                     adam_step(params, backward(trace), adam, cfg.lr_l, cfg.lr_p)
-            elif cfg.mode == "sgc_like":
-                trace = forward_sgc_like(params, stack, cfg, training=True,
-                                         rng=rng)
-                attach_loss(trace, labels, train_idx, cfg.l2)
-                adam_step(params, backward(trace), adam, cfg.lr_l, cfg.lr_p)
             else:
-                trace = forward_appnp_like(params, work.features, op, cfg,
-                                           training=True, rng=rng)
+                trace = _forward(params, work, cfg, op, stack, training=True,
+                                 rng=rng)
                 attach_loss(trace, labels, train_idx, cfg.l2)
                 adam_step(params, backward(trace), adam, cfg.lr_l, cfg.lr_p)
         except DivergenceError as exc:
             raise DivergenceError("training diverged", epoch) from exc
 
-        eval_trace = _evaluate_logits(params, work, cfg, op, stack)
-        logits = eval_trace.logits.data
+        logits = _forward(params, work, cfg, op, stack).logits.data
         train_loss = loss(logits, labels, train_idx, params, cfg.l2)
         if not np.isfinite(train_loss):
             raise DivergenceError("training loss is not finite", epoch)
-        train_acc = _accuracy(logits, labels, train_idx)
-        val_acc = _accuracy(logits, labels, val_idx)
+        pred = np.argmax(logits, axis=1)
+        train_acc = accuracy(pred, labels, train_idx)
+        val_acc = accuracy(pred, labels, val_idx)
         history.append((epoch, train_loss, train_acc, val_acc))
 
         if val_acc > best_val:
@@ -491,13 +490,8 @@ def predict(params: ModelParams, dataset: Dataset, cfg: TrainConfig,
     the dataset's graph, so the graph may contain nodes and edges that were
     never seen in training.
     """
-    op = build_operator(dataset.graph, cfg)
-    stack = None
-    if cfg.mode == "sgc_like":
-        stack = propagate(cfg.basis, op, dataset.features.astype(cfg.dtype),
-                          cfg.order)
-    trace = _evaluate_logits(params, dataset, cfg, op, stack)
-    logits = trace.logits.data
+    logits = _forward(params, dataset, cfg,
+                      *_operator_and_stack(dataset, cfg)).logits.data
     if index_set is not None:
         index = np.asarray(index_set, dtype=np.int64)
         logits = logits[index]
@@ -507,12 +501,8 @@ def predict(params: ModelParams, dataset: Dataset, cfg: TrainConfig,
 def node_coefficients(params: ModelParams, dataset: Dataset,
                       cfg: TrainConfig) -> np.ndarray:
     """Realized per-node coefficient rows from a deterministic forward pass."""
-    op = build_operator(dataset.graph, cfg)
-    stack = None
-    if cfg.mode == "sgc_like":
-        stack = propagate(cfg.basis, op, dataset.features.astype(cfg.dtype),
-                          cfg.order)
-    return _evaluate_logits(params, dataset, cfg, op, stack).coefficients
+    return _forward(params, dataset, cfg,
+                    *_operator_and_stack(dataset, cfg)).coefficients
 
 
 def save_checkpoint(path, params: ModelParams, cfg: TrainConfig) -> None:

@@ -1,9 +1,10 @@
 """Exact spectral filtering on small graphs, for ground-truth testing.
 
-Everything here goes through a dense eigendecomposition of the Laplacian, so
-results are exact up to machine rounding and can arbitrate the sparse
-polynomial pipeline. Strictly a test/diagnostic surface: the solver is capped
-and never used in training.
+Everything here goes through a dense eigendecomposition of the Laplacian by
+LAPACK (``numpy.linalg.eigh``), so results are exact up to machine rounding
+and independent of the polynomial recursions they arbitrate. Strictly a
+test/diagnostic surface: the decomposition is capped and never used in
+training.
 """
 
 from dataclasses import dataclass
@@ -11,9 +12,10 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .eigensolve import symmetric_eigh
-from .graph import (Graph, SparseOperator, hop_distances, normalized_laplacian,
-                    scaled_laplacian)
+from .graph import Graph, SparseOperator, hop_distances, normalized_laplacian
+from .model import TrainConfig, build_operator
+from .polyfilter import BASES, combine, frequency_response, propagate
+from .synthetic import er_graph, path_graph, random_tree
 
 DEFAULT_EIGEN_CAP = 512
 
@@ -52,10 +54,17 @@ class SpectralFilter:
 
 
 def eigendecompose(op: SparseOperator, cap: int = DEFAULT_EIGEN_CAP) -> EigenSystem:
-    """Dense eigendecomposition of a sparse symmetric operator."""
+    """Dense eigendecomposition of a sparse symmetric operator.
+
+    Eigenvalues come back ascending. Raises ValueError past the cap and for a
+    matrix that is not symmetric to 1e-12.
+    """
     if op.n > cap:
         raise ValueError(f"operator dimension {op.n} exceeds oracle cap {cap}")
-    eigenvalues, basis = symmetric_eigh(op.to_dense())
+    dense = op.to_dense()
+    if not np.allclose(dense, dense.T, atol=1e-12, rtol=0.0):
+        raise ValueError("operator must be symmetric")
+    eigenvalues, basis = np.linalg.eigh(dense)
     return EigenSystem(basis=basis, eigenvalues=eigenvalues)
 
 
@@ -92,31 +101,6 @@ def filter_at_node(es: EigenSystem, filt: SpectralFilter, x: np.ndarray,
     return es.basis @ (gains_i * (es.basis.T @ x))
 
 
-def pseudoinverse_demo(x: np.ndarray, es: EigenSystem, filt: SpectralFilter,
-                       i: int):
-    """Feature-based approximation of the node-centered gain, with its error.
-
-    The spectral coefficients of x give q = pinv(xhat) = xhat / ||xhat||^2,
-    and the approximate gain sqrt(n) x_i q_l g(lambda_l) is compared against
-    the exact sqrt(n) u_l(i) g(lambda_l). Returns (approx, exact, max abs
-    gap); purely diagnostic, no accuracy is promised.
-    """
-    if not 0 <= i < es.n:
-        raise ValueError(f"node {i} out of range")
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1 or x.size != es.n:
-        raise ValueError("x must be a length-n signal")
-    xhat = es.basis.T @ x
-    norm_sq = float(xhat @ xhat)
-    if norm_sq == 0.0:
-        raise ValueError("signal has no spectral content (x == 0)")
-    q = xhat / norm_sq
-    gains = filt.values(es.eigenvalues)
-    approx = np.sqrt(es.n) * x[i] * q * gains
-    exact = np.sqrt(es.n) * es.basis[i, :] * gains
-    return approx, exact, float(np.max(np.abs(approx - exact)))
-
-
 def localization_check(g: Graph, basis: str, coeffs, i: int) -> float:
     """Maximum filtered magnitude leaked beyond K hops for a delta at node i.
 
@@ -124,12 +108,9 @@ def localization_check(g: Graph, basis: str, coeffs, i: int) -> float:
     node-constant coefficients; a degree-K polynomial filter must vanish at
     hop distance > K, so the returned leak is the localization defect.
     """
-    from .polyfilter import combine, propagate
-
     coeffs = np.asarray(coeffs, dtype=np.float64)
     order = coeffs.size - 1
-    lap = normalized_laplacian(g)
-    op = scaled_laplacian(lap) if basis == "chebyshev" else lap
+    op = build_operator(g, TrainConfig(basis=basis))
     delta = np.zeros(g.n)
     delta[i] = 1.0
     stack = propagate(basis, op, delta[:, None], order)
@@ -156,9 +137,6 @@ def run_oracle_checks(max_nodes: int = 64, trials: int = 50,
       random trees and paths.
     * ``reconstruction``       - eigendecomposition residual in max norm.
     """
-    from .polyfilter import BASES, combine, frequency_response, propagate
-    from .synthetic import er_graph, path_graph, random_tree
-
     rng = np.random.default_rng(seed)
     errors = {"spectral_equivalence": 0.0, "translate_delta": 0.0,
               "localization_leak": 0.0, "reconstruction": 0.0}
@@ -176,7 +154,7 @@ def run_oracle_checks(max_nodes: int = 64, trials: int = 50,
         order = int(rng.integers(0, max_order + 1))
         coeffs = rng.uniform(-1.0, 1.0, size=order + 1)
         for basis in BASES:
-            op = scaled_laplacian(lap) if basis == "chebyshev" else lap
+            op = build_operator(g, TrainConfig(basis=basis))
             stack = propagate(basis, op, x[:, None], order)
             z = combine(stack, np.tile(coeffs, (n, 1)))[:, 0]
             filt = SpectralFilter(
@@ -197,7 +175,7 @@ def run_oracle_checks(max_nodes: int = 64, trials: int = 50,
              else random_tree(n, seed=int(rng.integers(2 ** 31))))
         order = int(rng.integers(1, 5))
         coeffs = rng.uniform(-1.0, 1.0, size=order + 1)
-        basis = ("monomial", "chebyshev", "bernstein")[t % 3]
+        basis = BASES[t % 3]
         leak = localization_check(g, basis, coeffs, int(rng.integers(0, n)))
         errors["localization_leak"] = max(errors["localization_leak"], leak)
     return errors

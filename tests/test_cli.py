@@ -173,6 +173,34 @@ def test_train_without_validation_nodes_exits_one(data_root, tmp_path,
     assert "error: the validation set is empty" in err
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--mode", "sgc", "--batch-size", "-4"], "batch size must be >= 1"),
+    (["--epochs", "0"], "epochs must be >= 1"),
+    (["--f-h", "0"], "hidden width must be >= 1")])
+def test_untrainable_config_exits_one(data_root, capsys, flags, message):
+    code, out, err = run_cli(capsys, "train", "--dataset", "toy",
+                             "--data-root", data_root, "--epochs", "5",
+                             *flags)
+    assert code == 1
+    assert out == ""
+    assert f"error: {message}" in err
+
+
+def test_filter_response_node_out_of_range_exits_one(data_root, tmp_path,
+                                                     capsys):
+    ckpt = tmp_path / "toy.ckpt"
+    code, _, _ = run_cli(capsys, "train", "--dataset", "toy",
+                         "--data-root", data_root, "--K", "2", "--f-h", "8",
+                         "--epochs", "2", "--checkpoint", ckpt)
+    assert code == 0
+    code, out, err = run_cli(capsys, "filter-response", "--checkpoint", ckpt,
+                             "--dataset", "toy", "--data-root", data_root,
+                             "--nodes", "3,5000")
+    assert code == 1
+    assert out == ""
+    assert "error: node 5000 out of range for a graph with n = 60 nodes" in err
+
+
 def test_non_finite_features_exit_one(data_root, tmp_path, capsys):
     bad = tmp_path / "features.csv"
     rows = (data_root / "toy" / "features.csv").read_text().splitlines()

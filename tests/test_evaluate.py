@@ -1,6 +1,9 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from nodespec import evaluate
 from nodespec.evaluate import (accuracy, coefficient_distance_report,
                                homophily_binned_accuracy, summarize_runs)
 from nodespec.graph import build_graph
@@ -119,6 +122,18 @@ class TestCoefficientDistance:
         np.testing.assert_array_equal(a.same_label_count, b.same_label_count)
         np.testing.assert_allclose(a.same_label_mean, b.same_label_mean,
                                    equal_nan=True)
+
+    def test_pair_blocks_do_not_change_the_report(self):
+        g = er_graph(40, 0.2, seed=11)
+        labels = np.random.default_rng(12).integers(0, 3, size=40)
+        psi = np.random.default_rng(13).standard_normal((40, 6))
+        whole = coefficient_distance_report(psi, g, labels)
+        with mock.patch.object(evaluate, "JACCARD_BLOCK_PAIRS", 7):
+            blocked = coefficient_distance_report(psi, g, labels)
+        for name in ("same_label_count", "same_label_mean",
+                     "diff_label_count", "diff_label_mean"):
+            np.testing.assert_array_equal(getattr(blocked, name),
+                                          getattr(whole, name))
 
     def test_pair_sample_validated(self):
         g = er_graph(10, 0.3, seed=10)

@@ -191,10 +191,12 @@ def test_import_and_train_leave_dense_scipy_unloaded():
     # memory on every run and nothing here needs it
     script = (
         "import sys\n"
-        "from nodespec import data, model, synthetic\n"
+        "from nodespec import data, model, oracle, synthetic\n"
         "ds = synthetic.planted_partition_dataset(n=30, seed=1)\n"
         "split = data.make_split(ds.n, 'dense', seed=0)\n"
         "model.train(ds, split, model.TrainConfig(epochs=1, order=3))\n"
+        "oracle.eigendecompose(model.build_operator(ds.graph,\n"
+        "                                           model.TrainConfig()))\n"
         "print(sorted(m for m in sys.modules if m.startswith(\n"
         "    ('scipy.linalg', 'scipy.sparse.linalg', 'scipy.sparse.csgraph'))))\n"
     )
@@ -290,6 +292,14 @@ class TestLoss:
         with pytest.raises(ValueError):
             model.loss(np.zeros((toy.n, 3)), toy.labels, [], params, 0.0)
 
+    def test_numpy_loss_equals_tape_loss_without_penalty(self, toy):
+        cfg = base_config(l2=0.0)
+        params = model.init_params(cfg, toy.feature_dim, toy.class_count,
+                                   np.random.default_rng(1))
+        trace, tape_value = eval_loss(params, toy, cfg, np.arange(12))
+        assert model.loss(trace.logits.data, toy.labels, np.arange(12),
+                          params, 0.0) == tape_value
+
 
 class TestAdam:
     def test_zero_gradient_keeps_params(self, toy):
@@ -381,6 +391,15 @@ class TestTrain:
         split = Split(test=np.arange(200, ds.n), seed=0, mode="custom", **sets)
         with pytest.raises(ValueError, match=f"the {empty} set is empty"):
             model.train(ds, split, base_config(epochs=5))
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("epochs", 0, "epochs"), ("hidden", 0, "hidden width"),
+        ("batch_size", 0, "batch size"), ("batch_size", -4, "batch size")])
+    def test_untrainable_config_rejected(self, toy, field, value, message):
+        split = make_split(toy.n, "dense", seed=0)
+        cfg = base_config(mode="sgc_like", **{field: value})
+        with pytest.raises(ValueError, match=message):
+            model.train(toy, split, cfg)
 
     def test_inductive_training_runs_on_observed_subgraph(self):
         ds = planted_partition_dataset(n=80, classes=2, feature_dim=6, seed=3)

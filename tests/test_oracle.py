@@ -1,50 +1,21 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from nodespec.eigensolve import symmetric_eigh
-from nodespec.graph import build_graph, normalized_laplacian, spmm
+from nodespec.graph import (NORMALIZED_LAPLACIAN, SparseOperator, build_graph,
+                            normalized_laplacian, spmm)
+from nodespec.model import TrainConfig, build_operator
 from nodespec.oracle import (SpectralFilter, eigendecompose, exact_filter,
                              filter_at_node, localization_check,
-                             pseudoinverse_demo, run_oracle_checks,
-                             translate_filter)
+                             run_oracle_checks, translate_filter)
+from nodespec.polyfilter import BASES, combine, frequency_response, propagate
 from nodespec.synthetic import er_graph, path_graph, random_tree
 
 
-class TestEigensolver:
-    def test_against_numpy_random_matrices(self, rng):
-        for _ in range(30):
-            n = int(rng.integers(2, 40))
-            a = rng.standard_normal((n, n))
-            a = a + a.T
-            w, u = symmetric_eigh(a)
-            np.testing.assert_allclose(w, np.linalg.eigvalsh(a),
-                                       atol=1e-10, rtol=1e-10)
-            np.testing.assert_allclose(u.T @ u, np.eye(n), atol=1e-12)
-            np.testing.assert_allclose((u * w) @ u.T, a, atol=1e-11)
-
-    def test_repeated_eigenvalues_subspace(self, rng):
-        # eigenvectors in a repeated eigenspace are non-unique; compare
-        # projectors instead of vectors
-        q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
-        lam = np.array([1.0, 1.0, 1.0, 2.0, 2.0, 5.0])
-        a = (q * lam) @ q.T
-        a = 0.5 * (a + a.T)
-        w, u = symmetric_eigh(a)
-        np.testing.assert_allclose(np.sort(w), lam, atol=1e-10)
-        for value in (1.0, 2.0, 5.0):
-            mine = u[:, np.abs(w - value) < 1e-8]
-            ref_w, ref_u = np.linalg.eigh(a)
-            ref = ref_u[:, np.abs(ref_w - value) < 1e-8]
-            np.testing.assert_allclose(mine @ mine.T, ref @ ref.T, atol=1e-9)
-
-    def test_rejects_asymmetric(self):
-        with pytest.raises(ValueError):
-            symmetric_eigh(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-    def test_ascending_order(self, rng):
-        a = rng.standard_normal((12, 12))
-        w, _ = symmetric_eigh(a + a.T)
-        assert np.all(np.diff(w) >= 0)
+def dense_operator(a):
+    return SparseOperator(sp.csr_array(a), NORMALIZED_LAPLACIAN)
 
 
 class TestEigendecompose:
@@ -67,6 +38,15 @@ class TestEigendecompose:
         op = normalized_laplacian(build_graph([], 5))
         with pytest.raises(ValueError, match="cap"):
             eigendecompose(op, cap=4)
+
+    def test_rejects_asymmetric(self):
+        with pytest.raises(ValueError, match="symmetric"):
+            eigendecompose(dense_operator([[0.0, 1.0], [0.0, 0.0]]))
+
+    def test_ascending_order(self, rng):
+        a = rng.standard_normal((12, 12))
+        es = eigendecompose(dense_operator(a + a.T))
+        assert np.all(np.diff(es.eigenvalues) >= 0)
 
     def test_reconstruction_bound(self):
         for seed in range(5):
@@ -175,30 +155,6 @@ class TestFilterAtNode:
         assert np.max(np.abs(z[3:])) <= 1e-9
 
 
-class TestPseudoinverseDemo:
-    def test_single_eigenvector_exact_at_its_frequency(self):
-        g = path_graph(3)  # distinct spectrum {0, 1, 2}
-        es = eigendecompose(normalized_laplacian(g))
-        x = es.basis[:, 1].copy()
-        gains = SpectralFilter(lambda lam: 1.0 + lam)
-        approx, exact, gap = pseudoinverse_demo(x, es, gains, i=0)
-        # q = pinv(xhat) is 1-sparse, so the approximation is exact at l=1
-        np.testing.assert_allclose(approx[1], exact[1], atol=1e-10)
-        assert gap >= 0.0
-
-    def test_random_signal_reports_finite_gap(self, triangle, rng):
-        es = eigendecompose(normalized_laplacian(triangle))
-        approx, exact, gap = pseudoinverse_demo(rng.standard_normal(3), es,
-                                                SpectralFilter(np.ones(3)), 1)
-        assert np.all(np.isfinite(approx)) and np.all(np.isfinite(exact))
-        assert np.isfinite(gap)
-
-    def test_zero_signal_rejected(self, triangle):
-        es = eigendecompose(normalized_laplacian(triangle))
-        with pytest.raises(ValueError):
-            pseudoinverse_demo(np.zeros(3), es, SpectralFilter(np.ones(3)), 0)
-
-
 class TestLocalizationCheck:
     def test_path_degree_two(self):
         g = path_graph(5)
@@ -225,3 +181,36 @@ def test_run_oracle_checks_bounds():
     assert errors["translate_delta"] <= 1e-9
     assert errors["localization_leak"] <= 1e-12
     assert errors["reconstruction"] <= 1e-8
+
+
+@st.composite
+def graphs_signals_coefficients(draw):
+    """A graph on 1..20 nodes (isolated nodes and edgeless graphs allowed), a
+    signal on it, and node-constant coefficients of order 0..8."""
+    n = draw(st.integers(1, 20))
+    node = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(node, node), max_size=3 * n))
+    unit = st.floats(-1.0, 1.0)
+    x = np.array(draw(st.lists(unit, min_size=n, max_size=n)))
+    coeffs = np.array(draw(st.lists(unit, min_size=1, max_size=9)))
+    return build_graph(edges, n), x, coeffs
+
+
+@settings(max_examples=60, deadline=None)
+@given(graphs_signals_coefficients())
+# always cover the edgeless graph, and isolated nodes next to edges
+@example((build_graph([], 5), np.arange(5.0) - 2.0,
+          np.array([0.3, -0.5, 0.25])))
+@example((build_graph([(0, 1), (1, 2)], 6), np.linspace(-1.0, 1.0, 6),
+          np.array([1.0, 0.5, -0.2, 0.1])))
+def test_node_constant_filter_matches_exact_filter(case):
+    g, x, coeffs = case
+    es = eigendecompose(normalized_laplacian(g))
+    psi = np.tile(coeffs, (g.n, 1))
+    for basis in BASES:
+        op = build_operator(g, TrainConfig(basis=basis))
+        z = combine(propagate(basis, op, x[:, None], coeffs.size - 1), psi)
+        filt = SpectralFilter(
+            lambda lam, b=basis: frequency_response(b, coeffs, lam))
+        gap = np.max(np.abs(z[:, 0] - exact_filter(es, filt, x)))
+        assert gap <= 1e-10, (basis, gap)
