@@ -110,13 +110,13 @@ def cmd_analyze(args) -> int:
     hom = homophily.homophily_report(dataset.graph, dataset.labels, args.bins)
     ent = homophily.entropy_report(dataset.graph, dataset.labels,
                                    dataset.class_count, args.bins)
+    rows = np.column_stack([hom.per_node_h1, hom.per_node_h_within2,
+                            ent.per_node_s1, ent.per_node_s_within2]).tolist()
     with open(out / "node_metrics.csv", "w", encoding="utf-8") as fh:
         fh.write("node,h_hop1,h_within2,entropy_hop1,entropy_within2\n")
-        for v in range(dataset.n):
-            fh.write(f"{v},{_fmt(float(hom.per_node_h1[v]))},"
-                     f"{_fmt(float(hom.per_node_h_within2[v]))},"
-                     f"{_fmt(float(ent.per_node_s1[v]))},"
-                     f"{_fmt(float(ent.per_node_s_within2[v]))}\n")
+        # "{:.17g}" prints NaN as "nan", as _fmt does
+        fh.writelines("{},{:.17g},{:.17g},{:.17g},{:.17g}\n".format(v, *row)
+                      for v, row in enumerate(rows))
     with open(out / "histograms.csv", "w", encoding="utf-8") as fh:
         fh.write("metric,bin_lo,bin_hi,count\n")
         for label, (edges, counts) in (

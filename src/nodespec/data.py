@@ -2,13 +2,19 @@
 
 File formats (all UTF-8 text):
 
-* edge list  - one ``i<TAB>j`` pair per line, 0-based ids, ``#`` comments and
-  blank lines ignored; orientation and duplicates are irrelevant.
+* edge list  - one ``i<TAB>j`` pair per line (any run of whitespace
+  separates), 0-based ids, ``#`` comments and blank lines ignored;
+  orientation and duplicates are irrelevant.
 * features   - CSV, one row per node, no header, decimal floats.
-* labels     - one integer per line; the class count is max label + 1.
+* labels     - one non-negative integer per line, blank lines ignored, no
+  comments; the class count is max label + 1.
 * split JSON - ``{"seed": int, "mode": str, "train": [...], "validation":
   [...], "test": [...]}`` plus ``observed_test``/``unobserved_test`` for
   inductive splits; all index arrays sorted ascending.
+
+Node ids and labels are ASCII decimal integers with an optional sign, within
+int64. Edge lists and labels are parsed by ``numpy.loadtxt``; when it fails, a
+Python re-scan names the first bad ``path:line``.
 
 Split generation is pinned to a SplitMix64-driven Fisher-Yates permutation
 with exact rational ratio arithmetic, so a (n, mode, seed) triple produces
@@ -17,6 +23,8 @@ identical splits on every platform and in any reimplementation.
 
 import json
 import math
+import re
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -35,6 +43,11 @@ INDUCTIVE_BASE = "sparse"
 OBSERVED_NUM, OBSERVED_DEN = 4, 5   # observed:unobserved = 8:2 of the test set
 
 MODES = ("sparse", "dense", "inductive", "custom")
+
+# An id or label: ASCII digits with an optional sign; at most 19 significant
+# digits keeps int() cheap before the int64 range check.
+_INT_FIELD = re.compile(r"[+-]?0*[0-9]{1,19}")
+_INT64_MIN, _INT64_MAX = -2**63, 2**63 - 1
 
 
 class DataFormatError(ValueError):
@@ -129,22 +142,52 @@ def validate_split(split: Split, n: Optional[int] = None) -> None:
         raise DataFormatError(f"unknown split mode {split.mode!r}")
 
 
-def load_edge_list(path) -> list:
-    edges = []
+def _is_int64(field: str) -> bool:
+    return (_INT_FIELD.fullmatch(field) is not None
+            and _INT64_MIN <= int(field) <= _INT64_MAX)
+
+
+def _loadtxt_int64(path, comments) -> np.ndarray:
+    """Whitespace-separated int64 rows as a 2-D array; a file without data
+    rows gives a (0, 1) array, without loadtxt's warning."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data",
+                                UserWarning)
+        return np.loadtxt(path, dtype=np.int64, comments=comments, ndmin=2,
+                          encoding="utf-8")
+
+
+def load_edge_list(path) -> np.ndarray:
+    """The file's pairs, in file order, as an (m, 2) int64 array."""
+    try:
+        edges = _loadtxt_int64(path, comments="#")
+    except ValueError as exc:
+        problem = str(exc)
+    else:
+        if edges.size == 0:
+            return edges.reshape(0, 2)
+        if edges.shape[1] == 2:
+            return edges
+        problem = f"expected 2 columns, got {edges.shape[1]}"
+    _locate_edge_error(path)
+    raise DataFormatError(f"{path}: {problem}")
+
+
+def _locate_edge_error(path) -> None:
+    """Re-scan the file in Python to report the first bad line: not two
+    fields, or a field that is not a decimal int64."""
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
-            body = line.split("#", 1)[0].strip()
-            if not body:
+            parts = line.split("#", 1)[0].split()
+            if not parts:
                 continue
-            parts = body.split()
             if len(parts) != 2:
                 raise DataFormatError(
                     f"{path}:{lineno}: expected 'i<TAB>j', got {line.rstrip()!r}")
-            try:
-                edges.append((int(parts[0]), int(parts[1])))
-            except ValueError as exc:
-                raise DataFormatError(f"{path}:{lineno}: {exc}") from None
-    return edges
+            for part in parts:
+                if not _is_int64(part):
+                    raise DataFormatError(
+                        f"{path}:{lineno}: not a decimal int64 node id: {part!r}")
 
 
 def load_features(path) -> np.ndarray:
@@ -187,21 +230,36 @@ def _locate_feature_error(path) -> None:
 
 
 def load_labels(path) -> np.ndarray:
-    values = []
+    """One non-negative int64 label per non-blank line."""
+    try:
+        labels = _loadtxt_int64(path, comments=None)
+    except ValueError as exc:
+        problem = str(exc)
+    else:
+        if labels.shape[1] != 1:
+            problem = f"expected one label per line, got {labels.shape[1]} fields"
+        elif labels.size and labels.min() < 0:
+            problem = f"negative label {labels.min()}"
+        else:
+            return labels.ravel()
+    _locate_label_error(path)
+    raise DataFormatError(f"{path}: {problem}")
+
+
+def _locate_label_error(path) -> None:
+    """Re-scan the file in Python to report the first line that is not a
+    decimal int64, or is negative."""
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             body = line.strip()
             if not body:
                 continue
-            try:
-                value = int(body)
-            except ValueError:
+            if not _is_int64(body):
                 raise DataFormatError(
-                    f"{path}:{lineno}: not an integer label: {body!r}") from None
-            if value < 0:
-                raise DataFormatError(f"{path}:{lineno}: negative label {value}")
-            values.append(value)
-    return np.asarray(values, dtype=np.int64)
+                    f"{path}:{lineno}: not an integer label: {body!r}")
+            if int(body) < 0:
+                raise DataFormatError(
+                    f"{path}:{lineno}: negative label {int(body)}")
 
 
 def load_dataset(edge_path, feature_path, label_path,

@@ -65,10 +65,13 @@ def build_graph(edges, n: int) -> Graph:
 
     Pairs are treated as undirected regardless of orientation; self-loops are
     dropped and duplicates collapsed. Raises ValueError on out-of-range ids.
+    An ndarray of pairs is read as it is; any other iterable is listed first.
     """
     if n < 0:
         raise ValueError("node count must be non-negative")
-    pairs = np.asarray(list(edges), dtype=np.int64).reshape(-1, 2)
+    if not isinstance(edges, np.ndarray):
+        edges = list(edges)
+    pairs = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     if pairs.size:
         if pairs.min() < 0 or pairs.max() >= n:
             bad = pairs[(pairs < 0).any(axis=1) | (pairs >= n).any(axis=1)][0]
@@ -78,18 +81,18 @@ def build_graph(edges, n: int) -> Graph:
         offsets = np.zeros(n + 1, dtype=np.int64)
         return Graph(n, offsets, np.empty(0, dtype=np.int64), 0)
 
-    lo = np.minimum(pairs[:, 0], pairs[:, 1])
-    hi = np.maximum(pairs[:, 0], pairs[:, 1])
-    keys = np.unique(lo * n + hi)
-    src = np.concatenate([keys // n, keys % n])
-    dst = np.concatenate([keys % n, keys // n])
-    order = np.lexsort((dst, src))
-    src, dst = src[order], dst[order]
-
+    # One key lo * n + hi per unordered pair; sorted, duplicates are adjacent.
+    keys = np.sort(np.minimum(pairs[:, 0], pairs[:, 1]) * n
+                   + np.maximum(pairs[:, 0], pairs[:, 1]))
+    keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+    lo, hi = np.divmod(keys, n)
+    # Both orientations as src * n + dst keys: sorted, they are the CSR
+    # entries in row order with ascending columns.
+    both = np.sort(np.concatenate([keys, hi * n + lo]))
+    src, dst = np.divmod(both, n)
     offsets = np.zeros(n + 1, dtype=np.int64)
-    np.add.at(offsets, src + 1, 1)
-    np.cumsum(offsets, out=offsets)
-    return Graph(n, offsets, dst.astype(np.int64), int(keys.size))
+    np.cumsum(np.bincount(src, minlength=n), out=offsets[1:])
+    return Graph(n, offsets, dst, int(keys.size))
 
 
 def adjacency(g: Graph) -> sp.csr_array:

@@ -23,7 +23,7 @@ def er_graph(n: int, p: float, seed: int = 0) -> Graph:
     rng = np.random.default_rng(seed)
     ii, jj = np.triu_indices(n, k=1)
     keep = rng.random(ii.size) < p
-    return build_graph(list(zip(ii[keep], jj[keep])), n)
+    return build_graph(np.column_stack([ii[keep], jj[keep]]), n)
 
 
 def random_tree(n: int, seed: int = 0) -> Graph:
@@ -49,7 +49,7 @@ def planted_partition_dataset(n: int = 200, classes: int = 3,
     ii, jj = np.triu_indices(n, k=1)
     prob = np.where(labels[ii] == labels[jj], p_in, p_out)
     keep = rng.random(ii.size) < prob
-    graph = build_graph(list(zip(ii[keep], jj[keep])), n)
+    graph = build_graph(np.column_stack([ii[keep], jj[keep]]), n)
     prototypes = rng.standard_normal((classes, feature_dim))
     features = prototypes[labels] + noise * rng.standard_normal((n, feature_dim))
     return Dataset(graph=graph, features=features, labels=labels,

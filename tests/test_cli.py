@@ -214,6 +214,28 @@ def test_non_finite_features_exit_one(data_root, tmp_path, capsys):
     assert f"error: {bad}:5:1: non-finite feature value" in err
 
 
+@pytest.mark.parametrize("name, line", [
+    ("edges.tsv", "0\t99999999999999999999"),
+    ("labels.txt", "99999999999999999999"),
+    ("edges.tsv", "0\t1_000"),
+    ("labels.txt", "\u0663"),
+])
+def test_bad_integer_exits_one_with_line(data_root, tmp_path, capsys,
+                                         name, line):
+    paths = {f: data_root / "toy" / f
+             for f in ("edges.tsv", "features.csv", "labels.txt")}
+    rows = paths[name].read_text().splitlines()
+    rows[2] = line
+    paths[name] = tmp_path / name
+    paths[name].write_text("\n".join(rows) + "\n")
+    code, _, err = run_cli(capsys, "analyze", "--edges", paths["edges.tsv"],
+                           "--features", paths["features.csv"],
+                           "--labels", paths["labels.txt"],
+                           "--out-dir", tmp_path / "reports")
+    assert code == 1
+    assert err.startswith(f"error: {paths[name]}:3: ")
+
+
 def test_inductive_cli_split_roundtrip(data_root, tmp_path, capsys):
     ckpt = tmp_path / "ind.ckpt"
     split = tmp_path / "ind.json"

@@ -1,11 +1,15 @@
 import json
+import re
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from nodespec.data import (DataFormatError, Dataset, Split, load_dataset,
-                           load_named_dataset, load_split, make_split,
-                           save_dataset, save_split, subset)
+                           load_edge_list, load_labels, load_named_dataset,
+                           load_split, make_split, save_dataset, save_split,
+                           subset)
 from nodespec.synthetic import planted_partition_dataset
 
 
@@ -66,6 +70,45 @@ class TestLoadDataset:
             load_dataset(toy_files / "edges.tsv", toy_files / "features.csv",
                          toy_files / "labels.txt")
 
+    @pytest.mark.parametrize("line", [
+        "0\t1.0",           # not an integer
+        "0\tx",             # a letter
+        "2\t# 1",           # the second id is commented out
+        "1_000\t2",         # int() accepts underscores; the format does not
+        "\u0663\t2",        # a non-ASCII digit
+        "0\t99999999999999999999",  # beyond int64
+        "-9223372036854775809\t0",
+    ])
+    def test_bad_edge_field_reports_line(self, toy_files, line):
+        (toy_files / "edges.tsv").write_text(f"0\t1\n# c\n{line}\n1\t2\n")
+        with pytest.raises(DataFormatError, match="edges.tsv:3: "):
+            load_dataset(toy_files / "edges.tsv", toy_files / "features.csv",
+                         toy_files / "labels.txt")
+
+    def test_single_column_edge_list_reports_line(self, toy_files):
+        (toy_files / "edges.tsv").write_text("\n0\n1\n")
+        with pytest.raises(DataFormatError, match="edges.tsv:2: "):
+            load_edge_list(toy_files / "edges.tsv")
+
+    @pytest.mark.parametrize("text", ["", "# only a comment\n\n  \n"])
+    def test_edge_list_without_pairs(self, toy_files, text):
+        (toy_files / "edges.tsv").write_text(text)
+        edges = load_edge_list(toy_files / "edges.tsv")
+        assert edges.shape == (0, 2) and edges.dtype == np.int64
+        ds = load_dataset(toy_files / "edges.tsv", toy_files / "features.csv",
+                          toy_files / "labels.txt")
+        assert ds.graph.edge_count == 0
+
+    @pytest.mark.parametrize("label", [
+        "99999999999999999999", "1.0", "x", "1 # a comment", "1 2", "1_000",
+        "\u0663", "#"])
+    def test_bad_label_reports_line(self, toy_files, label):
+        (toy_files / "labels.txt").write_text(f"0\n{label}\n1\n")
+        with pytest.raises(DataFormatError,
+                           match="labels.txt:2: not an integer label"):
+            load_dataset(toy_files / "edges.tsv", toy_files / "features.csv",
+                         toy_files / "labels.txt")
+
     def test_roundtrip_through_save(self, tmp_path):
         ds = planted_partition_dataset(n=40, seed=1, name="round")
         save_dataset(ds, tmp_path)
@@ -73,6 +116,110 @@ class TestLoadDataset:
         assert back.graph.edge_count == ds.graph.edge_count
         np.testing.assert_array_equal(back.labels, ds.labels)
         np.testing.assert_allclose(back.features, ds.features)
+
+
+def reference_edge_list(path) -> np.ndarray:
+    """The per-line edge-list parse the loader must agree with."""
+    edges = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for line in fh:
+            parts = line.split("#", 1)[0].split()
+            if parts:
+                assert len(parts) == 2
+                edges.append((int(parts[0]), int(parts[1])))
+    return np.array(edges, dtype=np.int64).reshape(-1, 2)
+
+
+def reference_labels(path) -> np.ndarray:
+    with open(path, "r", encoding="utf-8") as fh:
+        return np.array([int(line) for line in fh if line.strip()],
+                        dtype=np.int64)
+
+
+INT64 = st.integers(-2**63, 2**63 - 1)
+BLANK = st.sampled_from(["", " ", "\t", "  \t "])
+SEP = st.sampled_from(["\t", " ", "   ", " \t", "\t\t"])
+EOL = st.sampled_from(["\n", "\r\n"])
+
+
+@st.composite
+def int_text(draw, values=INT64):
+    """A decimal int, perhaps with a '+' sign or leading zeros."""
+    value = draw(values)
+    sign = "-" if value < 0 else draw(st.sampled_from(["", "+"]))
+    return f"{sign}{'0' * draw(st.integers(0, 2))}{abs(value)}"
+
+
+@st.composite
+def edge_line(draw):
+    kind = draw(st.sampled_from(["pair", "pair", "pair", "comment", "blank"]))
+    if kind == "comment":
+        return draw(BLANK) + "# " + draw(st.text("ab 12\t#", max_size=8))
+    if kind == "blank":
+        return draw(BLANK)
+    line = (draw(BLANK) + draw(int_text()) + draw(SEP) + draw(int_text())
+            + draw(BLANK))
+    if draw(st.booleans()):
+        line += "#" + draw(st.text("xy 3\t", max_size=5))
+    return line
+
+
+@st.composite
+def label_line(draw):
+    if draw(st.integers(0, 4)) == 0:
+        return draw(BLANK)
+    return draw(BLANK) + draw(int_text(st.integers(0, 2**63 - 1))) + draw(BLANK)
+
+
+@st.composite
+def text_files(draw, line, bad_lines):
+    """Lines of a valid file, perhaps with one bad line at a random place,
+    written with random line endings and perhaps none after the last line.
+    Returns the file's text and the 1-based bad line, or None."""
+    lines = draw(st.lists(line(), max_size=12))
+    bad = None
+    if draw(st.booleans()):
+        bad = draw(st.integers(0, len(lines)))
+        lines.insert(bad, draw(st.sampled_from(bad_lines)))
+        bad += 1
+    text = "".join(line + draw(EOL) for line in lines)
+    if draw(st.booleans()):
+        text = text.removesuffix("\n").removesuffix("\r")
+    return text, bad
+
+
+def assert_loader_matches_reference(loader, reference, path, case):
+    text, bad = case
+    path.write_bytes(text.encode())
+    if bad is not None:
+        with pytest.raises(DataFormatError, match=re.escape(f"{path}:{bad}: ")):
+            loader(path)
+    else:
+        np.testing.assert_array_equal(loader(path), reference(path),
+                                      strict=True)
+
+
+BAD_EDGE_LINES = ["0 1 2", "0\t1.0", "x 1", "3 # 4", "1_000 2",
+                  "0 99999999999999999999"]
+BAD_LABEL_LINES = ["1.0", "x", "1 2", "1 # 2", "-1", "1_000",
+                   "99999999999999999999"]
+LOADER_SETTINGS = settings(
+    max_examples=150, deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@LOADER_SETTINGS
+@given(text_files(edge_line, BAD_EDGE_LINES))
+def test_edge_list_matches_per_line_parse(tmp_path, case):
+    assert_loader_matches_reference(load_edge_list, reference_edge_list,
+                                    tmp_path / "edges.tsv", case)
+
+
+@LOADER_SETTINGS
+@given(text_files(label_line, BAD_LABEL_LINES))
+def test_labels_match_per_line_parse(tmp_path, case):
+    assert_loader_matches_reference(load_labels, reference_labels,
+                                    tmp_path / "labels.txt", case)
 
 
 class TestDatasetValidation:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from nodespec.graph import (build_graph, estimate_lambda_max, hop_distances,
                             hop_sets, induced_subgraph, normalized_laplacian,
@@ -33,6 +35,54 @@ class TestBuildGraph:
     def test_out_of_range_edge(self):
         with pytest.raises(ValueError):
             build_graph([(0, 5)], 3)
+
+
+@st.composite
+def pair_lists(draw):
+    """n in 0..20 and pairs over it: self-loops, duplicates and both
+    orientations are likely, and most graphs keep isolated nodes."""
+    n = draw(st.integers(0, 20))
+    if n == 0:
+        return n, []
+    node = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(node, node), max_size=3 * n))
+    mirrored = draw(st.lists(st.sampled_from(pairs), max_size=len(pairs))
+                    if pairs else st.just([]))
+    return n, pairs + [(j, i) for i, j in mirrored]
+
+
+def reference_csr(pairs, n):
+    """Row offsets, columns and edge count from Python sets."""
+    edges = {frozenset(p) for p in pairs if p[0] != p[1]}
+    rows = [sorted(j for e in edges if i in e for j in e if j != i)
+            for i in range(n)]
+    offsets = np.cumsum([0] + [len(r) for r in rows])
+    return offsets, [j for r in rows for j in r], len(edges)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pair_lists())
+@example((0, []))
+@example((1, []))
+@example((1, [(0, 0), (0, 0)]))
+@example((6, [(0, 1), (1, 0), (1, 1), (4, 2), (2, 4), (4, 2)]))
+def test_build_graph_matches_set_reference(case):
+    n, pairs = case
+    g = build_graph(pairs, n)
+    offsets, cols, edge_count = reference_csr(pairs, n)
+    assert g.n == n and g.edge_count == edge_count
+    assert g.row_offsets.dtype == np.int64 and g.col_indices.dtype == np.int64
+    np.testing.assert_array_equal(g.row_offsets, offsets)
+    np.testing.assert_array_equal(g.col_indices, np.asarray(cols, np.int64))
+    for i in range(n):  # symmetric, no self-loops
+        assert i not in g.neighbors(i)
+        assert all(i in g.neighbors(int(j)) for j in g.neighbors(i))
+    for dtype in (np.int64, np.int32):
+        as_array = build_graph(np.asarray(pairs, dtype=dtype).reshape(-1, 2), n)
+        np.testing.assert_array_equal(as_array.row_offsets, g.row_offsets)
+        np.testing.assert_array_equal(as_array.col_indices, g.col_indices)
+        assert as_array.col_indices.dtype == np.int64
+        assert as_array.edge_count == g.edge_count
 
 
 class TestNormalizedLaplacian:
