@@ -4,7 +4,8 @@ A Tensor records the op that produced it and a closure that pushes gradients
 to its parents; calling backward() on a scalar output replays the tape in
 reverse topological order. Only the operations the filtering models need are
 implemented: dense/sparse matrix products, broadcast arithmetic, sigmoid,
-ReLU, row selection, squared norms, and a fused softmax cross-entropy.
+ReLU, row selection, a fixed linear mix of a list of tensors, squared norms,
+and a fused softmax cross-entropy.
 """
 
 import numpy as np
@@ -155,13 +156,15 @@ class Tensor:
         out._backward_fn = push
         return out
 
-    def slice_rows(self, start, stop):
-        out = Tensor(self.data[start:stop], parents=(self,))
+    def select(self, key):
+        """self.data[key] for an index or slice of rows; its gradient is
+        added in place."""
+        out = Tensor(self.data[key], parents=(self,))
 
         def push(g):
-            full = np.zeros_like(self.data)
-            full[start:stop] = g
-            self._accumulate(full)
+            if self.grad is None:
+                self.grad = np.zeros_like(self.data)
+            self.grad[key] += g
 
         out._backward_fn = push
         return out
@@ -202,6 +205,21 @@ def sparse_matmul(op: SparseOperator, x: Tensor) -> Tensor:
 
     out._backward_fn = push
     return out
+
+
+def mix(matrix: np.ndarray, tensors: list) -> list:
+    """outputs[j] = sum_k matrix[k, j] * tensors[k], as one tape node whose
+    backward is one product, matrix @ grad, not (K+1)^2 scalar products."""
+    weights = np.asarray(matrix, dtype=tensors[0].data.dtype)
+    node = Tensor(np.tensordot(weights, np.stack([t.data for t in tensors]),
+                               axes=(0, 0)), parents=tuple(tensors))
+
+    def push(g):
+        for tensor, grad in zip(tensors, np.tensordot(weights, g, axes=(1, 0))):
+            tensor._accumulate(grad)
+
+    node._backward_fn = push
+    return [node.select(k) for k in range(len(tensors))]
 
 
 def log_softmax_nll(logits: np.ndarray, labels, index):

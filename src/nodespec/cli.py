@@ -16,6 +16,7 @@ import numpy as np
 from . import evaluate, homophily, model
 from .data import (Dataset, load_dataset, load_named_dataset, load_split,
                    make_split, save_split)
+from .graph import normalized_laplacian
 from .oracle import run_oracle_checks
 from .polyfilter import BASES, basis_matrix, frequency_response
 
@@ -175,7 +176,8 @@ def cmd_eval(args) -> int:
     dataset = _load_dataset(args)
     params, cfg = model.load_checkpoint(args.checkpoint)
     split = _resolve_split(args, dataset)
-    preds, _ = model.predict(params, dataset, cfg)
+    logits, psi = model.eval_outputs(params, dataset, cfg)
+    preds = np.argmax(logits, axis=1)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -189,7 +191,6 @@ def cmd_eval(args) -> int:
                      f"{bin_report.counts[b]},"
                      f"{_fmt(float(bin_report.accuracy[b]))}\n")
 
-    psi = model.node_coefficients(params, dataset, cfg)
     coeff = evaluate.coefficient_distance_report(
         psi, dataset.graph, dataset.labels, pair_sample=args.pair_sample)
     with open(out / "coefficient_distance.csv", "w", encoding="utf-8") as fh:
@@ -224,7 +225,19 @@ def cmd_filter_response(args) -> int:
         rows.append(("coeffs", response))
     elif args.checkpoint:
         params, cfg = model.load_checkpoint(args.checkpoint)
-        table = basis_matrix(cfg.basis, cfg.order, grid, cfg.lambda_max)
+        # such an operator is scaled by an estimate on the graph it runs on
+        estimated = cfg.basis == "chebyshev" and cfg.estimate_spectrum
+        if estimated and not (args.dataset or args.edges):
+            raise ValueError(
+                f"{args.checkpoint}: this Chebyshev checkpoint estimated "
+                "lambda_max from its graph; give the graph with --dataset or "
+                "--edges/--features/--labels")
+        dataset = _load_dataset(args) if estimated or args.nodes else None
+        lambda_max = cfg.lambda_max
+        if estimated:
+            lambda_max, _ = model.spectrum_bound(
+                normalized_laplacian(dataset.graph), cfg)
+        table = basis_matrix(cfg.basis, cfg.order, grid, lambda_max)
         if params.mode == "global_only":
             rows.append(("global", table @ params.gamma[:, 0]))
         else:
@@ -232,7 +245,6 @@ def cmd_filter_response(args) -> int:
             for j in range(gamma.shape[1]):
                 rows.append((f"base_{j}", table @ gamma[:, j]))
         if args.nodes:
-            dataset = _load_dataset(args)
             nodes = [int(tok) for tok in args.nodes.split(",")]
             for v in nodes:
                 if not 0 <= v < dataset.n:

@@ -387,19 +387,14 @@ def save_dataset(dataset: Dataset, root, name: Optional[str] = None) -> None:
     edge_path, feat_path, label_path = dataset_dir_paths(
         root, name or dataset.name)
     edge_path.parent.mkdir(parents=True, exist_ok=True)
-    with open(edge_path, "w", encoding="utf-8") as fh:
-        g = dataset.graph
-        for i in range(g.n):
-            for j in g.neighbors(i):
-                if i < j:
-                    fh.write(f"{i}\t{j}\n")
-    with open(feat_path, "w", encoding="utf-8") as fh:
-        for row in dataset.features:
-            fh.write(",".join(f"{x:.17g}" for x in row))
-            fh.write("\n")
-    with open(label_path, "w", encoding="utf-8") as fh:
-        for y in dataset.labels:
-            fh.write(f"{int(y)}\n")
+    g = dataset.graph
+    # each edge once, as (i, j) with i < j, in CSR order
+    rows = np.repeat(np.arange(g.n), g.degrees())
+    upper = rows < g.col_indices
+    np.savetxt(edge_path, np.column_stack([rows[upper], g.col_indices[upper]]),
+               fmt="%d\t%d")
+    np.savetxt(feat_path, dataset.features, fmt="%.17g", delimiter=",")
+    np.savetxt(label_path, dataset.labels, fmt="%d")
 
 
 def subset(dataset: Dataset, nodes) -> tuple[Dataset, np.ndarray]:

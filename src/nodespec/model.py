@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .autodiff import (Tensor, log_softmax_nll, parameter,
+from .autodiff import (Tensor, log_softmax_nll, mix, parameter,
                        softmax_cross_entropy, sparse_matmul)
 from .data import Dataset, Split, subset, validate_split
 from .evaluate import accuracy
@@ -189,17 +189,23 @@ def init_params(cfg: TrainConfig, feature_dim: int, class_count: int,
     return ModelParams(w1, b1, w2, b2, cfg.mode, factorization=fact)
 
 
+def spectrum_bound(lap: SparseOperator,
+                   cfg: TrainConfig) -> tuple[float, bool]:
+    """The lambda_max that scales the Chebyshev operator of ``lap``, and
+    whether its power-iteration estimate converged (True when none ran)."""
+    if not cfg.estimate_spectrum:
+        return cfg.lambda_max, True
+    lam_max, converged = estimate_lambda_max(lap)
+    # an unconverged power iteration underestimates; 2 bounds the spectrum
+    return (max(lam_max, 1e-12) if converged else 2.0), converged
+
+
 def build_operator(graph: Graph, cfg: TrainConfig) -> SparseOperator:
     """Propagation operator for the configured basis."""
     lap = normalized_laplacian(graph)
     if cfg.basis != "chebyshev":
         return lap
-    lam_max = cfg.lambda_max
-    if cfg.estimate_spectrum:
-        lam_max, converged = estimate_lambda_max(lap)
-        # an unconverged power iteration underestimates; 2 bounds the spectrum
-        lam_max = max(lam_max, 1e-12) if converged else 2.0
-    return scaled_laplacian(lap, lam_max)
+    return scaled_laplacian(lap, spectrum_bound(lap, cfg)[0])
 
 
 def _dropout(t: Tensor, rate: float, training: bool,
@@ -232,7 +238,7 @@ def _combine_layers(layers: list, tensors: dict, params: ModelParams,
     if params.mode == "global_only":
         gamma = tensors["filter.gamma"]
         for k, layer in enumerate(layers):
-            gamma_k = gamma.slice_rows(k, k + 1)          # (1, 1)
+            gamma_k = gamma.select(slice(k, k + 1))       # (1, 1)
             term = layer * gamma_k
             out = term if out is None else out + term
             eta_log[:, k] = gamma.data[k, 0]
@@ -243,7 +249,7 @@ def _combine_layers(layers: list, tensors: dict, params: ModelParams,
     h_static = (layers[0] @ w).sigmoid() if cfg.static_coefficients else None
     for k, layer in enumerate(layers):
         h = h_static if h_static is not None else (layer @ w).sigmoid()
-        gamma_k = gamma.slice_rows(k, k + 1).transpose()  # (d, 1)
+        gamma_k = gamma.select(slice(k, k + 1)).transpose()  # (d, 1)
         eta = h @ gamma_k                                 # (n, 1)
         term = layer * eta
         out = term if out is None else out + term
@@ -270,7 +276,8 @@ def forward_appnp_like(params: ModelParams, features: np.ndarray,
     x = Tensor(np.asarray(features, dtype=cfg.dtype))
     x0 = _mlp(x, tensors, cfg, training, rng)
     x0 = _dropout(x0, cfg.dp_p, training, rng)
-    layers = polynomial_layers(cfg.basis, op, x0, cfg.order, sparse_matmul)
+    layers = polynomial_layers(cfg.basis, op, x0, cfg.order, sparse_matmul,
+                               mix)
     logits, eta = _combine_layers(layers, tensors, params, cfg)
     _check_finite(logits.data)
     return ForwardTrace(logits=logits, params=tensors, coefficients=eta)
@@ -482,16 +489,23 @@ def train(dataset: Dataset, split: Split, cfg: TrainConfig) -> TrainResult:
                        epochs_run=len(history))
 
 
-def predict(params: ModelParams, dataset: Dataset, cfg: TrainConfig,
-            index_set=None) -> tuple[np.ndarray, np.ndarray]:
-    """Predicted labels (argmax, lowest class index wins ties) and logits.
+def eval_outputs(params: ModelParams, dataset: Dataset,
+                 cfg: TrainConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Logits and realized per-node coefficient rows of one deterministic
+    forward pass.
 
     The operator (and, for sgc_like, the propagation stack) is rebuilt from
     the dataset's graph, so the graph may contain nodes and edges that were
     never seen in training.
     """
-    logits = _forward(params, dataset, cfg,
-                      *_operator_and_stack(dataset, cfg)).logits.data
+    trace = _forward(params, dataset, cfg, *_operator_and_stack(dataset, cfg))
+    return trace.logits.data, trace.coefficients
+
+
+def predict(params: ModelParams, dataset: Dataset, cfg: TrainConfig,
+            index_set=None) -> tuple[np.ndarray, np.ndarray]:
+    """Predicted labels (argmax, lowest class index wins ties) and logits."""
+    logits, _ = eval_outputs(params, dataset, cfg)
     if index_set is not None:
         index = np.asarray(index_set, dtype=np.int64)
         logits = logits[index]
@@ -501,8 +515,7 @@ def predict(params: ModelParams, dataset: Dataset, cfg: TrainConfig,
 def node_coefficients(params: ModelParams, dataset: Dataset,
                       cfg: TrainConfig) -> np.ndarray:
     """Realized per-node coefficient rows from a deterministic forward pass."""
-    return _forward(params, dataset, cfg,
-                    *_operator_and_stack(dataset, cfg)).coefficients
+    return eval_outputs(params, dataset, cfg)[1]
 
 
 def save_checkpoint(path, params: ModelParams, cfg: TrainConfig) -> None:

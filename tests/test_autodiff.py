@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nodespec.autodiff import (Tensor, parameter, softmax_cross_entropy,
+from nodespec.autodiff import (Tensor, mix, parameter, softmax_cross_entropy,
                                sparse_matmul)
 from nodespec.graph import normalized_laplacian
 from nodespec.synthetic import er_graph
@@ -70,13 +70,36 @@ class TestOps:
         a = parameter(rng.standard_normal((5, 3)))
         x = Tensor(rng.standard_normal((4, 3)))
         assert_grad_matches(
-            lambda: (x @ a.slice_rows(1, 2).transpose()).sum_squares(), a)
+            lambda: (x @ a.select(slice(1, 2)).transpose()).sum_squares(), a)
 
     def test_sparse_matmul_grad(self, rng):
         g = er_graph(8, 0.4, seed=3)
         op = normalized_laplacian(g)
         x = parameter(rng.standard_normal((8, 2)))
         assert_grad_matches(lambda: sparse_matmul(op, x).sum_squares(), x)
+
+    def test_mix_value_and_grad(self, rng):
+        matrix = rng.standard_normal((3, 3))
+        a = parameter(rng.standard_normal((4, 2)))
+        b = Tensor(rng.standard_normal((4, 2)))
+        c = parameter(rng.standard_normal((4, 2)))
+        out = mix(matrix, [a, b, c])
+        for j in range(3):
+            np.testing.assert_allclose(
+                out[j].data, sum(matrix[k, j] * t.data
+                                 for k, t in enumerate((a, b, c))), atol=1e-14)
+
+        def build():
+            first, _, last = mix(matrix, [a, b, c])
+            return (first * last).sum_squares()
+
+        assert_grad_matches(build, a)
+        c.grad = None
+        assert_grad_matches(build, c)
+
+    def test_mix_keeps_float32(self, rng):
+        x = Tensor(rng.standard_normal((3, 2)).astype(np.float32))
+        assert mix(np.eye(1), [x])[0].data.dtype == np.float32
 
     def test_cross_entropy_value_and_grad(self, rng):
         logits = parameter(rng.standard_normal((6, 3)))

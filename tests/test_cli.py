@@ -3,8 +3,11 @@ import json
 import numpy as np
 import pytest
 
+from nodespec import model
 from nodespec.cli import main
-from nodespec.data import save_dataset
+from nodespec.data import load_named_dataset, save_dataset
+from nodespec.graph import estimate_lambda_max, normalized_laplacian
+from nodespec.polyfilter import basis_matrix
 from nodespec.synthetic import planted_partition_dataset
 
 
@@ -87,6 +90,24 @@ def test_train_eval_filter_response_pipeline(data_root, tmp_path, capsys):
     assert lines[0] == "filter,lambda,response"
     names = {line.split(",")[0] for line in lines[1:]}
     assert names == {"base_0", "node_0", "node_3"}
+
+
+def test_eval_runs_one_forward_pass(data_root, tmp_path, capsys,
+                                    monkeypatch):
+    ckpt = tmp_path / "toy.ckpt"
+    code, _, _ = run_cli(capsys, "train", "--dataset", "toy",
+                         "--data-root", data_root, "--mode", "sgc", "--K", "2",
+                         "--f-h", "8", "--epochs", "2", "--checkpoint", ckpt)
+    assert code == 0
+    builds = []
+    build = model._operator_and_stack
+    monkeypatch.setattr(model, "_operator_and_stack",
+                        lambda *a: builds.append(1) or build(*a))
+    code, _, _ = run_cli(capsys, "eval", "--dataset", "toy",
+                         "--data-root", data_root, "--checkpoint", ckpt,
+                         "--out-dir", tmp_path / "ev")
+    assert code == 0
+    assert len(builds) == 1
 
 
 def test_filter_response_explicit_coeffs(capsys):
@@ -199,6 +220,34 @@ def test_filter_response_node_out_of_range_exits_one(data_root, tmp_path,
     assert code == 1
     assert out == ""
     assert "error: node 5000 out of range for a graph with n = 60 nodes" in err
+
+
+def test_filter_response_uses_the_estimated_spectrum(data_root, tmp_path,
+                                                     capsys):
+    ckpt = tmp_path / "toy.ckpt"
+    code, _, _ = run_cli(capsys, "train", "--dataset", "toy",
+                         "--data-root", data_root, "--K", "3", "--f-h", "8",
+                         "--epochs", "2", "--estimate-lambda-max",
+                         "--checkpoint", ckpt)
+    assert code == 0
+    code, out, _ = run_cli(capsys, "filter-response", "--checkpoint", ckpt,
+                           "--dataset", "toy", "--data-root", data_root,
+                           "--grid-points", "9")
+    assert code == 0
+    params, cfg = model.load_checkpoint(ckpt)
+    lap = normalized_laplacian(load_named_dataset(data_root, "toy").graph)
+    lambda_max, converged = estimate_lambda_max(lap)
+    assert converged and lambda_max < 1.99
+    grid = np.linspace(0.0, 2.0, 9)
+    want = basis_matrix("chebyshev", 3, grid, lambda_max) \
+        @ params.factorization.gamma[:, 0]
+    got = [float(line.split(",")[2]) for line in out.splitlines()[1:]]
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+    code, out, err = run_cli(capsys, "filter-response", "--checkpoint", ckpt)
+    assert code == 1
+    assert out == ""
+    assert "error: " in err and "--dataset" in err
 
 
 def test_non_finite_features_exit_one(data_root, tmp_path, capsys):

@@ -10,6 +10,7 @@ from nodespec.data import (DataFormatError, Dataset, Split, load_dataset,
                            load_edge_list, load_labels, load_named_dataset,
                            load_split, make_split, save_dataset, save_split,
                            subset)
+from nodespec.graph import build_graph
 from nodespec.synthetic import planted_partition_dataset
 
 
@@ -116,6 +117,28 @@ class TestLoadDataset:
         assert back.graph.edge_count == ds.graph.edge_count
         np.testing.assert_array_equal(back.labels, ds.labels)
         np.testing.assert_allclose(back.features, ds.features)
+
+    @pytest.mark.parametrize("edges", [[], [(0, 3), (3, 1), (1, 0), (5, 3)]])
+    def test_saved_files_match_the_per_node_writer(self, tmp_path, edges):
+        # isolated nodes 2, 4 and 6, or no edge at all
+        rng = np.random.default_rng(3)
+        features = rng.standard_normal((7, 3)) * 10.0 ** rng.integers(
+            -300, 300, size=(7, 3))
+        features[0, 0] = -0.0
+        ds = Dataset(graph=build_graph(edges, 7), features=features,
+                     labels=np.array([0, 2, 1, 1, 0, 2, 1]), class_count=3,
+                     name="saved")
+        save_dataset(ds, tmp_path)
+        g = ds.graph
+        want = {
+            "edges.tsv": "".join(f"{i}\t{j}\n" for i in range(g.n)
+                                 for j in g.neighbors(i) if i < j),
+            "features.csv": "".join(",".join(f"{x:.17g}" for x in row) + "\n"
+                                    for row in features),
+            "labels.txt": "".join(f"{int(y)}\n" for y in ds.labels),
+        }
+        for name, text in want.items():
+            assert (tmp_path / "saved" / name).read_bytes() == text.encode()
 
 
 def reference_edge_list(path) -> np.ndarray:

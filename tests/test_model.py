@@ -9,6 +9,7 @@ import pytest
 
 import nodespec
 from nodespec import model
+from nodespec.autodiff import sparse_matmul
 from nodespec.data import Split, make_split
 from nodespec.evaluate import accuracy
 from nodespec.graph import build_graph, hop_distances
@@ -229,6 +230,28 @@ class TestGradients:
             toy, base_config(mode="appnp_like", basis="bernstein", order=3),
             np.arange(10))
         assert not failures, failures
+
+    def test_bernstein_appnp_gradcheck_order_ten(self, toy):
+        failures = finite_difference_check(
+            toy, base_config(mode="appnp_like", basis="bernstein", order=10),
+            np.arange(10))
+        assert not failures, failures
+
+    @pytest.mark.parametrize("basis", ["monomial", "chebyshev", "bernstein"])
+    def test_appnp_forward_costs_k_products(self, toy, basis, monkeypatch):
+        calls = []
+
+        def counting_matmul(op, x):
+            calls.append(op)
+            return sparse_matmul(op, x)
+
+        monkeypatch.setattr(model, "sparse_matmul", counting_matmul)
+        cfg = base_config(mode="appnp_like", basis=basis, order=10)
+        params = model.init_params(cfg, toy.feature_dim, toy.class_count,
+                                   np.random.default_rng(0))
+        model.forward_appnp_like(params, toy.features,
+                                 model.build_operator(toy.graph, cfg), cfg)
+        assert len(calls) == 10
 
     def test_monomial_appnp_gradcheck(self, toy):
         failures = finite_difference_check(

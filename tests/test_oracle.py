@@ -175,6 +175,12 @@ class TestLocalizationCheck:
             assert leak <= 1e-12
 
 
+    @pytest.mark.parametrize("order", [10, 40])
+    def test_bernstein_leaks_nothing_at_high_order(self, order):
+        coeffs = np.random.default_rng(order).uniform(-1, 1, size=order + 1)
+        assert localization_check(path_graph(60), "bernstein", coeffs, 3) == 0.0
+
+
 def test_run_oracle_checks_bounds():
     errors = run_oracle_checks(max_nodes=24, trials=8, seed=42)
     assert errors["spectral_equivalence"] <= 1e-10

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from nodespec.graph import normalized_laplacian, scaled_laplacian, spmm
+from nodespec import polyfilter
+from nodespec.graph import (build_graph, normalized_laplacian,
+                            scaled_laplacian, spmm)
 from nodespec.oracle import SpectralFilter, eigendecompose, exact_filter
-from nodespec.polyfilter import (BASES, bernstein_operators, combine,
-                                 frequency_response, propagate)
+from nodespec.polyfilter import (BASES, basis_matrix, bernstein_change,
+                                 combine, frequency_response, propagate)
 from nodespec.synthetic import er_graph, path_graph
 
 
@@ -84,13 +86,46 @@ class TestPropagate:
                       rng.standard_normal((8, 1)), 2)
 
 
-class TestBernsteinOperators:
-    def test_factors_sum_to_identity(self):
-        g = er_graph(9, 0.4, seed=8)
+class TestBernsteinEngine:
+    GRAPHS = {
+        "random": er_graph(40, 0.15, seed=21),
+        "edgeless": build_graph([], 6),
+        "isolated": build_graph([(0, 1), (1, 2), (2, 3), (1, 4)], 9),
+    }
+
+    @pytest.mark.parametrize("graph", sorted(GRAPHS))
+    @pytest.mark.parametrize("order", [1, 2, 10, 20, 30, 40])
+    def test_layers_match_exact_basis_filters(self, graph, order):
+        # layer k is the k-th Bernstein basis filter applied to x
+        g = self.GRAPHS[graph]
         lap = normalized_laplacian(g)
-        low, high = bernstein_operators(lap)
-        np.testing.assert_allclose(low.to_dense() + high.to_dense(),
-                                   np.eye(9), atol=1e-14)
+        es = eigendecompose(lap)
+        x = np.random.default_rng(order).standard_normal((g.n, 2))
+        stack = propagate("bernstein", lap, x, order)
+        for k, layer in enumerate(stack.layers):
+            filt = SpectralFilter(
+                lambda lam, k=k: basis_matrix("bernstein", order, lam)[:, k])
+            np.testing.assert_allclose(layer, exact_filter(es, filt, x),
+                                       rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("basis", BASES)
+    def test_order_k_costs_k_products(self, basis, monkeypatch, rng):
+        calls = []
+
+        def counting_spmm(op, x):
+            calls.append(op)
+            return spmm(op, x)
+
+        monkeypatch.setattr(polyfilter, "spmm", counting_spmm)
+        g = er_graph(12, 0.3, seed=22)
+        op = _operators(g)[basis]
+        propagate(basis, op, rng.standard_normal((12, 2)), 10)
+        assert len(calls) == 10
+
+    def test_change_of_basis_is_cached_and_read_only(self):
+        change = bernstein_change(7)
+        assert bernstein_change(7) is change
+        assert change.shape == (8, 8) and not change.flags.writeable
 
 
 class TestCombine:
