@@ -3,14 +3,22 @@
 A Tensor records the op that produced it and a closure that pushes gradients
 to its parents; calling backward() on a scalar output replays the tape in
 reverse topological order. Only the operations the filtering models need are
-implemented: dense/sparse matrix products, broadcast arithmetic, sigmoid,
-ReLU, row selection, a fixed linear mix of a list of tensors, squared norms,
-and a fused softmax cross-entropy.
+implemented: dense matrix products, broadcast arithmetic, sigmoid, ReLU,
+squared norms, a fused softmax cross-entropy, and the polynomial propagation.
+
+The propagation is one node for the whole (K+1, n, c) stack of layers
+p_k(op) x: its forward is ``polyfilter.polynomial_layers`` (K sparse
+products), and its backward the adjoint recursion ``polynomial_adjoint``,
+sum_k p_k(op) G_k for the layer gradients G_k, in K more (Horner for
+monomial, Clenshaw for Chebyshev and Bernstein). No per-order nodes exist.
+The per-node combine of that stack is the one other fused node; it lives in
+``model``.
 """
 
 import numpy as np
 
 from .graph import SparseOperator, spmm
+from .polyfilter import bernstein_change, polynomial_layers
 
 
 def _reduce_to_shape(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -135,10 +143,7 @@ class Tensor:
         return out
 
     def sigmoid(self):
-        # Branch on sign to keep exp() arguments non-positive.
-        x = self.data
-        value = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                         np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+        value = sigmoid(self.data)
         out = Tensor(value, parents=(self,))
 
         def push(g):
@@ -152,19 +157,6 @@ class Tensor:
 
         def push(g):
             self._accumulate(g * (self.data > 0.0))
-
-        out._backward_fn = push
-        return out
-
-    def select(self, key):
-        """self.data[key] for an index or slice of rows; its gradient is
-        added in place."""
-        out = Tensor(self.data[key], parents=(self,))
-
-        def push(g):
-            if self.grad is None:
-                self.grad = np.zeros_like(self.data)
-            self.grad[key] += g
 
         out._backward_fn = push
         return out
@@ -196,30 +188,64 @@ def parameter(data) -> Tensor:
     return Tensor(np.array(data), requires_grad=True)
 
 
-def sparse_matmul(op: SparseOperator, x: Tensor) -> Tensor:
-    """op @ x for a constant symmetric sparse operator."""
-    out = Tensor(spmm(op, x.data), parents=(x,))
+def sigmoid(x: np.ndarray, out=None) -> np.ndarray:
+    """Logistic function with one exp and no branch: e = exp(-|x|) keeps the
+    argument non-positive, and the result is 1 / (1 + e) where x >= 0 and
+    e / (1 + e) elsewhere. ``out`` may be x itself."""
+    positive = x >= 0
+    e = np.abs(x, out=out)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    denom = e + 1.0
+    # e <= 1 = positive where x >= 0, and positive = 0 <= e elsewhere
+    np.maximum(e, positive, out=e)
+    return np.divide(e, denom, out=e)
 
-    def push(g):
-        x._accumulate(spmm(op, g))  # op is symmetric, so op^T = op
 
-    out._backward_fn = push
+def polynomial_adjoint(basis: str, op: SparseOperator,
+                       grads: np.ndarray) -> np.ndarray:
+    """sum_k p_k(op) @ grads[k]: the gradient with respect to x of
+    ``polynomial_layers(basis, op, x, K)`` given the gradients of its K+1
+    layers, since op is symmetric. K ``spmm``: Horner for monomial, Clenshaw
+    for chebyshev, and for bernstein Clenshaw after the basis change."""
+    order = grads.shape[0] - 1
+    if order == 0:
+        return grads[0].copy()
+    if basis == "monomial":
+        acc = grads[order]
+        for k in range(order - 1, -1, -1):
+            acc = spmm(op, acc)
+            acc += grads[k]
+        return acc
+    if basis == "bernstein":
+        grads = np.tensordot(bernstein_change(order).astype(grads.dtype),
+                             grads, (1, 0))
+        op = op.minus_identity
+    # b_k = g_k + 2 op b_{k+1} - b_{k+2}, down to g_0 + op b_1 - b_2
+    b1, b2 = grads[order], 0.0
+    for k in range(order - 1, 0, -1):
+        b = spmm(op, b1)
+        b *= 2.0
+        b += grads[k]
+        b -= b2
+        b1, b2 = b, b1
+    out = spmm(op, b1)
+    out += grads[0]
+    out -= b2
     return out
 
 
-def mix(matrix: np.ndarray, tensors: list) -> list:
-    """outputs[j] = sum_k matrix[k, j] * tensors[k], as one tape node whose
-    backward is one product, matrix @ grad, not (K+1)^2 scalar products."""
-    weights = np.asarray(matrix, dtype=tensors[0].data.dtype)
-    node = Tensor(np.tensordot(weights, np.stack([t.data for t in tensors]),
-                               axes=(0, 0)), parents=tuple(tensors))
+def propagation(basis: str, op: SparseOperator, x: Tensor,
+                order: int) -> Tensor:
+    """The (K+1, n, c) layers p_k(op) @ x as one node; its backward is the
+    adjoint recursion, K sparse products like the forward."""
+    out = Tensor(polynomial_layers(basis, op, x.data, order), parents=(x,))
 
     def push(g):
-        for tensor, grad in zip(tensors, np.tensordot(weights, g, axes=(1, 0))):
-            tensor._accumulate(grad)
+        x._accumulate(polynomial_adjoint(basis, op, g))
 
-    node._backward_fn = push
-    return [node.select(k) for k in range(len(tensors))]
+    out._backward_fn = push
+    return out
 
 
 def log_softmax_nll(logits: np.ndarray, labels, index):

@@ -104,7 +104,8 @@ def coefficient_distance_report(psi: np.ndarray, graph: Graph, labels,
     """
     if pair_sample < 1:
         raise ValueError("pair_sample must be positive")
-    psi = np.asarray(psi, dtype=np.float64)
+    # rows are gathered per pair, so each should be contiguous
+    psi = np.ascontiguousarray(psi, dtype=np.float64)
     labels = np.asarray(labels)
     n = graph.n
     if psi.shape[0] != n:

@@ -2,11 +2,13 @@
 
 The graph is immutable once built: symmetric adjacency with sorted rows, no
 self-loops, no duplicate edges. Operators derived from it (normalized and
-scaled Laplacians) are symmetric ``scipy.sparse`` CSR arrays built as matrix
-expressions over the adjacency.
+scaled Laplacians) are symmetric ``scipy.sparse`` CSR arrays: D^{-1/2} A
+D^{-1/2} is written directly on the adjacency's sorted pattern, and the
+diagonal is merged in by one sparse subtraction, O(nnz) with no sort.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -44,6 +46,12 @@ class SparseOperator:
 
     def to_dense(self) -> np.ndarray:
         return self.matrix.toarray()
+
+    @cached_property
+    def minus_identity(self) -> "SparseOperator":
+        """self - I as a scaled Laplacian, built on first use and kept: the
+        Bernstein basis runs the Chebyshev recursion on L - I."""
+        return scaled_laplacian(self, 2.0)
 
 
 @dataclass
@@ -105,14 +113,20 @@ def normalized_laplacian(g: Graph) -> SparseOperator:
     """Symmetric normalized Laplacian I - D^{-1/2} A D^{-1/2}.
 
     Isolated nodes get an all-zero row (their D^{-1/2} entry is defined as 0),
-    so the operator stays finite.
+    so the operator stays finite. Its arrays equal those of the matrix
+    expression ``diags(nz) - d @ A @ d`` byte for byte, without the two
+    sparse matrix products.
     """
     deg = g.degrees()
     inv_sqrt = np.zeros(g.n)
     nz = deg > 0
     inv_sqrt[nz] = 1.0 / np.sqrt(deg[nz])
-    d = sp.diags_array(inv_sqrt)
-    lap = sp.diags_array(nz.astype(np.float64)) - d @ adjacency(g) @ d
+    # entry (i, j) of d @ A @ d is d_i * d_j on A's pattern; scipy gives an
+    # empty product int32 indices
+    dad = (sp.csr_array((np.repeat(inv_sqrt, deg) * inv_sqrt[g.col_indices],
+                         g.col_indices, g.row_offsets), shape=(g.n, g.n))
+           if g.edge_count else sp.csr_array((g.n, g.n)))
+    lap = sp.diags_array(nz.astype(np.float64)) - dad
     return SparseOperator(lap, NORMALIZED_LAPLACIAN)
 
 

@@ -13,25 +13,29 @@ and base-filter matrix Gamma):
 ``global_only`` is the ablation: a single learned coefficient vector gamma
 replaces the factorized per-node coefficients in the appnp pipeline.
 
-Gradients come from the tape in ``autodiff``; optimization is Adam with the
+Gradients come from the tape in ``autodiff``. The per-node filter is two
+nodes on it: ``autodiff.propagation`` for the (K+1, n, c) stack, and the
+combine built in ``_combine_layers``, which mixes the whole stack with its
+coefficients and has a closed-form backward. Optimization is Adam with the
 MLP and filter parameters on separate learning rates, and weight decay enters
 the loss as an explicit squared-norm penalty.
 """
 
 import json
 import struct
+import warnings
 from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from .autodiff import (Tensor, log_softmax_nll, mix, parameter,
-                       softmax_cross_entropy, sparse_matmul)
+from .autodiff import (Tensor, log_softmax_nll, parameter, propagation,
+                       sigmoid, softmax_cross_entropy)
 from .data import Dataset, Split, subset, validate_split
 from .evaluate import accuracy
 from .graph import (Graph, SparseOperator, estimate_lambda_max,
                     normalized_laplacian, scaled_laplacian)
-from .polyfilter import PropagationStack, polynomial_layers, propagate
+from .polyfilter import PropagationStack, propagate
 
 MODES = ("appnp_like", "sgc_like", "global_only")
 
@@ -192,12 +196,20 @@ def init_params(cfg: TrainConfig, feature_dim: int, class_count: int,
 def spectrum_bound(lap: SparseOperator,
                    cfg: TrainConfig) -> tuple[float, bool]:
     """The lambda_max that scales the Chebyshev operator of ``lap``, and
-    whether its power-iteration estimate converged (True when none ran)."""
+    whether its power-iteration estimate converged (True when none ran).
+
+    An unconverged estimate falls back to 2.0 with a RuntimeWarning.
+    """
     if not cfg.estimate_spectrum:
         return cfg.lambda_max, True
     lam_max, converged = estimate_lambda_max(lap)
+    if converged:
+        return max(lam_max, 1e-12), True
     # an unconverged power iteration underestimates; 2 bounds the spectrum
-    return (max(lam_max, 1e-12) if converged else 2.0), converged
+    warnings.warn(f"the lambda_max power iteration did not converge (last "
+                  f"estimate {lam_max!r}); using the bound 2.0 instead",
+                  RuntimeWarning, stacklevel=2)
+    return 2.0, False
 
 
 def build_operator(graph: Graph, cfg: TrainConfig) -> SparseOperator:
@@ -224,37 +236,55 @@ def _mlp(x: Tensor, tensors: dict, cfg: TrainConfig, training: bool,
     return h @ tensors["mlp.w2"] + tensors["mlp.b2"]
 
 
-def _combine_layers(layers: list, tensors: dict, params: ModelParams,
+def _combine_layers(stack: Tensor, tensors: dict, params: ModelParams,
                     cfg: TrainConfig) -> tuple[Tensor, np.ndarray]:
-    """Mix propagated layers with per-node (or global) coefficients.
+    """Mix a (K+1, n, c) stack Z with per-node (or global) coefficients, as
+    one tape node for the whole stack.
 
-    Returns the combined tensor and the realized n x (K+1) coefficient matrix
-    for diagnostics.
+    Per node, A = Z @ W (Z_0 @ W with static coefficients), H = sigmoid(A),
+    eta[k, i] = H[k, i] . Gamma_k, and the output is sum_k eta_k * Z_k;
+    global_only uses eta[k, i] = gamma_k. Returns the combined tensor and the
+    realized n x (K+1) coefficient matrix for diagnostics, a transposed view.
     """
-    order = len(layers) - 1
-    n = layers[0].shape[0]
-    eta_log = np.empty((n, order + 1))
-    out = None
-    if params.mode == "global_only":
-        gamma = tensors["filter.gamma"]
-        for k, layer in enumerate(layers):
-            gamma_k = gamma.select(slice(k, k + 1))       # (1, 1)
-            term = layer * gamma_k
-            out = term if out is None else out + term
-            eta_log[:, k] = gamma.data[k, 0]
-        return out, eta_log
-
-    w = tensors["filter.w"]
+    z = stack.data
     gamma = tensors["filter.gamma"]
-    h_static = (layers[0] @ w).sigmoid() if cfg.static_coefficients else None
-    for k, layer in enumerate(layers):
-        h = h_static if h_static is not None else (layer @ w).sigmoid()
-        gamma_k = gamma.select(slice(k, k + 1)).transpose()  # (d, 1)
-        eta = h @ gamma_k                                 # (n, 1)
-        term = layer * eta
-        out = term if out is None else out + term
-        eta_log[:, k] = eta.data[:, 0]
-    return out, eta_log
+    w = None if params.mode == "global_only" else tensors["filter.w"]
+    static = w is not None and cfg.static_coefficients
+    if w is None:
+        eta = np.broadcast_to(gamma.data, z.shape[:2])
+    else:
+        z_a = z[0] if static else z           # the layers that A reads
+        a = z_a @ w.data                      # (n, d) or (K+1, n, d)
+        h = sigmoid(a, out=a)
+        eta = (gamma.data @ h.T if static
+               else np.einsum("kir,kr->ki", h, gamma.data))
+    parents = (stack, gamma) if w is None else (stack, w, gamma)
+    node = Tensor(np.einsum("kic,ki->ic", z, eta), parents=parents)
+
+    def push(g):
+        d_eta = np.einsum("kic,ic->ki", z, g)
+        if w is None:
+            gamma._accumulate(d_eta.sum(axis=1, keepdims=True))
+        else:
+            if static:
+                gamma._accumulate(d_eta @ h)
+                d_a = d_eta.T @ gamma.data
+            else:
+                gamma._accumulate(np.matmul(d_eta[:, None, :], h)[:, 0, :])
+                d_a = d_eta[:, :, None] * gamma.data[:, None, :]
+            d_a *= h
+            d_a *= 1.0 - h
+            w._accumulate(z_a.reshape(-1, z_a.shape[-1]).T
+                          @ d_a.reshape(-1, d_a.shape[-1]))
+        if stack.requires_grad:
+            d_z = eta[:, :, None] * g
+            if w is not None:
+                d_z_a = d_z[0] if static else d_z
+                d_z_a += d_a @ w.data.T
+            stack._accumulate(d_z)
+
+    node._backward_fn = push
+    return node, eta.T
 
 
 def _param_tensors(params: ModelParams) -> dict:
@@ -276,9 +306,8 @@ def forward_appnp_like(params: ModelParams, features: np.ndarray,
     x = Tensor(np.asarray(features, dtype=cfg.dtype))
     x0 = _mlp(x, tensors, cfg, training, rng)
     x0 = _dropout(x0, cfg.dp_p, training, rng)
-    layers = polynomial_layers(cfg.basis, op, x0, cfg.order, sparse_matmul,
-                               mix)
-    logits, eta = _combine_layers(layers, tensors, params, cfg)
+    stack = propagation(cfg.basis, op, x0, cfg.order)
+    logits, eta = _combine_layers(stack, tensors, params, cfg)
     _check_finite(logits.data)
     return ForwardTrace(logits=logits, params=tensors, coefficients=eta)
 
@@ -295,14 +324,11 @@ def forward_sgc_like(params: ModelParams, stack: PropagationStack,
     if stack.order != cfg.order:
         raise ValueError(f"stack order {stack.order} != config order {cfg.order}")
     tensors = _param_tensors(params)
-    if rows is None:
-        layers = [Tensor(layer.astype(cfg.dtype, copy=False))
-                  for layer in stack.layers]
-    else:
-        rows = np.asarray(rows, dtype=np.int64)
-        layers = [Tensor(layer[rows].astype(cfg.dtype, copy=False))
-                  for layer in stack.layers]
-    combined, eta = _combine_layers(layers, tensors, params, cfg)
+    layers = stack.layers
+    if rows is not None:
+        layers = layers[:, np.asarray(rows, dtype=np.int64)]
+    combined, eta = _combine_layers(
+        Tensor(layers.astype(cfg.dtype, copy=False)), tensors, params, cfg)
     combined = _dropout(combined, cfg.dp_p, training, rng)
     logits = _mlp(combined, tensors, cfg, training, rng)
     _check_finite(logits.data)

@@ -6,9 +6,9 @@ Three scalar bases are supported on the Laplacian spectrum [0, 2]:
 * chebyshev     T_k(2 lambda / lambda_max - 1)          on the scaled Laplacian
 * bernstein     C(K,k) (1 - lambda/2)^(K-k) (lambda/2)^k on L
 
-A propagation stack holds the K+1 matrices p_k(operator) @ X; combining it
-with an n x (K+1) coefficient matrix evaluates one filter per node without
-ever materializing a dense operator.
+A propagation stack holds the K+1 matrices p_k(operator) @ X as one
+(K+1, n, c) array; combining it with an n x (K+1) coefficient matrix
+evaluates one filter per node without ever materializing a dense operator.
 
 Bernstein layers are the Chebyshev layers T_j(L - I) X mixed by a cached
 (K+1) x (K+1) change-of-basis matrix: K sparse products, as for the other
@@ -23,18 +23,18 @@ from math import comb
 import numpy as np
 
 from .graph import (NORMALIZED_LAPLACIAN, SCALED_LAPLACIAN, SparseOperator,
-                    scaled_laplacian, spmm)
+                    spmm)
 
 BASES = ("monomial", "chebyshev", "bernstein")
 
 
 @dataclass(frozen=True)
 class PropagationStack:
-    """layers[k] = p_k(operator) @ X; all layers share X's shape."""
+    """layers[k] = p_k(operator) @ X, one (K+1, n, c) array."""
 
     basis: str
     order: int
-    layers: list
+    layers: np.ndarray
 
     @property
     def shape(self):
@@ -63,30 +63,28 @@ def bernstein_change(order: int) -> np.ndarray:
     return change
 
 
-def polynomial_layers(basis: str, op: SparseOperator, x, order: int,
-                      matmul, mix) -> list:
-    """The K+1 layers p_k(op) @ x, with matmul(op, y) computing op @ y and
-    mix(M, ys) the layers sum_k M[k, j] ys[k].
-
-    They are ``spmm`` and one GEMM for arrays, and ``autodiff.sparse_matmul``
-    and ``autodiff.mix`` for tensors, so the numpy stack and the
-    differentiable forward share one recursion.
-    """
+def polynomial_layers(basis: str, op: SparseOperator, x: np.ndarray,
+                      order: int) -> np.ndarray:
+    """The K+1 layers p_k(op) @ x as one (K+1, n, c) array in the dtype of x,
+    filled in place: K ``spmm``, plus one GEMM for the Bernstein basis."""
     if basis not in BASES:
         raise ValueError(f"unknown basis {basis!r}")
-    layers = [x]
+    layers = np.empty((order + 1,) + x.shape, dtype=x.dtype)
+    layers[0] = x
     if basis == "monomial":
-        for _ in range(order):
-            layers.append(matmul(op, layers[-1]))
+        for k in range(1, order + 1):
+            layers[k] = spmm(op, layers[k - 1])
         return layers
     # Bernstein runs the Chebyshev recursion on L - I
-    cheb_op = scaled_laplacian(op, 2.0) if basis == "bernstein" else op
+    cheb_op = op.minus_identity if basis == "bernstein" else op
     if order >= 1:
-        layers.append(matmul(cheb_op, x))
-    for _ in range(2, order + 1):
-        layers.append(2.0 * matmul(cheb_op, layers[-1]) - layers[-2])
+        layers[1] = spmm(cheb_op, x)
+    for k in range(2, order + 1):
+        np.multiply(spmm(cheb_op, layers[k - 1]), 2.0, out=layers[k])
+        layers[k] -= layers[k - 2]
     if basis == "bernstein":
-        layers = mix(bernstein_change(order), layers)
+        layers = np.tensordot(bernstein_change(order).astype(x.dtype), layers,
+                              (0, 0))
     return layers
 
 
@@ -94,21 +92,22 @@ def propagate(basis: str, op: SparseOperator, x: np.ndarray,
               order: int) -> PropagationStack:
     """Build the K+1 propagated layers p_k(op) @ x.
 
-    Monomial and chebyshev stacks start at layers[0] == x; for bernstein,
-    layers[0] is the k=0 basis term (I - L/2)^K x, not x itself.
+    The layers keep a float x's dtype; any other x gives float64. Monomial
+    and chebyshev stacks start at layers[0] == x; for bernstein, layers[0] is
+    the k=0 basis term (I - L/2)^K x, not x itself.
     """
     _check_basis_operator(basis, op)
     if order < 0:
         raise ValueError("order must be non-negative")
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asarray(x)
+    if x.dtype.kind != "f":
+        x = x.astype(np.float64)
     if x.ndim != 2:
         raise ValueError("x must be a dense n x c matrix")
     if x.shape[0] != op.n:
         raise ValueError("x row count does not match operator dimension")
-    layers = polynomial_layers(
-        basis, op, x, order, spmm,
-        lambda change, ys: list(np.tensordot(change, np.stack(ys), (0, 0))))
-    return PropagationStack(basis=basis, order=order, layers=layers)
+    return PropagationStack(basis=basis, order=order,
+                            layers=polynomial_layers(basis, op, x, order))
 
 
 def combine(stack: PropagationStack, psi: np.ndarray) -> np.ndarray:
@@ -118,10 +117,7 @@ def combine(stack: PropagationStack, psi: np.ndarray) -> np.ndarray:
         raise ValueError(f"psi must be n x {stack.order + 1}")
     if coeffs.shape[0] != stack.shape[0]:
         raise ValueError("psi row count does not match stack")
-    out = np.zeros(stack.shape)
-    for k, layer in enumerate(stack.layers):
-        out += coeffs[:, k:k + 1] * layer
-    return out
+    return np.einsum("kic,ik->ic", stack.layers, coeffs)
 
 
 def frequency_response(basis: str, coeffs, lambda_grid,

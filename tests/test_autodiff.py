@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
-from nodespec.autodiff import (Tensor, mix, parameter, softmax_cross_entropy,
-                               sparse_matmul)
-from nodespec.graph import normalized_laplacian
+from nodespec import autodiff
+from nodespec.autodiff import (Tensor, parameter, polynomial_adjoint,
+                               propagation, softmax_cross_entropy)
+from nodespec.graph import (build_graph, normalized_laplacian,
+                            scaled_laplacian, spmm)
+from nodespec.polyfilter import BASES, propagate
 from nodespec.synthetic import er_graph
 
 
@@ -66,40 +69,55 @@ class TestOps:
         a = parameter(rng.standard_normal((5, 2)) + 0.3)
         assert_grad_matches(lambda: a.relu().sum_squares(), a)
 
-    def test_slice_transpose_grad(self, rng):
-        a = parameter(rng.standard_normal((5, 3)))
+    def test_transpose_grad(self, rng):
+        a = parameter(rng.standard_normal((2, 3)))
         x = Tensor(rng.standard_normal((4, 3)))
-        assert_grad_matches(
-            lambda: (x @ a.select(slice(1, 2)).transpose()).sum_squares(), a)
+        assert_grad_matches(lambda: (x @ a.transpose()).sum_squares(), a)
 
-    def test_sparse_matmul_grad(self, rng):
-        g = er_graph(8, 0.4, seed=3)
-        op = normalized_laplacian(g)
+    @pytest.mark.parametrize("basis", BASES)
+    def test_propagation_grad(self, rng, basis):
+        # one node for the whole stack: the numpy layers forward, the
+        # adjoint recursion backward
+        lap = normalized_laplacian(er_graph(8, 0.4, seed=3))
+        op = scaled_laplacian(lap, 1.8) if basis == "chebyshev" else lap
         x = parameter(rng.standard_normal((8, 2)))
-        assert_grad_matches(lambda: sparse_matmul(op, x).sum_squares(), x)
+        weights = Tensor(rng.standard_normal((5, 8, 2)))
+        stack = propagation(basis, op, x, 4)
+        assert stack.shape == (5, 8, 2)
+        np.testing.assert_array_equal(stack.data,
+                                      propagate(basis, op, x.data, 4).layers)
+        assert_grad_matches(
+            lambda: (propagation(basis, op, x, 4) * weights).sum_squares(), x)
 
-    def test_mix_value_and_grad(self, rng):
-        matrix = rng.standard_normal((3, 3))
-        a = parameter(rng.standard_normal((4, 2)))
-        b = Tensor(rng.standard_normal((4, 2)))
-        c = parameter(rng.standard_normal((4, 2)))
-        out = mix(matrix, [a, b, c])
-        for j in range(3):
-            np.testing.assert_allclose(
-                out[j].data, sum(matrix[k, j] * t.data
-                                 for k, t in enumerate((a, b, c))), atol=1e-14)
+    @pytest.mark.parametrize("basis", BASES)
+    @pytest.mark.parametrize("order", [0, 1, 2, 7])
+    def test_adjoint_is_the_transpose_in_k_products(self, basis, order,
+                                                    monkeypatch, rng):
+        # sum_k <G_k, p_k(op) x> = <sum_k p_k(op) G_k, x>, in K products
+        lap = normalized_laplacian(
+            build_graph([(0, 1), (1, 2), (2, 3), (1, 4)], 9))
+        op = scaled_laplacian(lap, 1.8) if basis == "chebyshev" else lap
+        x = rng.standard_normal((9, 3))
+        grads = rng.standard_normal((order + 1, 9, 3))
+        layers = propagate(basis, op, x, order).layers
+        calls = []
 
-        def build():
-            first, _, last = mix(matrix, [a, b, c])
-            return (first * last).sum_squares()
+        def counting_spmm(op, y):
+            calls.append(op)
+            return spmm(op, y)
 
-        assert_grad_matches(build, a)
-        c.grad = None
-        assert_grad_matches(build, c)
+        monkeypatch.setattr(autodiff, "spmm", counting_spmm)
+        adjoint = polynomial_adjoint(basis, op, grads)
+        assert len(calls) == order
+        np.testing.assert_allclose(np.sum(adjoint * x), np.sum(grads * layers),
+                                   rtol=1e-12)
 
-    def test_mix_keeps_float32(self, rng):
-        x = Tensor(rng.standard_normal((3, 2)).astype(np.float32))
-        assert mix(np.eye(1), [x])[0].data.dtype == np.float32
+    def test_propagation_keeps_float32(self, rng):
+        lap = normalized_laplacian(er_graph(6, 0.5, seed=4))
+        x = parameter(rng.standard_normal((6, 2)).astype(np.float32))
+        stack = propagation("bernstein", lap, x, 3)
+        stack.sum_squares().backward()
+        assert stack.data.dtype == np.float32 and x.grad.dtype == np.float32
 
     def test_cross_entropy_value_and_grad(self, rng):
         logits = parameter(rng.standard_normal((6, 3)))

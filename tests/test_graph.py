@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nodespec.graph import (build_graph, estimate_lambda_max, hop_distances,
+from nodespec.graph import (adjacency, build_graph, estimate_lambda_max,
+                            hop_distances,
                             hop_sets, induced_subgraph, normalized_laplacian,
                             scaled_laplacian, spmm)
 from nodespec.synthetic import er_graph, path_graph
@@ -83,6 +85,36 @@ def test_build_graph_matches_set_reference(case):
         np.testing.assert_array_equal(as_array.col_indices, g.col_indices)
         assert as_array.col_indices.dtype == np.int64
         assert as_array.edge_count == g.edge_count
+
+
+def assert_same_csr(got, want):
+    for name in ("data", "indices", "indptr"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
+@settings(max_examples=200, deadline=None)
+@given(pair_lists())
+@example((0, []))
+@example((1, []))
+@example((5, [(0, 1), (1, 2)]))
+def test_operators_equal_the_matrix_expressions_byte_for_byte(case):
+    # the directly assembled operators against the scipy expressions they
+    # replace, so every spmm result is unchanged
+    n, pairs = case
+    g = build_graph(pairs, n)
+    deg = g.degrees()
+    inv_sqrt = np.zeros(n)
+    inv_sqrt[deg > 0] = 1.0 / np.sqrt(deg[deg > 0])
+    d = sp.diags_array(inv_sqrt)
+    want = sp.diags_array((deg > 0).astype(np.float64)) - d @ adjacency(g) @ d
+    lap = normalized_laplacian(g)
+    assert_same_csr(lap.matrix, want)
+    estimate = max(estimate_lambda_max(lap)[0], 1e-12)
+    for lambda_max in (2.0, estimate):
+        assert_same_csr(scaled_laplacian(lap, lambda_max).matrix,
+                        (2.0 / lambda_max) * want - sp.eye_array(n))
+    assert_same_csr(lap.minus_identity.matrix, want - sp.eye_array(n))
 
 
 class TestNormalizedLaplacian:

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 import nodespec
-from nodespec import model
-from nodespec.autodiff import sparse_matmul
+from nodespec import autodiff, model, polyfilter
+from nodespec.autodiff import parameter
 from nodespec.data import Split, make_split
 from nodespec.evaluate import accuracy
 from nodespec.graph import build_graph, hop_distances
@@ -178,6 +178,13 @@ class TestForward:
             model.forward_appnp_like(params, bad, op, cfg)
 
 
+def test_unconverged_spectrum_estimate_warns_and_names_the_fallback():
+    cfg = base_config(basis="chebyshev", estimate_spectrum=True)
+    with pytest.warns(RuntimeWarning,
+                      match=r"did not converge \(last estimate 1\.9.*2\.0"):
+        model.build_operator(path_graph(200), cfg)
+
+
 def test_unconverged_spectrum_estimate_falls_back_to_bound():
     # power iteration stalls below 2 on paths; the scaled spectrum must
     # still lie in [-1, 1]
@@ -239,19 +246,63 @@ class TestGradients:
 
     @pytest.mark.parametrize("basis", ["monomial", "chebyshev", "bernstein"])
     def test_appnp_forward_costs_k_products(self, toy, basis, monkeypatch):
+        # K spmm in the forward and K in the adjoint backward, on the tape
         calls = []
+        spmm = polyfilter.spmm
 
-        def counting_matmul(op, x):
+        def counting_spmm(op, x):
             calls.append(op)
-            return sparse_matmul(op, x)
+            return spmm(op, x)
 
-        monkeypatch.setattr(model, "sparse_matmul", counting_matmul)
+        monkeypatch.setattr(polyfilter, "spmm", counting_spmm)
+        monkeypatch.setattr(autodiff, "spmm", counting_spmm)
         cfg = base_config(mode="appnp_like", basis=basis, order=10)
         params = model.init_params(cfg, toy.feature_dim, toy.class_count,
                                    np.random.default_rng(0))
-        model.forward_appnp_like(params, toy.features,
-                                 model.build_operator(toy.graph, cfg), cfg)
+        trace = model.forward_appnp_like(
+            params, toy.features, model.build_operator(toy.graph, cfg), cfg)
         assert len(calls) == 10
+        model.attach_loss(trace, toy.labels, np.arange(10), cfg.l2)
+        model.backward(trace)
+        assert len(calls) == 20
+
+    @pytest.mark.parametrize("mode", ["appnp_like", "sgc_like"])
+    def test_static_coefficients_gradcheck(self, toy, mode):
+        failures = finite_difference_check(
+            toy, base_config(mode=mode, static_coefficients=True),
+            np.arange(12))
+        assert not failures, failures
+
+    def test_bernstein_global_gradcheck(self, toy):
+        failures = finite_difference_check(
+            toy, base_config(mode="global_only", basis="bernstein"),
+            np.arange(12))
+        assert not failures, failures
+
+    @pytest.mark.parametrize("mode, static", [
+        ("appnp_like", False), ("appnp_like", True), ("global_only", False)])
+    def test_combine_gradients_float32_match_float64(self, toy, mode, static):
+        # the fused combine node keeps float32 and agrees with float64
+        cfg = base_config(mode=mode, static_coefficients=static)
+        params = model.init_params(cfg, toy.feature_dim, toy.class_count,
+                                   np.random.default_rng(2))
+        z = np.random.default_rng(3).standard_normal(
+            (cfg.order + 1, toy.n, toy.class_count))
+        grads = {}
+        for dtype in (np.float64, np.float32):
+            tensors = {name: parameter(arr.astype(dtype))
+                       for name, arr in params.arrays().items()}
+            stack = parameter(z.astype(dtype))
+            out, _ = model._combine_layers(stack, tensors, params, cfg)
+            out.sum_squares().backward()
+            got = {"stack": stack.grad, "gamma": tensors["filter.gamma"].grad}
+            if mode != "global_only":
+                got["w"] = tensors["filter.w"].grad
+            assert all(g.dtype == dtype for g in got.values())
+            grads[dtype] = got
+        for name, g64 in grads[np.float64].items():
+            np.testing.assert_allclose(grads[np.float32][name], g64,
+                                       rtol=1e-4, atol=1e-5 * np.abs(g64).max())
 
     def test_monomial_appnp_gradcheck(self, toy):
         failures = finite_difference_check(
@@ -637,6 +688,14 @@ class TestMixedPatternSanity:
 
 
 class TestPrecisionModes:
+    def test_float32_sgc_stack_stays_float32(self, toy):
+        stacks = {precision: model._operator_and_stack(
+            toy, base_config(mode="sgc_like", precision=precision))[1]
+            for precision in ("float32", "float64")}
+        assert stacks["float32"].layers.dtype == np.float32
+        assert 2 * stacks["float32"].layers.nbytes == \
+            stacks["float64"].layers.nbytes
+
     def test_float32_trains_and_predicts(self, toy):
         split = make_split(toy.n, "dense", seed=0)
         cfg = base_config(epochs=10, patience=10, precision="float32")

@@ -79,6 +79,20 @@ class TestPropagate:
         with pytest.raises(ValueError, match="normalized_laplacian"):
             propagate("monomial", ops["chebyshev"], x, 2)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_stack_keeps_float_dtype(self, dtype, rng):
+        g = er_graph(9, 0.4, seed=8)
+        for basis, op in _operators(g).items():
+            x = rng.standard_normal((9, 2)).astype(dtype)
+            assert propagate(basis, op, x, 3).layers.dtype == dtype
+
+    def test_integer_input_becomes_float64(self):
+        g = er_graph(9, 0.4, seed=8)
+        x = np.ones((9, 2), dtype=np.int64)
+        stack = propagate("monomial", _operators(g)["monomial"], x, 2)
+        assert stack.layers.dtype == np.float64
+        np.testing.assert_array_equal(stack.layers[0], 1.0)
+
     def test_unknown_basis(self, rng):
         g = er_graph(8, 0.4, seed=7)
         with pytest.raises(ValueError, match="unknown basis"):

@@ -1,12 +1,14 @@
 """The conversion scripts are load-bearing for the dataset-gated acceptance
 criteria, so exercise them on fabricated miniature inputs."""
 
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 
+import nodespec
 from nodespec.data import load_named_dataset
 from nodespec.homophily import graph_homophily
 
@@ -14,8 +16,12 @@ SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
 def run_script(name, *argv):
+    # the scripts import the package this test imported, installed or not
+    src = str(Path(nodespec.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
     return subprocess.run([sys.executable, str(SCRIPTS / name), *argv],
-                          capture_output=True, text=True, check=True)
+                          env=env, capture_output=True, text=True, check=True)
 
 
 def test_convert_planetoid_roundtrip(tmp_path):
