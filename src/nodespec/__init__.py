@@ -9,11 +9,11 @@ from .data import Dataset, Split, load_dataset, load_split, make_split, save_spl
 from .evaluate import (BinReport, RunSummary, accuracy,
                        coefficient_distance_report, homophily_binned_accuracy,
                        summarize_runs)
-from .graph import (Graph, HopSets, SparseOperator, build_graph,
-                    estimate_lambda_max, hop_distances, hop_sets,
-                    normalized_laplacian, scaled_laplacian, spmm)
-from .homophily import (EntropyReport, HomophilyReport, PropositionCheck,
-                        graph_homophily, histogram, jaccard_neighbor_distance,
+from .graph import (Graph, SparseOperator, build_graph, estimate_lambda_max,
+                    hop_distances, normalized_laplacian, scaled_laplacian,
+                    spmm)
+from .homophily import (HomophilyReport, PropositionCheck, graph_homophily,
+                        histogram, homophily_report, jaccard_neighbor_distance,
                         label_entropy, node_homophily,
                         proposition_closed_forms, proposition_monte_carlo)
 from .model import (AdamState, DivergenceError, FilterFactorization,

@@ -3,8 +3,9 @@
 A Tensor records the op that produced it and a closure that pushes gradients
 to its parents; calling backward() on a scalar output replays the tape in
 reverse topological order. Only the operations the filtering models need are
-implemented: dense matrix products, broadcast arithmetic, sigmoid, ReLU,
+implemented: dense matrix products, broadcast sums and products, ReLU,
 squared norms, a fused softmax cross-entropy, and the polynomial propagation.
+``sigmoid`` is a plain array function, for the model's fused combine node.
 
 The propagation is one node for the whole (K+1, n, c) stack of layers
 p_k(op) x: its forward is ``polyfilter.polynomial_layers`` (K sparse
@@ -95,17 +96,6 @@ class Tensor:
         out._backward_fn = push
         return out
 
-    def __sub__(self, other):
-        other = as_tensor(other)
-        out = Tensor(self.data - other.data, parents=(self, other))
-
-        def push(g):
-            self._accumulate(_reduce_to_shape(g, self.data.shape))
-            other._accumulate(-_reduce_to_shape(g, other.data.shape))
-
-        out._backward_fn = push
-        return out
-
     def __mul__(self, other):
         if isinstance(other, (int, float)):
             # python scalars keep the array dtype; a wrapped 0-d array would
@@ -142,30 +132,11 @@ class Tensor:
         out._backward_fn = push
         return out
 
-    def sigmoid(self):
-        value = sigmoid(self.data)
-        out = Tensor(value, parents=(self,))
-
-        def push(g):
-            self._accumulate(g * value * (1.0 - value))
-
-        out._backward_fn = push
-        return out
-
     def relu(self):
         out = Tensor(np.maximum(self.data, 0.0), parents=(self,))
 
         def push(g):
             self._accumulate(g * (self.data > 0.0))
-
-        out._backward_fn = push
-        return out
-
-    def transpose(self):
-        out = Tensor(self.data.T, parents=(self,))
-
-        def push(g):
-            self._accumulate(g.T)
 
         out._backward_fn = push
         return out

@@ -8,6 +8,7 @@ import argparse
 import json
 import sys
 import time
+from contextlib import nullcontext
 from dataclasses import asdict
 from pathlib import Path
 
@@ -31,6 +32,11 @@ def _fmt(x) -> str:
     if x is None or (isinstance(x, float) and np.isnan(x)):
         return "nan"
     return f"{x:.17g}" if isinstance(x, float) else str(x)
+
+
+def _output(path):
+    """The --out file opened for writing, or stdout (left open) without one."""
+    return open(path, "w", encoding="utf-8") if path else nullcontext(sys.stdout)
 
 
 def _add_dataset_args(p: argparse.ArgumentParser) -> None:
@@ -108,11 +114,10 @@ def cmd_analyze(args) -> int:
     dataset = _load_dataset(args)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    hom = homophily.homophily_report(dataset.graph, dataset.labels, args.bins)
-    ent = homophily.entropy_report(dataset.graph, dataset.labels,
-                                   dataset.class_count, args.bins)
-    rows = np.column_stack([hom.per_node_h1, hom.per_node_h_within2,
-                            ent.per_node_s1, ent.per_node_s_within2]).tolist()
+    rep = homophily.homophily_report(dataset.graph, dataset.labels,
+                                     dataset.class_count, args.bins)
+    rows = np.column_stack([rep.per_node_h1, rep.per_node_h_within2,
+                            rep.per_node_s1, rep.per_node_s_within2]).tolist()
     with open(out / "node_metrics.csv", "w", encoding="utf-8") as fh:
         fh.write("node,h_hop1,h_within2,entropy_hop1,entropy_within2\n")
         # "{:.17g}" prints NaN as "nan", as _fmt does
@@ -121,10 +126,10 @@ def cmd_analyze(args) -> int:
     with open(out / "histograms.csv", "w", encoding="utf-8") as fh:
         fh.write("metric,bin_lo,bin_hi,count\n")
         for label, (edges, counts) in (
-                ("h_hop1", hom.histogram_h1),
-                ("h_within2", hom.histogram_h_within2),
-                ("entropy_hop1", ent.histogram_s1),
-                ("entropy_within2", ent.histogram_s_within2)):
+                ("h_hop1", rep.histogram_h1),
+                ("h_within2", rep.histogram_h_within2),
+                ("entropy_hop1", rep.histogram_s1),
+                ("entropy_within2", rep.histogram_s_within2)):
             for b in range(counts.size):
                 fh.write(f"{label},{_fmt(float(edges[b]))},"
                          f"{_fmt(float(edges[b + 1]))},{counts[b]}\n")
@@ -134,7 +139,7 @@ def cmd_analyze(args) -> int:
         "edges": dataset.graph.edge_count,
         "features": dataset.feature_dim,
         "classes": dataset.class_count,
-        "graph_homophily": hom.graph_ratio,
+        "graph_homophily": rep.graph_ratio,
     }
     print(json.dumps(summary, indent=2, sort_keys=True))
     return 0
@@ -256,15 +261,11 @@ def cmd_filter_response(args) -> int:
     else:
         raise SystemExit("provide --coeffs or --checkpoint")
 
-    dest = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
-    try:
+    with _output(args.out) as dest:
         dest.write("filter,lambda,response\n")
         for label, values in rows:
             for lam, val in zip(grid, values):
                 dest.write(f"{label},{_fmt(float(lam))},{_fmt(float(val))}\n")
-    finally:
-        if args.out:
-            dest.close()
     return 0
 
 
@@ -286,8 +287,7 @@ def cmd_sweep(args) -> int:
     dataset = _load_dataset(args)
     orders = [int(t) for t in args.orders.split(",")]
     ranks = [int(t) for t in args.ranks.split(",")]
-    dest = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
-    try:
+    with _output(args.out) as dest:
         dest.write("K,d,runs,mean_accuracy,ci_half_width\n")
         for order in orders:
             for rank in ranks:
@@ -307,9 +307,6 @@ def cmd_sweep(args) -> int:
                 dest.write(f"{order},{rank},{len(accs)},"
                            f"{_fmt(summary.mean)},"
                            f"{_fmt(summary.ci_half_width)}\n")
-    finally:
-        if args.out:
-            dest.close()
     return 0
 
 

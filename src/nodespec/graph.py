@@ -7,7 +7,7 @@ D^{-1/2} is written directly on the adjacency's sorted pattern, and the
 diagonal is merged in by one sparse subtraction, O(nnz) with no sort.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -52,20 +52,6 @@ class SparseOperator:
         """self - I as a scaled Laplacian, built on first use and kept: the
         Bernstein basis runs the Chebyshev recursion on L - I."""
         return scaled_laplacian(self, 2.0)
-
-
-@dataclass
-class HopSets:
-    """BFS layers around a center node.
-
-    ``exact[t]`` is the set of nodes at shortest-path distance exactly t
-    (t >= 1, center excluded); ``within[t]`` is the union of exact[1..t].
-    Unreachable nodes appear in neither map.
-    """
-
-    center: int
-    exact: dict = field(default_factory=dict)
-    within: dict = field(default_factory=dict)
 
 
 def build_graph(edges, n: int) -> Graph:
@@ -174,34 +160,6 @@ def spmm(op: SparseOperator, x: np.ndarray) -> np.ndarray:
         raise ValueError(f"operand rows {x.shape[0]} != operator dim {op.n}")
     dtype = x.dtype if x.dtype.kind == "f" else np.float64
     return (op.matrix @ x).astype(dtype, copy=False)
-
-
-def hop_sets(g: Graph, v: int, max_hop: int) -> HopSets:
-    """BFS layers around v up to max_hop."""
-    if not 0 <= v < g.n:
-        raise ValueError(f"node {v} out of range for n={g.n}")
-    result = HopSets(center=v)
-    seen = {v}
-    frontier = [v]
-    running: set = set()
-    for t in range(1, max_hop + 1):
-        layer = set()
-        for u in frontier:
-            for w in g.neighbors(u):
-                w = int(w)
-                if w not in seen:
-                    seen.add(w)
-                    layer.add(w)
-        result.exact[t] = layer
-        running = running | layer
-        result.within[t] = set(running)
-        if not layer:
-            break
-        frontier = sorted(layer)
-    for t in range(len(result.exact) + 1, max_hop + 1):
-        result.exact[t] = set()
-        result.within[t] = set(running)
-    return result
 
 
 def hop_distances(g: Graph, v: int) -> np.ndarray:

@@ -310,6 +310,48 @@ class TestMakeSplit:
             make_split(100, "dense", seed=0, stratified=True)
 
 
+# mode -> (train numerator, validation numerator, denominator)
+PINNED_RATIOS = {"sparse": (1, 1, 40), "dense": (24, 8, 40),
+                 "inductive": (1, 1, 40)}
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(10, 300), mode=st.sampled_from(sorted(PINNED_RATIOS)),
+       seed=st.integers(0, (1 << 64) - 1), classes=st.none() | st.integers(1, 6),
+       label_seed=st.integers(0, 1 << 32))
+def test_make_split_invariants(n, mode, seed, classes, label_seed):
+    # classes=None: a global split; otherwise stratified over drawn labels
+    labels = (None if classes is None else
+              np.random.default_rng(label_seed).integers(0, classes, size=n))
+    split = make_split(n, mode, seed, stratified=labels is not None,
+                       labels=labels)
+    merged = np.concatenate([split.train, split.validation, split.test])
+    np.testing.assert_array_equal(np.sort(merged), np.arange(n))
+
+    tr_num, va_num, den = PINNED_RATIOS[mode]
+    groups = [np.arange(n)] if labels is None else [
+        np.flatnonzero(labels == c) for c in np.unique(labels)]
+    for members in groups:
+        assert np.isin(split.train, members).sum() == members.size * tr_num // den
+        assert (np.isin(split.validation, members).sum()
+                == members.size * va_num // den)
+
+    if mode == "inductive":
+        np.testing.assert_array_equal(
+            np.sort(np.concatenate([split.observed_test,
+                                    split.unobserved_test])), split.test)
+        assert split.observed_test.size == split.test.size * 4 // 5
+    else:
+        assert split.observed_test is None and split.unobserved_test is None
+
+    again = make_split(n, mode, seed, stratified=labels is not None,
+                       labels=labels)
+    for name in ("train", "validation", "test", "observed_test",
+                 "unobserved_test"):
+        np.testing.assert_array_equal(getattr(again, name),
+                                      getattr(split, name))
+
+
 class TestSplitSerialization:
     def test_roundtrip(self, tmp_path):
         split = make_split(200, "inductive", seed=17)

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.csgraph import shortest_path
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nodespec.graph import (adjacency, build_graph, estimate_lambda_max,
-                            hop_distances,
-                            hop_sets, induced_subgraph, normalized_laplacian,
-                            scaled_laplacian, spmm)
+                            hop_distances, induced_subgraph,
+                            normalized_laplacian, scaled_laplacian, spmm)
 from nodespec.synthetic import er_graph, path_graph
 
 
@@ -115,6 +115,33 @@ def test_operators_equal_the_matrix_expressions_byte_for_byte(case):
         assert_same_csr(scaled_laplacian(lap, lambda_max).matrix,
                         (2.0 / lambda_max) * want - sp.eye_array(n))
     assert_same_csr(lap.minus_identity.matrix, want - sp.eye_array(n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(pair_lists(), st.none() | st.integers(0, 4),
+       st.sampled_from([np.float64, np.float32, np.int64]),
+       st.integers(0, 1 << 32))
+@example((0, []), 2, np.float64, 0)
+@example((1, []), None, np.int64, 0)
+@example((1, []), 3, np.float32, 0)
+def test_spmm_matches_the_dense_product(case, cols, dtype, seed):
+    # cols=None is an (n,) operand, otherwise (n, cols)
+    n, pairs = case
+    op = normalized_laplacian(build_graph(pairs, n))
+    shape = (n,) if cols is None else (n, cols)
+    rng = np.random.default_rng(seed)
+    x = (rng.integers(-5, 6, size=shape) if dtype is np.int64
+         else rng.standard_normal(shape)).astype(dtype)
+    out = spmm(op, x)
+    assert out.shape == shape
+    assert out.dtype == (np.float64 if dtype is np.int64 else dtype)
+    tol = 1e-6 if dtype is np.float32 else 1e-12
+    np.testing.assert_allclose(out, op.to_dense() @ x.astype(np.float64),
+                               rtol=tol, atol=tol)
+    for rows in (n + 1, n - 1):
+        if rows >= 0:
+            with pytest.raises(ValueError, match="operand rows"):
+                spmm(op, np.ones((rows,) + shape[1:], dtype=dtype))
 
 
 class TestNormalizedLaplacian:
@@ -242,38 +269,38 @@ class TestSpmm:
 
 
 class TestHopSets:
+    """The hop-t set of v is {m : hop_distances(g, v)[m] == t}."""
+
     def test_path(self, path5):
-        sets = hop_sets(path5, 0, 2)
-        assert sets.exact[1] == {1}
-        assert sets.exact[2] == {2}
-        assert sets.within[2] == {1, 2}
+        dist = hop_distances(path5, 0)
+        assert np.flatnonzero(dist == 1).tolist() == [1]
+        assert np.flatnonzero(dist == 2).tolist() == [2]
+        assert np.flatnonzero((dist > 0) & (dist <= 2)).tolist() == [1, 2]
 
     def test_isolated(self):
-        sets = hop_sets(build_graph([], 2), 0, 3)
-        assert all(not s for s in sets.exact.values())
+        assert hop_distances(build_graph([], 2), 0).tolist() == [0, -1]
 
     def test_triangle(self, triangle):
-        sets = hop_sets(triangle, 0, 2)
-        assert sets.exact[1] == {1, 2}
-        assert sets.exact[2] == set()
+        dist = hop_distances(triangle, 0)
+        assert np.flatnonzero(dist == 1).tolist() == [1, 2]
+        assert not np.any(dist == 2)
 
     def test_layers_partition_and_symmetry(self):
         g = er_graph(25, 0.15, seed=5)
-        all_sets = [hop_sets(g, v, g.n) for v in range(g.n)]
-        for v, sets in enumerate(all_sets):
-            seen = set()
-            for t, layer in sets.exact.items():
-                assert not (layer & seen)
-                seen |= layer
-                for m in layer:
-                    assert v in all_sets[m].exact[t]
+        dist = np.array([hop_distances(g, v) for v in range(g.n)])
+        assert np.array_equal(dist, dist.T)  # dist_v[m] == dist_m[v]
+        for v in range(g.n):
+            for m in np.flatnonzero(dist[v] > 0):
+                # a node at t hops has a neighbor at t - 1 and none nearer
+                around = dist[v, g.neighbors(m)]
+                assert around.min() == dist[v, m] - 1
 
-    def test_matches_hop_distances(self):
+    def test_matches_csgraph_shortest_paths(self):
         g = er_graph(20, 0.2, seed=11)
-        dist = hop_distances(g, 3)
-        sets = hop_sets(g, 3, g.n)
-        for t, layer in sets.exact.items():
-            assert layer == set(np.flatnonzero(dist == t).tolist())
+        want = shortest_path(adjacency(g), unweighted=True)
+        want[np.isinf(want)] = -1
+        for v in range(g.n):
+            np.testing.assert_array_equal(hop_distances(g, v), want[v])
 
 
 def test_induced_subgraph_keeps_internal_edges(path5):

@@ -7,11 +7,11 @@ from hypothesis import strategies as st
 
 from nodespec import homophily
 from nodespec.graph import build_graph
-from nodespec.homophily import (entropy_report, graph_homophily, histogram,
-                                homophily_report, jaccard_neighbor_distance,
+from nodespec.homophily import (graph_homophily, histogram, homophily_report,
+                                jaccard_neighbor_distance,
                                 jaccard_neighbor_distances,
                                 label_entropy, node_homophily,
-                                per_node_entropy, per_node_homophily,
+                                per_node_homophily,
                                 proposition_closed_forms,
                                 proposition_monte_carlo)
 from nodespec.synthetic import er_graph, star_graph
@@ -66,12 +66,36 @@ def _graph_with_isolated_nodes():
                          ids=["er_plus_isolated", "edgeless"])
 def test_per_node_metrics_match_single_node_api(g, scope):
     labels = np.random.default_rng(5).integers(0, 3, size=g.n)
-    np.testing.assert_array_equal(
-        per_node_homophily(g, labels, scope),
-        [node_homophily(g, labels, v, scope) for v in range(g.n)])
-    np.testing.assert_array_equal(
-        per_node_entropy(g, labels, scope, 3),
-        [label_entropy(g, labels, v, scope, 3) for v in range(g.n)])
+    h_want = [node_homophily(g, labels, v, scope) for v in range(g.n)]
+    s_want = [label_entropy(g, labels, v, scope, 3) for v in range(g.n)]
+    np.testing.assert_array_equal(per_node_homophily(g, labels, scope), h_want)
+    if g.edge_count == 0:  # the report has no graph ratio to give
+        with pytest.raises(ValueError, match="no edges"):
+            homophily_report(g, labels, class_count=3)
+        return
+    rep = homophily_report(g, labels, class_count=3)
+    h, s = ((rep.per_node_h1, rep.per_node_s1) if scope == "hop1" else
+            (rep.per_node_h_within2, rep.per_node_s_within2))
+    np.testing.assert_array_equal(h, h_want)
+    np.testing.assert_array_equal(s, s_want)
+
+
+def test_report_builds_adjacency_and_within2_pattern_once():
+    g = _graph_with_isolated_nodes()
+    labels = np.random.default_rng(6).integers(0, 3, size=g.n)
+    with mock.patch.object(homophily, "adjacency",
+                           wraps=homophily.adjacency) as adj, \
+            mock.patch.object(homophily, "_within2_pattern",
+                              wraps=homophily._within2_pattern) as within2:
+        homophily_report(g, labels, class_count=3)
+    assert adj.call_count == 1
+    assert within2.call_count == 1
+
+
+def test_report_rejects_negative_labels(triangle):
+    # a negative id would count nowhere and read another class's column
+    with pytest.raises(ValueError, match="non-negative"):
+        homophily_report(triangle, [-1, 0, 0], class_count=2)
 
 
 class TestGraphHomophily:
@@ -296,12 +320,12 @@ def test_batch_jaccard_rejects_bad_pairs():
 
 
 def test_reports_have_consistent_shapes(triangle):
-    hom = homophily_report(triangle, [0, 0, 1], bins=4)
-    ent = entropy_report(triangle, [0, 0, 1], class_count=2, bins=4)
-    assert hom.per_node_h1.size == 3
-    assert hom.histogram_h1[1].sum() == 3
-    assert ent.per_node_s1.size == 3
-    assert 0.0 <= hom.graph_ratio <= 1.0
+    rep = homophily_report(triangle, [0, 0, 1], class_count=2, bins=4)
+    assert rep.per_node_h1.size == 3
+    assert rep.histogram_h1[1].sum() == 3
+    assert rep.per_node_s1.size == 3
+    assert rep.histogram_s_within2[1].sum() == 3
+    assert rep.graph_ratio == graph_homophily(triangle, [0, 0, 1])
     top = np.log(2) + 1e-6
-    valid = ent.per_node_s1[~np.isnan(ent.per_node_s1)]
+    valid = rep.per_node_s1[~np.isnan(rep.per_node_s1)]
     assert np.all((valid >= -1e-6) & (valid <= top))
