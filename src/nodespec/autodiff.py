@@ -2,18 +2,19 @@
 
 A Tensor records the op that produced it and a closure that pushes gradients
 to its parents; calling backward() on a scalar output replays the tape in
-reverse topological order. Only the operations the filtering models need are
-implemented: dense matrix products, broadcast sums and products, ReLU,
-squared norms, a fused softmax cross-entropy, and the polynomial propagation.
-``sigmoid`` is a plain array function, for the model's fused combine node.
+reverse topological order. The generic ops are the few the loss needs:
+broadcast sums, scaling by a python number, squared norms, and a fused
+softmax cross-entropy. Everything else is a fused node with a closed-form
+backward. ``sigmoid`` is a plain array function, for the model's fused
+combine node.
 
 The propagation is one node for the whole (K+1, n, c) stack of layers
 p_k(op) x: its forward is ``polyfilter.polynomial_layers`` (K sparse
 products), and its backward the adjoint recursion ``polynomial_adjoint``,
 sum_k p_k(op) G_k for the layer gradients G_k, in K more (Horner for
 monomial, Clenshaw for Chebyshev and Bernstein). No per-order nodes exist.
-The per-node combine of that stack is the one other fused node; it lives in
-``model``.
+The model's other two fused nodes, the per-node combine of that stack and
+the in-place MLP, live in ``model``.
 """
 
 import numpy as np
@@ -96,50 +97,22 @@ class Tensor:
         out._backward_fn = push
         return out
 
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            # python scalars keep the array dtype; a wrapped 0-d array would
-            # promote float32 operands to float64
-            scalar = float(other)
-            out = Tensor(self.data * scalar, parents=(self,))
-
-            def push_scalar(g):
-                self._accumulate(g * scalar)
-
-            out._backward_fn = push_scalar
-            return out
-        other = as_tensor(other)
-        out = Tensor(self.data * other.data, parents=(self, other))
+    def __mul__(self, scalar):
+        # a python number keeps the array dtype; a wrapped 0-d array would
+        # promote float32 operands to float64
+        if not isinstance(scalar, (int, float)):
+            raise TypeError("a Tensor scales only by a python number")
+        scalar = float(scalar)
+        out = Tensor(self.data * scalar, parents=(self,))
 
         def push(g):
-            self._accumulate(_reduce_to_shape(g * other.data, self.data.shape))
-            other._accumulate(_reduce_to_shape(g * self.data, other.data.shape))
+            self._accumulate(g * scalar)
 
         out._backward_fn = push
         return out
 
     __radd__ = __add__
     __rmul__ = __mul__
-
-    def __matmul__(self, other):
-        other = as_tensor(other)
-        out = Tensor(self.data @ other.data, parents=(self, other))
-
-        def push(g):
-            self._accumulate(g @ other.data.T)
-            other._accumulate(self.data.T @ g)
-
-        out._backward_fn = push
-        return out
-
-    def relu(self):
-        out = Tensor(np.maximum(self.data, 0.0), parents=(self,))
-
-        def push(g):
-            self._accumulate(g * (self.data > 0.0))
-
-        out._backward_fn = push
-        return out
 
     def sum_squares(self):
         out = Tensor(np.sum(self.data * self.data), parents=(self,))

@@ -13,12 +13,16 @@ and base-filter matrix Gamma):
 ``global_only`` is the ablation: a single learned coefficient vector gamma
 replaces the factorized per-node coefficients in the appnp pipeline.
 
-Gradients come from the tape in ``autodiff``. The per-node filter is two
-nodes on it: ``autodiff.propagation`` for the (K+1, n, c) stack, and the
-combine built in ``_combine_layers``, which mixes the whole stack with its
-coefficients and has a closed-form backward. Optimization is Adam with the
-MLP and filter parameters on separate learning rates, and weight decay enters
-the loss as an explicit squared-norm penalty.
+Gradients come from the tape in ``autodiff``. The network is three fused
+nodes on it, each with a closed-form backward: ``autodiff.propagation`` for
+the (K+1, n, c) stack; the combine built in ``_combine_layers``, which mixes
+the whole stack with its coefficients; and the MLP built in ``_mlp``, which
+runs in place on one hidden array and skips the gradient of constant
+features. Evaluation and prediction run the same nodes without dropout. The
+Chebyshev operator is assembled from the graph in one pass
+(``graph.chebyshev_operator``). Optimization is Adam with the MLP and filter
+parameters on separate learning rates, and weight decay enters the loss as
+an explicit squared-norm penalty.
 """
 
 import json
@@ -33,8 +37,8 @@ from .autodiff import (Tensor, log_softmax_nll, parameter, propagation,
                        sigmoid, softmax_cross_entropy)
 from .data import Dataset, Split, subset, validate_split
 from .evaluate import accuracy
-from .graph import (Graph, SparseOperator, estimate_lambda_max,
-                    normalized_laplacian, scaled_laplacian)
+from .graph import (Graph, SparseOperator, chebyshev_operator,
+                    estimate_lambda_max, normalized_laplacian, scaled_laplacian)
 from .polyfilter import PropagationStack, propagate
 
 MODES = ("appnp_like", "sgc_like", "global_only")
@@ -213,27 +217,87 @@ def spectrum_bound(lap: SparseOperator,
 
 
 def build_operator(graph: Graph, cfg: TrainConfig) -> SparseOperator:
-    """Propagation operator for the configured basis."""
-    lap = normalized_laplacian(graph)
+    """Propagation operator for the configured basis. A Chebyshev operator
+    on a fixed lambda_max is assembled from the graph in one pass; an
+    estimated one scales the Laplacian the estimate ran on."""
     if cfg.basis != "chebyshev":
-        return lap
+        return normalized_laplacian(graph)
+    if not cfg.estimate_spectrum:
+        return chebyshev_operator(graph, cfg.lambda_max)
+    lap = normalized_laplacian(graph)
     return scaled_laplacian(lap, spectrum_bound(lap, cfg)[0])
+
+
+def _dropout_mask(shape: tuple, rate: float, dtype,
+                  rng: np.random.Generator) -> np.ndarray:
+    """Inverted-dropout mask (draw >= rate) / (1 - rate) in ``dtype``. A
+    float64 mask is thresholded and scaled in the drawn array itself."""
+    draw = rng.random(shape)
+    keep = draw if draw.dtype == dtype else np.empty(shape, dtype)
+    np.greater_equal(draw, rate, out=keep)
+    keep /= 1.0 - rate
+    return keep
 
 
 def _dropout(t: Tensor, rate: float, training: bool,
              rng: Optional[np.random.Generator]) -> Tensor:
     if not training or rate <= 0.0:
         return t
-    keep = (rng.random(t.shape) >= rate).astype(t.data.dtype)
-    return t * Tensor(keep / (1.0 - rate))
+    mask = _dropout_mask(t.shape, rate, t.data.dtype, rng)
+    out = Tensor(t.data * mask, parents=(t,))
+
+    def push(g):
+        t._accumulate(g * mask)
+
+    out._backward_fn = push
+    return out
 
 
 def _mlp(x: Tensor, tensors: dict, cfg: TrainConfig, training: bool,
          rng) -> Tensor:
-    x = _dropout(x, cfg.dp_l, training, rng)
-    h = (x @ tensors["mlp.w1"] + tensors["mlp.b1"]).relu()
-    h = _dropout(h, cfg.dp_l, training, rng)
-    return h @ tensors["mlp.w2"] + tensors["mlp.b2"]
+    """relu(x_d W1 + b1)_d W2 + b2 as one tape node, where _d is dropout at
+    rate dp_l in training.
+
+    The forward runs in place on the one (n, hidden) array h, and the
+    closed-form backward computes the gradient of x only when x requires
+    one: the appnp features are constant, so their g @ W1^T is never formed.
+    """
+    w1, b1, w2, b2 = (tensors[name] for name in
+                      ("mlp.w1", "mlp.b1", "mlp.w2", "mlp.b2"))
+    dropping = training and cfg.dp_l > 0.0
+    x_d, x_mask, h_mask = x.data, None, None
+    if dropping:
+        x_mask = _dropout_mask(x.shape, cfg.dp_l, x.data.dtype, rng)
+        x_d = x_d * x_mask
+    h = x_d @ w1.data
+    h += b1.data
+    np.maximum(h, 0.0, out=h)
+    if dropping:
+        h_mask = _dropout_mask(h.shape, cfg.dp_l, h.dtype, rng)
+        h *= h_mask
+    out = h @ w2.data
+    out += b2.data
+    node = Tensor(out, parents=(x, w1, b1, w2, b2))
+
+    def push(g):
+        b2._accumulate(g.sum(axis=0))
+        w2._accumulate(h.T @ g)
+        g = g @ w2.data.T
+        if h_mask is not None:
+            g *= h_mask
+        # h > 0 wherever the pre-dropout h is; where the mask dropped it,
+        # g is already zero
+        g *= h > 0.0
+        w1._accumulate(x_d.T @ g)
+        b1._accumulate(g.sum(axis=0))
+        if x.requires_grad:
+            g = g @ w1.data.T
+            if x_mask is not None:
+                g *= x_mask
+            x._accumulate(g)
+
+    node._backward_fn = push
+    return node
 
 
 def _combine_layers(stack: Tensor, tensors: dict, params: ModelParams,
@@ -425,10 +489,13 @@ def _operator_and_stack(dataset: Dataset, cfg: TrainConfig
 def _forward(params: ModelParams, dataset: Dataset, cfg: TrainConfig,
              op: SparseOperator, stack: Optional[PropagationStack],
              training: bool = False,
-             rng: Optional[np.random.Generator] = None) -> ForwardTrace:
-    """Full-batch forward pass of the configured pipeline."""
+             rng: Optional[np.random.Generator] = None,
+             rows: Optional[np.ndarray] = None) -> ForwardTrace:
+    """Forward pass of the configured pipeline; ``rows`` selects the sgc_like
+    output rows, and appnp_like always runs on the full batch."""
     if cfg.mode == "sgc_like":
-        return forward_sgc_like(params, stack, cfg, training=training, rng=rng)
+        return forward_sgc_like(params, stack, cfg, training=training, rng=rng,
+                                rows=rows)
     return forward_appnp_like(params, dataset.features, op, cfg,
                               training=training, rng=rng)
 
@@ -471,6 +538,15 @@ def train(dataset: Dataset, split: Split, cfg: TrainConfig) -> TrainResult:
     stale = 0
     history = []
     labels = work.labels
+    # sgc_like rows are independent, so its evaluation reads only the train
+    # and validation rows; appnp_like propagates over the whole graph
+    eval_rows, eval_labels = None, labels
+    eval_train, eval_val = train_idx, val_idx
+    if cfg.mode == "sgc_like":
+        eval_rows = np.concatenate([train_idx, val_idx])
+        eval_labels = labels[eval_rows]
+        eval_train = np.arange(train_idx.size)
+        eval_val = np.arange(train_idx.size, eval_rows.size)
 
     for epoch in range(1, cfg.epochs + 1):
         try:
@@ -491,13 +567,14 @@ def train(dataset: Dataset, split: Split, cfg: TrainConfig) -> TrainResult:
         except DivergenceError as exc:
             raise DivergenceError("training diverged", epoch) from exc
 
-        logits = _forward(params, work, cfg, op, stack).logits.data
-        train_loss = loss(logits, labels, train_idx, params, cfg.l2)
+        logits = _forward(params, work, cfg, op, stack,
+                          rows=eval_rows).logits.data
+        train_loss = loss(logits, eval_labels, eval_train, params, cfg.l2)
         if not np.isfinite(train_loss):
             raise DivergenceError("training loss is not finite", epoch)
         pred = np.argmax(logits, axis=1)
-        train_acc = accuracy(pred, labels, train_idx)
-        val_acc = accuracy(pred, labels, val_idx)
+        train_acc = accuracy(pred, eval_labels, eval_train)
+        val_acc = accuracy(pred, eval_labels, eval_val)
         history.append((epoch, train_loss, train_acc, val_acc))
 
         if val_acc > best_val:

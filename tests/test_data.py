@@ -288,16 +288,6 @@ class TestMakeSplit:
                          (a.test, b.test)):
             np.testing.assert_array_equal(lhs, rhs)
 
-    def test_disjoint_and_in_range_property(self):
-        rng = np.random.default_rng(5)
-        for _ in range(25):
-            n = int(rng.integers(10, 400))
-            mode = ("sparse", "dense", "inductive")[int(rng.integers(3))]
-            split = make_split(n, mode, seed=int(rng.integers(1 << 32)))
-            merged = np.concatenate([split.train, split.validation, split.test])
-            assert np.unique(merged).size == merged.size == n
-            assert merged.min() >= 0 and merged.max() < n
-
     def test_stratified_quotas(self):
         labels = np.repeat(np.arange(4), 25)
         split = make_split(100, "dense", seed=3, stratified=True, labels=labels)

@@ -5,8 +5,9 @@ from scipy.sparse.csgraph import shortest_path
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nodespec.graph import (adjacency, build_graph, estimate_lambda_max,
-                            hop_distances, induced_subgraph,
+from nodespec.graph import (adjacency, build_graph, chebyshev_operator,
+                            estimate_lambda_max, hop_distances,
+                            induced_subgraph,
                             normalized_laplacian, scaled_laplacian, spmm)
 from nodespec.synthetic import er_graph, path_graph
 
@@ -118,6 +119,27 @@ def test_operators_equal_the_matrix_expressions_byte_for_byte(case):
 
 
 @settings(max_examples=200, deadline=None)
+@given(pair_lists(), st.just(2.0) | st.floats(0.05, 20.0))
+@example((0, []), 2.0)
+@example((1, []), 2.0)
+@example((1, []), 1.7)
+@example((4, []), 3.1)
+@example((5, [(0, 1), (1, 2)]), 2.0)
+@example((5, [(0, 1), (1, 2)]), 1.7)
+def test_chebyshev_operator_equals_the_two_pass_build_byte_for_byte(
+        case, lambda_max):
+    # one subtraction from the graph against normalized_laplacian followed
+    # by scaled_laplacian; isolated nodes keep their -1 diagonal entry
+    n, pairs = case
+    g = build_graph(pairs, n)
+    op = chebyshev_operator(g, lambda_max)
+    want = scaled_laplacian(normalized_laplacian(g), lambda_max)
+    assert op.kind == want.kind
+    assert op.matrix.shape == want.matrix.shape
+    assert_same_csr(op.matrix, want.matrix)
+
+
+@settings(max_examples=200, deadline=None)
 @given(pair_lists(), st.none() | st.integers(0, 4),
        st.sampled_from([np.float64, np.float32, np.int64]),
        st.integers(0, 1 << 32))
@@ -204,6 +226,8 @@ class TestScaledLaplacian:
     def test_rejects_nonpositive_lambda_max(self, triangle):
         with pytest.raises(ValueError):
             scaled_laplacian(normalized_laplacian(triangle), 0.0)
+        with pytest.raises(ValueError):
+            chebyshev_operator(triangle, 0.0)
 
 
 class TestLambdaMax:

@@ -331,6 +331,179 @@ class TestGradients:
             np.testing.assert_array_equal(g, 0.0)
 
 
+def _generic_matmul(a, b):
+    out = autodiff.Tensor(a.data @ b.data, parents=(a, b))
+
+    def push(g):
+        a._accumulate(g @ b.data.T)
+        b._accumulate(a.data.T @ g)
+
+    out._backward_fn = push
+    return out
+
+
+def _generic_mul(a, b):
+    out = autodiff.Tensor(a.data * b.data, parents=(a, b))
+
+    def push(g):
+        a._accumulate(autodiff._reduce_to_shape(g * b.data, a.data.shape))
+        b._accumulate(autodiff._reduce_to_shape(g * a.data, b.data.shape))
+
+    out._backward_fn = push
+    return out
+
+
+def _generic_relu(a):
+    out = autodiff.Tensor(np.maximum(a.data, 0.0), parents=(a,))
+
+    def push(g):
+        a._accumulate(g * (a.data > 0.0))
+
+    out._backward_fn = push
+    return out
+
+
+def generic_op_mlp(x, tensors, rate, training, rng):
+    """The MLP as separate generic tape ops, each result a new array: the
+    reference the fused node must reproduce bit for bit."""
+
+    def dropout(t):
+        if not training or rate <= 0.0:
+            return t
+        keep = (rng.random(t.shape) >= rate).astype(t.data.dtype)
+        return _generic_mul(t, autodiff.Tensor(keep / (1.0 - rate)))
+
+    x = dropout(x)
+    h = _generic_relu(_generic_matmul(x, tensors["mlp.w1"])
+                      + tensors["mlp.b1"])
+    h = dropout(h)
+    return _generic_matmul(h, tensors["mlp.w2"]) + tensors["mlp.b2"]
+
+
+class TestFusedMLP:
+    LABELS = np.array([0, 1, 2, 2, 1, 0, 0, 1, 2])
+
+    @staticmethod
+    def setup(dtype=np.float64, x_grad=False, hidden=6):
+        rng = np.random.default_rng(11)
+        arrays = {"mlp.w1": rng.standard_normal((5, hidden)),
+                  "mlp.b1": rng.standard_normal(hidden) * 0.3,
+                  "mlp.w2": rng.standard_normal((hidden, 3)),
+                  "mlp.b2": rng.standard_normal(3)}
+        tensors = {name: parameter(a.astype(dtype))
+                   for name, a in arrays.items()}
+        x = rng.standard_normal((9, 5)).astype(dtype)
+        x = parameter(x) if x_grad else autodiff.Tensor(x)
+        return x, tensors
+
+    @classmethod
+    def loss(cls, build, x, tensors, rate, training=True):
+        # a fresh rng with one seed draws the same dropout masks every call
+        out = build(x, tensors, rate, training, np.random.default_rng(4))
+        return out, autodiff.softmax_cross_entropy(out, cls.LABELS,
+                                                   np.arange(7))
+
+    @classmethod
+    def run(cls, build, x, tensors, rate, training=True):
+        for t in (x, *tensors.values()):
+            t.grad = None
+        out, value = cls.loss(build, x, tensors, rate, training)
+        value.backward()
+        grads = {name: t.grad for name, t in tensors.items()}
+        if x.requires_grad:
+            grads["x"] = x.grad
+        return out.data, grads
+
+    @staticmethod
+    def fused(x, tensors, rate, training, rng):
+        return model._mlp(x, tensors, base_config(dp_l=rate), training, rng)
+
+    @pytest.mark.parametrize("x_grad", [False, True])
+    @pytest.mark.parametrize("rate", [0.0, 0.4])
+    def test_gradcheck(self, x_grad, rate, h=1e-6):
+        # x constant as in appnp_like, or a tape output as in sgc_like
+        x, tensors = self.setup(x_grad=x_grad)
+        _, grads = self.run(self.fused, x, tensors, rate)
+        assert x_grad or x.grad is None
+        targets = dict(tensors, **({"x": x} if x_grad else {}))
+        for name, t in targets.items():
+            numeric = np.zeros_like(t.data)
+            for ix in np.ndindex(t.shape):
+                keep = t.data[ix]
+                t.data[ix] = keep + h
+                up = float(self.loss(self.fused, x, tensors, rate)[1].data)
+                t.data[ix] = keep - h
+                down = float(self.loss(self.fused, x, tensors, rate)[1].data)
+                t.data[ix] = keep
+                numeric[ix] = (up - down) / (2 * h)
+            np.testing.assert_allclose(grads[name], numeric, atol=1e-7,
+                                       err_msg=name)
+
+    @pytest.mark.parametrize("x_grad", [False, True])
+    @pytest.mark.parametrize("training, rate",
+                             [(False, 0.3), (True, 0.0), (True, 0.3)])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_bit_equal_to_generic_ops(self, dtype, training, rate, x_grad):
+        x, tensors = self.setup(dtype, x_grad, hidden=33)
+        want_out, want = self.run(generic_op_mlp, x, tensors, rate, training)
+        got_out, got = self.run(self.fused, x, tensors, rate, training)
+        assert got_out.dtype == dtype
+        assert got_out.tobytes() == want_out.tobytes()
+        assert got.keys() == want.keys()
+        for name, g in want.items():
+            assert got[name].dtype == dtype, name
+            assert got[name].tobytes() == g.tobytes(), name
+
+    def test_float32_stays_float32(self):
+        x, tensors = self.setup(np.float32, x_grad=True)
+        out, grads = self.run(self.fused, x, tensors, 0.3)
+        assert out.dtype == np.float32
+        assert all(g.dtype == np.float32 for g in grads.values())
+
+    @pytest.mark.parametrize("mode, products", [("appnp_like", 0),
+                                                ("sgc_like", 1)])
+    def test_constant_features_skip_the_w1_product(self, toy, monkeypatch,
+                                                   mode, products):
+        # the appnp features need no gradient, so the backward never reads
+        # W1^T; sgc_like's input does, once
+        reads = []
+
+        class WatchedT(np.ndarray):
+            @property
+            def T(self):
+                reads.append(self.shape)
+                return self.view(np.ndarray).T
+
+            def __array_wrap__(self, arr, context=None, return_scalar=False):
+                return arr.view(np.ndarray)
+
+        param_tensors = model._param_tensors
+
+        def watched(params):
+            tensors = param_tensors(params)
+            w1 = tensors["mlp.w1"]
+            w1.data = w1.data.view(WatchedT)
+            return tensors
+
+        monkeypatch.setattr(model, "_param_tensors", watched)
+        cfg = base_config(mode=mode, dp_l=0.5, dp_p=0.5)
+        params = model.init_params(cfg, toy.feature_dim, toy.class_count,
+                                   np.random.default_rng(0))
+        op = model.build_operator(toy.graph, cfg)
+        rng = np.random.default_rng(1)
+        if mode == "sgc_like":
+            stack = propagate(cfg.basis, op, toy.features, cfg.order)
+            trace = model.forward_sgc_like(params, stack, cfg, True, rng)
+        else:
+            trace = model.forward_appnp_like(params, toy.features, op, cfg,
+                                             True, rng)
+        model.attach_loss(trace, toy.labels, np.arange(12), cfg.l2)
+        assert reads == []
+        grads = model.backward(trace)
+        assert len(reads) == products
+        assert np.any(grads["mlp.w1"] != 0.0)
+
+
 class TestLoss:
     def test_confident_correct_logits(self, toy):
         cfg = base_config()
