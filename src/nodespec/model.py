@@ -38,7 +38,7 @@ from .autodiff import (Tensor, log_softmax_nll, parameter, propagation,
 from .data import Dataset, Split, subset, validate_split
 from .evaluate import accuracy
 from .graph import (Graph, SparseOperator, chebyshev_operator,
-                    estimate_lambda_max, normalized_laplacian, scaled_laplacian)
+                    estimate_lambda_max, normalized_laplacian)
 from .polyfilter import PropagationStack, propagate
 
 MODES = ("appnp_like", "sgc_like", "global_only")
@@ -217,15 +217,14 @@ def spectrum_bound(lap: SparseOperator,
 
 
 def build_operator(graph: Graph, cfg: TrainConfig) -> SparseOperator:
-    """Propagation operator for the configured basis. A Chebyshev operator
-    on a fixed lambda_max is assembled from the graph in one pass; an
-    estimated one scales the Laplacian the estimate ran on."""
+    """Propagation operator for the configured basis. The Chebyshev operator
+    is assembled from the graph in one pass; only an estimated lambda_max
+    builds the normalized Laplacian to run the estimate on."""
     if cfg.basis != "chebyshev":
         return normalized_laplacian(graph)
-    if not cfg.estimate_spectrum:
-        return chebyshev_operator(graph, cfg.lambda_max)
-    lap = normalized_laplacian(graph)
-    return scaled_laplacian(lap, spectrum_bound(lap, cfg)[0])
+    lam = (spectrum_bound(normalized_laplacian(graph), cfg)[0]
+           if cfg.estimate_spectrum else cfg.lambda_max)
+    return chebyshev_operator(graph, lam)
 
 
 def _dropout_mask(shape: tuple, rate: float, dtype,
@@ -489,13 +488,10 @@ def _operator_and_stack(dataset: Dataset, cfg: TrainConfig
 def _forward(params: ModelParams, dataset: Dataset, cfg: TrainConfig,
              op: SparseOperator, stack: Optional[PropagationStack],
              training: bool = False,
-             rng: Optional[np.random.Generator] = None,
-             rows: Optional[np.ndarray] = None) -> ForwardTrace:
-    """Forward pass of the configured pipeline; ``rows`` selects the sgc_like
-    output rows, and appnp_like always runs on the full batch."""
+             rng: Optional[np.random.Generator] = None) -> ForwardTrace:
+    """Full-batch forward pass of the configured pipeline."""
     if cfg.mode == "sgc_like":
-        return forward_sgc_like(params, stack, cfg, training=training, rng=rng,
-                                rows=rows)
+        return forward_sgc_like(params, stack, cfg, training=training, rng=rng)
     return forward_appnp_like(params, dataset.features, op, cfg,
                               training=training, rng=rng)
 
@@ -538,15 +534,6 @@ def train(dataset: Dataset, split: Split, cfg: TrainConfig) -> TrainResult:
     stale = 0
     history = []
     labels = work.labels
-    # sgc_like rows are independent, so its evaluation reads only the train
-    # and validation rows; appnp_like propagates over the whole graph
-    eval_rows, eval_labels = None, labels
-    eval_train, eval_val = train_idx, val_idx
-    if cfg.mode == "sgc_like":
-        eval_rows = np.concatenate([train_idx, val_idx])
-        eval_labels = labels[eval_rows]
-        eval_train = np.arange(train_idx.size)
-        eval_val = np.arange(train_idx.size, eval_rows.size)
 
     for epoch in range(1, cfg.epochs + 1):
         try:
@@ -567,14 +554,13 @@ def train(dataset: Dataset, split: Split, cfg: TrainConfig) -> TrainResult:
         except DivergenceError as exc:
             raise DivergenceError("training diverged", epoch) from exc
 
-        logits = _forward(params, work, cfg, op, stack,
-                          rows=eval_rows).logits.data
-        train_loss = loss(logits, eval_labels, eval_train, params, cfg.l2)
+        logits = _forward(params, work, cfg, op, stack).logits.data
+        train_loss = loss(logits, labels, train_idx, params, cfg.l2)
         if not np.isfinite(train_loss):
             raise DivergenceError("training loss is not finite", epoch)
         pred = np.argmax(logits, axis=1)
-        train_acc = accuracy(pred, eval_labels, eval_train)
-        val_acc = accuracy(pred, eval_labels, eval_val)
+        train_acc = accuracy(pred, labels, train_idx)
+        val_acc = accuracy(pred, labels, val_idx)
         history.append((epoch, train_loss, train_acc, val_acc))
 
         if val_acc > best_val:
