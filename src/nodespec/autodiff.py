@@ -1,135 +1,23 @@
-"""Minimal reverse-mode differentiation over numpy arrays.
+"""Closed-form gradient pieces over numpy arrays, for the model's explicit
+backward.
 
-A Tensor records the op that produced it and a closure that pushes gradients
-to its parents; calling backward() on a scalar output replays the tape in
-reverse topological order. The generic ops are the few the loss needs:
-broadcast sums, scaling by a python number, squared norms, and a fused
-softmax cross-entropy. Everything else is a fused node with a closed-form
-backward. ``sigmoid`` is a plain array function, for the model's fused
-combine node.
+``model`` writes each forward as plain numpy, keeps the arrays its backward
+reads, and runs the backward as straight-line code in reverse forward
+order. This module holds the pieces that are not specific to the network:
+``sigmoid``; the mean negative log-softmax and its gradient,
+(softmax - one-hot) / |index| on the index rows; and the adjoint of the
+propagation.
 
-The propagation is one node for the whole (K+1, n, c) stack of layers
-p_k(op) x: its forward is ``polyfilter.polynomial_layers`` (K sparse
-products), and its backward the adjoint recursion ``polynomial_adjoint``,
-sum_k p_k(op) G_k for the layer gradients G_k, in K more (Horner for
-monomial, Clenshaw for Chebyshev and Bernstein). No per-order nodes exist.
-The model's other two fused nodes, the per-node combine of that stack and
-the in-place MLP, live in ``model``.
+The propagation forward is ``polyfilter.polynomial_layers``, the (K+1, n, c)
+stack of layers p_k(op) x in K sparse products. Its backward is the adjoint
+recursion ``polynomial_adjoint``, sum_k p_k(op) G_k for the layer gradients
+G_k, in K more: Horner for monomial, Clenshaw for Chebyshev and Bernstein.
 """
 
 import numpy as np
 
 from .graph import SparseOperator, spmm
-from .polyfilter import bernstein_change, polynomial_layers
-
-
-def _reduce_to_shape(grad: np.ndarray, shape: tuple) -> np.ndarray:
-    """Sum a broadcast gradient back down to the original operand shape."""
-    if grad.shape == shape:
-        return grad
-    extra = grad.ndim - len(shape)
-    if extra > 0:
-        grad = grad.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, dim in enumerate(shape) if dim == 1 and grad.shape[i] != 1)
-    if axes:
-        grad = grad.sum(axis=axes, keepdims=True)
-    return grad
-
-
-class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn")
-
-    def __init__(self, data, requires_grad=False, parents=(), backward_fn=None):
-        self.data = np.asarray(data)
-        if self.data.dtype.kind != "f":
-            self.data = self.data.astype(np.float64)
-        self.grad = None
-        self.requires_grad = requires_grad or any(p.requires_grad for p in parents)
-        self._parents = parents
-        self._backward_fn = backward_fn
-
-    @property
-    def shape(self):
-        return self.data.shape
-
-    def _accumulate(self, grad: np.ndarray) -> None:
-        if not self.requires_grad:
-            return
-        if self.grad is None:
-            self.grad = np.array(grad, dtype=self.data.dtype)
-        else:
-            self.grad += grad
-
-    def backward(self, seed=1.0) -> None:
-        """Reverse pass from this (scalar) tensor with the given seed."""
-        if self.data.ndim != 0 and self.data.size != 1:
-            raise ValueError("backward() expects a scalar output")
-        topo = []
-        seen = set()
-        stack = [(self, False)]
-        while stack:
-            node, expanded = stack.pop()
-            if expanded:
-                topo.append(node)
-                continue
-            if id(node) in seen:
-                continue
-            seen.add(id(node))
-            stack.append((node, True))
-            for parent in node._parents:
-                if parent.requires_grad:
-                    stack.append((parent, False))
-        self.grad = np.asarray(float(seed) * np.ones_like(self.data))
-        for node in reversed(topo):
-            if node._backward_fn is not None and node.grad is not None:
-                node._backward_fn(node.grad)
-
-    # -- arithmetic -------------------------------------------------------
-
-    def __add__(self, other):
-        other = as_tensor(other)
-        out = Tensor(self.data + other.data, parents=(self, other))
-
-        def push(g):
-            self._accumulate(_reduce_to_shape(g, self.data.shape))
-            other._accumulate(_reduce_to_shape(g, other.data.shape))
-
-        out._backward_fn = push
-        return out
-
-    def __mul__(self, scalar):
-        # a python number keeps the array dtype; a wrapped 0-d array would
-        # promote float32 operands to float64
-        if not isinstance(scalar, (int, float)):
-            raise TypeError("a Tensor scales only by a python number")
-        scalar = float(scalar)
-        out = Tensor(self.data * scalar, parents=(self,))
-
-        def push(g):
-            self._accumulate(g * scalar)
-
-        out._backward_fn = push
-        return out
-
-    __radd__ = __add__
-    __rmul__ = __mul__
-
-    def sum_squares(self):
-        out = Tensor(np.sum(self.data * self.data), parents=(self,))
-
-        def push(g):
-            self._accumulate(2.0 * float(g) * self.data)
-
-        out._backward_fn = push
-        return out
-
-
-def as_tensor(value) -> Tensor:
-    return value if isinstance(value, Tensor) else Tensor(value)
-
-
-def parameter(data) -> Tensor:
-    return Tensor(np.array(data), requires_grad=True)
+from .polyfilter import bernstein_change
 
 
 def sigmoid(x: np.ndarray, out=None) -> np.ndarray:
@@ -179,19 +67,6 @@ def polynomial_adjoint(basis: str, op: SparseOperator,
     return out
 
 
-def propagation(basis: str, op: SparseOperator, x: Tensor,
-                order: int) -> Tensor:
-    """The (K+1, n, c) layers p_k(op) @ x as one node; its backward is the
-    adjoint recursion, K sparse products like the forward."""
-    out = Tensor(polynomial_layers(basis, op, x.data, order), parents=(x,))
-
-    def push(g):
-        x._accumulate(polynomial_adjoint(basis, op, g))
-
-    out._backward_fn = push
-    return out
-
-
 def log_softmax_nll(logits: np.ndarray, labels, index):
     """Mean negative log-softmax of the true class over the index set.
 
@@ -209,19 +84,15 @@ def log_softmax_nll(logits: np.ndarray, labels, index):
     return -np.mean(picked), log_probs
 
 
-def softmax_cross_entropy(logits: Tensor, labels, index) -> Tensor:
-    """Mean negative log-softmax of the true class over the index set."""
-    value, log_probs = log_softmax_nll(logits.data, labels, index)
+def log_softmax_nll_grad(logits: np.ndarray, labels, index,
+                         log_probs: np.ndarray) -> np.ndarray:
+    """Gradient of ``log_softmax_nll``'s mean with respect to ``logits``,
+    from the log-softmax it returned: (softmax - one-hot) / |index| on the
+    index rows, zero elsewhere."""
     index = np.asarray(index, dtype=np.int64)
     labels = np.asarray(labels, dtype=np.int64)[index]
-    out = Tensor(value, parents=(logits,))
-
-    def push(g):
-        probs = np.exp(log_probs)
-        probs[np.arange(index.size), labels] -= 1.0
-        full = np.zeros_like(logits.data)
-        full[index] = (float(g) / index.size) * probs
-        logits._accumulate(full)
-
-    out._backward_fn = push
-    return out
+    probs = np.exp(log_probs)
+    probs[np.arange(index.size), labels] -= 1.0
+    full = np.zeros_like(logits)
+    full[index] = (1.0 / index.size) * probs
+    return full

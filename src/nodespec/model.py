@@ -13,33 +13,35 @@ and base-filter matrix Gamma):
 ``global_only`` is the ablation: a single learned coefficient vector gamma
 replaces the factorized per-node coefficients in the appnp pipeline.
 
-Gradients come from the tape in ``autodiff``. The network is three fused
-nodes on it, each with a closed-form backward: ``autodiff.propagation`` for
-the (K+1, n, c) stack; the combine built in ``_combine_layers``, which mixes
-the whole stack with its coefficients; and the MLP built in ``_mlp``, which
-runs in place on one hidden array and skips the gradient of constant
-features. Evaluation and prediction run the same nodes without dropout. The
-Chebyshev operator is assembled from the graph in one pass
-(``graph.chebyshev_operator``). Optimization is Adam with the MLP and filter
-parameters on separate learning rates, and weight decay enters the loss as
-an explicit squared-norm penalty.
+Gradients are explicit. Each forward is plain numpy and keeps, in its
+``ForwardTrace``, the named arrays its backward reads; ``backward`` runs the
+stages in reverse as straight-line code, each with a closed-form gradient:
+the MLP (``_mlp``), which runs in place on one hidden array and never forms
+the gradient of constant features; the filtering-layer dropout; the
+(K+1, n, c) propagation stack, whose backward is the adjoint recursion
+``autodiff.polynomial_adjoint``; and the combine (``_combine_layers``),
+which mixes the whole stack with its coefficients. Evaluation and
+prediction run the same forwards without dropout. The Chebyshev operator is
+assembled from the graph in one pass (``graph.chebyshev_operator``).
+Optimization is Adam with the MLP and filter parameters on separate learning
+rates, and weight decay enters the loss as an explicit squared-norm penalty.
 """
 
 import json
 import struct
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Optional
 
 import numpy as np
 
-from .autodiff import (Tensor, log_softmax_nll, parameter, propagation,
-                       sigmoid, softmax_cross_entropy)
+from .autodiff import (log_softmax_nll, log_softmax_nll_grad,
+                       polynomial_adjoint, sigmoid)
 from .data import Dataset, Split, subset, validate_split
 from .evaluate import accuracy
 from .graph import (Graph, SparseOperator, chebyshev_operator,
                     estimate_lambda_max, normalized_laplacian)
-from .polyfilter import PropagationStack, propagate
+from .polyfilter import PropagationStack, polynomial_layers, propagate
 
 MODES = ("appnp_like", "sgc_like", "global_only")
 
@@ -130,16 +132,19 @@ class ModelParams:
     factorization: Optional[FilterFactorization] = None
     gamma: Optional[np.ndarray] = None   # global_only coefficient vector (K+1, 1)
 
+    @staticmethod
+    def array_names(mode: str) -> tuple:
+        """The names of ``arrays()`` for a mode, in their order."""
+        filters = (("filter.gamma",) if mode == "global_only"
+                   else ("filter.w", "filter.gamma"))
+        return ("mlp.w1", "mlp.b1", "mlp.w2", "mlp.b2") + filters
+
     def arrays(self) -> dict:
         """Trainable arrays in their declared (checkpoint) order."""
-        out = {"mlp.w1": self.w1, "mlp.b1": self.b1,
-               "mlp.w2": self.w2, "mlp.b2": self.b2}
-        if self.mode == "global_only":
-            out["filter.gamma"] = self.gamma
-        else:
-            out["filter.w"] = self.factorization.w
-            out["filter.gamma"] = self.factorization.gamma
-        return out
+        filters = ((self.gamma,) if self.mode == "global_only"
+                   else (self.factorization.w, self.factorization.gamma))
+        return dict(zip(self.array_names(self.mode),
+                        (self.w1, self.b1, self.w2, self.b2, *filters)))
 
     def copy(self) -> "ModelParams":
         fact = None
@@ -152,14 +157,47 @@ class ModelParams:
 
 
 @dataclass
-class ForwardTrace:
-    """Everything the reverse pass needs: the logits tensor (whose tape
-    references all intermediates) and the named parameter tensors."""
+class MLPTrace:
+    """What the MLP forward keeps for its backward."""
 
-    logits: Tensor
-    params: dict
+    weights: dict                   # "mlp.w1", "mlp.b1", "mlp.w2", "mlp.b2"
+    x_d: np.ndarray                 # the input after dropout
+    x_mask: Optional[np.ndarray]    # None without dropout
+    h: np.ndarray                   # the hidden array after ReLU and dropout
+    h_mask: Optional[np.ndarray]
+
+
+@dataclass
+class CombineTrace:
+    """What the combine forward keeps for its backward."""
+
+    weights: dict                   # "filter.w" (absent in global_only),
+                                    # "filter.gamma"
+    z: np.ndarray                   # the (K+1, n, c) stack
+    h: Optional[np.ndarray]         # sigmoid(A); None for global_only
+    eta: np.ndarray                 # (K+1, n) coefficients
+    static: bool                    # A read only the order-0 layer
+
+
+@dataclass
+class ForwardTrace:
+    """One forward pass as plain arrays: the logits, the realized n x (K+1)
+    coefficient matrix, and the named intermediates ``backward`` reads.
+
+    ``dropout`` is the filtering-layer (dp_p) mask, None when nothing was
+    dropped; ``propagation`` is the (basis, operator) pair of the appnp
+    pipeline, None for sgc_like, whose stack is a constant input.
+    ``attach_loss`` fills in the loss gradient of the logits and l2.
+    """
+
+    logits: np.ndarray
     coefficients: np.ndarray
-    loss: Optional[Tensor] = None
+    mlp: MLPTrace
+    combine: CombineTrace
+    dropout: Optional[np.ndarray]
+    propagation: Optional[tuple]
+    logits_grad: Optional[np.ndarray] = None
+    l2: float = 0.0
 
 
 @dataclass
@@ -238,120 +276,115 @@ def _dropout_mask(shape: tuple, rate: float, dtype,
     return keep
 
 
-def _dropout(t: Tensor, rate: float, training: bool,
-             rng: Optional[np.random.Generator]) -> Tensor:
+def _dropout(x: np.ndarray, rate: float, training: bool,
+             rng: Optional[np.random.Generator]
+             ) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """x times an inverted-dropout mask in training, and the mask (None when
+    nothing is dropped)."""
     if not training or rate <= 0.0:
-        return t
-    mask = _dropout_mask(t.shape, rate, t.data.dtype, rng)
-    out = Tensor(t.data * mask, parents=(t,))
-
-    def push(g):
-        t._accumulate(g * mask)
-
-    out._backward_fn = push
-    return out
+        return x, None
+    mask = _dropout_mask(x.shape, rate, x.dtype, rng)
+    return x * mask, mask
 
 
-def _mlp(x: Tensor, tensors: dict, cfg: TrainConfig, training: bool,
-         rng) -> Tensor:
-    """relu(x_d W1 + b1)_d W2 + b2 as one tape node, where _d is dropout at
-    rate dp_l in training.
-
-    The forward runs in place on the one (n, hidden) array h, and the
-    closed-form backward computes the gradient of x only when x requires
-    one: the appnp features are constant, so their g @ W1^T is never formed.
-    """
-    w1, b1, w2, b2 = (tensors[name] for name in
-                      ("mlp.w1", "mlp.b1", "mlp.w2", "mlp.b2"))
+def _mlp(x: np.ndarray, params: ModelParams, cfg: TrainConfig,
+         training: bool, rng) -> tuple[np.ndarray, MLPTrace]:
+    """relu(x_d W1 + b1)_d W2 + b2, where _d is dropout at rate dp_l in
+    training, run in place on the one (n, hidden) array h."""
     dropping = training and cfg.dp_l > 0.0
-    x_d, x_mask, h_mask = x.data, None, None
+    x_d, x_mask, h_mask = x, None, None
     if dropping:
-        x_mask = _dropout_mask(x.shape, cfg.dp_l, x.data.dtype, rng)
-        x_d = x_d * x_mask
-    h = x_d @ w1.data
-    h += b1.data
+        x_mask = _dropout_mask(x.shape, cfg.dp_l, x.dtype, rng)
+        x_d = x * x_mask
+    h = x_d @ params.w1
+    h += params.b1
     np.maximum(h, 0.0, out=h)
     if dropping:
         h_mask = _dropout_mask(h.shape, cfg.dp_l, h.dtype, rng)
         h *= h_mask
-    out = h @ w2.data
-    out += b2.data
-    node = Tensor(out, parents=(x, w1, b1, w2, b2))
-
-    def push(g):
-        b2._accumulate(g.sum(axis=0))
-        w2._accumulate(h.T @ g)
-        g = g @ w2.data.T
-        if h_mask is not None:
-            g *= h_mask
-        # h > 0 wherever the pre-dropout h is; where the mask dropped it,
-        # g is already zero
-        g *= h > 0.0
-        w1._accumulate(x_d.T @ g)
-        b1._accumulate(g.sum(axis=0))
-        if x.requires_grad:
-            g = g @ w1.data.T
-            if x_mask is not None:
-                g *= x_mask
-            x._accumulate(g)
-
-    node._backward_fn = push
-    return node
+    out = h @ params.w2
+    out += params.b2
+    weights = {"mlp.w1": params.w1, "mlp.b1": params.b1,
+               "mlp.w2": params.w2, "mlp.b2": params.b2}
+    return out, MLPTrace(weights, x_d, x_mask, h, h_mask)
 
 
-def _combine_layers(stack: Tensor, tensors: dict, params: ModelParams,
-                    cfg: TrainConfig) -> tuple[Tensor, np.ndarray]:
-    """Mix a (K+1, n, c) stack Z with per-node (or global) coefficients, as
-    one tape node for the whole stack.
+def _mlp_backward(g: np.ndarray, saved: MLPTrace, grads: dict,
+                  x_grad: bool) -> Optional[np.ndarray]:
+    """Put the MLP weight gradients for output gradient g in ``grads``;
+    return the input gradient if ``x_grad``, else None: the appnp features
+    are constant, so their g @ W1^T is never formed."""
+    grads["mlp.b2"] = g.sum(axis=0)
+    grads["mlp.w2"] = saved.h.T @ g
+    g = g @ saved.weights["mlp.w2"].T
+    if saved.h_mask is not None:
+        g *= saved.h_mask
+    # h > 0 wherever the pre-dropout h is; where the mask dropped it, g is
+    # already zero
+    g *= saved.h > 0.0
+    grads["mlp.w1"] = saved.x_d.T @ g
+    grads["mlp.b1"] = g.sum(axis=0)
+    if not x_grad:
+        return None
+    g = g @ saved.weights["mlp.w1"].T
+    if saved.x_mask is not None:
+        g *= saved.x_mask
+    return g
+
+
+def _combine_layers(z: np.ndarray, params: ModelParams,
+                    cfg: TrainConfig) -> tuple[np.ndarray, CombineTrace]:
+    """Mix a (K+1, n, c) stack Z with per-node (or global) coefficients.
 
     Per node, A = Z @ W (Z_0 @ W with static coefficients), H = sigmoid(A),
     eta[k, i] = H[k, i] . Gamma_k, and the output is sum_k eta_k * Z_k;
-    global_only uses eta[k, i] = gamma_k. Returns the combined tensor and the
-    realized n x (K+1) coefficient matrix for diagnostics, a transposed view.
+    global_only uses eta[k, i] = gamma_k.
     """
-    z = stack.data
-    gamma = tensors["filter.gamma"]
-    w = None if params.mode == "global_only" else tensors["filter.w"]
-    static = w is not None and cfg.static_coefficients
-    if w is None:
-        eta = np.broadcast_to(gamma.data, z.shape[:2])
+    if params.mode == "global_only":
+        weights, h, static = {"filter.gamma": params.gamma}, None, False
+        eta = np.broadcast_to(params.gamma, z.shape[:2])
     else:
-        z_a = z[0] if static else z           # the layers that A reads
-        a = z_a @ w.data                      # (n, d) or (K+1, n, d)
+        w, gamma = params.factorization.w, params.factorization.gamma
+        weights = {"filter.w": w, "filter.gamma": gamma}
+        static = cfg.static_coefficients
+        a = (z[0] if static else z) @ w       # (n, d) or (K+1, n, d)
         h = sigmoid(a, out=a)
-        eta = (gamma.data @ h.T if static
-               else np.einsum("kir,kr->ki", h, gamma.data))
-    parents = (stack, gamma) if w is None else (stack, w, gamma)
-    node = Tensor(np.einsum("kic,ki->ic", z, eta), parents=parents)
+        eta = (gamma @ h.T if static
+               else np.einsum("kir,kr->ki", h, gamma))
+    out = np.einsum("kic,ki->ic", z, eta)
+    return out, CombineTrace(weights, z, h, eta, static)
 
-    def push(g):
-        d_eta = np.einsum("kic,ic->ki", z, g)
-        if w is None:
-            gamma._accumulate(d_eta.sum(axis=1, keepdims=True))
+
+def _combine_backward(g: np.ndarray, saved: CombineTrace, grads: dict,
+                      z_grad: bool) -> Optional[np.ndarray]:
+    """Put the filter gradients for output gradient g in ``grads``; return
+    the stack gradient if ``z_grad``, else None (the sgc stack is
+    constant)."""
+    z, h, eta, static = saved.z, saved.h, saved.eta, saved.static
+    gamma = saved.weights["filter.gamma"]
+    w = saved.weights.get("filter.w")
+    d_eta = np.einsum("kic,ic->ki", z, g)
+    if w is None:
+        grads["filter.gamma"] = d_eta.sum(axis=1, keepdims=True)
+    else:
+        if static:
+            grads["filter.gamma"] = d_eta @ h
+            d_a = d_eta.T @ gamma
         else:
-            if static:
-                gamma._accumulate(d_eta @ h)
-                d_a = d_eta.T @ gamma.data
-            else:
-                gamma._accumulate(np.matmul(d_eta[:, None, :], h)[:, 0, :])
-                d_a = d_eta[:, :, None] * gamma.data[:, None, :]
-            d_a *= h
-            d_a *= 1.0 - h
-            w._accumulate(z_a.reshape(-1, z_a.shape[-1]).T
-                          @ d_a.reshape(-1, d_a.shape[-1]))
-        if stack.requires_grad:
-            d_z = eta[:, :, None] * g
-            if w is not None:
-                d_z_a = d_z[0] if static else d_z
-                d_z_a += d_a @ w.data.T
-            stack._accumulate(d_z)
-
-    node._backward_fn = push
-    return node, eta.T
-
-
-def _param_tensors(params: ModelParams) -> dict:
-    return {name: parameter(arr) for name, arr in params.arrays().items()}
+            grads["filter.gamma"] = np.matmul(d_eta[:, None, :], h)[:, 0, :]
+            d_a = d_eta[:, :, None] * gamma[:, None, :]
+        d_a *= h
+        d_a *= 1.0 - h
+        z_a = z[0] if static else z
+        grads["filter.w"] = (z_a.reshape(-1, z_a.shape[-1]).T
+                             @ d_a.reshape(-1, d_a.shape[-1]))
+    if not z_grad:
+        return None
+    d_z = eta[:, :, None] * g
+    if w is not None:
+        d_z_a = d_z[0] if static else d_z
+        d_z_a += d_a @ w.T
+    return d_z
 
 
 def _check_finite(logits: np.ndarray, epoch: int = -1) -> None:
@@ -365,14 +398,14 @@ def forward_appnp_like(params: ModelParams, features: np.ndarray,
                        training: bool = False,
                        rng: Optional[np.random.Generator] = None) -> ForwardTrace:
     """Transform-then-propagate pipeline; logits are the combined output."""
-    tensors = _param_tensors(params)
-    x = Tensor(np.asarray(features, dtype=cfg.dtype))
-    x0 = _mlp(x, tensors, cfg, training, rng)
-    x0 = _dropout(x0, cfg.dp_p, training, rng)
-    stack = propagation(cfg.basis, op, x0, cfg.order)
-    logits, eta = _combine_layers(stack, tensors, params, cfg)
-    _check_finite(logits.data)
-    return ForwardTrace(logits=logits, params=tensors, coefficients=eta)
+    x0, mlp = _mlp(np.asarray(features, dtype=cfg.dtype), params, cfg,
+                   training, rng)
+    x0, mask = _dropout(x0, cfg.dp_p, training, rng)
+    stack = polynomial_layers(cfg.basis, op, x0, cfg.order)
+    logits, combine = _combine_layers(stack, params, cfg)
+    _check_finite(logits)
+    return ForwardTrace(logits, combine.eta.T, mlp, combine, mask,
+                        (cfg.basis, op))
 
 
 def forward_sgc_like(params: ModelParams, stack: PropagationStack,
@@ -386,16 +419,15 @@ def forward_sgc_like(params: ModelParams, stack: PropagationStack,
     """
     if stack.order != cfg.order:
         raise ValueError(f"stack order {stack.order} != config order {cfg.order}")
-    tensors = _param_tensors(params)
     layers = stack.layers
     if rows is not None:
         layers = layers[:, np.asarray(rows, dtype=np.int64)]
-    combined, eta = _combine_layers(
-        Tensor(layers.astype(cfg.dtype, copy=False)), tensors, params, cfg)
-    combined = _dropout(combined, cfg.dp_p, training, rng)
-    logits = _mlp(combined, tensors, cfg, training, rng)
-    _check_finite(logits.data)
-    return ForwardTrace(logits=logits, params=tensors, coefficients=eta)
+    combined, combine = _combine_layers(layers.astype(cfg.dtype, copy=False),
+                                        params, cfg)
+    combined, mask = _dropout(combined, cfg.dp_p, training, rng)
+    logits, mlp = _mlp(combined, params, cfg, training, rng)
+    _check_finite(logits)
+    return ForwardTrace(logits, combine.eta.T, mlp, combine, mask, None)
 
 
 def loss(logits: np.ndarray, labels: np.ndarray, index_set,
@@ -408,26 +440,55 @@ def loss(logits: np.ndarray, labels: np.ndarray, index_set,
     return float(nll + l2 * penalty)
 
 
+def _weights(trace: ForwardTrace) -> dict:
+    """The parameter arrays the trace's forward read, in params.arrays()
+    order."""
+    return {**trace.mlp.weights, **trace.combine.weights}
+
+
 def attach_loss(trace: ForwardTrace, labels: np.ndarray, index_set,
                 l2: float) -> float:
-    """Build the loss on the trace's tape; returns its value."""
-    total = softmax_cross_entropy(trace.logits, labels, index_set)
+    """The training loss of the trace, in the logits' dtype: the mean
+    cross-entropy over index_set plus l2 times each weight's squared norm.
+    Keeps the loss gradient of the logits and l2 on the trace for
+    ``backward``."""
+    l2 = float(l2)
+    total, log_probs = log_softmax_nll(trace.logits, labels, index_set)
+    trace.logits_grad = log_softmax_nll_grad(trace.logits, labels, index_set,
+                                             log_probs)
+    trace.l2 = l2
     if l2 > 0.0:
-        for tensor in trace.params.values():
-            total = total + tensor.sum_squares() * l2
-    trace.loss = total
-    return float(total.data)
+        for arr in _weights(trace).values():
+            total = total + np.sum(arr * arr) * l2
+    return float(total)
 
 
-def backward(trace: ForwardTrace, seed: float = 1.0) -> dict:
-    """Reverse pass through the trace; gradients keyed like params.arrays()."""
-    if trace.loss is None:
+def backward(trace: ForwardTrace) -> dict:
+    """Gradients of the attached loss, keyed like params.arrays(): the
+    forward's stages in reverse order, then the penalty's 2 l2 p."""
+    if trace.logits_grad is None:
         raise ValueError("attach_loss must run before backward")
-    for tensor in trace.params.values():
-        tensor.grad = None
-    trace.loss.backward(seed)
-    return {name: (np.zeros_like(t.data) if t.grad is None else t.grad)
-            for name, t in trace.params.items()}
+    grads = {}
+    if trace.propagation is None:
+        # sgc_like: logits = MLP(dropout(combine(stack)))
+        g = _mlp_backward(trace.logits_grad, trace.mlp, grads, x_grad=True)
+        if trace.dropout is not None:
+            g *= trace.dropout
+        _combine_backward(g, trace.combine, grads, z_grad=False)
+    else:
+        # logits = combine(propagate(dropout(MLP(features))))
+        g = _combine_backward(trace.logits_grad, trace.combine, grads,
+                              z_grad=True)
+        g = polynomial_adjoint(*trace.propagation, g)
+        if trace.dropout is not None:
+            g *= trace.dropout
+        _mlp_backward(g, trace.mlp, grads, x_grad=False)
+    weights = _weights(trace)
+    # no +0.0 addend without a penalty: it would turn a -0.0 gradient to +0.0
+    if trace.l2 > 0.0:
+        for name, arr in weights.items():
+            grads[name] += (2.0 * trace.l2) * arr
+    return {name: grads[name] for name in weights}
 
 
 @dataclass
@@ -554,7 +615,7 @@ def train(dataset: Dataset, split: Split, cfg: TrainConfig) -> TrainResult:
         except DivergenceError as exc:
             raise DivergenceError("training diverged", epoch) from exc
 
-        logits = _forward(params, work, cfg, op, stack).logits.data
+        logits = _forward(params, work, cfg, op, stack).logits
         train_loss = loss(logits, labels, train_idx, params, cfg.l2)
         if not np.isfinite(train_loss):
             raise DivergenceError("training loss is not finite", epoch)
@@ -588,7 +649,7 @@ def eval_outputs(params: ModelParams, dataset: Dataset,
     never seen in training.
     """
     trace = _forward(params, dataset, cfg, *_operator_and_stack(dataset, cfg))
-    return trace.logits.data, trace.coefficients
+    return trace.logits, trace.coefficients
 
 
 def predict(params: ModelParams, dataset: Dataset, cfg: TrainConfig,
@@ -634,6 +695,34 @@ def _read_exact(fh, size: int, path, what: str) -> bytes:
     return raw
 
 
+def _checkpoint_config(header: dict, path) -> TrainConfig:
+    """The config of a checkpoint header, once the header is consistent:
+    its config keys are TrainConfig's fields and pass ``validate``, its mode
+    is the config's, and its arrays are that mode's, in order."""
+    config = header.get("config")
+    if not isinstance(config, dict):
+        raise ValueError(f"{path}: the checkpoint header has no config")
+    names = {f.name for f in fields(TrainConfig)}
+    unknown, missing = sorted(set(config) - names), sorted(names - set(config))
+    if unknown or missing:
+        raise ValueError(f"{path}: the config keys are not TrainConfig's "
+                         f"(unknown {unknown}, missing {missing})")
+    cfg = TrainConfig(**config)
+    try:
+        cfg.validate()
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: invalid config: {exc}") from None
+    if header.get("mode") != cfg.mode:
+        raise ValueError(f"{path}: header mode {header.get('mode')!r} is not "
+                         f"the config's {cfg.mode!r}")
+    arrays = [entry[0] for entry in header.get("arrays", ())]
+    expected = list(ModelParams.array_names(cfg.mode))
+    if arrays != expected:
+        raise ValueError(f"{path}: arrays {arrays} are not the {cfg.mode} "
+                         f"arrays {expected}")
+    return cfg
+
+
 def load_checkpoint(path) -> tuple[ModelParams, TrainConfig]:
     with open(path, "rb") as fh:
         magic = fh.read(len(CHECKPOINT_MAGIC))
@@ -644,7 +733,7 @@ def load_checkpoint(path) -> tuple[ModelParams, TrainConfig]:
         header = json.loads(_read_exact(fh, length, path, "header").decode())
         if header.get("version") != 1:
             raise ValueError(f"{path}: unsupported checkpoint version")
-        cfg = TrainConfig(**header["config"])
+        cfg = _checkpoint_config(header, path)
         data = {}
         for name, shape in header["arrays"]:
             count = int(np.prod(shape)) if shape else 1

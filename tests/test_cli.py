@@ -1,4 +1,6 @@
 import json
+import re
+import struct
 
 import numpy as np
 import pytest
@@ -205,6 +207,47 @@ def test_untrainable_config_exits_one(data_root, capsys, flags, message):
     assert code == 1
     assert out == ""
     assert f"error: {message}" in err
+
+
+def _rewrite_header(src, dst, edit):
+    """Copy checkpoint src to dst with ``edit`` applied to its JSON header."""
+    raw = src.read_bytes()
+    start = len(model.CHECKPOINT_MAGIC)
+    (length,) = struct.unpack("<I", raw[start:start + 4])
+    header = json.loads(raw[start + 4:start + 4 + length])
+    edit(header)
+    blob = json.dumps(header).encode()
+    dst.write_bytes(raw[:start] + struct.pack("<I", len(blob)) + blob
+                    + raw[start + 4 + length:])
+
+
+MALFORMED_HEADERS = {
+    "unknown-config-key": lambda h: h["config"].update(extra=1),
+    "missing-config-key": lambda h: h["config"].pop("dp_p"),
+    "invalid-config": lambda h: h["config"].update(dp_l=1.5),
+    "mode-differs": lambda h: h.update(mode="sgc_like"),
+    "renamed-array": lambda h: h["arrays"][0].__setitem__(0, "mlp.weight1"),
+    "arrays-out-of-order": lambda h: h["arrays"].insert(0, h["arrays"].pop(1)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_HEADERS))
+def test_malformed_checkpoint_fails_with_its_path(data_root, tmp_path, capsys,
+                                                  case):
+    cfg = model.TrainConfig(order=3, hidden=8)
+    params = model.init_params(cfg, 6, 3, np.random.default_rng(0))
+    good, bad = tmp_path / "good.ckpt", tmp_path / "bad.ckpt"
+    model.save_checkpoint(good, params, cfg)
+    model.load_checkpoint(good)
+    _rewrite_header(good, bad, MALFORMED_HEADERS[case])
+    with pytest.raises(ValueError, match=re.escape(f"{bad}: ")):
+        model.load_checkpoint(bad)
+    code, out, err = run_cli(capsys, "eval", "--dataset", "toy",
+                             "--data-root", data_root, "--checkpoint", bad,
+                             "--out-dir", tmp_path / "reports")
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: {bad}: ")
 
 
 def test_filter_response_node_out_of_range_exits_one(data_root, tmp_path,

@@ -9,7 +9,7 @@ import pytest
 
 import nodespec
 from nodespec import autodiff, model, polyfilter
-from nodespec.autodiff import parameter
+from nodespec.autodiff import log_softmax_nll, log_softmax_nll_grad
 from nodespec.data import Split, make_split
 from nodespec.evaluate import accuracy
 from nodespec.graph import build_graph, hop_distances
@@ -30,20 +30,27 @@ def base_config(**kw):
     return model.TrainConfig(**defaults)
 
 
-def eval_loss(params, ds, cfg, idx):
+def eval_loss(params, ds, cfg, idx, dropout_seed=None):
+    # with a dropout seed the forward is a training one, and a fresh rng
+    # draws the same masks on every call
+    training = dropout_seed is not None
+    rng = np.random.default_rng(dropout_seed) if training else None
     op = model.build_operator(ds.graph, cfg)
     if cfg.mode == "sgc_like":
         stack = propagate(cfg.basis, op, ds.features, cfg.order)
-        trace = model.forward_sgc_like(params, stack, cfg)
+        trace = model.forward_sgc_like(params, stack, cfg, training, rng)
     else:
-        trace = model.forward_appnp_like(params, ds.features, op, cfg)
+        trace = model.forward_appnp_like(params, ds.features, op, cfg,
+                                         training, rng)
     return trace, model.attach_loss(trace, ds.labels, idx, cfg.l2)
 
 
-def finite_difference_check(ds, cfg, idx, h=1e-5, tol=1e-5):
-    rng = np.random.default_rng(cfg.seed)
-    params = model.init_params(cfg, ds.feature_dim, ds.class_count, rng)
-    trace, _ = eval_loss(params, ds, cfg, idx)
+def finite_difference_check(ds, cfg, idx, h=1e-5, tol=1e-5,
+                            dropout_seed=None, params=None):
+    if params is None:
+        params = model.init_params(cfg, ds.feature_dim, ds.class_count,
+                                   np.random.default_rng(cfg.seed))
+    trace, _ = eval_loss(params, ds, cfg, idx, dropout_seed)
     grads = model.backward(trace)
     failures = {}
     for name, arr in params.arrays().items():
@@ -53,9 +60,9 @@ def finite_difference_check(ds, cfg, idx, h=1e-5, tol=1e-5):
             ix = it.multi_index
             keep = arr[ix]
             arr[ix] = keep + h
-            _, up = eval_loss(params, ds, cfg, idx)
+            _, up = eval_loss(params, ds, cfg, idx, dropout_seed)
             arr[ix] = keep - h
-            _, down = eval_loss(params, ds, cfg, idx)
+            _, down = eval_loss(params, ds, cfg, idx, dropout_seed)
             arr[ix] = keep
             numeric[ix] = (up - down) / (2 * h)
             it.iternext()
@@ -74,7 +81,7 @@ class TestForward:
         params.factorization.gamma[:] = 0.0
         op = model.build_operator(toy.graph, cfg)
         trace = model.forward_appnp_like(params, toy.features, op, cfg)
-        np.testing.assert_array_equal(trace.logits.data, 0.0)
+        np.testing.assert_array_equal(trace.logits, 0.0)
 
     def test_zero_gamma_sgc_gives_mlp_of_zero(self, toy):
         cfg = base_config(mode="sgc_like")
@@ -88,7 +95,7 @@ class TestForward:
         zeros = np.zeros((1, toy.feature_dim))
         h = np.maximum(zeros @ params.w1 + params.b1, 0.0)
         expected = h @ params.w2 + params.b2
-        np.testing.assert_allclose(trace.logits.data,
+        np.testing.assert_allclose(trace.logits,
                                    np.tile(expected, (toy.n, 1)), atol=1e-12)
 
     def test_zero_projection_reduces_to_global_half_gamma(self, toy):
@@ -103,7 +110,7 @@ class TestForward:
         op = model.build_operator(toy.graph, cfg)
         za = model.forward_appnp_like(params, toy.features, op, cfg)
         zg = model.forward_appnp_like(params_g, toy.features, op, cfg_g)
-        np.testing.assert_allclose(za.logits.data, zg.logits.data, atol=1e-12)
+        np.testing.assert_allclose(za.logits, zg.logits, atol=1e-12)
 
     def test_hand_computed_toy_logits(self):
         # 4-node path, K=1, chebyshev: fully scripted dense computation
@@ -124,7 +131,7 @@ class TestForward:
             h = 1.0 / (1.0 + np.exp(-(layer @ params.factorization.w)))
             eta = h @ params.factorization.gamma[k]
             z += eta[:, None] * layer
-        np.testing.assert_allclose(trace.logits.data, z, atol=1e-12)
+        np.testing.assert_allclose(trace.logits, z, atol=1e-12)
 
     def test_sgc_identical_across_calls(self, toy):
         cfg = base_config(mode="sgc_like")
@@ -132,8 +139,8 @@ class TestForward:
                                    np.random.default_rng(1))
         op = model.build_operator(toy.graph, cfg)
         stack = propagate(cfg.basis, op, toy.features, cfg.order)
-        a = model.forward_sgc_like(params, stack, cfg).logits.data
-        b = model.forward_sgc_like(params, stack, cfg).logits.data
+        a = model.forward_sgc_like(params, stack, cfg).logits
+        b = model.forward_sgc_like(params, stack, cfg).logits
         np.testing.assert_array_equal(a, b)
 
     def test_sgc_minibatch_concatenates_to_full(self, toy):
@@ -142,8 +149,8 @@ class TestForward:
                                    np.random.default_rng(2))
         op = model.build_operator(toy.graph, cfg)
         stack = propagate(cfg.basis, op, toy.features, cfg.order)
-        full = model.forward_sgc_like(params, stack, cfg).logits.data
-        pieces = [model.forward_sgc_like(params, stack, cfg, rows=r).logits.data
+        full = model.forward_sgc_like(params, stack, cfg).logits
+        pieces = [model.forward_sgc_like(params, stack, cfg, rows=r).logits
                   for r in np.array_split(np.arange(toy.n), 4)]
         np.testing.assert_allclose(np.concatenate(pieces), full, atol=1e-12)
 
@@ -246,7 +253,7 @@ class TestGradients:
 
     @pytest.mark.parametrize("basis", ["monomial", "chebyshev", "bernstein"])
     def test_appnp_forward_costs_k_products(self, toy, basis, monkeypatch):
-        # K spmm in the forward and K in the adjoint backward, on the tape
+        # K spmm in the forward and K in the adjoint backward
         calls = []
         spmm = polyfilter.spmm
 
@@ -266,6 +273,21 @@ class TestGradients:
         model.backward(trace)
         assert len(calls) == 20
 
+    @pytest.mark.parametrize("mode", ["appnp_like", "sgc_like",
+                                      "global_only"])
+    def test_dropout_gradcheck(self, toy, mode):
+        # a training forward: the backward applies the MLP's and the
+        # filtering layer's dropout masks
+        cfg = base_config(mode=mode, dp_l=0.3, dp_p=0.3)
+        params = model.init_params(cfg, toy.feature_dim, toy.class_count,
+                                   np.random.default_rng(cfg.seed))
+        # with b1 = 0 a fully dropped input row sits on ReLU's kink, where
+        # the subgradient 0 and a central difference (1/2) disagree
+        params.b1[:] = 0.1
+        failures = finite_difference_check(toy, cfg, np.arange(12),
+                                           dropout_seed=7, params=params)
+        assert not failures, failures
+
     @pytest.mark.parametrize("mode", ["appnp_like", "sgc_like"])
     def test_static_coefficients_gradcheck(self, toy, mode):
         failures = finite_difference_check(
@@ -282,26 +304,28 @@ class TestGradients:
     @pytest.mark.parametrize("mode, static", [
         ("appnp_like", False), ("appnp_like", True), ("global_only", False)])
     def test_combine_gradients_float32_match_float64(self, toy, mode, static):
-        # the fused combine node keeps float32 and agrees with float64
-        cfg = base_config(mode=mode, static_coefficients=static)
-        params = model.init_params(cfg, toy.feature_dim, toy.class_count,
-                                   np.random.default_rng(2))
-        z = np.random.default_rng(3).standard_normal(
-            (cfg.order + 1, toy.n, toy.class_count))
+        # the combine backward keeps float32 and agrees with float64
+        z = np.random.default_rng(3).standard_normal((5, toy.n,
+                                                      toy.class_count))
         grads = {}
-        for dtype in (np.float64, np.float32):
-            tensors = {name: parameter(arr.astype(dtype))
-                       for name, arr in params.arrays().items()}
-            stack = parameter(z.astype(dtype))
-            out, _ = model._combine_layers(stack, tensors, params, cfg)
-            out.sum_squares().backward()
-            got = {"stack": stack.grad, "gamma": tensors["filter.gamma"].grad}
-            if mode != "global_only":
-                got["w"] = tensors["filter.w"].grad
-            assert all(g.dtype == dtype for g in got.values())
-            grads[dtype] = got
-        for name, g64 in grads[np.float64].items():
-            np.testing.assert_allclose(grads[np.float32][name], g64,
+        for precision in ("float64", "float32"):
+            cfg = base_config(mode=mode, static_coefficients=static,
+                              precision=precision)
+            params = model.init_params(cfg, toy.feature_dim, toy.class_count,
+                                       np.random.default_rng(2))
+            out, saved = model._combine_layers(z.astype(cfg.dtype), params,
+                                               cfg)
+            got = {}
+            # 2 out is the gradient of sum(out ** 2)
+            got["stack"] = model._combine_backward(2.0 * out, saved, got,
+                                                   z_grad=True)
+            filters = {"filter.gamma"} | (set() if mode == "global_only"
+                                          else {"filter.w"})
+            assert got.keys() == filters | {"stack"}
+            assert all(g.dtype == cfg.dtype for g in got.values())
+            grads[precision] = got
+        for name, g64 in grads["float64"].items():
+            np.testing.assert_allclose(grads["float32"][name], g64,
                                        rtol=1e-4, atol=1e-5 * np.abs(g64).max())
 
     def test_monomial_appnp_gradcheck(self, toy):
@@ -321,120 +345,104 @@ class TestGradients:
             grads["filter.w"],
             2 * cfg.l2 * params.factorization.w, atol=1e-12)
 
-    def test_zero_seed_zero_grads(self, toy):
-        cfg = base_config()
-        params = model.init_params(cfg, toy.feature_dim, toy.class_count,
-                                   np.random.default_rng(1))
-        trace, _ = eval_loss(params, toy, cfg, np.arange(10))
-        grads = model.backward(trace, seed=0.0)
-        for g in grads.values():
-            np.testing.assert_array_equal(g, 0.0)
 
+def generic_op_mlp(x, params, rate, training, rng, x_grad):
+    """The MLP as separate out-of-place numpy ops, forward and backward,
+    each result a new array: the reference the in-place forward and the
+    closed-form backward must reproduce bit for bit. Returns the logits and
+    a function from their gradient to the gradients of the weights, and of
+    x when ``x_grad``."""
 
-def _generic_matmul(a, b):
-    out = autodiff.Tensor(a.data @ b.data, parents=(a, b))
-
-    def push(g):
-        a._accumulate(g @ b.data.T)
-        b._accumulate(a.data.T @ g)
-
-    out._backward_fn = push
-    return out
-
-
-def _generic_mul(a, b):
-    out = autodiff.Tensor(a.data * b.data, parents=(a, b))
-
-    def push(g):
-        a._accumulate(autodiff._reduce_to_shape(g * b.data, a.data.shape))
-        b._accumulate(autodiff._reduce_to_shape(g * a.data, b.data.shape))
-
-    out._backward_fn = push
-    return out
-
-
-def _generic_relu(a):
-    out = autodiff.Tensor(np.maximum(a.data, 0.0), parents=(a,))
-
-    def push(g):
-        a._accumulate(g * (a.data > 0.0))
-
-    out._backward_fn = push
-    return out
-
-
-def generic_op_mlp(x, tensors, rate, training, rng):
-    """The MLP as separate generic tape ops, each result a new array: the
-    reference the fused node must reproduce bit for bit."""
-
-    def dropout(t):
+    def mask(shape):
         if not training or rate <= 0.0:
-            return t
-        keep = (rng.random(t.shape) >= rate).astype(t.data.dtype)
-        return _generic_mul(t, autodiff.Tensor(keep / (1.0 - rate)))
+            return None
+        keep = (rng.random(shape) >= rate).astype(x.dtype)
+        return keep / (1.0 - rate)
 
-    x = dropout(x)
-    h = _generic_relu(_generic_matmul(x, tensors["mlp.w1"])
-                      + tensors["mlp.b1"])
-    h = dropout(h)
-    return _generic_matmul(h, tensors["mlp.w2"]) + tensors["mlp.b2"]
+    x_mask = mask(x.shape)
+    x_d = x if x_mask is None else x * x_mask
+    pre = x_d @ params.w1 + params.b1
+    h = np.maximum(pre, 0.0)
+    h_mask = mask(h.shape)
+    h_d = h if h_mask is None else h * h_mask
+    out = h_d @ params.w2 + params.b2
+
+    def backward(g):
+        grads = {"mlp.b2": g.sum(axis=0), "mlp.w2": h_d.T @ g}
+        g_h = g @ params.w2.T
+        if h_mask is not None:
+            g_h = g_h * h_mask
+        g_pre = g_h * (pre > 0.0)
+        grads["mlp.w1"] = x_d.T @ g_pre
+        grads["mlp.b1"] = g_pre.sum(axis=0)
+        if x_grad:
+            g_x = g_pre @ params.w1.T
+            grads["x"] = g_x if x_mask is None else g_x * x_mask
+        return grads
+
+    return out, backward
+
+
+def fused_mlp(x, params, rate, training, rng, x_grad):
+    """model._mlp and model._mlp_backward in generic_op_mlp's shape."""
+    out, saved = model._mlp(x, params, base_config(dp_l=rate), training, rng)
+
+    def backward(g):
+        grads = {}
+        g_x = model._mlp_backward(g, saved, grads, x_grad)
+        if x_grad:
+            grads["x"] = g_x
+        return grads
+
+    return out, backward
 
 
 class TestFusedMLP:
     LABELS = np.array([0, 1, 2, 2, 1, 0, 0, 1, 2])
+    INDEX = np.arange(7)
 
     @staticmethod
-    def setup(dtype=np.float64, x_grad=False, hidden=6):
+    def setup(dtype=np.float64, hidden=6):
         rng = np.random.default_rng(11)
-        arrays = {"mlp.w1": rng.standard_normal((5, hidden)),
-                  "mlp.b1": rng.standard_normal(hidden) * 0.3,
-                  "mlp.w2": rng.standard_normal((hidden, 3)),
-                  "mlp.b2": rng.standard_normal(3)}
-        tensors = {name: parameter(a.astype(dtype))
-                   for name, a in arrays.items()}
+        params = model.ModelParams(
+            w1=rng.standard_normal((5, hidden)).astype(dtype),
+            b1=(rng.standard_normal(hidden) * 0.3).astype(dtype),
+            w2=rng.standard_normal((hidden, 3)).astype(dtype),
+            b2=rng.standard_normal(3).astype(dtype), mode="appnp_like")
         x = rng.standard_normal((9, 5)).astype(dtype)
-        x = parameter(x) if x_grad else autodiff.Tensor(x)
-        return x, tensors
+        return x, params
 
     @classmethod
-    def loss(cls, build, x, tensors, rate, training=True):
+    def run(cls, build, x, params, rate, x_grad, training=True):
+        """Logits, the mean NLL over INDEX, and its gradients."""
         # a fresh rng with one seed draws the same dropout masks every call
-        out = build(x, tensors, rate, training, np.random.default_rng(4))
-        return out, autodiff.softmax_cross_entropy(out, cls.LABELS,
-                                                   np.arange(7))
-
-    @classmethod
-    def run(cls, build, x, tensors, rate, training=True):
-        for t in (x, *tensors.values()):
-            t.grad = None
-        out, value = cls.loss(build, x, tensors, rate, training)
-        value.backward()
-        grads = {name: t.grad for name, t in tensors.items()}
-        if x.requires_grad:
-            grads["x"] = x.grad
-        return out.data, grads
-
-    @staticmethod
-    def fused(x, tensors, rate, training, rng):
-        return model._mlp(x, tensors, base_config(dp_l=rate), training, rng)
+        out, backward = build(x, params, rate, training,
+                              np.random.default_rng(4), x_grad)
+        value, log_probs = log_softmax_nll(out, cls.LABELS, cls.INDEX)
+        grads = backward(log_softmax_nll_grad(out, cls.LABELS, cls.INDEX,
+                                              log_probs))
+        return out, float(value), grads
 
     @pytest.mark.parametrize("x_grad", [False, True])
     @pytest.mark.parametrize("rate", [0.0, 0.4])
     def test_gradcheck(self, x_grad, rate, h=1e-6):
-        # x constant as in appnp_like, or a tape output as in sgc_like
-        x, tensors = self.setup(x_grad=x_grad)
-        _, grads = self.run(self.fused, x, tensors, rate)
-        assert x_grad or x.grad is None
-        targets = dict(tensors, **({"x": x} if x_grad else {}))
-        for name, t in targets.items():
-            numeric = np.zeros_like(t.data)
-            for ix in np.ndindex(t.shape):
-                keep = t.data[ix]
-                t.data[ix] = keep + h
-                up = float(self.loss(self.fused, x, tensors, rate)[1].data)
-                t.data[ix] = keep - h
-                down = float(self.loss(self.fused, x, tensors, rate)[1].data)
-                t.data[ix] = keep
+        # x constant as in appnp_like, or needing a gradient as in sgc_like
+        x, params = self.setup()
+        _, _, grads = self.run(fused_mlp, x, params, rate, x_grad)
+        targets = {"mlp.w1": params.w1, "mlp.b1": params.b1,
+                   "mlp.w2": params.w2, "mlp.b2": params.b2}
+        if x_grad:
+            targets["x"] = x
+        assert grads.keys() == targets.keys()
+        for name, arr in targets.items():
+            numeric = np.zeros_like(arr)
+            for ix in np.ndindex(arr.shape):
+                keep = arr[ix]
+                arr[ix] = keep + h
+                up = self.run(fused_mlp, x, params, rate, x_grad)[1]
+                arr[ix] = keep - h
+                down = self.run(fused_mlp, x, params, rate, x_grad)[1]
+                arr[ix] = keep
                 numeric[ix] = (up - down) / (2 * h)
             np.testing.assert_allclose(grads[name], numeric, atol=1e-7,
                                        err_msg=name)
@@ -444,9 +452,11 @@ class TestFusedMLP:
                              [(False, 0.3), (True, 0.0), (True, 0.3)])
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_bit_equal_to_generic_ops(self, dtype, training, rate, x_grad):
-        x, tensors = self.setup(dtype, x_grad, hidden=33)
-        want_out, want = self.run(generic_op_mlp, x, tensors, rate, training)
-        got_out, got = self.run(self.fused, x, tensors, rate, training)
+        x, params = self.setup(dtype, hidden=33)
+        want_out, _, want = self.run(generic_op_mlp, x, params, rate, x_grad,
+                                     training)
+        got_out, _, got = self.run(fused_mlp, x, params, rate, x_grad,
+                                   training)
         assert got_out.dtype == dtype
         assert got_out.tobytes() == want_out.tobytes()
         assert got.keys() == want.keys()
@@ -455,15 +465,14 @@ class TestFusedMLP:
             assert got[name].tobytes() == g.tobytes(), name
 
     def test_float32_stays_float32(self):
-        x, tensors = self.setup(np.float32, x_grad=True)
-        out, grads = self.run(self.fused, x, tensors, 0.3)
+        x, params = self.setup(np.float32)
+        out, _, grads = self.run(fused_mlp, x, params, 0.3, x_grad=True)
         assert out.dtype == np.float32
         assert all(g.dtype == np.float32 for g in grads.values())
 
     @pytest.mark.parametrize("mode, products", [("appnp_like", 0),
                                                 ("sgc_like", 1)])
-    def test_constant_features_skip_the_w1_product(self, toy, monkeypatch,
-                                                   mode, products):
+    def test_constant_features_skip_the_w1_product(self, toy, mode, products):
         # the appnp features need no gradient, so the backward never reads
         # W1^T; sgc_like's input does, once
         reads = []
@@ -477,18 +486,10 @@ class TestFusedMLP:
             def __array_wrap__(self, arr, context=None, return_scalar=False):
                 return arr.view(np.ndarray)
 
-        param_tensors = model._param_tensors
-
-        def watched(params):
-            tensors = param_tensors(params)
-            w1 = tensors["mlp.w1"]
-            w1.data = w1.data.view(WatchedT)
-            return tensors
-
-        monkeypatch.setattr(model, "_param_tensors", watched)
         cfg = base_config(mode=mode, dp_l=0.5, dp_p=0.5)
         params = model.init_params(cfg, toy.feature_dim, toy.class_count,
                                    np.random.default_rng(0))
+        params.w1 = params.w1.view(WatchedT)
         op = model.build_operator(toy.graph, cfg)
         rng = np.random.default_rng(1)
         if mode == "sgc_like":
@@ -543,9 +544,9 @@ class TestLoss:
         cfg = base_config(l2=0.0)
         params = model.init_params(cfg, toy.feature_dim, toy.class_count,
                                    np.random.default_rng(1))
-        trace, tape_value = eval_loss(params, toy, cfg, np.arange(12))
-        assert model.loss(trace.logits.data, toy.labels, np.arange(12),
-                          params, 0.0) == tape_value
+        trace, attached = eval_loss(params, toy, cfg, np.arange(12))
+        assert model.loss(trace.logits, toy.labels, np.arange(12),
+                          params, 0.0) == attached
 
 
 class TestAdam:
@@ -707,7 +708,7 @@ class TestPermutationEquivariance:
         params = model.init_params(cfg, ds.feature_dim, ds.class_count,
                                    np.random.default_rng(11))
         op = model.build_operator(ds.graph, cfg)
-        base = model.forward_appnp_like(params, ds.features, op, cfg).logits.data
+        base = model.forward_appnp_like(params, ds.features, op, cfg).logits
 
         perm = np.random.default_rng(12).permutation(ds.n)
         edges = [(int(perm[i]), int(perm[j])) for i in range(ds.n)
@@ -716,7 +717,7 @@ class TestPermutationEquivariance:
         feats2 = np.empty_like(ds.features)
         feats2[perm] = ds.features
         op2 = model.build_operator(g2, cfg)
-        permuted = model.forward_appnp_like(params, feats2, op2, cfg).logits.data
+        permuted = model.forward_appnp_like(params, feats2, op2, cfg).logits
         np.testing.assert_allclose(permuted[perm], base, atol=1e-10)
 
 
@@ -730,10 +731,10 @@ class TestLocalizationOfLogits:
         cfg = base_config(order=2, rank=1, hidden=6)
         params = model.init_params(cfg, 4, 2, np.random.default_rng(13))
         op = model.build_operator(g, cfg)
-        base = model.forward_appnp_like(params, ds.features, op, cfg).logits.data
+        base = model.forward_appnp_like(params, ds.features, op, cfg).logits
         bumped = ds.features.copy()
         bumped[0] += 3.0
-        moved = model.forward_appnp_like(params, bumped, op, cfg).logits.data
+        moved = model.forward_appnp_like(params, bumped, op, cfg).logits
         changed = np.abs(moved - base).max(axis=1) > 0
         dist = hop_distances(g, 0)
         assert not np.any(changed[dist > cfg.order])
