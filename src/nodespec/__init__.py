@@ -10,8 +10,7 @@ from .evaluate import (BinReport, RunSummary, accuracy,
                        coefficient_distance_report, homophily_binned_accuracy,
                        summarize_runs)
 from .graph import (Graph, SparseOperator, build_graph, estimate_lambda_max,
-                    hop_distances, normalized_laplacian, scaled_laplacian,
-                    spmm)
+                    hop_distances, normalized_laplacian, spmm)
 from .homophily import (HomophilyReport, PropositionCheck, graph_homophily,
                         histogram, homophily_report, jaccard_neighbor_distance,
                         label_entropy, node_homophily,

@@ -52,7 +52,6 @@ def polynomial_adjoint(basis: str, op: SparseOperator,
     if basis == "bernstein":
         grads = np.tensordot(bernstein_change(order).astype(grads.dtype),
                              grads, (1, 0))
-        op = op.minus_identity
     # b_k = g_k + 2 op b_{k+1} - b_{k+2}, down to g_0 + op b_1 - b_2
     b1, b2 = grads[order], 0.0
     for k in range(order - 1, 0, -1):

@@ -17,7 +17,6 @@ import numpy as np
 from . import evaluate, homophily, model
 from .data import (Dataset, load_dataset, load_named_dataset, load_split,
                    make_split, save_split)
-from .graph import normalized_laplacian
 from .oracle import run_oracle_checks
 from .polyfilter import BASES, basis_matrix, frequency_response
 
@@ -238,10 +237,8 @@ def cmd_filter_response(args) -> int:
                 "lambda_max from its graph; give the graph with --dataset or "
                 "--edges/--features/--labels")
         dataset = _load_dataset(args) if estimated or args.nodes else None
-        lambda_max = cfg.lambda_max
-        if estimated:
-            lambda_max, _ = model.spectrum_bound(
-                normalized_laplacian(dataset.graph), cfg)
+        lambda_max = (model.build_operator(dataset.graph, cfg).lambda_max
+                      if estimated else cfg.lambda_max)
         table = basis_matrix(cfg.basis, cfg.order, grid, lambda_max)
         if params.mode == "global_only":
             rows.append(("global", table @ params.gamma[:, 0]))

@@ -1,20 +1,18 @@
 """Undirected graphs in CSR form, Laplacian operators, and hop queries.
 
 The graph is immutable once built: symmetric adjacency with sorted rows, no
-self-loops, no duplicate edges. Operators derived from it (normalized and
-scaled Laplacians) are symmetric ``scipy.sparse`` CSR arrays: D^{-1/2} A
-D^{-1/2} is written directly on the adjacency's sorted pattern, and the
-diagonal is merged in by one sparse subtraction, O(nnz) with no sort.
+self-loops, no duplicate edges. Its operators, the normalized Laplacian L
+and the scaled Laplacian 2 L / lambda_max - I, are symmetric ``scipy.sparse``
+CSR arrays: D^{-1/2} A D^{-1/2} is written directly on the adjacency's sorted
+pattern, and the diagonal is merged in by one subtraction, O(nnz), no sort.
 """
 
+import math
 from dataclasses import dataclass
-from functools import cached_property
+from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
-
-NORMALIZED_LAPLACIAN = "normalized_laplacian"
-SCALED_LAPLACIAN = "scaled_laplacian"
 
 
 @dataclass(frozen=True)
@@ -35,10 +33,11 @@ class Graph:
 
 @dataclass(frozen=True)
 class SparseOperator:
-    """Symmetric real CSR matrix tagged with the Laplacian variant it holds."""
+    """Symmetric real CSR matrix: the normalized Laplacian L when
+    ``lambda_max`` is None, else the scaled Laplacian 2 L / lambda_max - I."""
 
     matrix: sp.csr_array
-    kind: str
+    lambda_max: Optional[float] = None
 
     @property
     def n(self) -> int:
@@ -46,12 +45,6 @@ class SparseOperator:
 
     def to_dense(self) -> np.ndarray:
         return self.matrix.toarray()
-
-    @cached_property
-    def minus_identity(self) -> "SparseOperator":
-        """self - I as a scaled Laplacian, built on first use and kept: the
-        Bernstein basis runs the Chebyshev recursion on L - I."""
-        return scaled_laplacian(self, 2.0)
 
 
 def build_graph(edges, n: int) -> Graph:
@@ -123,27 +116,20 @@ def normalized_laplacian(g: Graph) -> SparseOperator:
     expression ``diags(nz) - d @ A @ d`` byte for byte, without the two
     sparse matrix products.
     """
-    return SparseOperator(_shifted_laplacian(g, 1.0, 0.0),
-                          NORMALIZED_LAPLACIAN)
+    return SparseOperator(_shifted_laplacian(g, 1.0, 0.0))
 
 
 def chebyshev_operator(g: Graph, lambda_max: float = 2.0) -> SparseOperator:
     """The scaled Laplacian 2 L / lambda_max - I of g's normalized Laplacian
-    L, assembled in one pass; its arrays equal those of
-    ``scaled_laplacian(normalized_laplacian(g), lambda_max)`` byte for byte.
+    L, assembled in one pass; its arrays equal those of the two-pass
+    ``(2 / lambda_max) * L - I`` byte for byte. At 2.0 it is L - I, on which
+    the Bernstein basis runs too.
     """
-    if lambda_max <= 0:
-        raise ValueError("lambda_max must be positive")
+    if not (math.isfinite(lambda_max) and lambda_max > 0):
+        raise ValueError(f"lambda_max must be finite and positive, "
+                         f"got {lambda_max!r}")
     return SparseOperator(_shifted_laplacian(g, 2.0 / lambda_max, 1.0),
-                          SCALED_LAPLACIAN)
-
-
-def scaled_laplacian(l: SparseOperator, lambda_max: float = 2.0) -> SparseOperator:
-    """Scaled Laplacian 2 L / lambda_max - I, shifting the spectrum to [-1, 1]."""
-    if lambda_max <= 0:
-        raise ValueError("lambda_max must be positive")
-    scaled = (2.0 / lambda_max) * l.matrix - sp.eye_array(l.n)
-    return SparseOperator(scaled, SCALED_LAPLACIAN)
+                          lambda_max)
 
 
 def estimate_lambda_max(op: SparseOperator, tol: float = 1e-9,
@@ -180,7 +166,7 @@ def spmm(op: SparseOperator, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x)
     if x.shape[0] != op.n:
         raise ValueError(f"operand rows {x.shape[0]} != operator dim {op.n}")
-    dtype = x.dtype if x.dtype.kind == "f" else np.float64
+    dtype = x.dtype if np.issubdtype(x.dtype, np.floating) else np.float64
     return (op.matrix @ x).astype(dtype, copy=False)
 
 

@@ -21,13 +21,15 @@ the gradient of constant features; the filtering-layer dropout; the
 (K+1, n, c) propagation stack, whose backward is the adjoint recursion
 ``autodiff.polynomial_adjoint``; and the combine (``_combine_layers``),
 which mixes the whole stack with its coefficients. Evaluation and
-prediction run the same forwards without dropout. The Chebyshev operator is
-assembled from the graph in one pass (``graph.chebyshev_operator``).
+prediction run the same forwards without dropout. ``build_operator`` alone
+picks each basis's operator and its lambda_max, each assembled from the
+graph in one pass.
 Optimization is Adam with the MLP and filter parameters on separate learning
 rates, and weight decay enters the loss as an explicit squared-norm penalty.
 """
 
 import json
+import math
 import struct
 import warnings
 from dataclasses import asdict, dataclass, field, fields
@@ -100,6 +102,9 @@ class TrainConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.precision not in ("float64", "float32"):
             raise ValueError("precision must be float64 or float32")
+        if not (math.isfinite(self.lambda_max) and self.lambda_max > 0):
+            raise ValueError(f"lambda_max must be finite and positive, got "
+                             f"{self.lambda_max!r}")
 
     @property
     def dtype(self):
@@ -235,34 +240,27 @@ def init_params(cfg: TrainConfig, feature_dim: int, class_count: int,
     return ModelParams(w1, b1, w2, b2, cfg.mode, factorization=fact)
 
 
-def spectrum_bound(lap: SparseOperator,
-                   cfg: TrainConfig) -> tuple[float, bool]:
-    """The lambda_max that scales the Chebyshev operator of ``lap``, and
-    whether its power-iteration estimate converged (True when none ran).
-
-    An unconverged estimate falls back to 2.0 with a RuntimeWarning.
-    """
-    if not cfg.estimate_spectrum:
-        return cfg.lambda_max, True
-    lam_max, converged = estimate_lambda_max(lap)
-    if converged:
-        return max(lam_max, 1e-12), True
-    # an unconverged power iteration underestimates; 2 bounds the spectrum
-    warnings.warn(f"the lambda_max power iteration did not converge (last "
-                  f"estimate {lam_max!r}); using the bound 2.0 instead",
-                  RuntimeWarning, stacklevel=2)
-    return 2.0, False
-
-
 def build_operator(graph: Graph, cfg: TrainConfig) -> SparseOperator:
-    """Propagation operator for the configured basis. The Chebyshev operator
-    is assembled from the graph in one pass; only an estimated lambda_max
-    builds the normalized Laplacian to run the estimate on."""
-    if cfg.basis != "chebyshev":
+    """The propagation operator of the configured basis; the only code that
+    picks an operator and its lambda_max. Monomial gets the normalized
+    Laplacian, bernstein ``chebyshev_operator(graph, 2.0)``, and chebyshev
+    the scaled Laplacian at cfg.lambda_max or, with ``estimate_spectrum``, at
+    a power-iteration estimate, which falls back to the bound 2.0 with a
+    RuntimeWarning when it does not converge."""
+    if cfg.basis == "monomial":
         return normalized_laplacian(graph)
-    lam = (spectrum_bound(normalized_laplacian(graph), cfg)[0]
-           if cfg.estimate_spectrum else cfg.lambda_max)
-    return chebyshev_operator(graph, lam)
+    if cfg.basis == "bernstein":
+        return chebyshev_operator(graph, 2.0)
+    if not cfg.estimate_spectrum:
+        return chebyshev_operator(graph, cfg.lambda_max)
+    lam_max, converged = estimate_lambda_max(normalized_laplacian(graph))
+    if not converged:
+        # an unconverged power iteration underestimates; 2 bounds the spectrum
+        warnings.warn(f"the lambda_max power iteration did not converge (last "
+                      f"estimate {lam_max!r}); using the bound 2.0 instead",
+                      RuntimeWarning, stacklevel=2)
+        lam_max = 2.0
+    return chebyshev_operator(graph, max(lam_max, 1e-12))
 
 
 def _dropout_mask(shape: tuple, rate: float, dtype,
@@ -698,7 +696,8 @@ def _read_exact(fh, size: int, path, what: str) -> bytes:
 def _checkpoint_config(header: dict, path) -> TrainConfig:
     """The config of a checkpoint header, once the header is consistent:
     its config keys are TrainConfig's fields and pass ``validate``, its mode
-    is the config's, and its arrays are that mode's, in order."""
+    is the config's, and its arrays are that mode's, in order, with shapes
+    that chain in the forward."""
     config = header.get("config")
     if not isinstance(config, dict):
         raise ValueError(f"{path}: the checkpoint header has no config")
@@ -720,6 +719,19 @@ def _checkpoint_config(header: dict, path) -> TrainConfig:
     if arrays != expected:
         raise ValueError(f"{path}: arrays {arrays} are not the {cfg.mode} "
                          f"arrays {expected}")
+    # f and c are read off mlp.w1 and mlp.w2; every other shape follows
+    shapes = {name: tuple(shape) for name, shape in header["arrays"]}
+    f, c = shapes["mlp.w1"][:1], shapes["mlp.w2"][-1:]
+    hidden = (cfg.hidden,)
+    want = {"mlp.w1": f + hidden, "mlp.b1": hidden, "mlp.w2": hidden + c,
+            "mlp.b2": c,
+            "filter.w": (c if cfg.mode == "appnp_like" else f) + (cfg.rank,),
+            "filter.gamma": (cfg.order + 1,
+                             1 if cfg.mode == "global_only" else cfg.rank)}
+    for name in expected:
+        if shapes[name] != want[name]:
+            raise ValueError(f"{path}: array {name!r} has shape "
+                             f"{shapes[name]}, expected {want[name]}")
     return cfg
 
 
@@ -736,7 +748,7 @@ def load_checkpoint(path) -> tuple[ModelParams, TrainConfig]:
         cfg = _checkpoint_config(header, path)
         data = {}
         for name, shape in header["arrays"]:
-            count = int(np.prod(shape)) if shape else 1
+            count = int(np.prod(shape))
             raw = _read_exact(fh, count * 8, path, f"array {name!r}")
             data[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).astype(
                 cfg.dtype).copy()

@@ -3,8 +3,8 @@
 Three scalar bases are supported on the Laplacian spectrum [0, 2]:
 
 * monomial      p_k(lambda) = lambda^k                  on L
-* chebyshev     T_k(2 lambda / lambda_max - 1)          on the scaled Laplacian
-* bernstein     C(K,k) (1 - lambda/2)^(K-k) (lambda/2)^k on L
+* chebyshev     T_k(2 lambda / lambda_max - 1)          on 2 L / lambda_max - I
+* bernstein     C(K,k) (1 - lambda/2)^(K-k) (lambda/2)^k on L - I
 
 A propagation stack holds the K+1 matrices p_k(operator) @ X as one
 (K+1, n, c) array; combining it with an n x (K+1) coefficient matrix
@@ -22,8 +22,7 @@ from math import comb
 
 import numpy as np
 
-from .graph import (NORMALIZED_LAPLACIAN, SCALED_LAPLACIAN, SparseOperator,
-                    spmm)
+from .graph import SparseOperator, spmm
 
 BASES = ("monomial", "chebyshev", "bernstein")
 
@@ -42,12 +41,20 @@ class PropagationStack:
 
 
 def _check_basis_operator(basis: str, op: SparseOperator) -> None:
+    """Monomial runs on the normalized Laplacian (lambda_max None), chebyshev
+    on a scaled Laplacian at any lambda_max, and bernstein at 2.0."""
     if basis not in BASES:
         raise ValueError(f"unknown basis {basis!r}; expected one of {BASES}")
-    expected = SCALED_LAPLACIAN if basis == "chebyshev" else NORMALIZED_LAPLACIAN
-    if op.kind != expected:
-        raise ValueError(f"{basis} propagation needs a {expected} operator, "
-                         f"got {op.kind}")
+    lam = op.lambda_max
+    if basis == "monomial" and lam is not None:
+        raise ValueError("monomial propagation needs the normalized_laplacian,"
+                         f" got a scaled_laplacian at lambda_max {lam!r}")
+    if basis != "monomial" and lam is None:
+        raise ValueError(f"{basis} propagation needs a scaled_laplacian, got "
+                         "the normalized_laplacian")
+    if basis == "bernstein" and lam != 2.0:
+        raise ValueError("bernstein propagation needs the scaled_laplacian at "
+                         f"lambda_max 2.0, got lambda_max {lam!r}")
 
 
 @lru_cache(maxsize=32)
@@ -66,21 +73,20 @@ def bernstein_change(order: int) -> np.ndarray:
 def polynomial_layers(basis: str, op: SparseOperator, x: np.ndarray,
                       order: int) -> np.ndarray:
     """The K+1 layers p_k(op) @ x as one (K+1, n, c) array in the dtype of x,
-    filled in place: K ``spmm``, plus one GEMM for the Bernstein basis."""
-    if basis not in BASES:
-        raise ValueError(f"unknown basis {basis!r}")
+    filled in place: K ``spmm``, plus one GEMM for the Bernstein basis.
+    Raises ValueError when op is not the basis's operator."""
+    _check_basis_operator(basis, op)
     layers = np.empty((order + 1,) + x.shape, dtype=x.dtype)
     layers[0] = x
     if basis == "monomial":
         for k in range(1, order + 1):
             layers[k] = spmm(op, layers[k - 1])
         return layers
-    # Bernstein runs the Chebyshev recursion on L - I
-    cheb_op = op.minus_identity if basis == "bernstein" else op
+    # Bernstein mixes the Chebyshev layers of op = L - I
     if order >= 1:
-        layers[1] = spmm(cheb_op, x)
+        layers[1] = spmm(op, x)
     for k in range(2, order + 1):
-        np.multiply(spmm(cheb_op, layers[k - 1]), 2.0, out=layers[k])
+        np.multiply(spmm(op, layers[k - 1]), 2.0, out=layers[k])
         layers[k] -= layers[k - 2]
     if basis == "bernstein":
         layers = np.tensordot(bernstein_change(order).astype(x.dtype), layers,
@@ -96,11 +102,10 @@ def propagate(basis: str, op: SparseOperator, x: np.ndarray,
     and chebyshev stacks start at layers[0] == x; for bernstein, layers[0] is
     the k=0 basis term (I - L/2)^K x, not x itself.
     """
-    _check_basis_operator(basis, op)
     if order < 0:
         raise ValueError("order must be non-negative")
     x = np.asarray(x)
-    if x.dtype.kind != "f":
+    if not np.issubdtype(x.dtype, np.floating):
         x = x.astype(np.float64)
     if x.ndim != 2:
         raise ValueError("x must be a dense n x c matrix")

@@ -4,8 +4,8 @@ import pytest
 from nodespec import autodiff
 from nodespec.autodiff import (log_softmax_nll, log_softmax_nll_grad,
                                polynomial_adjoint)
-from nodespec.graph import (build_graph, normalized_laplacian,
-                            scaled_laplacian, spmm)
+from nodespec.graph import (build_graph, chebyshev_operator,
+                            normalized_laplacian, spmm)
 from nodespec.polyfilter import BASES, propagate
 
 
@@ -39,9 +39,10 @@ class TestOps:
                                                     monkeypatch, rng):
         # sum_k <G_k, p_k(op) x> = <sum_k p_k(op) G_k, x>, in K products,
         # in the dtype of the layer gradients
-        lap = normalized_laplacian(
-            build_graph([(0, 1), (1, 2), (2, 3), (1, 4)], 9))
-        op = scaled_laplacian(lap, 1.8) if basis == "chebyshev" else lap
+        g = build_graph([(0, 1), (1, 2), (2, 3), (1, 4)], 9)
+        op = {"monomial": normalized_laplacian(g),
+              "chebyshev": chebyshev_operator(g, 1.8),
+              "bernstein": chebyshev_operator(g, 2.0)}[basis]
         x = rng.standard_normal((9, 3)).astype(dtype)
         grads = rng.standard_normal((order + 1, 9, 3)).astype(dtype)
         layers = propagate(basis, op, x, order).layers

@@ -225,6 +225,12 @@ MALFORMED_HEADERS = {
     "unknown-config-key": lambda h: h["config"].update(extra=1),
     "missing-config-key": lambda h: h["config"].pop("dp_p"),
     "invalid-config": lambda h: h["config"].update(dp_l=1.5),
+    "nan-lambda-max": lambda h: h["config"].update(lambda_max=float("nan")),
+    "inf-lambda-max": lambda h: h["config"].update(lambda_max=float("inf")),
+    "negative-lambda-max": lambda h: h["config"].update(lambda_max=-1.0),
+    # same byte count, so only the shapes tell: 12 x 2 after 8 hidden units
+    "w2-shape": lambda h: h["arrays"][2].__setitem__(1, [12, 2]),
+    "filter-w-shape": lambda h: h["arrays"][4].__setitem__(1, [1, 3]),
     "mode-differs": lambda h: h.update(mode="sgc_like"),
     "renamed-array": lambda h: h["arrays"][0].__setitem__(0, "mlp.weight1"),
     "arrays-out-of-order": lambda h: h["arrays"].insert(0, h["arrays"].pop(1)),

@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 
 from nodespec.graph import (adjacency, build_graph, chebyshev_operator,
                             estimate_lambda_max, hop_distances,
-                            induced_subgraph,
-                            normalized_laplacian, scaled_laplacian, spmm)
+                            induced_subgraph, normalized_laplacian, spmm)
 from nodespec.synthetic import er_graph, path_graph
 
 
@@ -113,9 +112,8 @@ def test_operators_equal_the_matrix_expressions_byte_for_byte(case):
     assert_same_csr(lap.matrix, want)
     estimate = max(estimate_lambda_max(lap)[0], 1e-12)
     for lambda_max in (2.0, estimate):
-        assert_same_csr(scaled_laplacian(lap, lambda_max).matrix,
+        assert_same_csr(chebyshev_operator(g, lambda_max).matrix,
                         (2.0 / lambda_max) * want - sp.eye_array(n))
-    assert_same_csr(lap.minus_identity.matrix, want - sp.eye_array(n))
 
 
 @settings(max_examples=200, deadline=None)
@@ -129,14 +127,14 @@ def test_operators_equal_the_matrix_expressions_byte_for_byte(case):
 def test_chebyshev_operator_equals_the_two_pass_build_byte_for_byte(
         case, lambda_max):
     # one subtraction from the graph against normalized_laplacian followed
-    # by scaled_laplacian; isolated nodes keep their -1 diagonal entry
+    # by (2 / lambda_max) L - I; isolated nodes keep their -1 diagonal entry
     n, pairs = case
     g = build_graph(pairs, n)
     op = chebyshev_operator(g, lambda_max)
-    want = scaled_laplacian(normalized_laplacian(g), lambda_max)
-    assert op.kind == want.kind
-    assert op.matrix.shape == want.matrix.shape
-    assert_same_csr(op.matrix, want.matrix)
+    want = (2.0 / lambda_max) * normalized_laplacian(g).matrix - sp.eye_array(n)
+    assert op.lambda_max == lambda_max
+    assert op.matrix.shape == want.shape
+    assert_same_csr(op.matrix, want)
 
 
 @settings(max_examples=200, deadline=None)
@@ -203,31 +201,31 @@ class TestNormalizedLaplacian:
 
 class TestScaledLaplacian:
     def test_single_edge(self, single_edge):
-        scaled = scaled_laplacian(normalized_laplacian(single_edge), 2.0)
+        scaled = chebyshev_operator(single_edge, 2.0)
         eig = np.sort(np.linalg.eigvalsh(scaled.to_dense()))
         np.testing.assert_allclose(eig, [-1.0, 1.0], atol=1e-12)
 
     def test_zero_matrix_becomes_minus_identity(self):
-        scaled = scaled_laplacian(normalized_laplacian(build_graph([], 2)), 2.0)
+        scaled = chebyshev_operator(build_graph([], 2), 2.0)
         np.testing.assert_allclose(scaled.to_dense(), -np.eye(2))
 
     def test_diagonal_shift(self, triangle):
-        dense = scaled_laplacian(normalized_laplacian(triangle), 2.0).to_dense()
+        dense = chebyshev_operator(triangle, 2.0).to_dense()
         np.testing.assert_allclose(np.diag(dense), 0.0, atol=1e-15)
 
     def test_spectrum_in_unit_interval(self):
         for seed in range(6):
             g = er_graph(24, 0.25, seed=seed)
-            dense = scaled_laplacian(normalized_laplacian(g), 2.0).to_dense()
+            dense = chebyshev_operator(g, 2.0).to_dense()
             eig = np.linalg.eigvalsh(dense)
             assert eig.min() > -1.0 - 1e-10
             assert eig.max() < 1.0 + 1e-10
 
     def test_rejects_nonpositive_lambda_max(self, triangle):
-        with pytest.raises(ValueError):
-            scaled_laplacian(normalized_laplacian(triangle), 0.0)
-        with pytest.raises(ValueError):
-            chebyshev_operator(triangle, 0.0)
+        # nan would fill the operator with NaN, and inf leave exactly -I
+        for lambda_max in (0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite and positive"):
+                chebyshev_operator(triangle, lambda_max)
 
 
 class TestLambdaMax:
@@ -260,7 +258,7 @@ class TestSpmm:
 
     def test_diagonal_operator(self):
         # the scaled zero Laplacian is -I, a pure-diagonal operator
-        op = scaled_laplacian(normalized_laplacian(build_graph([], 2)), 2.0)
+        op = chebyshev_operator(build_graph([], 2), 2.0)
         x = np.array([[1.0, 2.0], [3.0, 4.0]])
         np.testing.assert_allclose(spmm(op, x), -x)
 

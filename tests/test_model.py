@@ -2,17 +2,19 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import nodespec
-from nodespec import autodiff, model, polyfilter
+from nodespec import autodiff, graph, model, polyfilter
 from nodespec.autodiff import log_softmax_nll, log_softmax_nll_grad
 from nodespec.data import Split, make_split
 from nodespec.evaluate import accuracy
-from nodespec.graph import build_graph, hop_distances
+from nodespec.graph import (build_graph, chebyshev_operator, hop_distances,
+                            normalized_laplacian)
 from nodespec.polyfilter import propagate
 from nodespec.synthetic import path_graph, planted_partition_dataset
 
@@ -183,6 +185,37 @@ class TestForward:
         op = model.build_operator(toy.graph, cfg)
         with pytest.raises(model.DivergenceError):
             model.forward_appnp_like(params, bad, op, cfg)
+
+    def test_forward_rejects_another_basis_operator(self, toy):
+        cfg = base_config(basis="bernstein")
+        params = model.init_params(cfg, toy.feature_dim, toy.class_count,
+                                   np.random.default_rng(0))
+        for op in (normalized_laplacian(toy.graph),
+                   chebyshev_operator(toy.graph, 1.8)):
+            with pytest.raises(ValueError, match="bernstein propagation"):
+                model.forward_appnp_like(params, toy.features, op, cfg)
+
+
+@pytest.mark.parametrize("basis, estimate, builds", [
+    ("monomial", False, 1), ("chebyshev", False, 1), ("bernstein", False, 1),
+    ("bernstein", True, 1), ("chebyshev", True, 2)])
+def test_build_operator_assembles_one_matrix_per_basis(
+        basis, estimate, builds, monkeypatch):
+    # an estimated Chebyshev operator also builds L to run the estimate on
+    calls = []
+    assemble = graph._shifted_laplacian
+
+    def counting(g, scale, shift):
+        calls.append((scale, shift))
+        return assemble(g, scale, shift)
+
+    monkeypatch.setattr(graph, "_shifted_laplacian", counting)
+    cfg = base_config(basis=basis, estimate_spectrum=estimate)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        op = model.build_operator(path_graph(30), cfg)
+    assert len(calls) == builds
+    assert (op.lambda_max is None) == (basis == "monomial")
 
 
 def test_unconverged_spectrum_estimate_warns_and_names_the_fallback():
@@ -642,7 +675,10 @@ class TestTrain:
 
     @pytest.mark.parametrize("field, value, message", [
         ("epochs", 0, "epochs"), ("hidden", 0, "hidden width"),
-        ("batch_size", 0, "batch size"), ("batch_size", -4, "batch size")])
+        ("batch_size", 0, "batch size"), ("batch_size", -4, "batch size"),
+        ("lambda_max", np.nan, "lambda_max"), ("lambda_max", np.inf,
+                                               "lambda_max"),
+        ("lambda_max", -1.0, "lambda_max")])
     def test_untrainable_config_rejected(self, toy, field, value, message):
         split = make_split(toy.n, "dense", seed=0)
         cfg = base_config(mode="sgc_like", **{field: value})

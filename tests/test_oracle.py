@@ -4,8 +4,8 @@ import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nodespec.graph import (NORMALIZED_LAPLACIAN, SparseOperator, build_graph,
-                            normalized_laplacian, spmm)
+from nodespec.graph import (SparseOperator, build_graph, normalized_laplacian,
+                            spmm)
 from nodespec.model import TrainConfig, build_operator
 from nodespec.oracle import (SpectralFilter, eigendecompose, exact_filter,
                              filter_at_node, localization_check,
@@ -15,7 +15,7 @@ from nodespec.synthetic import er_graph, path_graph, random_tree
 
 
 def dense_operator(a):
-    return SparseOperator(sp.csr_array(a), NORMALIZED_LAPLACIAN)
+    return SparseOperator(sp.csr_array(a))
 
 
 class TestEigendecompose:

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from nodespec import polyfilter
-from nodespec.graph import (build_graph, normalized_laplacian,
-                            scaled_laplacian, spmm)
+from nodespec.graph import (build_graph, chebyshev_operator,
+                            normalized_laplacian, spmm)
 from nodespec.oracle import SpectralFilter, eigendecompose, exact_filter
 from nodespec.polyfilter import (BASES, basis_matrix, bernstein_change,
                                  combine, frequency_response, propagate)
@@ -11,9 +11,9 @@ from nodespec.synthetic import er_graph, path_graph
 
 
 def _operators(graph):
-    lap = normalized_laplacian(graph)
-    return {"monomial": lap, "bernstein": lap,
-            "chebyshev": scaled_laplacian(lap, 2.0)}
+    return {"monomial": normalized_laplacian(graph),
+            "bernstein": chebyshev_operator(graph, 2.0),
+            "chebyshev": chebyshev_operator(graph, 2.0)}
 
 
 class TestPropagate:
@@ -78,6 +78,10 @@ class TestPropagate:
             propagate("chebyshev", ops["monomial"], x, 2)
         with pytest.raises(ValueError, match="normalized_laplacian"):
             propagate("monomial", ops["chebyshev"], x, 2)
+        # bernstein needs the scaled Laplacian at exactly 2.0
+        for op in (ops["monomial"], chebyshev_operator(g, 1.8)):
+            with pytest.raises(ValueError, match="bernstein propagation"):
+                polyfilter.polynomial_layers("bernstein", op, x, 2)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_stack_keeps_float_dtype(self, dtype, rng):
@@ -115,7 +119,7 @@ class TestBernsteinEngine:
         lap = normalized_laplacian(g)
         es = eigendecompose(lap)
         x = np.random.default_rng(order).standard_normal((g.n, 2))
-        stack = propagate("bernstein", lap, x, order)
+        stack = propagate("bernstein", chebyshev_operator(g, 2.0), x, order)
         for k, layer in enumerate(stack.layers):
             filt = SpectralFilter(
                 lambda lam, k=k: basis_matrix("bernstein", order, lam)[:, k])
