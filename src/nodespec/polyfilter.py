@@ -19,6 +19,7 @@ K(K+3)/2 products and its C(K,k) factors amplify rounding.
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
+from typing import Optional
 
 import numpy as np
 
@@ -70,24 +71,52 @@ def bernstein_change(order: int) -> np.ndarray:
     return change
 
 
+def _recursion(op: SparseOperator, x: np.ndarray, order: int,
+               chebyshev: bool, layers: Optional[np.ndarray] = None):
+    """Yield x, then p_k(op) @ x for k = 1..K, holding only the two layers
+    the next one needs: p_k = op p_{k-1} for the monomial basis,
+    T_k = 2 op T_{k-1} - T_{k-2} for the Chebyshev one. Layer k is written
+    into layers[k] when a (K+1, n, c) array is given, else into a fresh
+    array."""
+    prev, cur = None, x
+    yield cur
+    for k in range(1, order + 1):
+        slot = None if layers is None else layers[k]
+        if chebyshev and k >= 2:
+            nxt = np.multiply(spmm(op, cur), 2.0, out=slot)
+            nxt -= prev
+        else:
+            nxt = spmm(op, cur)
+            if slot is not None:
+                slot[...] = nxt
+                nxt = slot
+        prev, cur = cur, nxt
+        yield cur
+
+
+def iter_layers(basis: str, op: SparseOperator, x: np.ndarray, order: int):
+    """The K+1 layers p_k(op) @ x, one at a time and in order, in the dtype
+    of x. Monomial and chebyshev never hold more than three layers;
+    bernstein, whose every layer mixes all Chebyshev layers, yields the
+    rows of ``polynomial_layers``. Raises ValueError when op is not the
+    basis's operator."""
+    if basis == "bernstein":
+        return iter(polynomial_layers(basis, op, x, order))
+    _check_basis_operator(basis, op)
+    return _recursion(op, x, order, basis == "chebyshev")
+
+
 def polynomial_layers(basis: str, op: SparseOperator, x: np.ndarray,
                       order: int) -> np.ndarray:
-    """The K+1 layers p_k(op) @ x as one (K+1, n, c) array in the dtype of x,
-    filled in place: K ``spmm``, plus one GEMM for the Bernstein basis.
+    """The K+1 layers p_k(op) @ x as one (K+1, n, c) array in the dtype of x:
+    K ``spmm``, plus one GEMM for the Bernstein basis.
     Raises ValueError when op is not the basis's operator."""
     _check_basis_operator(basis, op)
     layers = np.empty((order + 1,) + x.shape, dtype=x.dtype)
     layers[0] = x
-    if basis == "monomial":
-        for k in range(1, order + 1):
-            layers[k] = spmm(op, layers[k - 1])
-        return layers
     # Bernstein mixes the Chebyshev layers of op = L - I
-    if order >= 1:
-        layers[1] = spmm(op, x)
-    for k in range(2, order + 1):
-        np.multiply(spmm(op, layers[k - 1]), 2.0, out=layers[k])
-        layers[k] -= layers[k - 2]
+    for _ in _recursion(op, x, order, basis != "monomial", layers):
+        pass
     if basis == "bernstein":
         layers = np.tensordot(bernstein_change(order).astype(x.dtype), layers,
                               (0, 0))

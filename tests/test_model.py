@@ -176,6 +176,71 @@ class TestForward:
         ratio_dyn = eta_dyn / params.factorization.gamma[:, 0]
         assert np.max(np.abs(ratio_dyn - ratio_dyn[:, [0]])) > 1e-6
 
+    @pytest.mark.parametrize("precision", ["float64", "float32"])
+    @pytest.mark.parametrize("basis", polyfilter.BASES)
+    @pytest.mark.parametrize("mode, static", [("appnp_like", False),
+                                              ("appnp_like", True),
+                                              ("global_only", False)])
+    def test_eval_outputs_match_the_training_forward(
+            self, toy, mode, static, basis, precision, monkeypatch):
+        # blocks of 7 rows split the toy's 20 into three, one of them short
+        monkeypatch.setattr(model, "EVAL_BLOCK_ROWS", 7)
+        cfg = base_config(mode=mode, basis=basis, precision=precision,
+                          static_coefficients=static,
+                          lambda_max=1.8 if basis == "chebyshev" else 2.0)
+        params = model.init_params(cfg, toy.feature_dim, toy.class_count,
+                                   np.random.default_rng(6))
+        op = model.build_operator(toy.graph, cfg)
+        want = model.forward_appnp_like(params, toy.features, op, cfg)
+        got = model.eval_outputs(params, toy, cfg)
+        atol = 1e-12 if precision == "float64" else 1e-5
+        for name, a, b in zip(("logits", "coefficients"), got,
+                              (want.logits, want.coefficients)):
+            assert a.dtype == b.dtype == cfg.dtype and a.shape == b.shape
+            np.testing.assert_allclose(a, b, rtol=0.0, atol=atol, err_msg=name)
+
+    @pytest.mark.parametrize("basis", ["monomial", "chebyshev"])
+    def test_predict_holds_no_stack_and_no_whole_hidden_array(
+            self, toy, basis, monkeypatch):
+        cfg = base_config(mode="appnp_like", basis=basis)
+        params = model.init_params(cfg, toy.feature_dim, toy.class_count,
+                                   np.random.default_rng(0))
+        want = model.predict(params, toy, cfg)[1]
+        rows = []
+
+        def no_stack(*args):
+            raise AssertionError("the evaluation built the whole stack")
+
+        def watched_mlp(x, *args):
+            rows.append(len(x))
+            return mlp(x, *args)
+
+        mlp = model._mlp
+        monkeypatch.setattr(model, "polynomial_layers", no_stack)
+        monkeypatch.setattr(polyfilter, "polynomial_layers", no_stack)
+        monkeypatch.setattr(model, "_mlp", watched_mlp)
+        monkeypatch.setattr(model, "EVAL_BLOCK_ROWS", 8)
+        got = model.predict(params, toy, cfg)[1]
+        assert rows == [8, 8, 4]
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+
+    def test_small_graphs_evaluate_by_the_training_forward(self, toy,
+                                                           monkeypatch):
+        cfg = base_config(mode="appnp_like")
+        params = model.init_params(cfg, toy.feature_dim, toy.class_count,
+                                   np.random.default_rng(0))
+        op = model.build_operator(toy.graph, cfg)
+        want = model.forward_appnp_like(params, toy.features, op, cfg)
+
+        def no_lean_eval(*args):
+            raise AssertionError("a 20-node graph ran _appnp_eval")
+
+        monkeypatch.setattr(model, "EVAL_BLOCK_ROWS", 20)
+        monkeypatch.setattr(model, "_appnp_eval", no_lean_eval)
+        logits, coefficients = model.eval_outputs(params, toy, cfg)
+        assert logits.tobytes() == want.logits.tobytes()
+        assert coefficients.tobytes() == want.coefficients.tobytes()
+
     def test_nan_features_raise_divergence(self, toy):
         cfg = base_config()
         params = model.init_params(cfg, toy.feature_dim, toy.class_count,

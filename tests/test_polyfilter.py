@@ -140,6 +140,42 @@ class TestBernsteinEngine:
         propagate(basis, op, rng.standard_normal((12, 2)), 10)
         assert len(calls) == 10
 
+    @pytest.mark.parametrize("basis", BASES)
+    def test_iter_layers_equal_the_stack(self, basis, rng):
+        g = er_graph(12, 0.3, seed=23)
+        x = rng.standard_normal((12, 3))
+        op = _operators(g)[basis]
+        stack = polyfilter.polynomial_layers(basis, op, x, 6)
+        layers = list(polyfilter.iter_layers(basis, op, x, 6))
+        assert len(layers) == 7
+        for want, got in zip(stack, layers):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("basis", ["monomial", "chebyshev"])
+    def test_iter_layers_runs_one_product_per_layer_taken(self, basis,
+                                                          monkeypatch, rng):
+        calls = []
+
+        def counting_spmm(op, x):
+            calls.append(op)
+            return spmm(op, x)
+
+        monkeypatch.setattr(polyfilter, "spmm", counting_spmm)
+        g = er_graph(12, 0.3, seed=22)
+        layers = polyfilter.iter_layers(basis, _operators(g)[basis],
+                                        rng.standard_normal((12, 2)), 10)
+        assert calls == []
+        for taken in range(1, 4):
+            next(layers)
+            assert len(calls) == taken - 1
+
+    def test_iter_layers_checks_the_operator_before_the_first_layer(self,
+                                                                    rng):
+        g = er_graph(12, 0.3, seed=22)
+        with pytest.raises(ValueError, match="chebyshev propagation"):
+            polyfilter.iter_layers("chebyshev", normalized_laplacian(g),
+                                   rng.standard_normal((12, 2)), 3)
+
     def test_change_of_basis_is_cached_and_read_only(self):
         change = bernstein_change(7)
         assert bernstein_change(7) is change
