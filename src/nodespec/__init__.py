@@ -12,15 +12,13 @@ from .evaluate import (BinReport, RunSummary, accuracy,
 from .graph import (Graph, SparseOperator, build_graph, estimate_lambda_max,
                     hop_distances, normalized_laplacian, spmm)
 from .homophily import (HomophilyReport, PropositionCheck, graph_homophily,
-                        histogram, homophily_report, jaccard_neighbor_distance,
-                        label_entropy, node_homophily,
-                        proposition_closed_forms, proposition_monte_carlo)
-from .model import (AdamState, DivergenceError, FilterFactorization,
-                    ForwardTrace, ModelParams, TrainConfig, TrainResult,
-                    adam_step, attach_loss, backward, forward_appnp_like,
-                    forward_sgc_like, init_params, load_checkpoint, loss,
-                    node_coefficients, parameter_count, predict,
-                    save_checkpoint, train)
+                        histogram, homophily_report, proposition_closed_forms,
+                        proposition_monte_carlo)
+from .model import (AdamState, DivergenceError, ForwardTrace, ModelParams,
+                    TrainConfig, TrainResult, adam_step, attach_loss, backward,
+                    forward_appnp_like, forward_sgc_like, init_params,
+                    load_checkpoint, loss, node_coefficients, param_shapes,
+                    parameter_count, predict, save_checkpoint, train)
 from .oracle import (EigenSystem, SpectralFilter, eigendecompose, exact_filter,
                      filter_at_node, localization_check, run_oracle_checks,
                      translate_filter)

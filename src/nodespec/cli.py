@@ -8,7 +8,7 @@ import argparse
 import json
 import sys
 import time
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import asdict
 from pathlib import Path
 
@@ -93,12 +93,29 @@ def _train_config(args) -> model.TrainConfig:
         estimate_spectrum=args.estimate_lambda_max, precision=args.precision)
 
 
-def _resolve_split(args, dataset: Dataset):
-    spec = args.split
+@contextmanager
+def _checkpoint_errors(path):
+    """Name the checkpoint in a ValueError raised inside: the checkpoint
+    does not fit the dataset it is run on."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def _saved_split(spec: str):
+    """The split saved at ``spec``, or None when spec names a split mode."""
     if spec.endswith(".json") or Path(spec).exists():
         return load_split(spec)
+    return None
+
+
+def _resolve_split(args, dataset: Dataset):
+    split = _saved_split(args.split)
+    if split is not None:
+        return split
     seed = args.split_seed if args.split_seed is not None else args.seed
-    return make_split(dataset.n, spec, seed, stratified=args.stratified,
+    return make_split(dataset.n, args.split, seed, stratified=args.stratified,
                       labels=dataset.labels)
 
 
@@ -180,7 +197,8 @@ def cmd_eval(args) -> int:
     dataset = _load_dataset(args)
     params, cfg = model.load_checkpoint(args.checkpoint)
     split = _resolve_split(args, dataset)
-    logits, psi = model.eval_outputs(params, dataset, cfg)
+    with _checkpoint_errors(args.checkpoint):
+        logits, psi = model.eval_outputs(params, dataset, cfg)
     preds = np.argmax(logits, axis=1)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -240,19 +258,19 @@ def cmd_filter_response(args) -> int:
         lambda_max = (model.build_operator(dataset.graph, cfg).lambda_max
                       if estimated else cfg.lambda_max)
         table = basis_matrix(cfg.basis, cfg.order, grid, lambda_max)
-        if params.mode == "global_only":
-            rows.append(("global", table @ params.gamma[:, 0]))
-        else:
-            gamma = params.factorization.gamma
-            for j in range(gamma.shape[1]):
-                rows.append((f"base_{j}", table @ gamma[:, j]))
+        gamma = params["filter.gamma"]
+        for j in range(gamma.shape[1]):
+            # a global_only model has one gamma column and no projection
+            label = f"base_{j}" if "filter.w" in params else "global"
+            rows.append((label, table @ gamma[:, j]))
         if args.nodes:
             nodes = [int(tok) for tok in args.nodes.split(",")]
             for v in nodes:
                 if not 0 <= v < dataset.n:
                     raise ValueError(f"node {v} out of range for a graph with "
                                      f"n = {dataset.n} nodes")
-            psi = model.node_coefficients(params, dataset, cfg)
+            with _checkpoint_errors(args.checkpoint):
+                psi = model.node_coefficients(params, dataset, cfg)
             for v in nodes:
                 rows.append((f"node_{v}", table @ psi[v]))
     else:
@@ -284,6 +302,8 @@ def cmd_sweep(args) -> int:
     dataset = _load_dataset(args)
     orders = [int(t) for t in args.orders.split(",")]
     ranks = [int(t) for t in args.ranks.split(",")]
+    # a saved split is shared by every run, so only the model seed varies
+    saved = _saved_split(args.split)
     with _output(args.out) as dest:
         dest.write("K,d,runs,mean_accuracy,ci_half_width\n")
         for order in orders:
@@ -293,9 +313,9 @@ def cmd_sweep(args) -> int:
                     cfg = _train_config(args)
                     cfg.order, cfg.rank = order, rank
                     cfg.seed = args.seed + run
-                    split = make_split(dataset.n, args.split, cfg.seed,
-                                       stratified=args.stratified,
-                                       labels=dataset.labels)
+                    split = saved or make_split(
+                        dataset.n, args.split, cfg.seed,
+                        stratified=args.stratified, labels=dataset.labels)
                     result = model.train(dataset, split, cfg)
                     preds, _ = model.predict(result.params, dataset, cfg)
                     accs.append(evaluate.accuracy(preds, dataset.labels,

@@ -74,6 +74,8 @@ def _bin_index(values: np.ndarray, bins: int) -> np.ndarray:
 
 def homophily_binned_accuracy(predictions, labels, graph: Graph, test_set,
                               bins: int = 5) -> BinReport:
+    if bins < 1:
+        raise ValueError("bin_count must be at least 1")
     predictions = np.asarray(predictions)
     labels = np.asarray(labels)
     test = np.asarray(test_set, dtype=np.int64)

@@ -8,8 +8,7 @@ inside the log, so a C-class uniform neighborhood scores ln C.
 ``homophily_report`` counts labels once per scope, an n x C matrix (1-hop
 from A, within-2 from the pattern of (A + I)^2 less the node itself), and
 reads both statistics from it: homophily as counts[i, y_i] / size_i and
-entropy from counts / size. ``node_homophily`` and ``label_entropy`` are the
-per-node references, from a breadth-first search.
+entropy from counts / size.
 
 The proposition checks quantify a two-step Markov chain on labels: each hop
 keeps the label with probability alpha and otherwise moves uniformly to one
@@ -23,7 +22,7 @@ from typing import Optional
 import numpy as np
 import scipy.sparse as sp
 
-from .graph import Graph, adjacency, hop_distances
+from .graph import Graph, adjacency
 
 ENTROPY_EPS = 1e-10
 
@@ -70,24 +69,6 @@ class PropositionCheck:
     se_epsilon_two_vs_one: Optional[float] = None
 
 
-def _scope_neighbors(g: Graph, v: int, scope: str) -> np.ndarray:
-    if scope == HOP1:
-        return g.neighbors(v)
-    if scope == WITHIN2:
-        dist = hop_distances(g, v)
-        return np.flatnonzero((dist > 0) & (dist <= 2))
-    raise ValueError(f"unknown scope {scope!r}")
-
-
-def node_homophily(g: Graph, labels, v: int, scope: str = HOP1) -> float:
-    """Fraction of scoped neighbors sharing v's label; NaN if none."""
-    labels = np.asarray(labels)
-    hood = _scope_neighbors(g, v, scope)
-    if hood.size == 0:
-        return float("nan")
-    return float(np.mean(labels[hood] == labels[v]))
-
-
 def graph_homophily(g: Graph, labels) -> float:
     """Mean 1-hop homophily over nodes that have at least one neighbor."""
     return _graph_ratio(per_node_homophily(g, labels, HOP1))
@@ -101,7 +82,8 @@ def _graph_ratio(h1: np.ndarray) -> float:
 
 
 def per_node_homophily(g: Graph, labels, scope: str = HOP1) -> np.ndarray:
-    """node_homophily for every node at once."""
+    """Per node, the fraction of its scoped neighbors (1-hop, or within two
+    hops) that share its label; NaN for a node without any."""
     _, codes = np.unique(np.asarray(labels), return_inverse=True)
     (counts, sizes), = _scoped_label_counts(g, codes, (scope,))
     return _homophily(counts, sizes, codes)
@@ -148,22 +130,6 @@ def _scoped_label_counts(g: Graph, labels: np.ndarray, scopes,
             raise ValueError(f"unknown scope {scope!r}")
         out.append((counts, counts.sum(axis=1)))
     return out
-
-
-def label_entropy(g: Graph, labels, v: int, scope: str,
-                  class_count: int) -> float:
-    """Entropy of the scoped neighborhood's label distribution.
-
-    Computed as -sum_y (p_y + eps) log(p_y + eps) over all class_count
-    labels with eps = 1e-10; NaN for an empty neighborhood.
-    """
-    labels = np.asarray(labels)
-    hood = _scope_neighbors(g, v, scope)
-    if hood.size == 0:
-        return float("nan")
-    counts = np.bincount(labels[hood], minlength=class_count).astype(np.float64)
-    p = counts / hood.size + ENTROPY_EPS
-    return float(-np.sum(p * np.log(p)))
 
 
 def histogram(values, bin_count: int = 10, value_range=(0.0, 1.0)):
@@ -273,21 +239,9 @@ def proposition_monte_carlo(alpha: float, class_count: int, samples: int,
     return check
 
 
-def jaccard_neighbor_distance(g: Graph, i: int, j: int) -> float:
-    """1 - |N1(i) & N1(j)| / |N1(i) | N1(j)|; 0 when both are empty."""
-    if not (0 <= i < g.n and 0 <= j < g.n):
-        raise ValueError("node id out of range")
-    a = g.neighbors(i)
-    b = g.neighbors(j)
-    union = np.union1d(a, b).size
-    if union == 0:
-        return 0.0
-    inter = np.intersect1d(a, b).size
-    return 1.0 - inter / union
-
-
 def jaccard_neighbor_distances(g: Graph, ii, jj) -> np.ndarray:
-    """jaccard_neighbor_distance for every pair (ii[k], jj[k]) at once.
+    """1 - |N1(i) & N1(j)| / |N1(i) | N1(j)| for every pair (i, j) =
+    (ii[k], jj[k]), 0 where both neighborhoods are empty.
 
     Intersections are counted as row products of the adjacency, a block of
     JACCARD_BLOCK_PAIRS pairs at a time, so memory stays bounded however many

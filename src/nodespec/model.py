@@ -1,7 +1,9 @@
 """Per-node spectral filtering models, gradients, and the training loop.
 
 Two pipelines share the same trainable pieces (a 2-layer MLP, a projection W,
-and base-filter matrix Gamma):
+and base-filter matrix Gamma), declared once, by name and shape, in
+``param_shapes``; ``ModelParams`` maps those names to arrays, and every
+consumer (forwards, backwards, loss, Adam, checkpoints) reads them by name:
 
 * ``appnp_like``  - transform features with the MLP, then run the polynomial
   recursion on the transformed features, mixing each order k with the
@@ -11,7 +13,9 @@ and base-filter matrix Gamma):
   apply the MLP last.
 
 ``global_only`` is the ablation: a single learned coefficient vector gamma
-replaces the factorized per-node coefficients in the appnp pipeline.
+replaces the factorized per-node coefficients in the appnp pipeline. Its
+parameters have no "filter.w", and that absence is how the code below tells
+it apart.
 
 Gradients are explicit. Each forward is plain numpy and keeps, in its
 ``ForwardTrace``, the named arrays its backward reads; ``backward`` runs the
@@ -125,61 +129,17 @@ class TrainConfig:
         return np.float64 if self.precision == "float64" else np.float32
 
 
-@dataclass
-class FilterFactorization:
-    """Low-rank coefficient factors: per-node rows come from sigmoid(X W) Gamma^T."""
-
-    w: np.ndarray       # (c_in, d) projection
-    gamma: np.ndarray   # (K+1, d) base filters
-
-    @property
-    def rank(self) -> int:
-        return self.w.shape[1]
-
-    @property
-    def order(self) -> int:
-        return self.gamma.shape[0] - 1
-
-
-@dataclass
-class ModelParams:
-    w1: np.ndarray
-    b1: np.ndarray
-    w2: np.ndarray
-    b2: np.ndarray
-    mode: str
-    factorization: Optional[FilterFactorization] = None
-    gamma: Optional[np.ndarray] = None   # global_only coefficient vector (K+1, 1)
-
-    @staticmethod
-    def array_names(mode: str) -> tuple:
-        """The names of ``arrays()`` for a mode, in their order."""
-        filters = (("filter.gamma",) if mode == "global_only"
-                   else ("filter.w", "filter.gamma"))
-        return ("mlp.w1", "mlp.b1", "mlp.w2", "mlp.b2") + filters
-
-    def arrays(self) -> dict:
-        """Trainable arrays in their declared (checkpoint) order."""
-        filters = ((self.gamma,) if self.mode == "global_only"
-                   else (self.factorization.w, self.factorization.gamma))
-        return dict(zip(self.array_names(self.mode),
-                        (self.w1, self.b1, self.w2, self.b2, *filters)))
+class ModelParams(dict):
+    """The trainable arrays by name, in ``param_shapes`` order."""
 
     def copy(self) -> "ModelParams":
-        fact = None
-        if self.factorization is not None:
-            fact = FilterFactorization(self.factorization.w.copy(),
-                                       self.factorization.gamma.copy())
-        gamma = None if self.gamma is None else self.gamma.copy()
-        return ModelParams(self.w1.copy(), self.b1.copy(), self.w2.copy(),
-                           self.b2.copy(), self.mode, fact, gamma)
+        return ModelParams((name, arr.copy()) for name, arr in self.items())
 
 
 @dataclass
 class MLPTrace:
     """What the MLP forward keeps for its backward."""
 
-    weights: dict                   # "mlp.w1", "mlp.b1", "mlp.w2", "mlp.b2"
     x_d: np.ndarray                 # the input after dropout
     x_mask: Optional[np.ndarray]    # None without dropout
     h: np.ndarray                   # the hidden array after ReLU and dropout
@@ -190,8 +150,6 @@ class MLPTrace:
 class CombineTrace:
     """What the combine forward keeps for its backward."""
 
-    weights: dict                   # "filter.w" (absent in global_only),
-                                    # "filter.gamma"
     z: np.ndarray                   # the (K+1, n, c) stack
     h: Optional[np.ndarray]         # sigmoid(A); None for global_only
     eta: np.ndarray                 # (K+1, n) coefficients
@@ -201,7 +159,8 @@ class CombineTrace:
 @dataclass
 class ForwardTrace:
     """One forward pass as plain arrays: the logits, the realized n x (K+1)
-    coefficient matrix, and the named intermediates ``backward`` reads.
+    coefficient matrix, the parameters it read, and the named intermediates
+    ``backward`` reads.
 
     ``dropout`` is the filtering-layer (dp_p) mask, None when nothing was
     dropped; ``propagation`` is the (basis, operator) pair of the appnp
@@ -211,6 +170,7 @@ class ForwardTrace:
 
     logits: np.ndarray
     coefficients: np.ndarray
+    params: ModelParams
     mlp: MLPTrace
     combine: CombineTrace
     dropout: Optional[np.ndarray]
@@ -228,30 +188,41 @@ class TrainResult:
     epochs_run: int
 
 
+def param_shapes(cfg: TrainConfig, feature_dim: int,
+                 class_count: int) -> dict:
+    """The trainable arrays of cfg's mode, name -> shape, in checkpoint
+    order: the MLP's, then the projection W (c_in x d, where c_in is the
+    width the coefficients are read from) unless global_only, then Gamma,
+    one column per rank (one for global_only)."""
+    shapes = {"mlp.w1": (feature_dim, cfg.hidden), "mlp.b1": (cfg.hidden,),
+              "mlp.w2": (cfg.hidden, class_count), "mlp.b2": (class_count,)}
+    if cfg.mode == "global_only":
+        shapes["filter.gamma"] = (cfg.order + 1, 1)
+    else:
+        c_in = class_count if cfg.mode == "appnp_like" else feature_dim
+        shapes["filter.w"] = (c_in, cfg.rank)
+        shapes["filter.gamma"] = (cfg.order + 1, cfg.rank)
+    return shapes
+
+
 def init_params(cfg: TrainConfig, feature_dim: int, class_count: int,
                 rng: np.random.Generator) -> ModelParams:
-    """Fan-scaled symmetric-uniform MLP/W init; decayed-coefficient Gamma."""
+    """Fan-scaled symmetric-uniform weight matrices, drawn in
+    ``param_shapes`` order; zero biases; Gamma columns decaying as
+    0.1 * 0.9^k."""
     cfg.validate()
-    dtype = cfg.dtype
-
-    def uniform(fan_in, shape):
-        bound = 1.0 / np.sqrt(fan_in)
-        return rng.uniform(-bound, bound, size=shape).astype(dtype)
-
-    w1 = uniform(feature_dim, (feature_dim, cfg.hidden))
-    b1 = np.zeros(cfg.hidden, dtype=dtype)
-    w2 = uniform(cfg.hidden, (cfg.hidden, class_count))
-    b2 = np.zeros(class_count, dtype=dtype)
     decay = 0.1 * np.power(0.9, np.arange(cfg.order + 1))
-    if cfg.mode == "global_only":
-        gamma = decay[:, None].astype(dtype)
-        return ModelParams(w1, b1, w2, b2, cfg.mode, gamma=gamma)
-    c_in = class_count if cfg.mode == "appnp_like" else feature_dim
-    fact = FilterFactorization(
-        w=uniform(c_in, (c_in, cfg.rank)),
-        gamma=np.tile(decay[:, None], (1, cfg.rank)).astype(dtype),
-    )
-    return ModelParams(w1, b1, w2, b2, cfg.mode, factorization=fact)
+    params = ModelParams()
+    for name, shape in param_shapes(cfg, feature_dim, class_count).items():
+        if name == "filter.gamma":
+            arr = np.tile(decay[:, None], (1, shape[1]))
+        elif len(shape) == 1:
+            arr = np.zeros(shape)
+        else:
+            bound = 1.0 / np.sqrt(shape[0])
+            arr = rng.uniform(-bound, bound, size=shape)
+        params[name] = arr.astype(cfg.dtype)
+    return params
 
 
 def build_operator(graph: Graph, cfg: TrainConfig) -> SparseOperator:
@@ -308,27 +279,25 @@ def _mlp(x: np.ndarray, params: ModelParams, cfg: TrainConfig,
     if dropping:
         x_mask = _dropout_mask(x.shape, cfg.dp_l, x.dtype, rng)
         x_d = x * x_mask
-    h = x_d @ params.w1
-    h += params.b1
+    h = x_d @ params["mlp.w1"]
+    h += params["mlp.b1"]
     np.maximum(h, 0.0, out=h)
     if dropping:
         h_mask = _dropout_mask(h.shape, cfg.dp_l, h.dtype, rng)
         h *= h_mask
-    out = h @ params.w2
-    out += params.b2
-    weights = {"mlp.w1": params.w1, "mlp.b1": params.b1,
-               "mlp.w2": params.w2, "mlp.b2": params.b2}
-    return out, MLPTrace(weights, x_d, x_mask, h, h_mask)
+    out = h @ params["mlp.w2"]
+    out += params["mlp.b2"]
+    return out, MLPTrace(x_d, x_mask, h, h_mask)
 
 
-def _mlp_backward(g: np.ndarray, saved: MLPTrace, grads: dict,
-                  x_grad: bool) -> Optional[np.ndarray]:
+def _mlp_backward(g: np.ndarray, saved: MLPTrace, params: ModelParams,
+                  grads: dict, x_grad: bool) -> Optional[np.ndarray]:
     """Put the MLP weight gradients for output gradient g in ``grads``;
     return the input gradient if ``x_grad``, else None: the appnp features
     are constant, so their g @ W1^T is never formed."""
     grads["mlp.b2"] = g.sum(axis=0)
     grads["mlp.w2"] = saved.h.T @ g
-    g = g @ saved.weights["mlp.w2"].T
+    g = g @ params["mlp.w2"].T
     if saved.h_mask is not None:
         g *= saved.h_mask
     # h > 0 wherever the pre-dropout h is; where the mask dropped it, g is
@@ -338,7 +307,7 @@ def _mlp_backward(g: np.ndarray, saved: MLPTrace, grads: dict,
     grads["mlp.b1"] = g.sum(axis=0)
     if not x_grad:
         return None
-    g = g @ saved.weights["mlp.w1"].T
+    g = g @ params["mlp.w1"].T
     if saved.x_mask is not None:
         g *= saved.x_mask
     return g
@@ -352,29 +321,28 @@ def _combine_layers(z: np.ndarray, params: ModelParams,
     eta[k, i] = H[k, i] . Gamma_k, and the output is sum_k eta_k * Z_k;
     global_only uses eta[k, i] = gamma_k.
     """
-    if params.mode == "global_only":
-        weights, h, static = {"filter.gamma": params.gamma}, None, False
-        eta = np.broadcast_to(params.gamma, z.shape[:2])
+    gamma, w = params["filter.gamma"], params.get("filter.w")
+    if w is None:
+        h, static = None, False
+        eta = np.broadcast_to(gamma, z.shape[:2])
     else:
-        w, gamma = params.factorization.w, params.factorization.gamma
-        weights = {"filter.w": w, "filter.gamma": gamma}
         static = cfg.static_coefficients
         a = (z[0] if static else z) @ w       # (n, d) or (K+1, n, d)
         h = sigmoid(a, out=a)
         eta = (gamma @ h.T if static
                else np.einsum("kir,kr->ki", h, gamma))
     out = np.einsum("kic,ki->ic", z, eta)
-    return out, CombineTrace(weights, z, h, eta, static)
+    return out, CombineTrace(z, h, eta, static)
 
 
-def _combine_backward(g: np.ndarray, saved: CombineTrace, grads: dict,
+def _combine_backward(g: np.ndarray, saved: CombineTrace,
+                      params: ModelParams, grads: dict,
                       z_grad: bool) -> Optional[np.ndarray]:
     """Put the filter gradients for output gradient g in ``grads``; return
     the stack gradient if ``z_grad``, else None (the sgc stack is
     constant)."""
     z, h, eta, static = saved.z, saved.h, saved.eta, saved.static
-    gamma = saved.weights["filter.gamma"]
-    w = saved.weights.get("filter.w")
+    gamma, w = params["filter.gamma"], params.get("filter.w")
     d_eta = np.einsum("kic,ic->ki", z, g)
     if w is None:
         grads["filter.gamma"] = d_eta.sum(axis=1, keepdims=True)
@@ -417,14 +385,13 @@ def _appnp_eval(params: ModelParams, features: np.ndarray,
     x0 = np.concatenate([_mlp(x[lo:lo + EVAL_BLOCK_ROWS], params, cfg, False,
                               None)[0]
                          for lo in range(0, len(x), EVAL_BLOCK_ROWS)])
+    gamma, w = params["filter.gamma"], params.get("filter.w")
     eta = np.empty((cfg.order + 1, len(x0)), dtype=x0.dtype)
-    if params.mode == "global_only":
-        eta[:] = params.gamma
+    if w is None:
+        eta[:] = gamma
     out = np.zeros_like(x0)
     for k, z in enumerate(iter_layers(cfg.basis, op, x0, cfg.order)):
-        if params.mode != "global_only" and (
-                k == 0 or not cfg.static_coefficients):
-            w, gamma = params.factorization.w, params.factorization.gamma
+        if w is not None and (k == 0 or not cfg.static_coefficients):
             h = sigmoid(z @ w)
             if cfg.static_coefficients:
                 eta[:] = gamma @ h.T
@@ -446,7 +413,7 @@ def forward_appnp_like(params: ModelParams, features: np.ndarray,
     stack = polynomial_layers(cfg.basis, op, x0, cfg.order)
     logits, combine = _combine_layers(stack, params, cfg)
     _check_finite(logits)
-    return ForwardTrace(logits, combine.eta.T, mlp, combine, mask,
+    return ForwardTrace(logits, combine.eta.T, params, mlp, combine, mask,
                         (cfg.basis, op))
 
 
@@ -461,6 +428,9 @@ def forward_sgc_like(params: ModelParams, stack: PropagationStack,
     """
     if stack.order != cfg.order:
         raise ValueError(f"stack order {stack.order} != config order {cfg.order}")
+    if stack.basis != cfg.basis:
+        raise ValueError(f"a {stack.basis} stack given to a {cfg.basis} "
+                         "model")
     layers = stack.layers
     if rows is not None:
         layers = layers[:, np.asarray(rows, dtype=np.int64)]
@@ -469,7 +439,8 @@ def forward_sgc_like(params: ModelParams, stack: PropagationStack,
     combined, mask = _dropout(combined, cfg.dp_p, training, rng)
     logits, mlp = _mlp(combined, params, cfg, training, rng)
     _check_finite(logits)
-    return ForwardTrace(logits, combine.eta.T, mlp, combine, mask, None)
+    return ForwardTrace(logits, combine.eta.T, params, mlp, combine, mask,
+                        None)
 
 
 def loss(logits: np.ndarray, labels: np.ndarray, index_set,
@@ -478,14 +449,8 @@ def loss(logits: np.ndarray, labels: np.ndarray, index_set,
     nll, _ = log_softmax_nll(np.asarray(logits, dtype=np.float64), labels,
                              index_set)
     penalty = sum(float(np.sum(a.astype(np.float64) ** 2))
-                  for a in params.arrays().values())
+                  for a in params.values())
     return float(nll + l2 * penalty)
-
-
-def _weights(trace: ForwardTrace) -> dict:
-    """The parameter arrays the trace's forward read, in params.arrays()
-    order."""
-    return {**trace.mlp.weights, **trace.combine.weights}
 
 
 def attach_loss(trace: ForwardTrace, labels: np.ndarray, index_set,
@@ -500,37 +465,38 @@ def attach_loss(trace: ForwardTrace, labels: np.ndarray, index_set,
                                              log_probs)
     trace.l2 = l2
     if l2 > 0.0:
-        for arr in _weights(trace).values():
+        for arr in trace.params.values():
             total = total + np.sum(arr * arr) * l2
     return float(total)
 
 
 def backward(trace: ForwardTrace) -> dict:
-    """Gradients of the attached loss, keyed like params.arrays(): the
-    forward's stages in reverse order, then the penalty's 2 l2 p."""
+    """Gradients of the attached loss, keyed and ordered like the trace's
+    params: the forward's stages in reverse order, then the penalty's
+    2 l2 p."""
     if trace.logits_grad is None:
         raise ValueError("attach_loss must run before backward")
-    grads = {}
+    grads, params = {}, trace.params
     if trace.propagation is None:
         # sgc_like: logits = MLP(dropout(combine(stack)))
-        g = _mlp_backward(trace.logits_grad, trace.mlp, grads, x_grad=True)
+        g = _mlp_backward(trace.logits_grad, trace.mlp, params, grads,
+                          x_grad=True)
         if trace.dropout is not None:
             g *= trace.dropout
-        _combine_backward(g, trace.combine, grads, z_grad=False)
+        _combine_backward(g, trace.combine, params, grads, z_grad=False)
     else:
         # logits = combine(propagate(dropout(MLP(features))))
-        g = _combine_backward(trace.logits_grad, trace.combine, grads,
+        g = _combine_backward(trace.logits_grad, trace.combine, params, grads,
                               z_grad=True)
         g = polynomial_adjoint(*trace.propagation, g)
         if trace.dropout is not None:
             g *= trace.dropout
-        _mlp_backward(g, trace.mlp, grads, x_grad=False)
-    weights = _weights(trace)
+        _mlp_backward(g, trace.mlp, params, grads, x_grad=False)
     # no +0.0 addend without a penalty: it would turn a -0.0 gradient to +0.0
     if trace.l2 > 0.0:
-        for name, arr in weights.items():
+        for name, arr in params.items():
             grads[name] += (2.0 * trace.l2) * arr
-    return {name: grads[name] for name in weights}
+    return {name: grads[name] for name in params}
 
 
 @dataclass
@@ -545,7 +511,7 @@ def adam_step(params: ModelParams, grads: dict, state: AdamState,
     """One Adam update; MLP parameters use lr_l, filter parameters lr_p."""
     state.step += 1
     t = state.step
-    for name, arr in params.arrays().items():
+    for name, arr in params.items():
         g = grads[name]
         if g.shape != arr.shape:
             raise ValueError(f"gradient shape mismatch for {name}")
@@ -566,16 +532,14 @@ def adam_step(params: ModelParams, grads: dict, state: AdamState,
 
 def parameter_count(cfg: TrainConfig, feature_dim: int,
                     class_count: int) -> dict:
-    """Exact trainable-parameter counts; the filter term never depends on n."""
+    """Exact trainable-parameter counts, the sizes of ``param_shapes``; the
+    filter term never depends on n."""
     cfg.validate()
-    mlp = (feature_dim * cfg.hidden + cfg.hidden
-           + cfg.hidden * class_count + class_count)
-    if cfg.mode == "global_only":
-        filt = cfg.order + 1
-    else:
-        c_in = class_count if cfg.mode == "appnp_like" else feature_dim
-        filt = c_in * cfg.rank + (cfg.order + 1) * cfg.rank
-    return {"filter": filt, "mlp": mlp, "total": filt + mlp}
+    sizes = {name: math.prod(shape) for name, shape
+             in param_shapes(cfg, feature_dim, class_count).items()}
+    mlp = sum(size for name, size in sizes.items() if name.startswith("mlp."))
+    total = sum(sizes.values())
+    return {"filter": total - mlp, "mlp": mlp, "total": total}
 
 
 def _operator_and_stack(dataset: Dataset, cfg: TrainConfig
@@ -692,8 +656,12 @@ def eval_outputs(params: ModelParams, dataset: Dataset,
     pipeline runs ``_appnp_eval``, which holds neither the hidden array nor
     (but for Bernstein) the propagation stack. Training's per-epoch
     evaluation runs the training forward: on that graph it holds the stack
-    anyway.
+    anyway. Parameters for another feature width raise ValueError first.
     """
+    width = params["mlp.w1"].shape[0]
+    if width != dataset.feature_dim:
+        raise ValueError(f"the model takes {width} features per node, the "
+                         f"dataset has {dataset.feature_dim}")
     op, stack = _operator_and_stack(dataset, cfg)
     if cfg.mode != "sgc_like" and dataset.n > EVAL_BLOCK_ROWS:
         return _appnp_eval(params, dataset.features, op, cfg)
@@ -719,21 +687,19 @@ def node_coefficients(params: ModelParams, dataset: Dataset,
 
 def save_checkpoint(path, params: ModelParams, cfg: TrainConfig) -> None:
     """Versioned checkpoint: magic, JSON header, little-endian float64 blobs."""
-    arrays = params.arrays()
     header = {
         "version": 1,
-        "mode": params.mode,
+        "mode": cfg.mode,
         "config": asdict(cfg),
-        "arrays": [[name, list(arrays[name].shape)] for name in arrays],
+        "arrays": [[name, list(arr.shape)] for name, arr in params.items()],
     }
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<I", len(blob)))
         fh.write(blob)
-        for name in arrays:
-            fh.write(np.ascontiguousarray(arrays[name],
-                                          dtype="<f8").tobytes())
+        for arr in params.values():
+            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
 def _read_exact(fh, size: int, path, what: str) -> bytes:
@@ -747,8 +713,8 @@ def _read_exact(fh, size: int, path, what: str) -> bytes:
 def _checkpoint_config(header: dict, path) -> TrainConfig:
     """The config of a checkpoint header, once the header is consistent:
     its config keys are TrainConfig's fields and pass ``validate``, its mode
-    is the config's, and its arrays are that mode's, in order, with shapes
-    that chain in the forward."""
+    is the config's, and its arrays are that mode's ``param_shapes``, in
+    order, at the feature and class widths of mlp.w1 and mlp.w2."""
     config = header.get("config")
     if not isinstance(config, dict):
         raise ValueError(f"{path}: the checkpoint header has no config")
@@ -766,23 +732,26 @@ def _checkpoint_config(header: dict, path) -> TrainConfig:
         raise ValueError(f"{path}: header mode {header.get('mode')!r} is not "
                          f"the config's {cfg.mode!r}")
     arrays = [entry[0] for entry in header.get("arrays", ())]
-    expected = list(ModelParams.array_names(cfg.mode))
+    # the names do not depend on the widths
+    expected = list(param_shapes(cfg, 0, 0))
     if arrays != expected:
         raise ValueError(f"{path}: arrays {arrays} are not the {cfg.mode} "
                          f"arrays {expected}")
-    # f and c are read off mlp.w1 and mlp.w2; every other shape follows
     shapes = {name: tuple(shape) for name, shape in header["arrays"]}
-    f, c = shapes["mlp.w1"][:1], shapes["mlp.w2"][-1:]
-    hidden = (cfg.hidden,)
-    want = {"mlp.w1": f + hidden, "mlp.b1": hidden, "mlp.w2": hidden + c,
-            "mlp.b2": c,
-            "filter.w": (c if cfg.mode == "appnp_like" else f) + (cfg.rank,),
-            "filter.gamma": (cfg.order + 1,
-                             1 if cfg.mode == "global_only" else cfg.rank)}
-    for name in expected:
-        if shapes[name] != want[name]:
+    for name, shape in shapes.items():
+        # 6.0 == 6, but a float dimension fails the array read
+        if not all(type(d) is int for d in shape):
+            raise ValueError(f"{path}: array {name!r} has a non-integer "
+                             f"shape {shape}")
+    for name in ("mlp.w1", "mlp.w2"):
+        if len(shapes[name]) != 2:
             raise ValueError(f"{path}: array {name!r} has shape "
-                             f"{shapes[name]}, expected {want[name]}")
+                             f"{shapes[name]}, expected a matrix")
+    want = param_shapes(cfg, shapes["mlp.w1"][0], shapes["mlp.w2"][1])
+    for name, shape in want.items():
+        if shapes[name] != shape:
+            raise ValueError(f"{path}: array {name!r} has shape "
+                             f"{shapes[name]}, expected {shape}")
     return cfg
 
 
@@ -797,21 +766,12 @@ def load_checkpoint(path) -> tuple[ModelParams, TrainConfig]:
         if header.get("version") != 1:
             raise ValueError(f"{path}: unsupported checkpoint version")
         cfg = _checkpoint_config(header, path)
-        data = {}
+        params = ModelParams()
         for name, shape in header["arrays"]:
             count = int(np.prod(shape))
             raw = _read_exact(fh, count * 8, path, f"array {name!r}")
-            data[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).astype(
-                cfg.dtype).copy()
+            params[name] = np.frombuffer(raw, dtype="<f8").reshape(
+                shape).astype(cfg.dtype).copy()
         if fh.read(1):
             raise ValueError(f"{path}: trailing bytes after the last array")
-    mode = header["mode"]
-    if mode == "global_only":
-        params = ModelParams(data["mlp.w1"], data["mlp.b1"], data["mlp.w2"],
-                             data["mlp.b2"], mode, gamma=data["filter.gamma"])
-    else:
-        fact = FilterFactorization(w=data["filter.w"],
-                                   gamma=data["filter.gamma"])
-        params = ModelParams(data["mlp.w1"], data["mlp.b1"], data["mlp.w2"],
-                             data["mlp.b2"], mode, factorization=fact)
     return params, cfg

@@ -120,7 +120,7 @@ def _gradcheck_worst(dataset, cfg, index, h=1e-5):
     trace, _ = loss_value()
     grads = model.backward(trace)
     worst = 0.0
-    for name, arr in params.arrays().items():
+    for name, arr in params.items():
         numeric = np.zeros_like(arr)
         it = np.nditer(arr, flags=["multi_index"])
         while not it.finished:

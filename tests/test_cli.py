@@ -7,7 +7,8 @@ import pytest
 
 from nodespec import model
 from nodespec.cli import main
-from nodespec.data import load_named_dataset, save_dataset
+from nodespec.data import (load_named_dataset, load_split, make_split,
+                           save_dataset, save_split)
 from nodespec.graph import estimate_lambda_max, normalized_laplacian
 from nodespec.polyfilter import basis_matrix
 from nodespec.synthetic import planted_partition_dataset
@@ -234,6 +235,10 @@ MALFORMED_HEADERS = {
     "mode-differs": lambda h: h.update(mode="sgc_like"),
     "renamed-array": lambda h: h["arrays"][0].__setitem__(0, "mlp.weight1"),
     "arrays-out-of-order": lambda h: h["arrays"].insert(0, h["arrays"].pop(1)),
+    # the widths are read off mlp.w1 and mlp.w2, which must be matrices
+    "w1-0d": lambda h: h["arrays"][0].__setitem__(1, []),
+    "w2-0d": lambda h: h["arrays"][2].__setitem__(1, []),
+    "float-shape": lambda h: h["arrays"][0].__setitem__(1, [6.0, 8]),
 }
 
 
@@ -254,6 +259,65 @@ def test_malformed_checkpoint_fails_with_its_path(data_root, tmp_path, capsys,
     assert code == 1
     assert out == ""
     assert err.startswith(f"error: {bad}: ")
+
+
+def test_feature_width_mismatch_names_the_checkpoint(data_root, tmp_path,
+                                                     capsys):
+    # an 8-feature model against the 6-feature toy dataset
+    cfg = model.TrainConfig(order=3, hidden=8)
+    params = model.init_params(cfg, 8, 3, np.random.default_rng(0))
+    ckpt = tmp_path / "wide.ckpt"
+    model.save_checkpoint(ckpt, params, cfg)
+    message = "the model takes 8 features per node, the dataset has 6"
+    with pytest.raises(ValueError, match=message):
+        model.predict(params, load_named_dataset(data_root, "toy"), cfg)
+    for command in (["eval", "--out-dir", tmp_path / "ev"],
+                    ["filter-response", "--nodes", "0,3"]):
+        code, out, err = run_cli(capsys, *command, "--dataset", "toy",
+                                 "--data-root", data_root,
+                                 "--checkpoint", ckpt)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {ckpt}: {message}\n"
+
+
+def test_zero_bins_fail_alike_in_analyze_and_eval(data_root, tmp_path,
+                                                  capsys):
+    cfg = model.TrainConfig(order=2, hidden=8)
+    ckpt = tmp_path / "toy.ckpt"
+    model.save_checkpoint(
+        ckpt, model.init_params(cfg, 6, 3, np.random.default_rng(0)), cfg)
+    errors = []
+    for command in (["analyze"], ["eval", "--checkpoint", ckpt]):
+        code, out, err = run_cli(capsys, *command, "--dataset", "toy",
+                                 "--data-root", data_root, "--bins", "0",
+                                 "--out-dir", tmp_path / "reports")
+        assert code == 1
+        assert out == ""
+        errors.append(err)
+    assert errors == ["error: bin_count must be at least 1\n"] * 2
+
+
+def test_sweep_shares_a_saved_split(data_root, tmp_path, capsys,
+                                    monkeypatch):
+    path = tmp_path / "split.json"
+    save_split(make_split(60, "sparse", seed=11), path)
+    runs = []
+    train = model.train
+    monkeypatch.setattr(model, "train", lambda ds, split, cfg: (
+        runs.append((split, cfg.seed)) or train(ds, split, cfg)))
+    code, _, err = run_cli(capsys, "sweep", "--dataset", "toy",
+                           "--data-root", data_root, "--split", path,
+                           "--orders", "1,2", "--ranks", "1", "--runs", "2",
+                           "--epochs", "3", "--f-h", "8",
+                           "--out", tmp_path / "sweep.csv")
+    assert code == 0, err
+    assert [seed for _, seed in runs] == [0, 1, 0, 1]
+    want = load_split(path)
+    for split, _ in runs:
+        for part in ("train", "validation", "test"):
+            np.testing.assert_array_equal(getattr(split, part),
+                                          getattr(want, part))
 
 
 def test_filter_response_node_out_of_range_exits_one(data_root, tmp_path,
@@ -289,7 +353,7 @@ def test_filter_response_uses_the_estimated_spectrum(data_root, tmp_path,
     assert converged and lambda_max < 1.99
     grid = np.linspace(0.0, 2.0, 9)
     want = basis_matrix("chebyshev", 3, grid, lambda_max) \
-        @ params.factorization.gamma[:, 0]
+        @ params["filter.gamma"][:, 0]
     got = [float(line.split(",")[2]) for line in out.splitlines()[1:]]
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 

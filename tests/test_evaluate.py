@@ -80,6 +80,13 @@ class TestBinnedAccuracy:
         assert report.counts[0] == 0
         assert np.isnan(report.accuracy[0])
 
+    @pytest.mark.parametrize("bins", [0, -2])
+    def test_fewer_than_one_bin_rejected(self, bins):
+        g = complete_graph(4)
+        labels = np.zeros(4, dtype=int)
+        with pytest.raises(ValueError, match="bin_count must be at least 1"):
+            homophily_binned_accuracy(labels, labels, g, np.arange(4), bins)
+
 
 class TestCoefficientDistance:
     def test_identical_rows_zero_everywhere(self):

@@ -6,15 +6,64 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nodespec import homophily
-from nodespec.graph import build_graph
-from nodespec.homophily import (graph_homophily, histogram, homophily_report,
-                                jaccard_neighbor_distance,
+from nodespec.graph import Graph, build_graph, hop_distances
+from nodespec.homophily import (ENTROPY_EPS, HOP1, WITHIN2, graph_homophily,
+                                histogram, homophily_report,
                                 jaccard_neighbor_distances,
-                                label_entropy, node_homophily,
                                 per_node_homophily,
                                 proposition_closed_forms,
                                 proposition_monte_carlo)
 from nodespec.synthetic import er_graph, star_graph
+
+
+# Per-node and per-pair references for the batched statistics, from a
+# breadth-first search and set operations.
+
+def _scope_neighbors(g: Graph, v: int, scope: str) -> np.ndarray:
+    if scope == HOP1:
+        return g.neighbors(v)
+    if scope == WITHIN2:
+        dist = hop_distances(g, v)
+        return np.flatnonzero((dist > 0) & (dist <= 2))
+    raise ValueError(f"unknown scope {scope!r}")
+
+
+def node_homophily(g: Graph, labels, v: int, scope: str = HOP1) -> float:
+    """Fraction of scoped neighbors sharing v's label; NaN if none."""
+    labels = np.asarray(labels)
+    hood = _scope_neighbors(g, v, scope)
+    if hood.size == 0:
+        return float("nan")
+    return float(np.mean(labels[hood] == labels[v]))
+
+
+def label_entropy(g: Graph, labels, v: int, scope: str,
+                  class_count: int) -> float:
+    """Entropy of the scoped neighborhood's label distribution.
+
+    Computed as -sum_y (p_y + eps) log(p_y + eps) over all class_count
+    labels with eps = 1e-10; NaN for an empty neighborhood.
+    """
+    labels = np.asarray(labels)
+    hood = _scope_neighbors(g, v, scope)
+    if hood.size == 0:
+        return float("nan")
+    counts = np.bincount(labels[hood], minlength=class_count).astype(np.float64)
+    p = counts / hood.size + ENTROPY_EPS
+    return float(-np.sum(p * np.log(p)))
+
+
+def jaccard_neighbor_distance(g: Graph, i: int, j: int) -> float:
+    """1 - |N1(i) & N1(j)| / |N1(i) | N1(j)|; 0 when both are empty."""
+    if not (0 <= i < g.n and 0 <= j < g.n):
+        raise ValueError("node id out of range")
+    a = g.neighbors(i)
+    b = g.neighbors(j)
+    union = np.union1d(a, b).size
+    if union == 0:
+        return 0.0
+    inter = np.intersect1d(a, b).size
+    return 1.0 - inter / union
 
 
 def two_hop_chain_epsilons(alpha, classes):

@@ -1,5 +1,8 @@
+import json
+import math
 import os
 import re
+import struct
 import subprocess
 import sys
 import warnings
@@ -55,7 +58,7 @@ def finite_difference_check(ds, cfg, idx, h=1e-5, tol=1e-5,
     trace, _ = eval_loss(params, ds, cfg, idx, dropout_seed)
     grads = model.backward(trace)
     failures = {}
-    for name, arr in params.arrays().items():
+    for name, arr in params.items():
         numeric = np.zeros_like(arr)
         it = np.nditer(arr, flags=["multi_index"])
         while not it.finished:
@@ -80,7 +83,7 @@ class TestForward:
         cfg = base_config(mode="appnp_like")
         params = model.init_params(cfg, toy.feature_dim, toy.class_count,
                                    np.random.default_rng(0))
-        params.factorization.gamma[:] = 0.0
+        params["filter.gamma"][:] = 0.0
         op = model.build_operator(toy.graph, cfg)
         trace = model.forward_appnp_like(params, toy.features, op, cfg)
         np.testing.assert_array_equal(trace.logits, 0.0)
@@ -89,14 +92,14 @@ class TestForward:
         cfg = base_config(mode="sgc_like")
         params = model.init_params(cfg, toy.feature_dim, toy.class_count,
                                    np.random.default_rng(0))
-        params.factorization.gamma[:] = 0.0
+        params["filter.gamma"][:] = 0.0
         op = model.build_operator(toy.graph, cfg)
         stack = propagate(cfg.basis, op, toy.features, cfg.order)
         trace = model.forward_sgc_like(params, stack, cfg)
         # every row must be the MLP applied to the zero vector
         zeros = np.zeros((1, toy.feature_dim))
-        h = np.maximum(zeros @ params.w1 + params.b1, 0.0)
-        expected = h @ params.w2 + params.b2
+        h = np.maximum(zeros @ params["mlp.w1"] + params["mlp.b1"], 0.0)
+        expected = h @ params["mlp.w2"] + params["mlp.b2"]
         np.testing.assert_allclose(trace.logits,
                                    np.tile(expected, (toy.n, 1)), atol=1e-12)
 
@@ -104,11 +107,12 @@ class TestForward:
         cfg = base_config(mode="appnp_like", rank=1)
         params = model.init_params(cfg, toy.feature_dim, toy.class_count,
                                    np.random.default_rng(3))
-        params.factorization.w[:] = 0.0
+        params["filter.w"][:] = 0.0
         cfg_g = base_config(mode="global_only")
         params_g = model.ModelParams(
-            params.w1, params.b1, params.w2, params.b2, "global_only",
-            gamma=0.5 * params.factorization.gamma.copy())
+            (name, params[name])
+            for name in ("mlp.w1", "mlp.b1", "mlp.w2", "mlp.b2"))
+        params_g["filter.gamma"] = 0.5 * params["filter.gamma"].copy()
         op = model.build_operator(toy.graph, cfg)
         za = model.forward_appnp_like(params, toy.features, op, cfg)
         zg = model.forward_appnp_like(params_g, toy.features, op, cfg_g)
@@ -125,13 +129,14 @@ class TestForward:
         trace = model.forward_appnp_like(params, features, op, ds_cfg)
 
         # independent dense script
-        x0 = np.maximum(features @ params.w1 + params.b1, 0.0) @ params.w2 + params.b2
+        x0 = (np.maximum(features @ params["mlp.w1"] + params["mlp.b1"], 0.0)
+              @ params["mlp.w2"] + params["mlp.b2"])
         dense = op.to_dense()
         layers = [x0, dense @ x0]
         z = np.zeros_like(x0)
         for k, layer in enumerate(layers):
-            h = 1.0 / (1.0 + np.exp(-(layer @ params.factorization.w)))
-            eta = h @ params.factorization.gamma[k]
+            h = 1.0 / (1.0 + np.exp(-(layer @ params["filter.w"])))
+            eta = h @ params["filter.gamma"][k]
             z += eta[:, None] * layer
         np.testing.assert_allclose(trace.logits, z, atol=1e-12)
 
@@ -162,18 +167,18 @@ class TestForward:
         cfg = base_config(mode="appnp_like", static_coefficients=True, rank=1)
         rng = np.random.default_rng(4)
         params = model.init_params(cfg, toy.feature_dim, toy.class_count, rng)
-        params.factorization.w[:] = rng.standard_normal(
-            params.factorization.w.shape)
+        params["filter.w"][:] = rng.standard_normal(
+            params["filter.w"].shape)
         op = model.build_operator(toy.graph, cfg)
         eta = model.forward_appnp_like(params, toy.features, op, cfg).coefficients
-        ratio = eta / params.factorization.gamma[:, 0]
+        ratio = eta / params["filter.gamma"][:, 0]
         np.testing.assert_allclose(ratio, np.tile(ratio[:, [0]], (1, 5)),
                                    atol=1e-10)
 
         cfg_dyn = base_config(mode="appnp_like", rank=1)
         eta_dyn = model.forward_appnp_like(params, toy.features, op,
                                            cfg_dyn).coefficients
-        ratio_dyn = eta_dyn / params.factorization.gamma[:, 0]
+        ratio_dyn = eta_dyn / params["filter.gamma"][:, 0]
         assert np.max(np.abs(ratio_dyn - ratio_dyn[:, [0]])) > 1e-6
 
     @pytest.mark.parametrize("precision", ["float64", "float32"])
@@ -259,6 +264,21 @@ class TestForward:
                    chebyshev_operator(toy.graph, 1.8)):
             with pytest.raises(ValueError, match="bernstein propagation"):
                 model.forward_appnp_like(params, toy.features, op, cfg)
+
+    def test_sgc_forward_rejects_a_stack_of_another_order_or_basis(self, toy):
+        cfg = base_config(mode="sgc_like", basis="bernstein")
+        params = model.init_params(cfg, toy.feature_dim, toy.class_count,
+                                   np.random.default_rng(0))
+        op = model.build_operator(toy.graph, cfg)
+        short = propagate("bernstein", op, toy.features, cfg.order - 1)
+        with pytest.raises(ValueError, match="stack order 3 != config order 4"):
+            model.forward_sgc_like(params, short, cfg)
+        # the Chebyshev operator at 2.0 is the Bernstein one, so only the
+        # stack's basis tells
+        cheb = propagate("chebyshev", op, toy.features, cfg.order)
+        with pytest.raises(ValueError, match="a chebyshev stack given to a "
+                                             "bernstein model"):
+            model.forward_sgc_like(params, cheb, cfg)
 
 
 @pytest.mark.parametrize("basis, estimate, builds", [
@@ -381,7 +401,7 @@ class TestGradients:
                                    np.random.default_rng(cfg.seed))
         # with b1 = 0 a fully dropped input row sits on ReLU's kink, where
         # the subgradient 0 and a central difference (1/2) disagree
-        params.b1[:] = 0.1
+        params["mlp.b1"][:] = 0.1
         failures = finite_difference_check(toy, cfg, np.arange(12),
                                            dropout_seed=7, params=params)
         assert not failures, failures
@@ -415,8 +435,8 @@ class TestGradients:
                                                cfg)
             got = {}
             # 2 out is the gradient of sum(out ** 2)
-            got["stack"] = model._combine_backward(2.0 * out, saved, got,
-                                                   z_grad=True)
+            got["stack"] = model._combine_backward(2.0 * out, saved, params,
+                                                   got, z_grad=True)
             filters = {"filter.gamma"} | (set() if mode == "global_only"
                                           else {"filter.w"})
             assert got.keys() == filters | {"stack"}
@@ -436,12 +456,12 @@ class TestGradients:
         cfg = base_config(mode="sgc_like")
         params = model.init_params(cfg, toy.feature_dim, toy.class_count,
                                    np.random.default_rng(1))
-        params.factorization.gamma[:] = 0.0
+        params["filter.gamma"][:] = 0.0
         trace, _ = eval_loss(params, toy, cfg, np.arange(10))
         grads = model.backward(trace)
         np.testing.assert_allclose(
             grads["filter.w"],
-            2 * cfg.l2 * params.factorization.w, atol=1e-12)
+            2 * cfg.l2 * params["filter.w"], atol=1e-12)
 
 
 def generic_op_mlp(x, params, rate, training, rng, x_grad):
@@ -459,22 +479,22 @@ def generic_op_mlp(x, params, rate, training, rng, x_grad):
 
     x_mask = mask(x.shape)
     x_d = x if x_mask is None else x * x_mask
-    pre = x_d @ params.w1 + params.b1
+    pre = x_d @ params["mlp.w1"] + params["mlp.b1"]
     h = np.maximum(pre, 0.0)
     h_mask = mask(h.shape)
     h_d = h if h_mask is None else h * h_mask
-    out = h_d @ params.w2 + params.b2
+    out = h_d @ params["mlp.w2"] + params["mlp.b2"]
 
     def backward(g):
         grads = {"mlp.b2": g.sum(axis=0), "mlp.w2": h_d.T @ g}
-        g_h = g @ params.w2.T
+        g_h = g @ params["mlp.w2"].T
         if h_mask is not None:
             g_h = g_h * h_mask
         g_pre = g_h * (pre > 0.0)
         grads["mlp.w1"] = x_d.T @ g_pre
         grads["mlp.b1"] = g_pre.sum(axis=0)
         if x_grad:
-            g_x = g_pre @ params.w1.T
+            g_x = g_pre @ params["mlp.w1"].T
             grads["x"] = g_x if x_mask is None else g_x * x_mask
         return grads
 
@@ -487,7 +507,7 @@ def fused_mlp(x, params, rate, training, rng, x_grad):
 
     def backward(g):
         grads = {}
-        g_x = model._mlp_backward(g, saved, grads, x_grad)
+        g_x = model._mlp_backward(g, saved, params, grads, x_grad)
         if x_grad:
             grads["x"] = g_x
         return grads
@@ -502,11 +522,11 @@ class TestFusedMLP:
     @staticmethod
     def setup(dtype=np.float64, hidden=6):
         rng = np.random.default_rng(11)
-        params = model.ModelParams(
-            w1=rng.standard_normal((5, hidden)).astype(dtype),
-            b1=(rng.standard_normal(hidden) * 0.3).astype(dtype),
-            w2=rng.standard_normal((hidden, 3)).astype(dtype),
-            b2=rng.standard_normal(3).astype(dtype), mode="appnp_like")
+        params = model.ModelParams({
+            "mlp.w1": rng.standard_normal((5, hidden)).astype(dtype),
+            "mlp.b1": (rng.standard_normal(hidden) * 0.3).astype(dtype),
+            "mlp.w2": rng.standard_normal((hidden, 3)).astype(dtype),
+            "mlp.b2": rng.standard_normal(3).astype(dtype)})
         x = rng.standard_normal((9, 5)).astype(dtype)
         return x, params
 
@@ -527,8 +547,8 @@ class TestFusedMLP:
         # x constant as in appnp_like, or needing a gradient as in sgc_like
         x, params = self.setup()
         _, _, grads = self.run(fused_mlp, x, params, rate, x_grad)
-        targets = {"mlp.w1": params.w1, "mlp.b1": params.b1,
-                   "mlp.w2": params.w2, "mlp.b2": params.b2}
+        targets = {"mlp.w1": params["mlp.w1"], "mlp.b1": params["mlp.b1"],
+                   "mlp.w2": params["mlp.w2"], "mlp.b2": params["mlp.b2"]}
         if x_grad:
             targets["x"] = x
         assert grads.keys() == targets.keys()
@@ -587,7 +607,7 @@ class TestFusedMLP:
         cfg = base_config(mode=mode, dp_l=0.5, dp_p=0.5)
         params = model.init_params(cfg, toy.feature_dim, toy.class_count,
                                    np.random.default_rng(0))
-        params.w1 = params.w1.view(WatchedT)
+        params["mlp.w1"] = params["mlp.w1"].view(WatchedT)
         op = model.build_operator(toy.graph, cfg)
         rng = np.random.default_rng(1)
         if mode == "sgc_like":
@@ -625,7 +645,7 @@ class TestLoss:
         cfg = base_config()
         params = model.init_params(cfg, toy.feature_dim, toy.class_count,
                                    np.random.default_rng(1))
-        for arr in params.arrays().values():
+        for arr in params.values():
             arr[:] = 0.0
         base = model.loss(np.ones((toy.n, toy.class_count)), toy.labels,
                           np.arange(toy.n), params, 123.0)
@@ -652,21 +672,21 @@ class TestAdam:
         cfg = base_config()
         params = model.init_params(cfg, toy.feature_dim, toy.class_count,
                                    np.random.default_rng(1))
-        before = {k: v.copy() for k, v in params.arrays().items()}
-        grads = {k: np.zeros_like(v) for k, v in params.arrays().items()}
+        before = {k: v.copy() for k, v in params.items()}
+        grads = {k: np.zeros_like(v) for k, v in params.items()}
         model.adam_step(params, grads, model.AdamState(), 0.1, 0.1)
-        for name, arr in params.arrays().items():
+        for name, arr in params.items():
             np.testing.assert_array_equal(arr, before[name])
 
     def test_first_step_direction_and_size(self, toy):
         cfg = base_config()
         params = model.init_params(cfg, toy.feature_dim, toy.class_count,
                                    np.random.default_rng(1))
-        before = {k: v.copy() for k, v in params.arrays().items()}
+        before = {k: v.copy() for k, v in params.items()}
         grads = {k: np.random.default_rng(7).standard_normal(v.shape)
-                 for k, v in params.arrays().items()}
+                 for k, v in params.items()}
         model.adam_step(params, grads, model.AdamState(), 0.05, 0.05)
-        for name, arr in params.arrays().items():
+        for name, arr in params.items():
             delta = arr - before[name]
             g = grads[name]
             expected = -0.05 * g / (np.abs(g) + model.ADAM_EPS)
@@ -678,11 +698,11 @@ class TestAdam:
         cfg = base_config()
         params = model.init_params(cfg, toy.feature_dim, toy.class_count,
                                    np.random.default_rng(1))
-        before = {k: v.copy() for k, v in params.arrays().items()}
-        grads = {k: np.ones_like(v) for k, v in params.arrays().items()}
+        before = {k: v.copy() for k, v in params.items()}
+        grads = {k: np.ones_like(v) for k, v in params.items()}
         model.adam_step(params, grads, model.AdamState(), 0.2, 0.01)
-        mlp_move = np.max(np.abs(params.w1 - before["mlp.w1"]))
-        filt_move = np.max(np.abs(params.factorization.w - before["filter.w"]))
+        mlp_move = np.max(np.abs(params["mlp.w1"] - before["mlp.w1"]))
+        filt_move = np.max(np.abs(params["filter.w"] - before["filter.w"]))
         np.testing.assert_allclose(mlp_move, 0.2, atol=1e-6)
         np.testing.assert_allclose(filt_move, 0.01, atol=1e-8)
 
@@ -694,7 +714,7 @@ class TestTrain:
         a = model.train(toy, split, cfg)
         b = model.train(toy, split, cfg)
         assert a.history == b.history
-        for x, y in zip(a.params.arrays().values(), b.params.arrays().values()):
+        for x, y in zip(a.params.values(), b.params.values()):
             np.testing.assert_array_equal(x, y)
 
     def test_separable_fixture_reaches_full_train_accuracy(self):
@@ -859,7 +879,7 @@ class TestParameterCount:
             cfg = base_config(order=5, rank=2, hidden=9, mode=mode)
             params = model.init_params(cfg, 11, 4, np.random.default_rng(0))
             counts = model.parameter_count(cfg, 11, 4)
-            total = sum(a.size for a in params.arrays().values())
+            total = sum(a.size for a in params.values())
             assert counts["total"] == total
 
     def test_rank_zero_rejected(self):
@@ -869,6 +889,55 @@ class TestParameterCount:
     def test_global_only_count(self):
         cfg = base_config(order=10, mode="global_only")
         assert model.parameter_count(cfg, 8, 3)["filter"] == 11
+
+
+@pytest.mark.parametrize("precision", ["float64", "float32"])
+@pytest.mark.parametrize("feature_dim, class_count", [(11, 4), (3, 7)])
+@pytest.mark.parametrize("mode", model.MODES)
+def test_param_shapes_is_the_one_parameter_table(tmp_path, mode, feature_dim,
+                                                 class_count, precision):
+    # init_params, parameter_count and a checkpoint header all follow it
+    cfg = base_config(order=5, rank=2, hidden=9, mode=mode,
+                      precision=precision)
+    shapes = model.param_shapes(cfg, feature_dim, class_count)
+    filters = (["filter.gamma"] if mode == "global_only"
+               else ["filter.w", "filter.gamma"])
+    assert list(shapes) == ["mlp.w1", "mlp.b1", "mlp.w2", "mlp.b2", *filters]
+
+    params = model.init_params(cfg, feature_dim, class_count,
+                               np.random.default_rng(0))
+    assert isinstance(params, model.ModelParams)
+    assert [(name, a.shape, a.dtype) for name, a in params.items()] == \
+        [(name, shape, np.dtype(cfg.dtype)) for name, shape in shapes.items()]
+
+    sizes = {name: math.prod(shape) for name, shape in shapes.items()}
+    mlp = sum(size for name, size in sizes.items() if name.startswith("mlp."))
+    assert model.parameter_count(cfg, feature_dim, class_count) == {
+        "filter": sum(sizes.values()) - mlp, "mlp": mlp,
+        "total": sum(sizes.values())}
+
+    path = tmp_path / "model.ckpt"
+    model.save_checkpoint(path, params, cfg)
+    raw = path.read_bytes()
+    start = len(model.CHECKPOINT_MAGIC)
+    (length,) = struct.unpack("<I", raw[start:start + 4])
+    header = json.loads(raw[start + 4:start + 4 + length])
+    assert header["arrays"] == [[name, list(shape)]
+                                for name, shape in shapes.items()]
+
+
+def test_params_copy_copies_the_arrays(toy):
+    cfg = base_config()
+    params = model.init_params(cfg, toy.feature_dim, toy.class_count,
+                               np.random.default_rng(0))
+    copied = params.copy()
+    assert isinstance(copied, model.ModelParams)
+    assert list(copied) == list(params)
+    for name, arr in params.items():
+        assert copied[name] is not arr
+        np.testing.assert_array_equal(copied[name], arr)
+    copied["filter.w"] += 1.0
+    assert not np.any(copied["filter.w"] == params["filter.w"])
 
 
 class TestCheckpoint:
@@ -881,8 +950,8 @@ class TestCheckpoint:
             model.save_checkpoint(path, params, cfg)
             loaded, loaded_cfg = model.load_checkpoint(path)
             assert loaded_cfg == cfg
-            for a, b in zip(params.arrays().values(),
-                            loaded.arrays().values()):
+            for a, b in zip(params.values(),
+                            loaded.values()):
                 np.testing.assert_array_equal(a, b)
 
     def test_bad_magic_rejected(self, tmp_path):
