@@ -111,12 +111,10 @@ def _saved_split(spec: str):
 
 
 def _resolve_split(args, dataset: Dataset):
-    split = _saved_split(args.split)
-    if split is not None:
-        return split
     seed = args.split_seed if args.split_seed is not None else args.seed
-    return make_split(dataset.n, args.split, seed, stratified=args.stratified,
-                      labels=dataset.labels)
+    return _saved_split(args.split) or make_split(
+        dataset.n, args.split, seed, stratified=args.stratified,
+        labels=dataset.labels)
 
 
 def _write_history(history, path) -> None:
