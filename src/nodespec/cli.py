@@ -7,9 +7,8 @@ success, 1 on runtime failure, 2 on bad usage.
 import argparse
 import json
 import sys
-import time
 from contextlib import contextmanager, nullcontext
-from dataclasses import asdict
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -27,15 +26,37 @@ MODE_ALIASES = {
 }
 
 
+class UsageError(Exception):
+    """Flags that parse but do not go together; ``main`` exits 2 on it."""
+
+
 def _fmt(x) -> str:
     if x is None or (isinstance(x, float) and np.isnan(x)):
         return "nan"
     return f"{x:.17g}" if isinstance(x, float) else str(x)
 
 
-def _output(path):
-    """The --out file opened for writing, or stdout (left open) without one."""
-    return open(path, "w", encoding="utf-8") if path else nullcontext(sys.stdout)
+def _write_csv(path, header: str, rows) -> None:
+    """``header`` and one line of ``_fmt`` values per row, to ``path`` or,
+    without one, to stdout (left open). Each row is written as it comes."""
+    with (open(path, "w", encoding="utf-8") if path
+          else nullcontext(sys.stdout)) as dest:
+        dest.write(header + "\n")
+        for row in rows:
+            dest.write(",".join(map(_fmt, row)) + "\n")
+
+
+def _bin_rows(edges: np.ndarray, *columns: np.ndarray):
+    """(bin_lo, bin_hi, *values) per bin, as Python scalars."""
+    return zip(edges[:-1].tolist(), edges[1:].tolist(),
+               *(c.tolist() for c in columns))
+
+
+def _positive_int(text: str) -> int:
+    if not (text.isdecimal() and int(text) >= 1):
+        raise argparse.ArgumentTypeError(
+            f"expected an integer >= 1, got {text!r}")
+    return int(text)
 
 
 def _add_dataset_args(p: argparse.ArgumentParser) -> None:
@@ -49,48 +70,56 @@ def _add_dataset_args(p: argparse.ArgumentParser) -> None:
 def _load_dataset(args) -> Dataset:
     if args.edges or args.features or args.labels:
         if not (args.edges and args.features and args.labels):
-            raise SystemExit("--edges/--features/--labels must be given together")
+            raise UsageError(
+                "--edges/--features/--labels must be given together")
         return load_dataset(args.edges, args.features, args.labels,
                             name=args.dataset or "dataset")
     if not args.dataset:
-        raise SystemExit("either --dataset or explicit file paths are required")
+        raise UsageError("either --dataset or explicit file paths are required")
     return load_named_dataset(args.data_root, args.dataset)
 
 
-def _add_train_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--mode", default="appnp", choices=sorted(MODE_ALIASES))
-    p.add_argument("--basis", default="chebyshev", choices=BASES)
-    p.add_argument("--K", "--order", dest="order", type=int, default=10)
-    p.add_argument("--d", "--rank", dest="rank", type=int, default=1)
-    p.add_argument("--f-h", "--hidden", dest="hidden", type=int, default=64)
-    p.add_argument("--lr-l", type=float, default=0.01)
-    p.add_argument("--lr-p", type=float, default=0.01)
-    p.add_argument("--dp-l", type=float, default=0.5)
-    p.add_argument("--dp-p", type=float, default=0.5)
-    p.add_argument("--l2", type=float, default=5e-4)
-    p.add_argument("--epochs", type=int, default=1000)
-    p.add_argument("--patience", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--batch-size", type=int, default=None)
-    p.add_argument("--static-h", action="store_true",
-                   help="derive mixing weights once from the order-0 features")
-    p.add_argument("--estimate-lambda-max", action="store_true")
-    p.add_argument("--precision", default="float64",
-                   choices=["float64", "float32"])
-    p.add_argument("--split", default="dense",
+def _add_split_args(p: argparse.ArgumentParser) -> None:
+    g = p.add_argument_group("split")
+    g.add_argument("--split", default="dense",
                    help="sparse|dense|inductive or a split JSON path")
-    p.add_argument("--split-seed", type=int, default=None)
-    p.add_argument("--stratified", action="store_true")
+    g.add_argument("--split-seed", type=int,
+                   help="seed of a split mode (default: the run's --seed)")
+    g.add_argument("--seed", type=int, default=model.TrainConfig.seed,
+                   help="run seed: the model's, and the split's without "
+                        "--split-seed")
+    g.add_argument("--stratified", action="store_true")
+
+
+def _add_train_args(p: argparse.ArgumentParser) -> None:
+    """A flag for each TrainConfig field but lambda_max, which keeps its
+    default; every default is TrainConfig's."""
+    p.add_argument("--mode", choices=sorted(MODE_ALIASES))
+    p.add_argument("--basis", choices=BASES)
+    p.add_argument("--K", "--order", dest="order", type=int)
+    p.add_argument("--d", "--rank", dest="rank", type=int)
+    p.add_argument("--f-h", "--hidden", dest="hidden", type=int)
+    p.add_argument("--lr-l", type=float)
+    p.add_argument("--lr-p", type=float)
+    p.add_argument("--dp-l", type=float)
+    p.add_argument("--dp-p", type=float)
+    p.add_argument("--l2", type=float)
+    p.add_argument("--epochs", type=int)
+    p.add_argument("--patience", type=int)
+    p.add_argument("--batch-size", type=int)
+    p.add_argument("--static-h", dest="static_coefficients",
+                   action="store_true",
+                   help="derive mixing weights once from the order-0 features")
+    p.add_argument("--estimate-lambda-max", dest="estimate_spectrum",
+                   action="store_true")
+    p.add_argument("--precision", choices=["float64", "float32"])
+    _add_split_args(p)
+    p.set_defaults(**asdict(model.TrainConfig()))
 
 
 def _train_config(args) -> model.TrainConfig:
-    return model.TrainConfig(
-        lr_l=args.lr_l, lr_p=args.lr_p, dp_l=args.dp_l, dp_p=args.dp_p,
-        l2=args.l2, order=args.order, rank=args.rank, hidden=args.hidden,
-        epochs=args.epochs, patience=args.patience, seed=args.seed,
-        mode=MODE_ALIASES[args.mode], basis=args.basis,
-        batch_size=args.batch_size, static_coefficients=args.static_h,
-        estimate_spectrum=args.estimate_lambda_max, precision=args.precision)
+    values = {f.name: getattr(args, f.name) for f in fields(model.TrainConfig)}
+    return model.TrainConfig(**dict(values, mode=MODE_ALIASES[args.mode]))
 
 
 @contextmanager
@@ -103,25 +132,24 @@ def _checkpoint_errors(path):
         raise ValueError(f"{path}: {exc}") from None
 
 
-def _saved_split(spec: str):
-    """The split saved at ``spec``, or None when spec names a split mode."""
-    if spec.endswith(".json") or Path(spec).exists():
-        return load_split(spec)
-    return None
+def _resolve_split(args, dataset: Dataset, seed: int):
+    """The split saved at --split, else the --split mode drawn with
+    --split-seed or, without one, with ``seed``, the run's model seed."""
+    if args.split.endswith(".json") or Path(args.split).exists():
+        return load_split(args.split)
+    if args.split_seed is not None:
+        seed = args.split_seed
+    return make_split(dataset.n, args.split, seed, stratified=args.stratified,
+                      labels=dataset.labels)
 
 
-def _resolve_split(args, dataset: Dataset):
-    seed = args.split_seed if args.split_seed is not None else args.seed
-    return _saved_split(args.split) or make_split(
-        dataset.n, args.split, seed, stratified=args.stratified,
-        labels=dataset.labels)
-
-
-def _write_history(history, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("epoch,train_loss,train_accuracy,validation_accuracy\n")
-        for epoch, tr_loss, tr_acc, val_acc in history:
-            fh.write(f"{epoch},{_fmt(tr_loss)},{_fmt(tr_acc)},{_fmt(val_acc)}\n")
+def _run(args, dataset: Dataset, cfg: model.TrainConfig):
+    """Train ``cfg`` on its run's split: the result, the split, and the
+    trained model's test accuracy."""
+    split = _resolve_split(args, dataset, cfg.seed)
+    result = model.train(dataset, split, cfg)
+    preds, _ = model.predict(result.params, dataset, cfg)
+    return result, split, evaluate.accuracy(preds, dataset.labels, split.test)
 
 
 def cmd_analyze(args) -> int:
@@ -137,16 +165,13 @@ def cmd_analyze(args) -> int:
         # "{:.17g}" prints NaN as "nan", as _fmt does
         fh.writelines("{},{:.17g},{:.17g},{:.17g},{:.17g}\n".format(v, *row)
                       for v, row in enumerate(rows))
-    with open(out / "histograms.csv", "w", encoding="utf-8") as fh:
-        fh.write("metric,bin_lo,bin_hi,count\n")
-        for label, (edges, counts) in (
-                ("h_hop1", rep.histogram_h1),
-                ("h_within2", rep.histogram_h_within2),
-                ("entropy_hop1", rep.histogram_s1),
-                ("entropy_within2", rep.histogram_s_within2)):
-            for b in range(counts.size):
-                fh.write(f"{label},{_fmt(float(edges[b]))},"
-                         f"{_fmt(float(edges[b + 1]))},{counts[b]}\n")
+    histograms = (("h_hop1", rep.histogram_h1),
+                  ("h_within2", rep.histogram_h_within2),
+                  ("entropy_hop1", rep.histogram_s1),
+                  ("entropy_within2", rep.histogram_s_within2))
+    _write_csv(out / "histograms.csv", "metric,bin_lo,bin_hi,count",
+               ((label, *row) for label, (edges, counts) in histograms
+                for row in _bin_rows(edges, counts)))
     summary = {
         "dataset": dataset.name,
         "nodes": dataset.n,
@@ -169,15 +194,15 @@ def cmd_prop_sim(args) -> int:
 def cmd_train(args) -> int:
     dataset = _load_dataset(args)
     cfg = _train_config(args)
-    split = _resolve_split(args, dataset)
-    result = model.train(dataset, split, cfg)
+    result, split, test_accuracy = _run(args, dataset, cfg)
     if args.history:
-        _write_history(result.history, args.history)
+        _write_csv(args.history,
+                   "epoch,train_loss,train_accuracy,validation_accuracy",
+                   result.history)
     if args.checkpoint:
         model.save_checkpoint(args.checkpoint, result.params, cfg)
     if args.save_split:
         save_split(split, args.save_split)
-    preds, _ = model.predict(result.params, dataset, cfg)
     summary = {
         "dataset": dataset.name,
         "mode": cfg.mode,
@@ -185,7 +210,7 @@ def cmd_train(args) -> int:
         "epochs_run": result.epochs_run,
         "best_epoch": result.best_epoch,
         "best_validation_accuracy": result.best_validation_accuracy,
-        "test_accuracy": evaluate.accuracy(preds, dataset.labels, split.test),
+        "test_accuracy": test_accuracy,
     }
     print(json.dumps(summary, indent=2, sort_keys=True))
     return 0
@@ -194,34 +219,24 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     dataset = _load_dataset(args)
     params, cfg = model.load_checkpoint(args.checkpoint)
-    split = _resolve_split(args, dataset)
+    split = _resolve_split(args, dataset, args.seed)
     with _checkpoint_errors(args.checkpoint):
         logits, psi = model.eval_outputs(params, dataset, cfg)
     preds = np.argmax(logits, axis=1)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    bin_report = evaluate.homophily_binned_accuracy(
+    bins = evaluate.homophily_binned_accuracy(
         preds, dataset.labels, dataset.graph, split.test, bins=args.bins)
-    with open(out / "homophily_bins.csv", "w", encoding="utf-8") as fh:
-        fh.write("bin_lo,bin_hi,count,accuracy\n")
-        for b in range(bin_report.counts.size):
-            fh.write(f"{_fmt(float(bin_report.edges[b]))},"
-                     f"{_fmt(float(bin_report.edges[b + 1]))},"
-                     f"{bin_report.counts[b]},"
-                     f"{_fmt(float(bin_report.accuracy[b]))}\n")
-
+    _write_csv(out / "homophily_bins.csv", "bin_lo,bin_hi,count,accuracy",
+               _bin_rows(bins.edges, bins.counts, bins.accuracy))
     coeff = evaluate.coefficient_distance_report(
         psi, dataset.graph, dataset.labels, pair_sample=args.pair_sample)
-    with open(out / "coefficient_distance.csv", "w", encoding="utf-8") as fh:
-        fh.write("bin_lo,bin_hi,same_count,same_mean,diff_count,diff_mean\n")
-        for b in range(coeff.same_label_count.size):
-            fh.write(f"{_fmt(float(coeff.edges[b]))},"
-                     f"{_fmt(float(coeff.edges[b + 1]))},"
-                     f"{coeff.same_label_count[b]},"
-                     f"{_fmt(float(coeff.same_label_mean[b]))},"
-                     f"{coeff.diff_label_count[b]},"
-                     f"{_fmt(float(coeff.diff_label_mean[b]))}\n")
+    _write_csv(out / "coefficient_distance.csv",
+               "bin_lo,bin_hi,same_count,same_mean,diff_count,diff_mean",
+               _bin_rows(coeff.edges, coeff.same_label_count,
+                         coeff.same_label_mean, coeff.diff_label_count,
+                         coeff.diff_label_mean))
 
     summary = {
         "dataset": dataset.name,
@@ -253,9 +268,12 @@ def cmd_filter_response(args) -> int:
                 "lambda_max from its graph; give the graph with --dataset or "
                 "--edges/--features/--labels")
         dataset = _load_dataset(args) if estimated or args.nodes else None
-        lambda_max = (model.build_operator(dataset.graph, cfg).lambda_max
-                      if estimated else cfg.lambda_max)
-        table = basis_matrix(cfg.basis, cfg.order, grid, lambda_max)
+        if estimated:
+            # estimate once: the node rows reuse it, on the same operator
+            op = model.build_operator(dataset.graph, cfg)
+            cfg = replace(cfg, estimate_spectrum=False,
+                          lambda_max=op.lambda_max)
+        table = basis_matrix(cfg.basis, cfg.order, grid, cfg.lambda_max)
         gamma = params["filter.gamma"]
         for j in range(gamma.shape[1]):
             # a global_only model has one gamma column and no projection
@@ -272,13 +290,11 @@ def cmd_filter_response(args) -> int:
             for v in nodes:
                 rows.append((f"node_{v}", table @ psi[v]))
     else:
-        raise SystemExit("provide --coeffs or --checkpoint")
+        raise UsageError("provide --coeffs or --checkpoint")
 
-    with _output(args.out) as dest:
-        dest.write("filter,lambda,response\n")
-        for label, values in rows:
-            for lam, val in zip(grid, values):
-                dest.write(f"{label},{_fmt(float(lam))},{_fmt(float(val))}\n")
+    _write_csv(args.out, "filter,lambda,response",
+               ((label, lam, val) for label, values in rows
+                for lam, val in zip(grid.tolist(), values.tolist())))
     return 0
 
 
@@ -298,52 +314,21 @@ def cmd_oracle_check(args) -> int:
 
 def cmd_sweep(args) -> int:
     dataset = _load_dataset(args)
-    orders = [int(t) for t in args.orders.split(",")]
-    ranks = [int(t) for t in args.ranks.split(",")]
-    # a saved split is shared by every run, so only the model seed varies
-    saved = _saved_split(args.split)
-    with _output(args.out) as dest:
-        dest.write("K,d,runs,mean_accuracy,ci_half_width\n")
-        for order in orders:
-            for rank in ranks:
-                accs = []
-                for run in range(args.runs):
-                    cfg = _train_config(args)
-                    cfg.order, cfg.rank = order, rank
-                    cfg.seed = args.seed + run
-                    split = saved or make_split(
-                        dataset.n, args.split, cfg.seed,
-                        stratified=args.stratified, labels=dataset.labels)
-                    result = model.train(dataset, split, cfg)
-                    preds, _ = model.predict(result.params, dataset, cfg)
-                    accs.append(evaluate.accuracy(preds, dataset.labels,
-                                                  split.test))
-                summary = evaluate.summarize_runs(accs)
-                dest.write(f"{order},{rank},{len(accs)},"
-                           f"{_fmt(summary.mean)},"
-                           f"{_fmt(summary.ci_half_width)}\n")
-    return 0
+    base = _train_config(args)
+    grid = [replace(base, order=int(k), rank=int(d))
+            for k in args.orders.split(",") for d in args.ranks.split(",")]
+    for cfg in grid:  # before any run trains or --out is opened
+        cfg.validate()
 
+    def rows():
+        for cfg in grid:
+            accs = [_run(args, dataset, replace(cfg, seed=args.seed + run))[2]
+                    for run in range(args.runs)]
+            summary = evaluate.summarize_runs(accs)
+            yield (cfg.order, cfg.rank, len(accs), summary.mean,
+                   summary.ci_half_width)
 
-def cmd_timing(args) -> int:
-    dataset = _load_dataset(args)
-    cfg = _train_config(args)
-    cfg.epochs = args.epochs
-    cfg.patience = args.epochs  # run every epoch; this is an instrument
-    split = _resolve_split(args, dataset)
-    start = time.perf_counter()
-    result = model.train(dataset, split, cfg)
-    total = time.perf_counter() - start
-    summary = {
-        "dataset": dataset.name,
-        "mode": cfg.mode,
-        "epochs_run": result.epochs_run,
-        "total_seconds": total,
-        "seconds_per_epoch": total / max(1, result.epochs_run),
-        "note": "wall-clock instrument; values are hardware-dependent and "
-                "not asserted anywhere",
-    }
-    print(json.dumps(summary, indent=2, sort_keys=True))
+    _write_csv(args.out, "K,d,runs,mean_accuracy,ci_half_width", rows())
     return 0
 
 
@@ -377,11 +362,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="evaluate a checkpoint")
     _add_dataset_args(p)
+    _add_split_args(p)
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--split", default="dense")
-    p.add_argument("--split-seed", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--stratified", action="store_true")
     p.add_argument("--bins", type=int, default=5)
     p.add_argument("--pair-sample", type=int, default=200_000)
     p.add_argument("--out-dir", default="reports")
@@ -394,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--coeffs", help="comma-separated coefficient vector")
     p.add_argument("--basis", default="chebyshev", choices=BASES)
     p.add_argument("--nodes", help="comma-separated node ids for local filters")
-    p.add_argument("--grid-points", type=int, default=201)
+    p.add_argument("--grid-points", type=_positive_int, default=201)
     p.add_argument("--out")
     p.set_defaults(func=cmd_filter_response)
 
@@ -410,22 +392,20 @@ def build_parser() -> argparse.ArgumentParser:
     _add_train_args(p)
     p.add_argument("--orders", default="1,3,5,10")
     p.add_argument("--ranks", default="1,3,5")
-    p.add_argument("--runs", type=int, default=5)
+    p.add_argument("--runs", type=_positive_int, default=5)
     p.add_argument("--out")
     p.set_defaults(func=cmd_sweep)
-
-    p = sub.add_parser("timing", help="wall-clock instrument (not asserted)")
-    _add_dataset_args(p)
-    _add_train_args(p)
-    p.set_defaults(func=cmd_timing)
 
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except UsageError as exc:
+        parser.error(str(exc))  # exits 2, as argparse's own usage errors do
     except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

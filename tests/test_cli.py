@@ -1,12 +1,18 @@
+import argparse
+import dataclasses
 import json
+import os
 import re
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import nodespec
 from nodespec import model
-from nodespec.cli import main
+from nodespec.cli import _train_config, build_parser, main
 from nodespec.data import (load_named_dataset, load_split, make_split,
                            save_dataset, save_split)
 from nodespec.graph import estimate_lambda_max, normalized_laplacian
@@ -159,21 +165,74 @@ def test_sweep_emits_grid(data_root, tmp_path, capsys):
     assert len(lines) == 3
 
 
-def test_timing_reports_instrument(data_root, capsys):
-    code, out, _ = run_cli(capsys, "timing", "--dataset", "toy",
-                           "--data-root", data_root, "--epochs", "5",
-                           "--f-h", "8", "--K", "2")
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["epochs_run"] == 5
-    assert payload["seconds_per_epoch"] > 0
-    assert "not asserted" in payload["note"]
-
-
 def test_unknown_flag_exits_two(data_root):
     with pytest.raises(SystemExit) as exc:
         main(["train", "--no-such-flag"])
     assert exc.value.code == 2
+
+
+def test_entry_point_lists_the_commands():
+    src = os.path.dirname(os.path.dirname(nodespec.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "nodespec.cli", "--help"],
+                          capture_output=True, text=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr
+    commands = re.search(r"\{([^}]*)\}", proc.stdout).group(1).split(",")
+    assert commands == ["analyze", "prop-sim", "train", "eval",
+                        "filter-response", "oracle-check", "sweep"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["analyze", "--edges", "edges.tsv"],
+     "--edges/--features/--labels must be given together"),
+    (["analyze"], "either --dataset or explicit file paths are required"),
+    (["filter-response"], "provide --coeffs or --checkpoint")],
+    ids=["edges-alone", "no-dataset", "no-filter"])
+def test_flags_that_do_not_go_together_exit_two(tmp_path, capsys, argv,
+                                                message):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out-dir" if argv[0] == "analyze" else "--out",
+              str(tmp_path / "out")])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.endswith(f"error: {message}\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["sweep", "--runs", "0"], 2),
+    (["sweep", "--orders", "2,0"], 1),
+    (["sweep", "--ranks", "1,0"], 1),
+    (["filter-response", "--coeffs", "0,1", "--grid-points", "0"], 2),
+    (["filter-response", "--coeffs", "0,1", "--grid-points", "-1"], 2)],
+    ids=["runs-0", "order-0", "rank-0", "grid-points-0", "grid-points-negative"])
+def test_bad_counts_fail_before_any_output(data_root, tmp_path, capsys,
+                                           monkeypatch, argv, code):
+    monkeypatch.setattr(model, "train", lambda *a: pytest.fail("trained"))
+    out_csv = tmp_path / "out.csv"
+    try:
+        got = main([*argv, "--dataset", "toy", "--data-root", str(data_root),
+                    "--out", str(out_csv)])
+    except SystemExit as exc:
+        got = exc.code
+    out = capsys.readouterr()
+    assert got == code
+    assert out.out == "" and "error: " in out.err
+    assert not out_csv.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "sweep"])
+def test_train_config_defaults_come_from_train_config(command):
+    parser = build_parser()
+    args = parser.parse_args([command, "--dataset", "x"])
+    assert _train_config(args) == model.TrainConfig()
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    dests = {a.dest for a in sub.choices[command]._actions}
+    fields = {f.name for f in dataclasses.fields(model.TrainConfig)}
+    assert fields - dests == {"lambda_max"}
 
 
 def test_runtime_failure_exits_one(tmp_path, capsys):
@@ -298,16 +357,19 @@ def test_zero_bins_fail_alike_in_analyze_and_eval(data_root, tmp_path,
     assert errors == ["error: bin_count must be at least 1\n"] * 2
 
 
+@pytest.mark.parametrize("how", ["saved", "split-seed"])
 def test_sweep_shares_a_saved_split(data_root, tmp_path, capsys,
-                                    monkeypatch):
+                                    monkeypatch, how):
     path = tmp_path / "split.json"
     save_split(make_split(60, "sparse", seed=11), path)
+    split_flags = {"saved": ["--split", path],
+                   "split-seed": ["--split", "sparse", "--split-seed", 11]}
     runs = []
     train = model.train
     monkeypatch.setattr(model, "train", lambda ds, split, cfg: (
         runs.append((split, cfg.seed)) or train(ds, split, cfg)))
     code, _, err = run_cli(capsys, "sweep", "--dataset", "toy",
-                           "--data-root", data_root, "--split", path,
+                           "--data-root", data_root, *split_flags[how],
                            "--orders", "1,2", "--ranks", "1", "--runs", "2",
                            "--epochs", "3", "--f-h", "8",
                            "--out", tmp_path / "sweep.csv")
@@ -318,6 +380,24 @@ def test_sweep_shares_a_saved_split(data_root, tmp_path, capsys,
         for part in ("train", "validation", "test"):
             np.testing.assert_array_equal(getattr(split, part),
                                           getattr(want, part))
+
+
+def test_sweep_split_seed_picks_the_split(data_root, capsys):
+    tables = []
+    for split_seed in (5, 6):
+        flags = ["--dataset", "toy", "--data-root", data_root, "--K", "2",
+                 "--d", "1", "--epochs", "5", "--f-h", "8", "--seed", "3",
+                 "--split-seed", split_seed]
+        code, out, err = run_cli(capsys, "sweep", *flags, "--orders", "2",
+                                 "--ranks", "1", "--runs", "1")
+        assert code == 0, err
+        tables.append(out)
+        # a one-run sweep row is the train run of the same flags
+        code, summary, err = run_cli(capsys, "train", *flags)
+        assert code == 0, err
+        mean = float(out.splitlines()[1].split(",")[3])
+        assert mean == json.loads(summary)["test_accuracy"]
+    assert tables[0] != tables[1]
 
 
 def test_filter_response_node_out_of_range_exits_one(data_root, tmp_path,
@@ -336,26 +416,39 @@ def test_filter_response_node_out_of_range_exits_one(data_root, tmp_path,
 
 
 def test_filter_response_uses_the_estimated_spectrum(data_root, tmp_path,
-                                                     capsys):
+                                                     capsys, monkeypatch):
     ckpt = tmp_path / "toy.ckpt"
     code, _, _ = run_cli(capsys, "train", "--dataset", "toy",
                          "--data-root", data_root, "--K", "3", "--f-h", "8",
                          "--epochs", "2", "--estimate-lambda-max",
                          "--checkpoint", ckpt)
     assert code == 0
+    params, cfg = model.load_checkpoint(ckpt)
+    dataset = load_named_dataset(data_root, "toy")
+    lambda_max, converged = estimate_lambda_max(
+        normalized_laplacian(dataset.graph))
+    assert converged and lambda_max < 1.99
+    table = basis_matrix("chebyshev", 3, np.linspace(0.0, 2.0, 9), lambda_max)
+    psi = model.node_coefficients(params, dataset, cfg)
+    want = {"base_0": table @ params["filter.gamma"][:, 0],
+            "node_0": table @ psi[0], "node_3": table @ psi[3]}
+
+    estimates = []
+    estimate = model.estimate_lambda_max
+    monkeypatch.setattr(model, "estimate_lambda_max",
+                        lambda *a: estimates.append(1) or estimate(*a))
     code, out, _ = run_cli(capsys, "filter-response", "--checkpoint", ckpt,
                            "--dataset", "toy", "--data-root", data_root,
-                           "--grid-points", "9")
+                           "--nodes", "0,3", "--grid-points", "9")
     assert code == 0
-    params, cfg = model.load_checkpoint(ckpt)
-    lap = normalized_laplacian(load_named_dataset(data_root, "toy").graph)
-    lambda_max, converged = estimate_lambda_max(lap)
-    assert converged and lambda_max < 1.99
-    grid = np.linspace(0.0, 2.0, 9)
-    want = basis_matrix("chebyshev", 3, grid, lambda_max) \
-        @ params["filter.gamma"][:, 0]
-    got = [float(line.split(",")[2]) for line in out.splitlines()[1:]]
-    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+    assert len(estimates) == 1
+    got = {}
+    for line in out.splitlines()[1:]:
+        label, _, value = line.split(",")
+        got.setdefault(label, []).append(float(value))
+    assert got.keys() == want.keys()
+    for label, values in want.items():
+        np.testing.assert_array_equal(got[label], values)
 
     code, out, err = run_cli(capsys, "filter-response", "--checkpoint", ckpt)
     assert code == 1
