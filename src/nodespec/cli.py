@@ -14,8 +14,8 @@ from pathlib import Path
 import numpy as np
 
 from . import evaluate, homophily, model
-from .data import (Dataset, load_dataset, load_named_dataset, load_split,
-                   make_split, save_split)
+from .data import (DRAWN_MODES, Dataset, load_dataset, load_named_dataset,
+                   load_split, make_split, save_split)
 from .oracle import run_oracle_checks
 from .polyfilter import BASES, basis_matrix, frequency_response
 
@@ -133,9 +133,11 @@ def _checkpoint_errors(path):
 
 
 def _resolve_split(args, dataset: Dataset, seed: int):
-    """The split saved at --split, else the --split mode drawn with
-    --split-seed or, without one, with ``seed``, the run's model seed."""
-    if args.split.endswith(".json") or Path(args.split).exists():
+    """The --split mode drawn with --split-seed or, without one, with
+    ``seed``, the run's model seed; else the split saved at --split. A mode
+    name is never read as a path, even when a file of that name exists."""
+    if args.split not in DRAWN_MODES and (args.split.endswith(".json")
+                                          or Path(args.split).exists()):
         return load_split(args.split)
     if args.split_seed is not None:
         seed = args.split_seed
@@ -319,6 +321,7 @@ def cmd_sweep(args) -> int:
             for k in args.orders.split(",") for d in args.ranks.split(",")]
     for cfg in grid:  # before any run trains or --out is opened
         cfg.validate()
+    _resolve_split(args, dataset, args.seed)  # a bad --split fails here too
 
     def rows():
         for cfg in grid:

@@ -18,7 +18,10 @@ Python re-scan names the first bad ``path:line``.
 
 Split generation is pinned to a SplitMix64-driven Fisher-Yates permutation
 with exact rational ratio arithmetic, so a (n, mode, seed) triple produces
-identical splits on every platform and in any reimplementation.
+identical splits on every platform and in any reimplementation. The
+SplitMix64 stream is counter-based, so ``rng.splitmix64`` computes all its
+draws in closed form as one wrapping uint64 array, exactly the numbers of the
+one-at-a-time definition; only the Fisher-Yates swaps run as a Python loop.
 """
 
 import json
@@ -42,7 +45,8 @@ SPLIT_RATIOS = {
 INDUCTIVE_BASE = "sparse"
 OBSERVED_NUM, OBSERVED_DEN = 4, 5   # observed:unobserved = 8:2 of the test set
 
-MODES = ("sparse", "dense", "inductive", "custom")
+DRAWN_MODES = ("sparse", "dense", "inductive")   # the modes make_split draws
+MODES = (*DRAWN_MODES, "custom")
 
 # An id or label: ASCII digits with an optional sign; at most 19 significant
 # digits keeps int() cheap before the int64 range check.
@@ -134,10 +138,9 @@ def validate_split(split: Split, n: Optional[int] = None) -> None:
     if has_obs:
         merged = np.sort(np.concatenate([split.observed_test,
                                          split.unobserved_test]))
+        # the test set has no repeats, so equal to it means no overlap too
         if merged.size != split.test.size or not np.array_equal(merged, split.test):
             raise DataFormatError("observed/unobserved must partition the test set")
-        if np.intersect1d(split.observed_test, split.unobserved_test).size:
-            raise DataFormatError("observed and unobserved test sets overlap")
     if split.mode not in MODES:
         raise DataFormatError(f"unknown split mode {split.mode!r}")
 
@@ -345,13 +348,13 @@ def save_split(split: Split, path) -> None:
     payload = {
         "seed": int(split.seed),
         "mode": split.mode,
-        "train": [int(i) for i in split.train],
-        "validation": [int(i) for i in split.validation],
-        "test": [int(i) for i in split.test],
+        "train": split.train.tolist(),
+        "validation": split.validation.tolist(),
+        "test": split.test.tolist(),
     }
     if split.observed_test is not None:
-        payload["observed_test"] = [int(i) for i in split.observed_test]
-        payload["unobserved_test"] = [int(i) for i in split.unobserved_test]
+        payload["observed_test"] = split.observed_test.tolist()
+        payload["unobserved_test"] = split.unobserved_test.tolist()
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, sort_keys=True, separators=(",", ":"))
         fh.write("\n")

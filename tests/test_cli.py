@@ -223,6 +223,33 @@ def test_bad_counts_fail_before_any_output(data_root, tmp_path, capsys,
     assert not out_csv.exists()
 
 
+def test_split_mode_is_not_shadowed_by_a_path(data_root, tmp_path, capsys,
+                                              monkeypatch):
+    (tmp_path / "dense").mkdir()
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run_cli(capsys, "train", "--dataset", "toy",
+                           "--data-root", data_root, "--epochs", "2",
+                           "--split-seed", "4", "--save-split", "got.json")
+    assert code == 0, err
+    got, want = load_split(tmp_path / "got.json"), make_split(60, "dense", 4)
+    for part in ("train", "validation", "test"):
+        np.testing.assert_array_equal(getattr(got, part), getattr(want, part))
+
+
+@pytest.mark.parametrize("split", ["bogus", "missing.json", "broken.json"])
+def test_sweep_bad_split_fails_before_any_output(data_root, tmp_path, capsys,
+                                                 monkeypatch, split):
+    monkeypatch.setattr(model, "train", lambda *a: pytest.fail("trained"))
+    (tmp_path / "broken.json").write_text("{not json")
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, "sweep", "--dataset", "toy",
+                             "--data-root", data_root, "--split", split,
+                             "--out", "s.csv")
+    assert code == 1
+    assert out == "" and "error: " in err
+    assert not (tmp_path / "s.csv").exists()
+
+
 @pytest.mark.parametrize("command", ["train", "sweep"])
 def test_train_config_defaults_come_from_train_config(command):
     parser = build_parser()

@@ -364,6 +364,28 @@ class TestSplitSerialization:
         for key in ("train", "validation", "test"):
             assert payload[key] == sorted(payload[key])
 
+    @pytest.mark.parametrize("mode", ["dense", "sparse", "inductive"])
+    def test_file_bytes_match_per_item_formatting(self, tmp_path, mode):
+        split = make_split(5000, mode, seed=4)
+        path = tmp_path / "split.json"
+        save_split(split, path)
+        names = ["train", "validation", "test"]
+        if mode == "inductive":
+            names += ["observed_test", "unobserved_test"]
+        payload = {"seed": 4, "mode": mode}
+        payload.update({k: [int(i) for i in getattr(split, k)] for k in names})
+        want = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        assert path.read_bytes() == (want + "\n").encode("utf-8")
+
+    def test_overlapping_observed_and_unobserved_rejected(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"seed": 0, "mode": "inductive",
+                                    "train": [0], "validation": [1],
+                                    "test": [2, 3], "observed_test": [2, 3],
+                                    "unobserved_test": [3]}))
+        with pytest.raises(DataFormatError, match="partition"):
+            load_split(path)
+
     def test_overlapping_sets_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"seed": 0, "mode": "custom",
