@@ -118,8 +118,17 @@ def _add_train_args(p: argparse.ArgumentParser) -> None:
 
 
 def _train_config(args) -> model.TrainConfig:
+    """The run's TrainConfig; a flag its mode or basis would ignore is a
+    usage error."""
     values = {f.name: getattr(args, f.name) for f in fields(model.TrainConfig)}
-    return model.TrainConfig(**dict(values, mode=MODE_ALIASES[args.mode]))
+    cfg = model.TrainConfig(**dict(values, mode=MODE_ALIASES[args.mode]))
+    if cfg.batch_size is not None and cfg.mode != "sgc_like":
+        raise UsageError("--batch-size needs --mode sgc")
+    if cfg.static_coefficients and cfg.mode == "global_only":
+        raise UsageError("--static-h does not apply to --mode global")
+    if cfg.estimate_spectrum and cfg.basis != "chebyshev":
+        raise UsageError("--estimate-lambda-max needs --basis chebyshev")
+    return cfg
 
 
 @contextmanager

@@ -5,16 +5,21 @@ File formats (all UTF-8 text):
 * edge list  - one ``i<TAB>j`` pair per line (any run of whitespace
   separates), 0-based ids, ``#`` comments and blank lines ignored;
   orientation and duplicates are irrelevant.
-* features   - CSV, one row per node, no header, decimal floats.
+* features   - CSV, one row per node, no header, ASCII decimal floats,
+  all finite; ``#`` comments and empty lines ignored.
 * labels     - one non-negative integer per line, blank lines ignored, no
   comments; the class count is max label + 1.
 * split JSON - ``{"seed": int, "mode": str, "train": [...], "validation":
   [...], "test": [...]}`` plus ``observed_test``/``unobserved_test`` for
-  inductive splits; all index arrays sorted ascending.
+  inductive splits; every index array is a list of JSON integers, sorted
+  ascending when saved.
 
 Node ids and labels are ASCII decimal integers with an optional sign, within
-int64. Edge lists and labels are parsed by ``numpy.loadtxt``; when it fails, a
-Python re-scan names the first bad ``path:line``.
+int64. One reader parses the three text formats: a single ``numpy.loadtxt``
+call and a check of the whole table (two columns; one non-negative column;
+all finite). Only when either fails does a Python re-scan apply the format's
+line rule to name the first bad ``path:line`` (``path:line:col`` for a
+feature cell), or the path alone when no one line is at fault.
 
 Split generation is pinned to a SplitMix64-driven Fisher-Yates permutation
 with exact rational ratio arithmetic, so a (n, mode, seed) triple produces
@@ -47,6 +52,8 @@ OBSERVED_NUM, OBSERVED_DEN = 4, 5   # observed:unobserved = 8:2 of the test set
 
 DRAWN_MODES = ("sparse", "dense", "inductive")   # the modes make_split draws
 MODES = (*DRAWN_MODES, "custom")
+_SPLIT_INDEX_FIELDS = ("train", "validation", "test", "observed_test",
+                       "unobserved_test")
 
 # An id or label: ASCII digits with an optional sign; at most 19 significant
 # digits keeps int() cheap before the int64 range check.
@@ -123,14 +130,14 @@ def _as_sorted_index(values) -> np.ndarray:
 
 
 def validate_split(split: Split, n: Optional[int] = None) -> None:
-    groups = [split.train, split.validation, split.test]
-    total = np.concatenate(groups) if groups else np.empty(0, dtype=np.int64)
-    if np.unique(total).size != total.size:
+    total = np.sort(np.concatenate([split.train, split.validation,
+                                    split.test]))
+    if (total[1:] == total[:-1]).any():
         raise DataFormatError("split sets are not pairwise disjoint")
-    if total.size and total.min() < 0:
+    if total.size and total[0] < 0:
         raise DataFormatError("split contains negative node ids")
-    if n is not None and total.size and total.max() >= n:
-        raise DataFormatError(f"split references node {total.max()} >= n={n}")
+    if n is not None and total.size and total[-1] >= n:
+        raise DataFormatError(f"split references node {total[-1]} >= n={n}")
     has_obs = split.observed_test is not None
     has_unobs = split.unobserved_test is not None
     if has_obs != has_unobs:
@@ -150,119 +157,104 @@ def _is_int64(field: str) -> bool:
             and _INT64_MIN <= int(field) <= _INT64_MAX)
 
 
-def _loadtxt_int64(path, comments) -> np.ndarray:
-    """Whitespace-separated int64 rows as a 2-D array; a file without data
-    rows gives a (0, 1) array, without loadtxt's warning."""
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", "loadtxt: input contained no data",
-                                UserWarning)
-        return np.loadtxt(path, dtype=np.int64, comments=comments, ndmin=2,
-                          encoding="utf-8")
+def _feature_cell_problem(cell: str) -> Optional[str]:
+    """What numpy's float64 parser rejects, or NaN/inf. After surrounding
+    whitespace is stripped it reads only ASCII; Python's float() would also
+    take underscores and non-ASCII digits."""
+    body = cell.strip()
+    try:
+        if not body.isascii() or "_" in body:
+            raise ValueError
+        value = float(body)
+    except ValueError:
+        return f"not a decimal float: {cell!r}"
+    if not math.isfinite(value):
+        return f"non-finite feature value: {cell!r}"
+    return None
+
+
+def _read_table(path, loadtxt_args: dict, table_problem, split, width,
+                field_problem, cell_location=False) -> np.ndarray:
+    """The file as a 2-D array: one ``np.loadtxt`` call, then the table
+    check ``table_problem``. Only if either fails does a Python re-scan
+    apply the format's line rule: ``split`` a line into fields (none: skip
+    it), expect ``width`` of them (None: as many as the first line) and
+    check each with ``field_problem``. The first bad line raises a
+    DataFormatError at ``path:line`` (``path:line:col`` with
+    ``cell_location``); if no line is bad, the error is at ``path``. A file
+    without data rows gives a (0, 1) array, without loadtxt's warning."""
+    try:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data",
+                                    UserWarning)
+            table = np.loadtxt(path, ndmin=2, **loadtxt_args)
+    except ValueError as exc:
+        problem = str(exc)
+    else:
+        problem = table_problem(table)
+        if problem is None:
+            return table
+    with open(path, "r", encoding="utf-8", errors="replace") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            fields = split(line)
+            if not fields:
+                continue
+            width = width or len(fields)
+            if len(fields) != width:
+                raise DataFormatError(f"{path}:{lineno}: expected {width} "
+                                      f"columns, got {len(fields)}")
+            for col, field in enumerate(fields, start=1):
+                bad = field_problem(field)
+                if bad:
+                    where = f"{lineno}:{col}" if cell_location else lineno
+                    raise DataFormatError(f"{path}:{where}: {bad}")
+    raise DataFormatError(f"{path}: {problem}")
 
 
 def load_edge_list(path) -> np.ndarray:
     """The file's pairs, in file order, as an (m, 2) int64 array."""
-    try:
-        edges = _loadtxt_int64(path, comments="#")
-    except ValueError as exc:
-        problem = str(exc)
-    else:
-        if edges.size == 0:
-            return edges.reshape(0, 2)
-        if edges.shape[1] == 2:
-            return edges
-        problem = f"expected 2 columns, got {edges.shape[1]}"
-    _locate_edge_error(path)
-    raise DataFormatError(f"{path}: {problem}")
-
-
-def _locate_edge_error(path) -> None:
-    """Re-scan the file in Python to report the first bad line: not two
-    fields, or a field that is not a decimal int64."""
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            parts = line.split("#", 1)[0].split()
-            if not parts:
-                continue
-            if len(parts) != 2:
-                raise DataFormatError(
-                    f"{path}:{lineno}: expected 'i<TAB>j', got {line.rstrip()!r}")
-            for part in parts:
-                if not _is_int64(part):
-                    raise DataFormatError(
-                        f"{path}:{lineno}: not a decimal int64 node id: {part!r}")
+    return _read_table(
+        path, dict(dtype=np.int64, comments="#", encoding="utf-8"),
+        table_problem=lambda t: (f"expected 2 columns, got {t.shape[1]}"
+                                 if t.size and t.shape[1] != 2 else None),
+        split=lambda line: line.split("#", 1)[0].split(), width=2,
+        field_problem=lambda f: (None if _is_int64(f) else
+                                 f"not a decimal int64 node id: {f!r}"),
+    ).reshape(-1, 2)
 
 
 def load_features(path) -> np.ndarray:
-    try:
-        feats = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
-    except ValueError:
-        _locate_feature_error(path)
-        raise
-    if not np.isfinite(feats).all():
-        _locate_feature_error(path)
-        raise DataFormatError(f"{path}: non-finite feature value")
-    return feats
-
-
-def _locate_feature_error(path) -> None:
-    """Re-scan the file in Python to report the first bad cell precisely:
-    a ragged row, a cell that is not a decimal float, or NaN/inf."""
-    width = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            cells = line.rstrip("\n").split(",")
-            if width is None:
-                width = len(cells)
-            elif len(cells) != width:
-                raise DataFormatError(
-                    f"{path}:{lineno}: expected {width} columns, got {len(cells)}")
-            for col, cell in enumerate(cells, start=1):
-                try:
-                    value = float(cell)
-                except ValueError:
-                    raise DataFormatError(
-                        f"{path}:{lineno}:{col}: not a decimal float: {cell!r}"
-                    ) from None
-                if not math.isfinite(value):
-                    raise DataFormatError(
-                        f"{path}:{lineno}:{col}: non-finite feature value: "
-                        f"{cell!r}")
+    """One float64 row per line that is not empty, as an (n, f) array."""
+    def split(line):
+        # numpy skips only a line that is empty once its comment is cut, so
+        # a line of spaces is a row of one blank cell
+        body = line.split("#", 1)[0].rstrip("\n")
+        return body.split(",") if body else []
+    return _read_table(
+        path, dict(delimiter=",", dtype=np.float64),
+        table_problem=lambda t: (None if np.isfinite(t).all()
+                                 else "non-finite feature value"),
+        split=split, width=None, field_problem=_feature_cell_problem,
+        cell_location=True)
 
 
 def load_labels(path) -> np.ndarray:
-    """One non-negative int64 label per non-blank line."""
-    try:
-        labels = _loadtxt_int64(path, comments=None)
-    except ValueError as exc:
-        problem = str(exc)
-    else:
-        if labels.shape[1] != 1:
-            problem = f"expected one label per line, got {labels.shape[1]} fields"
-        elif labels.size and labels.min() < 0:
-            problem = f"negative label {labels.min()}"
-        else:
-            return labels.ravel()
-    _locate_label_error(path)
-    raise DataFormatError(f"{path}: {problem}")
+    """One non-negative int64 label per non-blank line. The whole line is
+    one field, so ``1 2`` is not an integer label."""
+    def table_problem(t):
+        if t.shape[1] != 1:
+            return f"expected one label per line, got {t.shape[1]} fields"
+        return f"negative label {t.min()}" if t.size and t.min() < 0 else None
 
-
-def _locate_label_error(path) -> None:
-    """Re-scan the file in Python to report the first line that is not a
-    decimal int64, or is negative."""
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            body = line.strip()
-            if not body:
-                continue
-            if not _is_int64(body):
-                raise DataFormatError(
-                    f"{path}:{lineno}: not an integer label: {body!r}")
-            if int(body) < 0:
-                raise DataFormatError(
-                    f"{path}:{lineno}: negative label {int(body)}")
+    def label_problem(field):
+        if not _is_int64(field):
+            return f"not an integer label: {field!r}"
+        return f"negative label {int(field)}" if int(field) < 0 else None
+    return _read_table(
+        path, dict(dtype=np.int64, comments=None, encoding="utf-8"),
+        table_problem=table_problem,
+        split=lambda line: [line.strip()] if line.strip() else [], width=1,
+        field_problem=label_problem).ravel()
 
 
 def load_dataset(edge_path, feature_path, label_path,
@@ -345,16 +337,10 @@ def make_split(n: int, mode: str, seed: int, stratified: bool = False,
 
 
 def save_split(split: Split, path) -> None:
-    payload = {
-        "seed": int(split.seed),
-        "mode": split.mode,
-        "train": split.train.tolist(),
-        "validation": split.validation.tolist(),
-        "test": split.test.tolist(),
-    }
-    if split.observed_test is not None:
-        payload["observed_test"] = split.observed_test.tolist()
-        payload["unobserved_test"] = split.unobserved_test.tolist()
+    payload = {"seed": int(split.seed), "mode": split.mode}
+    payload.update((key, getattr(split, key).tolist())
+                   for key in _SPLIT_INDEX_FIELDS
+                   if getattr(split, key) is not None)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, sort_keys=True, separators=(",", ":"))
         fh.write("\n")
@@ -366,21 +352,23 @@ def load_split(path) -> Split:
             payload = json.load(fh)
         except json.JSONDecodeError as exc:
             raise DataFormatError(f"{path}: invalid JSON: {exc}") from None
+    if not isinstance(payload, dict):
+        raise DataFormatError(f"{path}: expected a JSON object")
     for key in ("seed", "mode", "train", "validation", "test"):
         if key not in payload:
             raise DataFormatError(f"{path}: missing required field {key!r}")
-    if not isinstance(payload["seed"], int):
+    if type(payload["seed"]) is not int:
         raise DataFormatError(f"{path}: seed must be an integer")
+    ids = {key: payload[key] for key in _SPLIT_INDEX_FIELDS if key in payload}
+    for key, values in ids.items():
+        # np.asarray would truncate a float and read a string or bool as an id
+        if not (isinstance(values, list) and all(
+                type(v) is int and _INT64_MIN <= v <= _INT64_MAX
+                for v in values)):
+            raise DataFormatError(
+                f"{path}: {key} must be a list of integer node ids")
     try:
-        return Split(
-            train=payload["train"],
-            validation=payload["validation"],
-            test=payload["test"],
-            seed=payload["seed"],
-            mode=payload["mode"],
-            observed_test=payload.get("observed_test"),
-            unobserved_test=payload.get("unobserved_test"),
-        )
+        return Split(seed=payload["seed"], mode=payload["mode"], **ids)
     except DataFormatError as exc:
         raise DataFormatError(f"{path}: {exc}") from None
 

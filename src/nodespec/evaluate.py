@@ -1,7 +1,7 @@
 """Experiment metrics: accuracy summaries, homophily-binned accuracy, and
 coefficient-distance analysis of the learned per-node filters."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,7 +18,6 @@ class RunSummary:
     seeds: list
     mean: float
     ci_half_width: float
-    config: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -53,7 +52,7 @@ def accuracy(predictions, labels, index_set) -> float:
     return float(np.mean(predictions[index] == labels[index]))
 
 
-def summarize_runs(accuracies, seeds=None, config=None) -> RunSummary:
+def summarize_runs(accuracies, seeds=None) -> RunSummary:
     accs = [float(a) for a in accuracies]
     if not accs:
         raise ValueError("no runs to summarize")
@@ -63,13 +62,20 @@ def summarize_runs(accuracies, seeds=None, config=None) -> RunSummary:
     else:
         half = 0.0
     return RunSummary(accuracies=accs, seeds=list(seeds or []), mean=mean,
-                      ci_half_width=half, config=dict(config or {}))
+                      ci_half_width=half)
 
 
-def _bin_index(values: np.ndarray, bins: int) -> np.ndarray:
-    """Equal-width bins over [0, 1]; the value 1.0 lands in the last bin."""
-    idx = np.floor(values * bins).astype(np.int64)
-    return np.clip(idx, 0, bins - 1)
+def _binned_means(stat: np.ndarray, values: np.ndarray, bins: int):
+    """Counts and mean ``values`` per equal-width bin of ``stat`` over
+    [0, 1] (the value 1.0 lands in the last bin), NaN where a bin is
+    empty."""
+    which = np.clip(np.floor(stat * bins).astype(np.int64), 0, bins - 1)
+    counts = np.bincount(which, minlength=bins)
+    sums = np.bincount(which, weights=values, minlength=bins)
+    means = np.full(bins, np.nan)
+    nonzero = counts > 0
+    means[nonzero] = sums[nonzero] / counts[nonzero]
+    return counts, means
 
 
 def homophily_binned_accuracy(predictions, labels, graph: Graph, test_set,
@@ -83,12 +89,7 @@ def homophily_binned_accuracy(predictions, labels, graph: Graph, test_set,
     valid = ~np.isnan(ratios)
     test, ratios = test[valid], ratios[valid]
     correct = (predictions[test] == labels[test]).astype(np.float64)
-    which = _bin_index(ratios, bins)
-    counts = np.bincount(which, minlength=bins)
-    sums = np.bincount(which, weights=correct, minlength=bins)
-    acc = np.full(bins, np.nan)
-    nonzero = counts > 0
-    acc[nonzero] = sums[nonzero] / counts[nonzero]
+    counts, acc = _binned_means(ratios, correct, bins)
     return BinReport(edges=np.linspace(0.0, 1.0, bins + 1), counts=counts,
                      accuracy=acc)
 
@@ -129,19 +130,9 @@ def coefficient_distance_report(psi: np.ndarray, graph: Graph, labels,
         block = slice(lo, lo + JACCARD_BLOCK_PAIRS)
         dist[block] = np.linalg.norm(psi[ii[block]] - psi[jj[block]], axis=1)
     same = labels[ii] == labels[jj]
-    which = _bin_index(jac, jaccard_bins)
-
-    def bin_stats(mask):
-        counts = np.bincount(which[mask], minlength=jaccard_bins)
-        sums = np.bincount(which[mask], weights=dist[mask],
-                           minlength=jaccard_bins)
-        means = np.full(jaccard_bins, np.nan)
-        nz = counts > 0
-        means[nz] = sums[nz] / counts[nz]
-        return counts, means
-
-    same_count, same_mean = bin_stats(same)
-    diff_count, diff_mean = bin_stats(~same)
+    same_count, same_mean = _binned_means(jac[same], dist[same], jaccard_bins)
+    diff_count, diff_mean = _binned_means(jac[~same], dist[~same],
+                                          jaccard_bins)
     return CoefficientDistanceReport(
         edges=np.linspace(0.0, 1.0, jaccard_bins + 1),
         same_label_count=same_count, same_label_mean=same_mean,

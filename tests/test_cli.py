@@ -223,6 +223,28 @@ def test_bad_counts_fail_before_any_output(data_root, tmp_path, capsys,
     assert not out_csv.exists()
 
 
+@pytest.mark.parametrize("command", ["train", "sweep"])
+@pytest.mark.parametrize("flags, message", [
+    (["--batch-size", "8"], "--batch-size needs --mode sgc"),
+    (["--mode", "appnp", "--batch-size", "8"], "--batch-size needs --mode sgc"),
+    (["--mode", "global", "--static-h"], "--static-h does not apply"),
+    (["--basis", "monomial", "--estimate-lambda-max"],
+     "--estimate-lambda-max needs --basis chebyshev"),
+    (["--basis", "bernstein", "--estimate-lambda-max"],
+     "--estimate-lambda-max needs --basis chebyshev")],
+    ids=["batch-default-mode", "batch-appnp", "static-h-global",
+         "estimate-monomial", "estimate-bernstein"])
+def test_ignored_flags_exit_two(data_root, capsys, monkeypatch, command,
+                                flags, message):
+    monkeypatch.setattr(model, "train", lambda *a: pytest.fail("trained"))
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--dataset", "toy", "--data-root", str(data_root),
+              "--epochs", "2", *flags])
+    out = capsys.readouterr()
+    assert exc.value.code == 2
+    assert out.out == "" and message in out.err
+
+
 def test_split_mode_is_not_shadowed_by_a_path(data_root, tmp_path, capsys,
                                               monkeypatch):
     (tmp_path / "dense").mkdir()

@@ -1,3 +1,4 @@
+import io
 import json
 import re
 
@@ -7,9 +8,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from nodespec.data import (DataFormatError, Dataset, Split, load_dataset,
-                           load_edge_list, load_labels, load_named_dataset,
-                           load_split, make_split, save_dataset, save_split,
-                           subset)
+                           load_edge_list, load_features, load_labels,
+                           load_named_dataset, load_split, make_split,
+                           save_dataset, save_split, subset)
 from nodespec.graph import build_graph
 from nodespec.synthetic import planted_partition_dataset
 
@@ -40,10 +41,15 @@ class TestLoadDataset:
                          toy_files / "labels.txt")
 
     def test_bad_feature_cell_reports_location(self, toy_files):
-        (toy_files / "features.csv").write_text("1.0,2.0\n1.0,oops\n3.0,4.0\n")
-        with pytest.raises(DataFormatError, match="features.csv:2:2"):
-            load_dataset(toy_files / "edges.tsv", toy_files / "features.csv",
-                         toy_files / "labels.txt")
+        # float() reads "1_0" and Arabic-Indic digits; numpy's parser does not
+        for cell in ["oops", "1_0", "\u0661", "\u0661.5"]:
+            (toy_files / "features.csv").write_text(
+                f"1.0,2.0\n1.0,{cell}\n3.0,4.0\n", encoding="utf-8")
+            with pytest.raises(DataFormatError, match=re.escape(
+                    f"features.csv:2:2: not a decimal float: {cell!r}")):
+                load_dataset(toy_files / "edges.tsv",
+                             toy_files / "features.csv",
+                             toy_files / "labels.txt")
 
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e999"])
     def test_non_finite_feature_reports_location(self, toy_files, cell):
@@ -83,6 +89,16 @@ class TestLoadDataset:
     def test_bad_edge_field_reports_line(self, toy_files, line):
         (toy_files / "edges.tsv").write_text(f"0\t1\n# c\n{line}\n1\t2\n")
         with pytest.raises(DataFormatError, match="edges.tsv:3: "):
+            load_dataset(toy_files / "edges.tsv", toy_files / "features.csv",
+                         toy_files / "labels.txt")
+
+    @pytest.mark.parametrize("name, text", [
+        ("edges.tsv", b"0\t1\n\xff\t2\n"),
+        ("features.csv", b"1.0,2.0\n\xff,0\n3.0,4.0\n"),
+        ("labels.txt", b"0\n\xff\n1\n")])
+    def test_undecodable_byte_reports_line(self, toy_files, name, text):
+        (toy_files / name).write_bytes(text)
+        with pytest.raises(DataFormatError, match=f"{name}:2:"):
             load_dataset(toy_files / "edges.tsv", toy_files / "features.csv",
                          toy_files / "labels.txt")
 
@@ -245,6 +261,67 @@ def test_labels_match_per_line_parse(tmp_path, case):
                                     tmp_path / "labels.txt", case)
 
 
+# Feature cells: well-formed floats, or soup from the characters numpy and
+# Python's float() disagree on or reject.
+FLOAT_TEXT = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+CELL_PARTS = ["0", "1", "9", "-", "+", ".", "e", "_", "inf", "nan", " ",
+              "\u0663"]
+FEATURE_CELL = FLOAT_TEXT | st.lists(st.sampled_from(CELL_PARTS), max_size=4
+                                     ).map("".join)
+
+
+@st.composite
+def feature_files(draw):
+    """Rows of one width, perhaps one of another width, and empty lines or
+    lines of spaces, which numpy reads as a row of one blank cell."""
+    width = draw(st.integers(1, 3))
+    lines = []
+    for _ in range(draw(st.integers(0, 6))):
+        if draw(st.integers(0, 5)) == 0:
+            lines.append(draw(st.sampled_from(["", "", " ", "  "])))
+            continue
+        cells = width if draw(st.integers(0, 7)) else draw(st.integers(1, 4))
+        lines.append(",".join(draw(st.lists(FEATURE_CELL, min_size=cells,
+                                            max_size=cells))))
+    return lines, draw(EOL)
+
+
+def first_bad_feature_line(lines):
+    """The first line numpy rejects on its own, or that is ragged or
+    non-finite; None if there is none."""
+    width = None
+    for lineno, line in enumerate(lines, start=1):
+        if not line:
+            continue
+        try:
+            row = np.loadtxt(io.StringIO(line), delimiter=",", ndmin=2)
+        except ValueError:
+            return lineno
+        width = width or row.shape[1]
+        if row.shape[1] != width or not np.isfinite(row).all():
+            return lineno
+    return None
+
+
+@LOADER_SETTINGS
+@given(feature_files())
+def test_features_fail_where_numpy_does(tmp_path, case):
+    lines, eol = case
+    path = tmp_path / "features.csv"
+    path.write_bytes("".join(line + eol for line in lines).encode())
+    bad = first_bad_feature_line(lines)
+    if bad is not None:
+        with pytest.raises(DataFormatError,
+                           match="^" + re.escape(f"{path}:{bad}:")):
+            load_features(path)
+    else:
+        rows = [[float(cell) for cell in line.split(",")]
+                for line in lines if line]
+        want = np.array(rows, dtype=np.float64).reshape(len(rows), -1) \
+            if rows else np.empty((0, 1))
+        np.testing.assert_array_equal(load_features(path), want, strict=True)
+
+
 class TestDatasetValidation:
     def test_single_class_rejected(self, toy_files):
         (toy_files / "labels.txt").write_text("0\n0\n0\n")
@@ -394,6 +471,32 @@ class TestSplitSerialization:
         with pytest.raises(DataFormatError, match="disjoint"):
             load_split(path)
 
+    @pytest.mark.parametrize("key", ["train", "unobserved_test"])
+    @pytest.mark.parametrize("ids", [
+        [0.5, 1.7],         # numpy would truncate these to 0 and 1
+        ["3", "4"], [True, 2], [[1, 2], [3]], "3", 3, None, [2**63]],
+        ids=["floats", "strings", "bool", "nested", "string", "number",
+             "null", "beyond-int64"])
+    def test_non_integer_ids_rejected(self, tmp_path, key, ids):
+        payload = {"seed": 0, "mode": "inductive", "train": [0],
+                   "validation": [1], "test": [2, 3], "observed_test": [2],
+                   "unobserved_test": [3], key: ids}
+        with pytest.raises(DataFormatError, match=re.escape(
+                f"split.json: {key} must be a list of integer node ids")):
+            load_split_from(tmp_path, payload)
+
+    @pytest.mark.parametrize("payload", [5, [0, 1], "split"])
+    def test_non_object_rejected(self, tmp_path, payload):
+        with pytest.raises(DataFormatError,
+                           match="split.json: expected a JSON object"):
+            load_split_from(tmp_path, payload)
+
+    def test_boolean_seed_rejected(self, tmp_path):
+        with pytest.raises(DataFormatError, match="seed must be an integer"):
+            load_split_from(tmp_path, {"seed": True, "mode": "custom",
+                                       "train": [0], "validation": [1],
+                                       "test": [2]})
+
     def test_missing_seed_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"mode": "custom", "train": [0],
@@ -408,6 +511,12 @@ class TestSplitSerialization:
                                     "test": [2, 3], "observed_test": [2]}))
         with pytest.raises(DataFormatError, match="together"):
             load_split(path)
+
+
+def load_split_from(tmp_path, payload) -> Split:
+    path = tmp_path / "split.json"
+    path.write_text(json.dumps(payload))
+    return load_split(path)
 
 
 def test_split_post_init_validates():
