@@ -125,8 +125,11 @@ class Split:
 
 
 def _as_sorted_index(values) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.int64).ravel()
-    return np.sort(arr)
+    arr = np.asarray(values)
+    # an empty list reads as float64; any other non-integer id is an error
+    if arr.size and not np.issubdtype(arr.dtype, np.integer):
+        raise DataFormatError(f"split node ids must be integers, got {arr.dtype}")
+    return np.sort(arr.astype(np.int64, copy=False).ravel())
 
 
 def validate_split(split: Split, n: Optional[int] = None) -> None:

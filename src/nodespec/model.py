@@ -40,7 +40,6 @@ rates, and weight decay enters the loss as an explicit squared-norm penalty.
 import json
 import math
 import struct
-import warnings
 from dataclasses import asdict, dataclass, field, fields
 from typing import Optional
 
@@ -98,7 +97,7 @@ class TrainConfig:
     batch_size: Optional[int] = None   # sgc_like mini-batching; None = full batch
     static_coefficients: bool = False  # derive H once from the order-0 features
     lambda_max: float = 2.0
-    estimate_spectrum: bool = False    # power-iterate lambda_max instead of the bound
+    estimate_spectrum: bool = False    # lambda_max from a Lanczos bound on L
     precision: str = "float64"
 
     def validate(self) -> None:
@@ -230,22 +229,15 @@ def build_operator(graph: Graph, cfg: TrainConfig) -> SparseOperator:
     picks an operator and its lambda_max. Monomial gets the normalized
     Laplacian, bernstein ``chebyshev_operator(graph, 2.0)``, and chebyshev
     the scaled Laplacian at cfg.lambda_max or, with ``estimate_spectrum``, at
-    a power-iteration estimate, which falls back to the bound 2.0 with a
-    RuntimeWarning when it does not converge."""
+    the Lanczos upper estimate ``estimate_lambda_max`` of L's spectrum."""
     if cfg.basis == "monomial":
         return normalized_laplacian(graph)
     if cfg.basis == "bernstein":
         return chebyshev_operator(graph, 2.0)
     if not cfg.estimate_spectrum:
         return chebyshev_operator(graph, cfg.lambda_max)
-    lam_max, converged = estimate_lambda_max(normalized_laplacian(graph))
-    if not converged:
-        # an unconverged power iteration underestimates; 2 bounds the spectrum
-        warnings.warn(f"the lambda_max power iteration did not converge (last "
-                      f"estimate {lam_max!r}); using the bound 2.0 instead",
-                      RuntimeWarning, stacklevel=2)
-        lam_max = 2.0
-    return chebyshev_operator(graph, max(lam_max, 1e-12))
+    return chebyshev_operator(
+        graph, max(estimate_lambda_max(normalized_laplacian(graph)), 1e-12))
 
 
 def _dropout_mask(shape: tuple, rate: float, dtype,

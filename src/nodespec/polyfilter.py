@@ -49,13 +49,13 @@ def _check_basis_operator(basis: str, op: SparseOperator) -> None:
     lam = op.lambda_max
     if basis == "monomial" and lam is not None:
         raise ValueError("monomial propagation needs the normalized_laplacian,"
-                         f" got a scaled_laplacian at lambda_max {lam!r}")
+                         f" got a chebyshev_operator at lambda_max {lam!r}")
     if basis != "monomial" and lam is None:
-        raise ValueError(f"{basis} propagation needs a scaled_laplacian, got "
-                         "the normalized_laplacian")
+        raise ValueError(f"{basis} propagation needs a chebyshev_operator, "
+                         "got the normalized_laplacian")
     if basis == "bernstein" and lam != 2.0:
-        raise ValueError("bernstein propagation needs the scaled_laplacian at "
-                         f"lambda_max 2.0, got lambda_max {lam!r}")
+        raise ValueError("bernstein propagation needs the chebyshev_operator "
+                         f"at lambda_max 2.0, got lambda_max {lam!r}")
 
 
 @lru_cache(maxsize=32)

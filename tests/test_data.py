@@ -524,6 +524,22 @@ def test_split_post_init_validates():
         Split(train=[0, 1], validation=[1], test=[2], seed=0, mode="custom")
 
 
+@pytest.mark.parametrize("train", [
+    [0.5, 1.7], np.array([0.0, 1.0]), [True, False], np.array([0, 1], dtype=object)])
+def test_split_rejects_non_integer_ids(train):
+    # casting would truncate 0.5 and 1.7 to a train set [0 1]
+    with pytest.raises(DataFormatError, match="must be integers"):
+        Split(train=train, validation=[2], test=[3], seed=0, mode="custom")
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.uint16, np.int32, np.uint64])
+def test_split_accepts_integer_ids_of_any_width_and_empty_lists(dtype):
+    split = Split(train=np.array([3, 1], dtype=dtype), validation=[],
+                  test=np.array([], dtype=dtype), seed=0, mode="custom")
+    assert split.train.dtype == np.int64 and split.train.tolist() == [1, 3]
+    assert split.validation.dtype == np.int64 and split.validation.size == 0
+
+
 def test_subset_remaps_everything():
     ds = planted_partition_dataset(n=30, seed=2)
     sub, ids = subset(ds, np.arange(0, 30, 2))

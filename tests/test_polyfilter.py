@@ -74,7 +74,7 @@ class TestPropagate:
         g = er_graph(8, 0.4, seed=6)
         ops = _operators(g)
         x = rng.standard_normal((8, 1))
-        with pytest.raises(ValueError, match="scaled_laplacian"):
+        with pytest.raises(ValueError, match="chebyshev_operator"):
             propagate("chebyshev", ops["monomial"], x, 2)
         with pytest.raises(ValueError, match="normalized_laplacian"):
             propagate("monomial", ops["chebyshev"], x, 2)
