@@ -102,10 +102,13 @@ def _entropy(counts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
 
 
 def _within2_pattern(a: sp.csr_array) -> sp.csr_array:
-    """0/1 pattern of (A + I)^2: every node within two hops, itself included."""
+    """0/1 pattern of (A + I)^2: every node within two hops, itself included.
+    Each stored entry of the product is a sum of positive terms, so none is
+    zero and its values are overwritten with ones in place."""
     loops = a + sp.eye_array(a.shape[0])
     p = loops @ loops
-    return sp.csr_array((np.ones(p.nnz), p.indices, p.indptr), shape=p.shape)
+    p.data[:] = 1.0
+    return p
 
 
 def _scoped_label_counts(g: Graph, labels: np.ndarray, scopes,

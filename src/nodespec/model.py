@@ -20,12 +20,13 @@ it apart.
 Gradients are explicit. Each forward is plain numpy and keeps, in its
 ``ForwardTrace``, the named arrays its backward reads; ``backward`` runs the
 stages in reverse as straight-line code, each with a closed-form gradient:
-the MLP (``_mlp``), which runs in place on one hidden array and never forms
-the gradient of constant features; the filtering-layer dropout; the
-(K+1, n, c) propagation stack, whose backward is the adjoint recursion
-``autodiff.polynomial_adjoint``; and the combine (``_combine_layers``),
-which mixes the whole stack with its coefficients. Evaluation and
-prediction run the same forwards without dropout, except that
+the MLP (``_mlp``), which runs in place on one hidden array, draws its
+dropout masks a row block at a time, keeps only the input mask an input
+gradient reads, and never forms the gradient of constant features; the
+filtering-layer dropout; the (K+1, n, c) propagation stack, whose backward is
+the adjoint recursion ``autodiff.polynomial_adjoint``; and the combine
+(``_combine_layers``), which mixes the whole stack with its coefficients.
+Evaluation and prediction run the same forwards without dropout, except that
 ``eval_outputs`` on a graph of more than EVAL_BLOCK_ROWS nodes runs the
 appnp one without intermediates (``_appnp_eval``): the MLP on blocks of
 rows, so the (n, hidden) array is never whole, and each layer mixed in as
@@ -66,6 +67,10 @@ CHECKPOINT_MAGIC = b"NODESPEC-CKPT-1\n"
 # classes and K = 10.
 EVAL_BLOCK_ROWS = 4096
 
+# Elements per row block of a training dropout mask: 256 KiB of float64
+# draws at a time, in place of a whole (n, width) mask.
+MASK_BLOCK = 1 << 15
+
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
@@ -105,6 +110,16 @@ class TrainConfig:
             rate = getattr(self, name)
             if not 0.0 <= rate < 1.0:
                 raise ValueError(f"{name} must lie in [0, 1)")
+        for name in ("lr_l", "lr_p"):
+            rate = getattr(self, name)
+            if not (math.isfinite(rate) and rate > 0):
+                raise ValueError(f"{name} must be finite and positive, got "
+                                 f"{rate!r}")
+        if not (math.isfinite(self.l2) and self.l2 >= 0):
+            raise ValueError(f"l2 must be finite and non-negative, got "
+                             f"{self.l2!r}")
+        if self.patience < 0:
+            raise ValueError("patience must be >= 0")
         if self.order < 1:
             raise ValueError("polynomial order must be >= 1")
         if self.rank < 1:
@@ -140,9 +155,9 @@ class MLPTrace:
     """What the MLP forward keeps for its backward."""
 
     x_d: np.ndarray                 # the input after dropout
-    x_mask: Optional[np.ndarray]    # None without dropout
+    x_mask: Optional[np.ndarray]    # kept only for an input gradient
     h: np.ndarray                   # the hidden array after ReLU and dropout
-    h_mask: Optional[np.ndarray]
+    h_mask: Optional[np.ndarray]    # 0-d keep-scale 1/(1 - dp_l), or None
 
 
 @dataclass
@@ -262,21 +277,39 @@ def _dropout(x: np.ndarray, rate: float, training: bool,
     return x * mask, mask
 
 
+def _dropout_rows(x: np.ndarray, rate: float, rng: np.random.Generator,
+                  out: np.ndarray) -> np.ndarray:
+    """x times an inverted-dropout mask into ``out`` (may be x), the mask
+    drawn as one ``_dropout_mask`` would, but MASK_BLOCK elements of rows at
+    a time; returns its non-zero value 1 / (1 - rate) in x's dtype."""
+    rows = max(1, MASK_BLOCK // max(1, x.shape[1]))
+    for lo in range(0, len(x), rows):
+        block = x[lo:lo + rows]
+        np.multiply(block, _dropout_mask(block.shape, rate, x.dtype, rng),
+                    out=out[lo:lo + rows])
+    return np.ones((), x.dtype) / (1.0 - rate)
+
+
 def _mlp(x: np.ndarray, params: ModelParams, cfg: TrainConfig,
-         training: bool, rng) -> tuple[np.ndarray, MLPTrace]:
+         training: bool, rng, x_grad: bool = False
+         ) -> tuple[np.ndarray, MLPTrace]:
     """relu(x_d W1 + b1)_d W2 + b2, where _d is dropout at rate dp_l in
-    training, run in place on the one (n, hidden) array h."""
+    training, run in place on the one (n, hidden) array h. Its masks are
+    drawn and applied a row block at a time and not kept, but for the input
+    mask of an ``x_grad`` input, which the backward reads whole."""
     dropping = training and cfg.dp_l > 0.0
     x_d, x_mask, h_mask = x, None, None
-    if dropping:
+    if dropping and x_grad:
         x_mask = _dropout_mask(x.shape, cfg.dp_l, x.dtype, rng)
         x_d = x * x_mask
+    elif dropping:
+        x_d = np.empty_like(x)
+        _dropout_rows(x, cfg.dp_l, rng, x_d)
     h = x_d @ params["mlp.w1"]
     h += params["mlp.b1"]
     np.maximum(h, 0.0, out=h)
     if dropping:
-        h_mask = _dropout_mask(h.shape, cfg.dp_l, h.dtype, rng)
-        h *= h_mask
+        h_mask = _dropout_rows(h, cfg.dp_l, rng, h)
     out = h @ params["mlp.w2"]
     out += params["mlp.b2"]
     return out, MLPTrace(x_d, x_mask, h, h_mask)
@@ -290,11 +323,11 @@ def _mlp_backward(g: np.ndarray, saved: MLPTrace, params: ModelParams,
     grads["mlp.b2"] = g.sum(axis=0)
     grads["mlp.w2"] = saved.h.T @ g
     g = g @ params["mlp.w2"].T
+    # the hidden mask is its keep-scale wherever h > 0, and g is zeroed
+    # elsewhere, so the scale stands in for the mask
+    g *= saved.h > 0.0
     if saved.h_mask is not None:
         g *= saved.h_mask
-    # h > 0 wherever the pre-dropout h is; where the mask dropped it, g is
-    # already zero
-    g *= saved.h > 0.0
     grads["mlp.w1"] = saved.x_d.T @ g
     grads["mlp.b1"] = g.sum(axis=0)
     if not x_grad:
@@ -429,7 +462,7 @@ def forward_sgc_like(params: ModelParams, stack: PropagationStack,
     combined, combine = _combine_layers(layers.astype(cfg.dtype, copy=False),
                                         params, cfg)
     combined, mask = _dropout(combined, cfg.dp_p, training, rng)
-    logits, mlp = _mlp(combined, params, cfg, training, rng)
+    logits, mlp = _mlp(combined, params, cfg, training, rng, x_grad=True)
     _check_finite(logits)
     return ForwardTrace(logits, combine.eta.T, params, mlp, combine, mask,
                         None)
@@ -610,10 +643,10 @@ def train(dataset: Dataset, split: Split, cfg: TrainConfig) -> TrainResult:
                                  rng=rng)
                 attach_loss(trace, labels, train_idx, cfg.l2)
                 adam_step(params, backward(trace), adam, cfg.lr_l, cfg.lr_p)
+            logits = _forward(params, work, cfg, op, stack).logits
         except DivergenceError as exc:
             raise DivergenceError("training diverged", epoch) from exc
 
-        logits = _forward(params, work, cfg, op, stack).logits
         train_loss = loss(logits, labels, train_idx, params, cfg.l2)
         if not np.isfinite(train_loss):
             raise DivergenceError("training loss is not finite", epoch)

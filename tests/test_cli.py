@@ -335,7 +335,8 @@ def test_train_without_validation_nodes_exits_one(data_root, tmp_path,
 @pytest.mark.parametrize("flags, message", [
     (["--mode", "sgc", "--batch-size", "-4"], "batch size must be >= 1"),
     (["--epochs", "0"], "epochs must be >= 1"),
-    (["--f-h", "0"], "hidden width must be >= 1")])
+    (["--f-h", "0"], "hidden width must be >= 1"),
+    (["--lr-l", "-0.1"], "lr_l must be finite and positive")])
 def test_untrainable_config_exits_one(data_root, capsys, flags, message):
     code, out, err = run_cli(capsys, "train", "--dataset", "toy",
                              "--data-root", data_root, "--epochs", "5",
