@@ -16,7 +16,7 @@ import numpy as np
 from . import evaluate, homophily, model
 from .data import (DRAWN_MODES, Dataset, load_dataset, load_named_dataset,
                    load_split, make_split, save_split)
-from .oracle import run_oracle_checks
+from .oracle import DEFAULT_EIGEN_CAP, run_oracle_checks
 from .polyfilter import BASES, basis_matrix, frequency_response
 
 MODE_ALIASES = {
@@ -310,6 +310,10 @@ def cmd_filter_response(args) -> int:
 
 
 def cmd_oracle_check(args) -> int:
+    # random graphs of 8 to --n nodes, each decomposed densely
+    if not 8 <= args.n <= DEFAULT_EIGEN_CAP:
+        raise UsageError(f"--n must lie in [8, {DEFAULT_EIGEN_CAP}], got "
+                         f"{args.n}")
     errors = run_oracle_checks(max_nodes=args.n, trials=args.trials,
                                seed=args.seed)
     bounds = {"spectral_equivalence": 1e-10, "translate_delta": 1e-9,
@@ -395,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle-check",
                        help="sparse pipeline vs dense spectral oracle")
     p.add_argument("--n", type=int, default=32)
-    p.add_argument("--trials", type=int, default=50)
+    p.add_argument("--trials", type=_positive_int, default=50)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_oracle_check)
 

@@ -105,13 +105,11 @@ class Split:
     unobserved_test: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        self.train = _as_sorted_index(self.train)
-        self.validation = _as_sorted_index(self.validation)
-        self.test = _as_sorted_index(self.test)
-        if self.observed_test is not None:
-            self.observed_test = _as_sorted_index(self.observed_test)
-        if self.unobserved_test is not None:
-            self.unobserved_test = _as_sorted_index(self.unobserved_test)
+        for key in _SPLIT_INDEX_FIELDS:
+            value = getattr(self, key)
+            # only the two inductive halves of the test set may be absent
+            if value is not None or key in ("train", "validation", "test"):
+                setattr(self, key, _as_sorted_index(value))
         validate_split(self)
 
     def observed_nodes(self) -> np.ndarray:
@@ -307,28 +305,20 @@ def make_split(n: int, mode: str, seed: int, stratified: bool = False,
         raise ValueError(f"unknown split mode {mode!r}")
     tr_num, va_num, den = SPLIT_RATIOS[base]
     perm = permutation(n, seed)
-
+    groups = [perm]
     if stratified:
         if labels is None:
             raise ValueError("stratified split requires labels")
         labels = np.asarray(labels)
-        train_parts, val_parts, test_parts = [], [], []
-        for cls in np.unique(labels):
-            members = perm[labels[perm] == cls]
-            n_tr = (members.size * tr_num) // den
-            n_va = (members.size * va_num) // den
-            train_parts.append(members[:n_tr])
-            val_parts.append(members[n_tr:n_tr + n_va])
-            test_parts.append(members[n_tr + n_va:])
-        train = np.concatenate(train_parts)
-        val = np.concatenate(val_parts)
-        test_perm = np.concatenate(test_parts)
-    else:
-        n_tr = (n * tr_num) // den
-        n_va = (n * va_num) // den
-        train = perm[:n_tr]
-        val = perm[n_tr:n_tr + n_va]
-        test_perm = perm[n_tr + n_va:]
+        groups = [perm[labels[perm] == cls] for cls in np.unique(labels)]
+
+    # each group's quotas, in the group's permuted order
+    parts = []
+    for members in groups:
+        n_tr = (members.size * tr_num) // den
+        n_va = (members.size * va_num) // den
+        parts.append(np.split(members, [n_tr, n_tr + n_va]))
+    train, val, test_perm = (np.concatenate(sets) for sets in zip(*parts))
 
     observed = unobserved = None
     if mode == "inductive":

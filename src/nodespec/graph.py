@@ -53,14 +53,19 @@ def build_graph(edges, n: int) -> Graph:
     """Build a Graph from (i, j) pairs.
 
     Pairs are treated as undirected regardless of orientation; self-loops are
-    dropped and duplicates collapsed. Raises ValueError on out-of-range ids.
-    An ndarray of pairs is read as it is; any other iterable is listed first.
+    dropped and duplicates collapsed. Raises ValueError on out-of-range ids
+    and on ids that are not integers, which a cast would truncate. An
+    ndarray of pairs is read as it is; any other iterable is listed first.
     """
     if n < 0:
         raise ValueError("node count must be non-negative")
     if not isinstance(edges, np.ndarray):
         edges = list(edges)
-    pairs = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    pairs = np.asarray(edges)
+    # an empty list reads as float64; any other non-integer id is an error
+    if pairs.size and not np.issubdtype(pairs.dtype, np.integer):
+        raise ValueError(f"node ids must be integers, got {pairs.dtype}")
+    pairs = pairs.astype(np.int64, copy=False).reshape(-1, 2)
     if pairs.size:
         if pairs.min() < 0 or pairs.max() >= n:
             bad = pairs[(pairs < 0).any(axis=1) | (pairs >= n).any(axis=1)][0]

@@ -20,12 +20,14 @@ it apart.
 Gradients are explicit. Each forward is plain numpy and keeps, in its
 ``ForwardTrace``, the named arrays its backward reads; ``backward`` runs the
 stages in reverse as straight-line code, each with a closed-form gradient:
-the MLP (``_mlp``), which runs in place on one hidden array, draws its
-dropout masks a row block at a time, keeps only the input mask an input
-gradient reads, and never forms the gradient of constant features; the
-filtering-layer dropout; the (K+1, n, c) propagation stack, whose backward is
+the MLP (``_mlp``), which runs in place on one hidden array and never forms
+the gradient of constant features; the filtering-layer dropout; the
+(K+1, n, c) propagation stack, whose backward is
 the adjoint recursion ``autodiff.polynomial_adjoint``; and the combine
 (``_combine_layers``), which mixes the whole stack with its coefficients.
+Every dropout (dp_l in the MLP, dp_p on the filtering layer) is drawn and
+applied a row block at a time by ``_dropout``; a mask a backward reads is
+kept as a bool keep-mask plus its 0-d keep-scale 1/(1 - rate).
 Evaluation and prediction run the same forwards without dropout, except that
 ``eval_outputs`` on a graph of more than EVAL_BLOCK_ROWS nodes runs the
 appnp one without intermediates (``_appnp_eval``): the MLP on blocks of
@@ -155,9 +157,9 @@ class MLPTrace:
     """What the MLP forward keeps for its backward."""
 
     x_d: np.ndarray                 # the input after dropout
-    x_mask: Optional[np.ndarray]    # kept only for an input gradient
+    x_mask: Optional[np.ndarray]    # bool keep-mask, for an input gradient
     h: np.ndarray                   # the hidden array after ReLU and dropout
-    h_mask: Optional[np.ndarray]    # 0-d keep-scale 1/(1 - dp_l), or None
+    scale: Optional[np.ndarray]     # 0-d dp_l keep-scale; None undropped
 
 
 @dataclass
@@ -176,7 +178,8 @@ class ForwardTrace:
     coefficient matrix, the parameters it read, and the named intermediates
     ``backward`` reads.
 
-    ``dropout`` is the filtering-layer (dp_p) mask, None when nothing was
+    ``dropout`` is the filtering-layer (dp_p) bool keep-mask and
+    ``dropout_scale`` its 0-d keep-scale, both None when nothing was
     dropped; ``propagation`` is the (basis, operator) pair of the appnp
     pipeline, None for sgc_like, whose stack is a constant input.
     ``attach_loss`` fills in the loss gradient of the logits and l2.
@@ -188,6 +191,7 @@ class ForwardTrace:
     mlp: MLPTrace
     combine: CombineTrace
     dropout: Optional[np.ndarray]
+    dropout_scale: Optional[np.ndarray]
     propagation: Optional[tuple]
     logits_grad: Optional[np.ndarray] = None
     l2: float = 0.0
@@ -255,39 +259,29 @@ def build_operator(graph: Graph, cfg: TrainConfig) -> SparseOperator:
         graph, max(estimate_lambda_max(normalized_laplacian(graph)), 1e-12))
 
 
-def _dropout_mask(shape: tuple, rate: float, dtype,
-                  rng: np.random.Generator) -> np.ndarray:
-    """Inverted-dropout mask (draw >= rate) / (1 - rate) in ``dtype``. A
-    float64 mask is thresholded and scaled in the drawn array itself."""
-    draw = rng.random(shape)
-    keep = draw if draw.dtype == dtype else np.empty(shape, dtype)
-    np.greater_equal(draw, rate, out=keep)
-    keep /= 1.0 - rate
-    return keep
-
-
-def _dropout(x: np.ndarray, rate: float, training: bool,
-             rng: Optional[np.random.Generator]
-             ) -> tuple[np.ndarray, Optional[np.ndarray]]:
-    """x times an inverted-dropout mask in training, and the mask (None when
-    nothing is dropped)."""
-    if not training or rate <= 0.0:
-        return x, None
-    mask = _dropout_mask(x.shape, rate, x.dtype, rng)
-    return x * mask, mask
-
-
-def _dropout_rows(x: np.ndarray, rate: float, rng: np.random.Generator,
-                  out: np.ndarray) -> np.ndarray:
-    """x times an inverted-dropout mask into ``out`` (may be x), the mask
-    drawn as one ``_dropout_mask`` would, but MASK_BLOCK elements of rows at
-    a time; returns its non-zero value 1 / (1 - rate) in x's dtype."""
+def _dropout(x: np.ndarray, rate: float, rng: Optional[np.random.Generator],
+             out: np.ndarray, keep_mask: bool = False
+             ) -> tuple[Optional[np.ndarray], Optional[np.ndarray]]:
+    """Inverted dropout of x into ``out`` (may be x): x * (draw >= rate) /
+    (1 - rate), drawn MASK_BLOCK elements of rows at a time, the same draws
+    as one whole draw. Returns the bool keep-mask if ``keep_mask`` and the
+    0-d keep-scale in x's dtype; times the mask, then the scale, is times
+    the float mask bit for bit. At rate 0 nothing is drawn: (None, None)."""
+    if rate <= 0.0:
+        return None, None
+    mask = np.empty(x.shape, dtype=bool) if keep_mask else None
     rows = max(1, MASK_BLOCK // max(1, x.shape[1]))
     for lo in range(0, len(x), rows):
-        block = x[lo:lo + rows]
-        np.multiply(block, _dropout_mask(block.shape, rate, x.dtype, rng),
-                    out=out[lo:lo + rows])
-    return np.ones((), x.dtype) / (1.0 - rate)
+        draw = rng.random(x[lo:lo + rows].shape)
+        keep = draw if draw.dtype == x.dtype else np.empty(draw.shape, x.dtype)
+        np.greater_equal(draw, rate, out=keep)
+        if mask is not None:
+            mask[lo:lo + rows] = keep
+        keep /= 1.0 - rate
+        np.multiply(x[lo:lo + rows], keep, out=out[lo:lo + rows])
+        # free this block before the next one is drawn
+        del draw, keep
+    return mask, np.ones((), x.dtype) / (1.0 - rate)
 
 
 def _mlp(x: np.ndarray, params: ModelParams, cfg: TrainConfig,
@@ -295,24 +289,19 @@ def _mlp(x: np.ndarray, params: ModelParams, cfg: TrainConfig,
          ) -> tuple[np.ndarray, MLPTrace]:
     """relu(x_d W1 + b1)_d W2 + b2, where _d is dropout at rate dp_l in
     training, run in place on the one (n, hidden) array h. Its masks are
-    drawn and applied a row block at a time and not kept, but for the input
-    mask of an ``x_grad`` input, which the backward reads whole."""
-    dropping = training and cfg.dp_l > 0.0
-    x_d, x_mask, h_mask = x, None, None
-    if dropping and x_grad:
-        x_mask = _dropout_mask(x.shape, cfg.dp_l, x.dtype, rng)
-        x_d = x * x_mask
-    elif dropping:
-        x_d = np.empty_like(x)
-        _dropout_rows(x, cfg.dp_l, rng, x_d)
+    drawn and applied a row block at a time. Only an ``x_grad`` input keeps
+    its mask; the backward reads the hidden mask from h > 0, which after
+    the dropout holds where both the ReLU and the mask pass."""
+    rate = cfg.dp_l if training else 0.0
+    x_d = np.empty_like(x) if rate > 0.0 else x
+    x_mask, scale = _dropout(x, rate, rng, x_d, keep_mask=x_grad)
     h = x_d @ params["mlp.w1"]
     h += params["mlp.b1"]
     np.maximum(h, 0.0, out=h)
-    if dropping:
-        h_mask = _dropout_rows(h, cfg.dp_l, rng, h)
+    _dropout(h, rate, rng, h)
     out = h @ params["mlp.w2"]
     out += params["mlp.b2"]
-    return out, MLPTrace(x_d, x_mask, h, h_mask)
+    return out, MLPTrace(x_d, x_mask, h, scale)
 
 
 def _mlp_backward(g: np.ndarray, saved: MLPTrace, params: ModelParams,
@@ -323,11 +312,10 @@ def _mlp_backward(g: np.ndarray, saved: MLPTrace, params: ModelParams,
     grads["mlp.b2"] = g.sum(axis=0)
     grads["mlp.w2"] = saved.h.T @ g
     g = g @ params["mlp.w2"].T
-    # the hidden mask is its keep-scale wherever h > 0, and g is zeroed
-    # elsewhere, so the scale stands in for the mask
+    # h > 0 is the ReLU's and the hidden mask's keep-mask at once
     g *= saved.h > 0.0
-    if saved.h_mask is not None:
-        g *= saved.h_mask
+    if saved.scale is not None:
+        g *= saved.scale
     grads["mlp.w1"] = saved.x_d.T @ g
     grads["mlp.b1"] = g.sum(axis=0)
     if not x_grad:
@@ -335,6 +323,7 @@ def _mlp_backward(g: np.ndarray, saved: MLPTrace, params: ModelParams,
     g = g @ params["mlp.w1"].T
     if saved.x_mask is not None:
         g *= saved.x_mask
+        g *= saved.scale
     return g
 
 
@@ -434,12 +423,12 @@ def forward_appnp_like(params: ModelParams, features: np.ndarray,
     """Transform-then-propagate pipeline; logits are the combined output."""
     x0, mlp = _mlp(np.asarray(features, dtype=cfg.dtype), params, cfg,
                    training, rng)
-    x0, mask = _dropout(x0, cfg.dp_p, training, rng)
+    mask, scale = _dropout(x0, cfg.dp_p if training else 0.0, rng, x0, True)
     stack = polynomial_layers(cfg.basis, op, x0, cfg.order)
     logits, combine = _combine_layers(stack, params, cfg)
     _check_finite(logits)
     return ForwardTrace(logits, combine.eta.T, params, mlp, combine, mask,
-                        (cfg.basis, op))
+                        scale, (cfg.basis, op))
 
 
 def forward_sgc_like(params: ModelParams, stack: PropagationStack,
@@ -461,11 +450,12 @@ def forward_sgc_like(params: ModelParams, stack: PropagationStack,
         layers = layers[:, np.asarray(rows, dtype=np.int64)]
     combined, combine = _combine_layers(layers.astype(cfg.dtype, copy=False),
                                         params, cfg)
-    combined, mask = _dropout(combined, cfg.dp_p, training, rng)
+    mask, scale = _dropout(combined, cfg.dp_p if training else 0.0, rng,
+                           combined, keep_mask=True)
     logits, mlp = _mlp(combined, params, cfg, training, rng, x_grad=True)
     _check_finite(logits)
     return ForwardTrace(logits, combine.eta.T, params, mlp, combine, mask,
-                        None)
+                        scale, None)
 
 
 def loss(logits: np.ndarray, labels: np.ndarray, index_set,
@@ -508,6 +498,7 @@ def backward(trace: ForwardTrace) -> dict:
                           x_grad=True)
         if trace.dropout is not None:
             g *= trace.dropout
+            g *= trace.dropout_scale
         _combine_backward(g, trace.combine, params, grads, z_grad=False)
     else:
         # logits = combine(propagate(dropout(MLP(features))))
@@ -516,6 +507,7 @@ def backward(trace: ForwardTrace) -> dict:
         g = polynomial_adjoint(*trace.propagation, g)
         if trace.dropout is not None:
             g *= trace.dropout
+            g *= trace.dropout_scale
         _mlp_backward(g, trace.mlp, params, grads, x_grad=False)
     # no +0.0 addend without a penalty: it would turn a -0.0 gradient to +0.0
     if trace.l2 > 0.0:
@@ -768,6 +760,9 @@ def _checkpoint_config(header: dict, path) -> TrainConfig:
         if not all(type(d) is int for d in shape):
             raise ValueError(f"{path}: array {name!r} has a non-integer "
                              f"shape {shape}")
+        if any(d < 0 for d in shape):
+            raise ValueError(f"{path}: array {name!r} has a negative "
+                             "dimension")
     for name in ("mlp.w1", "mlp.w2"):
         if len(shapes[name]) != 2:
             raise ValueError(f"{path}: array {name!r} has shape "

@@ -179,6 +179,23 @@ def test_oracle_check_passes(capsys):
     assert out.count("PASS") == 4 and "FAIL" not in out
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--trials", "0"], "argument --trials: expected an integer >= 1"),
+    (["--trials", "-3"], "argument --trials: expected an integer >= 1"),
+    (["--n", "7"], "--n must lie in [8, 512], got 7"),
+    (["--n", "513"], "--n must lie in [8, 512], got 513")],
+    ids=["trials-0", "trials-negative", "n-7", "n-above-eigen-cap"])
+def test_oracle_check_rejects_what_it_cannot_check(capsys, argv, message):
+    # zero trials check nothing, and the random graphs have 8 to --n nodes,
+    # each decomposed densely
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle-check", *argv])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert message in out.err
+
+
 def test_sweep_emits_grid(data_root, tmp_path, capsys):
     out_csv = tmp_path / "sweep.csv"
     code, _, _ = run_cli(capsys, "sweep", "--dataset", "toy",

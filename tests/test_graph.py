@@ -39,6 +39,23 @@ class TestBuildGraph:
         with pytest.raises(ValueError):
             build_graph([(0, 5)], 3)
 
+    @pytest.mark.parametrize("edges", [[(0, 1.7)], np.array([[0.0, 1.0]]),
+                                       np.array([[False, True]]), [(0, "1")]],
+                             ids=["float-list", "float-array", "bool",
+                                  "string"])
+    def test_non_integer_ids_rejected(self, edges):
+        # a cast to int64 would read (0, 1.7) as the edge (0, 1)
+        with pytest.raises(ValueError, match="node ids must be integers"):
+            build_graph(edges, 3)
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.uint16, np.int32,
+                                       np.uint64])
+    def test_integer_ids_of_any_width_and_empty_inputs_pass(self, dtype):
+        g = build_graph(np.array([[0, 1], [2, 1]], dtype=dtype), 3)
+        assert g.col_indices.tolist() == [1, 0, 2, 1]
+        for empty in ([], (), np.empty((0, 2)), np.empty(0, dtype=dtype)):
+            assert build_graph(empty, 3).edge_count == 0
+
 
 @st.composite
 def pair_lists(draw):

@@ -588,8 +588,9 @@ class TestFusedMLP:
 
     def test_training_trace_keeps_only_the_masks_its_backward_reads(self,
                                                                      toy):
-        # appnp's constant features need no input mask, and the hidden mask
-        # is kept as its keep-scale; sgc's input gradient reads its mask
+        # appnp's constant features need no input mask, and h > 0 stands in
+        # for the hidden mask; sgc's input gradient reads its mask. Every
+        # kept mask is bool, with its 0-d keep-scale beside it
         for mode in ("appnp_like", "sgc_like"):
             cfg = base_config(mode=mode, dp_l=0.4, dp_p=0.3)
             params = model.init_params(cfg, toy.feature_dim, toy.class_count,
@@ -599,10 +600,32 @@ class TestFusedMLP:
             if mode == "appnp_like":
                 assert trace.mlp.x_mask is None
             else:
+                assert trace.mlp.x_mask.dtype == bool
                 assert trace.mlp.x_mask.shape == trace.mlp.x_d.shape
-            assert np.ndim(trace.mlp.h_mask) == 0
-            assert trace.mlp.h_mask.dtype == np.float64
-            assert trace.mlp.h_mask == 1.0 / (1.0 - cfg.dp_l)
+            assert trace.dropout.dtype == bool
+            assert trace.dropout.shape == trace.logits.shape[:1] + (
+                trace.combine.z.shape[2],)
+            for scale, rate in ((trace.mlp.scale, cfg.dp_l),
+                                (trace.dropout_scale, cfg.dp_p)):
+                assert np.ndim(scale) == 0
+                assert scale.dtype == np.float64
+                assert scale == 1.0 / (1.0 - rate)
+
+    def test_sgc_training_trace_keeps_bool_masks(self):
+        # full-batch sgc keeps the dp_p mask and the dp_l input mask, each
+        # (n, F): as bool they are two eighths of the float64 features,
+        # where two float masks were twice the features
+        ds = planted_partition_dataset(n=2000, classes=4, feature_dim=64)
+        cfg = model.TrainConfig(mode="sgc_like", hidden=64, order=2)
+        params = model.init_params(cfg, ds.feature_dim, ds.class_count,
+                                   np.random.default_rng(0))
+        stack = propagate(cfg.basis, model.build_operator(ds.graph, cfg),
+                          ds.features, cfg.order)
+        trace = model.forward_sgc_like(params, stack, cfg, True,
+                                       np.random.default_rng(1))
+        masks = (trace.dropout, trace.mlp.x_mask)
+        assert all(m.dtype == bool for m in masks)
+        assert sum(m.nbytes for m in masks) <= ds.features.nbytes / 4
 
     def test_appnp_training_step_holds_no_whole_dropout_mask(self):
         # at hidden = F = 64 every whole (n, F) or (n, hidden) array is as
@@ -1041,6 +1064,22 @@ class TestCheckpoint:
         with pytest.raises(ValueError,
                            match=re.escape(f"{saved}: truncated checkpoint: "
                                            "array 'filter.gamma' needs")):
+            model.load_checkpoint(saved)
+
+    def test_negative_dimension_names_the_array(self, saved):
+        # (-3, hidden) is mlp.w1's shape at feature width -3, so only the
+        # sign can reject it before the read asks for -3 * hidden * 8 bytes
+        raw = saved.read_bytes()
+        start = len(model.CHECKPOINT_MAGIC)
+        (length,) = struct.unpack("<I", raw[start:start + 4])
+        header = json.loads(raw[start + 4:start + 4 + length])
+        header["arrays"][0][1][0] = -3
+        blob = json.dumps(header).encode()
+        saved.write_bytes(raw[:start] + struct.pack("<I", len(blob)) + blob
+                          + raw[start + 4 + length:])
+        with pytest.raises(ValueError,
+                           match=re.escape(f"{saved}: array 'mlp.w1' has a "
+                                           "negative dimension")):
             model.load_checkpoint(saved)
 
     def test_byte_identical_saves(self, tmp_path, toy):
