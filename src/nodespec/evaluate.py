@@ -44,9 +44,15 @@ class CoefficientDistanceReport:
 
 
 def accuracy(predictions, labels, index_set) -> float:
-    index = np.asarray(index_set, dtype=np.int64)
+    """The fraction of the nodes in ``index_set``, an integer array of node
+    ids, whose prediction equals their label. A bool mask or float ids
+    raise ValueError: cast to int64 they would be read as other ids."""
+    index = np.asarray(index_set)
     if index.size == 0:
         raise ValueError("accuracy over an empty index set")
+    if not np.issubdtype(index.dtype, np.integer):
+        raise ValueError(f"index set must hold integer node ids, got "
+                         f"{index.dtype}")
     predictions = np.asarray(predictions)
     labels = np.asarray(labels)
     return float(np.mean(predictions[index] == labels[index]))
@@ -61,7 +67,8 @@ def summarize_runs(accuracies, seeds=None) -> RunSummary:
         half = float(1.96 * np.std(accs, ddof=1) / np.sqrt(len(accs)))
     else:
         half = 0.0
-    return RunSummary(accuracies=accs, seeds=list(seeds or []), mean=mean,
+    return RunSummary(accuracies=accs,
+                      seeds=[] if seeds is None else list(seeds), mean=mean,
                       ci_half_width=half)
 
 

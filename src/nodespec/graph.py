@@ -55,7 +55,8 @@ def build_graph(edges, n: int) -> Graph:
     Pairs are treated as undirected regardless of orientation; self-loops are
     dropped and duplicates collapsed. Raises ValueError on out-of-range ids
     and on ids that are not integers, which a cast would truncate. An
-    ndarray of pairs is read as it is; any other iterable is listed first.
+    ndarray of pairs is read as it is; any other iterable is listed first,
+    and each listed id checked, so that a bool is not read as 0 or 1.
     """
     if n < 0:
         raise ValueError("node count must be non-negative")
@@ -65,6 +66,11 @@ def build_graph(edges, n: int) -> Graph:
     # an empty list reads as float64; any other non-integer id is an error
     if pairs.size and not np.issubdtype(pairs.dtype, np.integer):
         raise ValueError(f"node ids must be integers, got {pairs.dtype}")
+    if isinstance(edges, list) and pairs.size:
+        # np.asarray gives a bool among listed ints an integer dtype, as 0 or 1
+        for v in np.asarray(edges, dtype=object).ravel():
+            if isinstance(v, (bool, np.bool_)):
+                raise ValueError(f"node ids must be integers, got {v!r}")
     pairs = pairs.astype(np.int64, copy=False).reshape(-1, 2)
     if pairs.size:
         if pairs.min() < 0 or pairs.max() >= n:

@@ -26,8 +26,10 @@ the gradient of constant features; the filtering-layer dropout; the
 the adjoint recursion ``autodiff.polynomial_adjoint``; and the combine
 (``_combine_layers``), which mixes the whole stack with its coefficients.
 Every dropout (dp_l in the MLP, dp_p on the filtering layer) is drawn and
-applied a row block at a time by ``_dropout``; a mask a backward reads is
-kept as a bool keep-mask plus its 0-d keep-scale 1/(1 - rate).
+applied a row block at a time by ``_dropout``, from uint16 draws: an element
+is kept when its draw is at least t = round(rate * 65536), so rates are
+quantised to 1/65536. A mask a backward reads is kept as a bool keep-mask
+plus its 0-d keep-scale 65536 / (65536 - t).
 Evaluation and prediction run the same forwards without dropout, except that
 ``eval_outputs`` on a graph of more than EVAL_BLOCK_ROWS nodes runs the
 appnp one without intermediates (``_appnp_eval``): the MLP on blocks of
@@ -69,9 +71,15 @@ CHECKPOINT_MAGIC = b"NODESPEC-CKPT-1\n"
 # classes and K = 10.
 EVAL_BLOCK_ROWS = 4096
 
-# Elements per row block of a training dropout mask: 256 KiB of float64
-# draws at a time, in place of a whole (n, width) mask.
+# Elements per row block of a training dropout mask, in place of a whole
+# (n, width) mask: 64 KiB of uint16 draws at a time, each kept if it is at
+# least t = round(rate * 65536) and scaled by 65536 / (65536 - t). Blocks
+# hold a multiple of 4 rows, so each but the last reads whole uint64 draws.
 MASK_BLOCK = 1 << 15
+
+# Distinct values of one 16-bit dropout draw; dropout rates are quantised
+# to 1/DROPOUT_LEVELS.
+DROPOUT_LEVELS = 1 << 16
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -112,6 +120,12 @@ class TrainConfig:
             rate = getattr(self, name)
             if not 0.0 <= rate < 1.0:
                 raise ValueError(f"{name} must lie in [0, 1)")
+            t = dropout_threshold(rate)
+            if rate > 0.0 and t in (0, DROPOUT_LEVELS):
+                raise ValueError(
+                    f"{name}={rate!r} rounds to a drop rate of {t}/65536; "
+                    f"dropout rates are drawn in steps of 1/65536, so a "
+                    f"non-zero one must lie in (2^-17, 1 - 2^-17)")
         for name in ("lr_l", "lr_p"):
             rate = getattr(self, name)
             if not (math.isfinite(rate) and rate > 0):
@@ -259,29 +273,44 @@ def build_operator(graph: Graph, cfg: TrainConfig) -> SparseOperator:
         graph, max(estimate_lambda_max(normalized_laplacian(graph)), 1e-12))
 
 
+def dropout_threshold(rate: float) -> int:
+    """t = round(rate * 65536): a 16-bit draw below t drops its element, so
+    the drop probability is t / 65536, rate quantised to 1/65536."""
+    return round(rate * DROPOUT_LEVELS)
+
+
 def _dropout(x: np.ndarray, rate: float, rng: Optional[np.random.Generator],
              out: np.ndarray, keep_mask: bool = False
              ) -> tuple[Optional[np.ndarray], Optional[np.ndarray]]:
-    """Inverted dropout of x into ``out`` (may be x): x * (draw >= rate) /
-    (1 - rate), drawn MASK_BLOCK elements of rows at a time, the same draws
-    as one whole draw. Returns the bool keep-mask if ``keep_mask`` and the
-    0-d keep-scale in x's dtype; times the mask, then the scale, is times
-    the float mask bit for bit. At rate 0 nothing is drawn: (None, None)."""
+    """Inverted dropout of x into ``out`` (may be x): x * (bits >= t) *
+    65536 / (65536 - t), where t = ``dropout_threshold(rate)`` and bits are
+    uniform 16-bit draws, four to each little-endian uint64 of
+    ``rng.bit_generator.random_raw``. The keep probability is thus 1 - rate
+    quantised to 1/65536. The draws are taken MASK_BLOCK elements of rows
+    at a time, a whole number of uint64s per block but the last, so they
+    are the same as one whole draw of ceil(x.size / 4) uint64s. Returns the
+    bool keep-mask if ``keep_mask`` and the 0-d keep-scale in x's dtype;
+    times the mask, then the scale, is times the float mask keep * scale
+    bit for bit. At rate 0 nothing is drawn: (None, None)."""
     if rate <= 0.0:
         return None, None
+    t = dropout_threshold(rate)
+    scale = (np.array(DROPOUT_LEVELS, x.dtype)
+             / np.array(DROPOUT_LEVELS - t, x.dtype))
     mask = np.empty(x.shape, dtype=bool) if keep_mask else None
-    rows = max(1, MASK_BLOCK // max(1, x.shape[1]))
+    rows = max(4, MASK_BLOCK // max(1, x.shape[1]) // 4 * 4)
     for lo in range(0, len(x), rows):
-        draw = rng.random(x[lo:lo + rows].shape)
-        keep = draw if draw.dtype == x.dtype else np.empty(draw.shape, x.dtype)
-        np.greater_equal(draw, rate, out=keep)
-        if mask is not None:
-            mask[lo:lo + rows] = keep
-        keep /= 1.0 - rate
-        np.multiply(x[lo:lo + rows], keep, out=out[lo:lo + rows])
-        # free this block before the next one is drawn
-        del draw, keep
-    return mask, np.ones((), x.dtype) / (1.0 - rate)
+        block = x[lo:lo + rows]
+        bits = rng.bit_generator.random_raw(-(-block.size // 4))
+        bits = bits.astype("<u8", copy=False).view("<u2")[:block.size]
+        keep = None if mask is None else mask[lo:lo + rows]
+        keep = np.greater_equal(bits.reshape(block.shape), t, out=keep)
+        dst = out[lo:lo + rows]
+        np.multiply(block, keep, out=dst)
+        dst *= scale
+        # free this block's draws before the next one is drawn
+        del bits, keep
+    return mask, scale
 
 
 def _mlp(x: np.ndarray, params: ModelParams, cfg: TrainConfig,

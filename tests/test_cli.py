@@ -476,8 +476,11 @@ def test_sweep_shares_a_saved_split(data_root, tmp_path, capsys,
                                           getattr(want, part))
 
 
-def test_sweep_split_seed_picks_the_split(data_root, capsys):
-    tables = []
+def test_sweep_split_seed_picks_the_split(data_root, capsys, monkeypatch):
+    splits, swept = [], []
+    train = model.train
+    monkeypatch.setattr(model, "train", lambda ds, split, cfg: (
+        splits.append(split) or train(ds, split, cfg)))
     for split_seed in (5, 6):
         flags = ["--dataset", "toy", "--data-root", data_root, "--K", "2",
                  "--d", "1", "--epochs", "5", "--f-h", "8", "--seed", "3",
@@ -485,13 +488,18 @@ def test_sweep_split_seed_picks_the_split(data_root, capsys):
         code, out, err = run_cli(capsys, "sweep", *flags, "--orders", "2",
                                  "--ranks", "1", "--runs", "1")
         assert code == 0, err
-        tables.append(out)
+        # the sweep's one run trains on the split its --split-seed draws
+        swept.append(splits[-1])
+        want = make_split(60, "dense", split_seed)
+        for part in ("train", "validation", "test"):
+            np.testing.assert_array_equal(getattr(swept[-1], part),
+                                          getattr(want, part))
         # a one-run sweep row is the train run of the same flags
         code, summary, err = run_cli(capsys, "train", *flags)
         assert code == 0, err
         mean = float(out.splitlines()[1].split(",")[3])
         assert mean == json.loads(summary)["test_accuracy"]
-    assert tables[0] != tables[1]
+    assert not np.array_equal(swept[0].train, swept[1].train)
 
 
 def test_filter_response_node_out_of_range_exits_one(data_root, tmp_path,

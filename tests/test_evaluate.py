@@ -24,6 +24,20 @@ class TestAccuracy:
         with pytest.raises(ValueError):
             accuracy([0], [0], [])
 
+    @pytest.mark.parametrize("index", [[False, False, True, True],
+                                       np.array([2.0, 3.0])],
+                             ids=["bool-mask", "float-ids"])
+    def test_non_integer_index_rejected(self, index):
+        # as ids, the mask [F, F, T, T] would score nodes 0 and 1 (right)
+        # in place of nodes 2 and 3 (both wrong)
+        with pytest.raises(ValueError, match="integer node ids"):
+            accuracy([0, 1, 1, 1], [0, 1, 0, 0], index)
+
+    def test_integer_index_of_any_width(self):
+        for dtype in (np.int32, np.uint16, np.int64):
+            index = np.array([2, 3], dtype=dtype)
+            assert accuracy([0, 1, 1, 1], [0, 1, 0, 0], index) == 0.0
+
 
 class TestRunSummary:
     def test_mean_and_ci_recomputable(self):
@@ -32,6 +46,11 @@ class TestRunSummary:
         assert abs(summary.mean - np.mean(accs)) <= 1e-12
         expected = 1.96 * np.std(accs, ddof=1) / np.sqrt(5)
         assert abs(summary.ci_half_width - expected) <= 1e-12
+
+    def test_seeds_may_be_an_array(self):
+        summary = summarize_runs([0.5, 0.7], seeds=np.array([1, 2]))
+        assert summary.seeds == [1, 2]
+        assert summarize_runs([0.5]).seeds == []
 
     def test_single_run_zero_width(self):
         assert summarize_runs([0.5]).ci_half_width == 0.0

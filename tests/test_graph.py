@@ -48,6 +48,14 @@ class TestBuildGraph:
         with pytest.raises(ValueError, match="node ids must be integers"):
             build_graph(edges, 3)
 
+    @pytest.mark.parametrize("edges", [[(0, True)], ((2, 0), (False, 1)),
+                                       [np.array([0, 2]), (np.True_, 2)]],
+                             ids=["list", "tuple", "numpy-bool"])
+    def test_listed_bool_ids_rejected(self, edges):
+        # np.asarray reads [(0, True)] as int64, which would build (0, 1)
+        with pytest.raises(ValueError, match="node ids must be integers"):
+            build_graph(edges, 3)
+
     @pytest.mark.parametrize("dtype", [np.int8, np.uint16, np.int32,
                                        np.uint64])
     def test_integer_ids_of_any_width_and_empty_inputs_pass(self, dtype):

@@ -470,8 +470,13 @@ def generic_op_mlp(x, params, rate, training, rng, x_grad):
     def mask(shape):
         if not training or rate <= 0.0:
             return None
-        keep = (rng.random(shape) >= rate).astype(x.dtype)
-        return keep / (1.0 - rate)
+        # one whole draw: four little-endian uint16 to each raw uint64
+        size = math.prod(shape)
+        raw = rng.bit_generator.random_raw(-(-size // 4)).astype("<u8")
+        bits = raw.view("<u2")[:size].reshape(shape)
+        t = round(rate * 65536)
+        keep = (bits >= t).astype(x.dtype)
+        return keep * (x.dtype.type(65536) / x.dtype.type(65536 - t))
 
     x_mask = mask(x.shape)
     x_d = x if x_mask is None else x * x_mask
@@ -609,7 +614,8 @@ class TestFusedMLP:
                                 (trace.dropout_scale, cfg.dp_p)):
                 assert np.ndim(scale) == 0
                 assert scale.dtype == np.float64
-                assert scale == 1.0 / (1.0 - rate)
+                t = round(rate * 65536)
+                assert scale == 65536 / (65536 - t)
 
     def test_sgc_training_trace_keeps_bool_masks(self):
         # full-batch sgc keeps the dp_p mask and the dp_l input mask, each
@@ -699,6 +705,45 @@ class TestFusedMLP:
         grads = model.backward(trace)
         assert len(reads) == products
         assert np.any(grads["mlp.w1"] != 0.0)
+
+
+class TestDropoutRates:
+    # a rate is drawn as t = round(rate * 65536) out of 65536 uint16 levels
+    @pytest.mark.parametrize("rate", [1e-9, 2.0 ** -17, 1 - 2.0 ** -17,
+                                      0.9999999])
+    @pytest.mark.parametrize("name", ["dp_l", "dp_p"])
+    def test_rates_that_round_to_no_or_every_drop_are_rejected(self, name,
+                                                               rate):
+        with pytest.raises(ValueError, match="1/65536") as err:
+            model.TrainConfig(**{name: rate}).validate()
+        assert name in str(err.value)
+
+    @pytest.mark.parametrize("rate, t", [
+        (0.0, 0), (2.0 ** -17 + 2.0 ** -40, 1), (0.5, 32768),
+        (1 - 2.0 ** -17 - 2.0 ** -40, 65535)])
+    def test_rates_inside_the_steps_pass(self, rate, t):
+        model.TrainConfig(dp_l=rate, dp_p=rate).validate()
+        assert model.dropout_threshold(rate) == t
+
+    def test_rate_zero_draws_nothing(self):
+        rng = np.random.default_rng(3)
+        state = rng.bit_generator.state
+        x = np.ones((5, 4))
+        assert model._dropout(x, 0.0, rng, x, keep_mask=True) == (None, None)
+        assert rng.bit_generator.state == state
+
+    def test_one_step_drops_only_the_zero_draw(self):
+        # t = 1 drops an element exactly when its uint16 draw is 0
+        rate = 1 / 65536
+        x = np.ones((1 << 16, 4))
+        bits = np.random.default_rng(5).bit_generator.random_raw(x.size // 4)
+        bits = bits.astype("<u8").view("<u2").reshape(x.shape)
+        out = np.empty_like(x)
+        mask, scale = model._dropout(x, rate, np.random.default_rng(5), out,
+                                     keep_mask=True)
+        np.testing.assert_array_equal(mask, bits != 0)
+        assert scale == 65536 / 65535
+        np.testing.assert_array_equal(out, np.where(bits != 0, scale, 0.0))
 
 
 class TestLoss:
