@@ -70,15 +70,14 @@ def log_softmax_nll(logits: np.ndarray, labels, index):
     """Mean negative log-softmax of the true class over the index set.
 
     Returns the mean and the log-softmax of the selected rows; the arithmetic
-    runs in the dtype of ``logits``.
+    runs in the dtype of ``logits``. ``index`` is read by the caller.
     """
-    index = np.asarray(index, dtype=np.int64)
-    if index.size == 0:
+    if len(index) == 0:
         raise ValueError("loss over an empty index set")
     rows = logits[index]
     shifted = rows - rows.max(axis=1, keepdims=True)
     log_probs = shifted - np.log(np.sum(np.exp(shifted), axis=1))[:, None]
-    picked = log_probs[np.arange(index.size),
+    picked = log_probs[np.arange(len(index)),
                        np.asarray(labels, dtype=np.int64)[index]]
     return -np.mean(picked), log_probs
 
@@ -88,10 +87,9 @@ def log_softmax_nll_grad(logits: np.ndarray, labels, index,
     """Gradient of ``log_softmax_nll``'s mean with respect to ``logits``,
     from the log-softmax it returned: (softmax - one-hot) / |index| on the
     index rows, zero elsewhere."""
-    index = np.asarray(index, dtype=np.int64)
     labels = np.asarray(labels, dtype=np.int64)[index]
     probs = np.exp(log_probs)
-    probs[np.arange(index.size), labels] -= 1.0
+    probs[np.arange(len(index)), labels] -= 1.0
     full = np.zeros_like(logits)
-    full[index] = (1.0 / index.size) * probs
+    full[index] = (1.0 / len(index)) * probs
     return full

@@ -14,8 +14,10 @@ from pathlib import Path
 import numpy as np
 
 from . import evaluate, homophily, model
-from .data import (DRAWN_MODES, Dataset, load_dataset, load_named_dataset,
-                   load_split, make_split, save_split)
+from .data import (DRAWN_MODES, Dataset, _feature_cell_problem, _is_int64,
+                   load_dataset, load_named_dataset, load_split, make_split,
+                   save_split)
+from .graph import node_ids
 from .oracle import DEFAULT_EIGEN_CAP, run_oracle_checks
 from .polyfilter import BASES, basis_matrix, frequency_response
 
@@ -57,6 +59,14 @@ def _positive_int(text: str) -> int:
         raise argparse.ArgumentTypeError(
             f"expected an integer >= 1, got {text!r}")
     return int(text)
+
+
+def _listed(text: str, flag: str, problem, cast) -> list:
+    """Cast comma-separated tokens that pass ``problem``; else UsageError."""
+    tokens = [tok.strip() for tok in text.split(",")] if text else []
+    for bad in filter(None, map(problem, tokens)):
+        raise UsageError(f"{flag}: {bad}")
+    return [cast(tok) for tok in tokens]
 
 
 def _add_dataset_args(p: argparse.ArgumentParser) -> None:
@@ -265,8 +275,11 @@ def cmd_eval(args) -> int:
 def cmd_filter_response(args) -> int:
     grid = np.linspace(0.0, 2.0, args.grid_points)
     rows = []
+    nodes = _listed(args.nodes, "--nodes", lambda t: None if _is_int64(t)
+                    else f"not a decimal int64 node id: {t!r}", int)
     if args.coeffs:
-        coeffs = np.array([float(c) for c in args.coeffs.split(",")])
+        coeffs = np.array(_listed(args.coeffs, "--coeffs",
+                                  _feature_cell_problem, float))
         response = frequency_response(args.basis, coeffs, grid)
         rows.append(("coeffs", response))
     elif args.checkpoint:
@@ -278,7 +291,7 @@ def cmd_filter_response(args) -> int:
                 f"{args.checkpoint}: this Chebyshev checkpoint estimated "
                 "lambda_max from its graph; give the graph with --dataset or "
                 "--edges/--features/--labels")
-        dataset = _load_dataset(args) if estimated or args.nodes else None
+        dataset = _load_dataset(args) if estimated or nodes else None
         if estimated:
             # estimate once: the node rows reuse it, on the same operator
             op = model.build_operator(dataset.graph, cfg)
@@ -290,16 +303,11 @@ def cmd_filter_response(args) -> int:
             # a global_only model has one gamma column and no projection
             label = f"base_{j}" if "filter.w" in params else "global"
             rows.append((label, table @ gamma[:, j]))
-        if args.nodes:
-            nodes = [int(tok) for tok in args.nodes.split(",")]
-            for v in nodes:
-                if not 0 <= v < dataset.n:
-                    raise ValueError(f"node {v} out of range for a graph with "
-                                     f"n = {dataset.n} nodes")
+        if nodes:
+            nodes = node_ids(nodes, dataset.n)
             with _checkpoint_errors(args.checkpoint):
                 psi = model.node_coefficients(params, dataset, cfg)
-            for v in nodes:
-                rows.append((f"node_{v}", table @ psi[v]))
+            rows.extend((f"node_{v}", table @ psi[v]) for v in nodes)
     else:
         raise UsageError("provide --coeffs or --checkpoint")
 
@@ -364,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="closed-form vs Monte-Carlo label-chain checks")
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--classes", type=int, required=True)
-    p.add_argument("--samples", type=int, default=1_000_000)
+    p.add_argument("--samples", type=_positive_int, default=1_000_000)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_prop_sim)
 
@@ -381,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_split_args(p)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--bins", type=int, default=5)
-    p.add_argument("--pair-sample", type=int, default=200_000)
+    p.add_argument("--pair-sample", type=_positive_int, default=200_000)
     p.add_argument("--out-dir", default="reports")
     p.set_defaults(func=cmd_eval)
 

@@ -39,7 +39,7 @@ from typing import Optional
 
 import numpy as np
 
-from .graph import Graph, build_graph, induced_subgraph
+from .graph import Graph, build_graph, induced_subgraph, node_ids
 from .rng import permutation
 
 # mode -> (train numerator, validation numerator, denominator)
@@ -105,11 +105,14 @@ class Split:
     unobserved_test: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        for key in _SPLIT_INDEX_FIELDS:
-            value = getattr(self, key)
-            # only the two inductive halves of the test set may be absent
-            if value is not None or key in ("train", "validation", "test"):
-                setattr(self, key, _as_sorted_index(value))
+        try:
+            for key in _SPLIT_INDEX_FIELDS:
+                value = getattr(self, key)
+                # only the two inductive halves of the test set may be absent
+                if value is not None or key in ("train", "validation", "test"):
+                    setattr(self, key, np.sort(node_ids(value).ravel()))
+        except ValueError as exc:
+            raise DataFormatError(f"split {exc}") from None
         validate_split(self)
 
     def observed_nodes(self) -> np.ndarray:
@@ -120,14 +123,6 @@ class Split:
         else:
             parts.append(self.test)
         return np.sort(np.concatenate(parts))
-
-
-def _as_sorted_index(values) -> np.ndarray:
-    arr = np.asarray(values)
-    # an empty list reads as float64; any other non-integer id is an error
-    if arr.size and not np.issubdtype(arr.dtype, np.integer):
-        raise DataFormatError(f"split node ids must be integers, got {arr.dtype}")
-    return np.sort(arr.astype(np.int64, copy=False).ravel())
 
 
 def validate_split(split: Split, n: Optional[int] = None) -> None:

@@ -5,9 +5,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph
+from .graph import Graph, node_ids
 from .homophily import (JACCARD_BLOCK_PAIRS, jaccard_neighbor_distances,
                         per_node_homophily)
+
+ALL_PAIRS_LIMIT = 2000  # coefficient_distance_report: all pairs up to this n
+PAIR_SEED = 0  # the seed of its pair sample beyond that
+JACCARD_BINS = 5
 
 
 @dataclass
@@ -44,17 +48,13 @@ class CoefficientDistanceReport:
 
 
 def accuracy(predictions, labels, index_set) -> float:
-    """The fraction of the nodes in ``index_set``, an integer array of node
-    ids, whose prediction equals their label. A bool mask or float ids
-    raise ValueError: cast to int64 they would be read as other ids."""
-    index = np.asarray(index_set)
+    """The fraction of the nodes in ``index_set``, read by
+    ``graph.node_ids``, whose prediction equals their label. A bool mask,
+    float ids or an id outside the label array raise ValueError."""
+    predictions, labels = np.asarray(predictions), np.asarray(labels)
+    index = node_ids(index_set, len(labels))
     if index.size == 0:
         raise ValueError("accuracy over an empty index set")
-    if not np.issubdtype(index.dtype, np.integer):
-        raise ValueError(f"index set must hold integer node ids, got "
-                         f"{index.dtype}")
-    predictions = np.asarray(predictions)
-    labels = np.asarray(labels)
     return float(np.mean(predictions[index] == labels[index]))
 
 
@@ -87,11 +87,12 @@ def _binned_means(stat: np.ndarray, values: np.ndarray, bins: int):
 
 def homophily_binned_accuracy(predictions, labels, graph: Graph, test_set,
                               bins: int = 5) -> BinReport:
+    """Accuracy over ``test_set``, read by ``graph.node_ids``, binned by
+    each node's one-hop homophily; nodes without neighbours are left out."""
     if bins < 1:
         raise ValueError("bin_count must be at least 1")
-    predictions = np.asarray(predictions)
-    labels = np.asarray(labels)
-    test = np.asarray(test_set, dtype=np.int64)
+    predictions, labels = np.asarray(predictions), np.asarray(labels)
+    test = node_ids(test_set, graph.n)
     ratios = per_node_homophily(graph, labels)[test]
     valid = ~np.isnan(ratios)
     test, ratios = test[valid], ratios[valid]
@@ -103,14 +104,11 @@ def homophily_binned_accuracy(predictions, labels, graph: Graph, test_set,
 
 def coefficient_distance_report(psi: np.ndarray, graph: Graph, labels,
                                 pair_sample: int = 200_000,
-                                jaccard_bins: int = 5,
-                                seed: int = 0,
-                                all_pairs_limit: int = 2000,
                                 ) -> CoefficientDistanceReport:
     """Euclidean distance between coefficient rows vs neighborhood overlap.
 
-    All node pairs are used up to ``all_pairs_limit`` nodes; beyond that,
-    ``pair_sample`` pairs are drawn uniformly (with a fixed seed).
+    All node pairs are used up to ALL_PAIRS_LIMIT nodes; beyond that,
+    ``pair_sample`` pairs are drawn uniformly with PAIR_SEED.
     """
     if pair_sample < 1:
         raise ValueError("pair_sample must be positive")
@@ -121,10 +119,10 @@ def coefficient_distance_report(psi: np.ndarray, graph: Graph, labels,
     if psi.shape[0] != n:
         raise ValueError("psi rows must match node count")
 
-    if n <= all_pairs_limit:
+    if n <= ALL_PAIRS_LIMIT:
         ii, jj = np.triu_indices(n, k=1)
     else:
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(PAIR_SEED)
         ii = rng.integers(0, n, size=pair_sample)
         jj = rng.integers(0, n, size=pair_sample)
         keep = ii != jj
@@ -137,11 +135,11 @@ def coefficient_distance_report(psi: np.ndarray, graph: Graph, labels,
         block = slice(lo, lo + JACCARD_BLOCK_PAIRS)
         dist[block] = np.linalg.norm(psi[ii[block]] - psi[jj[block]], axis=1)
     same = labels[ii] == labels[jj]
-    same_count, same_mean = _binned_means(jac[same], dist[same], jaccard_bins)
+    same_count, same_mean = _binned_means(jac[same], dist[same], JACCARD_BINS)
     diff_count, diff_mean = _binned_means(jac[~same], dist[~same],
-                                          jaccard_bins)
+                                          JACCARD_BINS)
     return CoefficientDistanceReport(
-        edges=np.linspace(0.0, 1.0, jaccard_bins + 1),
+        edges=np.linspace(0.0, 1.0, JACCARD_BINS + 1),
         same_label_count=same_count, same_label_mean=same_mean,
         diff_label_count=diff_count, diff_label_mean=diff_mean,
         pairs_evaluated=int(ii.size))

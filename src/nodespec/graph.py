@@ -5,6 +5,12 @@ self-loops, no duplicate edges. Its operators, the normalized Laplacian L
 and the scaled Laplacian 2 L / lambda_max - I, are symmetric ``scipy.sparse``
 CSR arrays: D^{-1/2} A D^{-1/2} is written directly on the adjacency's sorted
 pattern, and the diagonal is merged in by one subtraction, O(nnz), no sort.
+
+Every public function that takes node ids reads them with ``node_ids``. An
+int64 ndarray is used as it is, another integer ndarray is cast, and any
+other iterable is listed first; one id is a 0-d value. A non-integer dtype
+(a bool mask, floats) and a bool among listed ints, which numpy reads as 0
+or 1, raise ValueError, as does an id outside [0, n) given the node count n.
 """
 
 import math
@@ -30,6 +36,7 @@ class Graph:
         return np.diff(self.row_offsets)
 
     def neighbors(self, v: int) -> np.ndarray:
+        v = node_ids(v, self.n)
         return self.col_indices[self.row_offsets[v]:self.row_offsets[v + 1]]
 
 
@@ -49,29 +56,37 @@ class SparseOperator:
         return self.matrix.toarray()
 
 
+def node_ids(values, n: Optional[int] = None) -> np.ndarray:
+    """``values`` as int64 node ids, by the module docstring's rule."""
+    if not isinstance(values, np.ndarray) and np.iterable(values):
+        values = list(values)
+    ids = np.asarray(values)  # an int64 ndarray is returned as it is
+    if ids.dtype != np.int64:
+        # an empty list reads as float64; any other non-integer id is an error
+        if ids.size and not np.issubdtype(ids.dtype, np.integer):
+            raise ValueError(f"node ids must be integers, got {ids.dtype}")
+        ids = ids.astype(np.int64)
+    if isinstance(values, list) and ids.size:
+        for v in np.asarray(values, dtype=object).ravel():
+            if isinstance(v, (bool, np.bool_)):
+                raise ValueError(f"node ids must be integers, got {v!r}")
+    # one reduction: a negative id viewed as uint64 is at least 2**63
+    if n is not None and ids.size and ids.view(np.uint64).max() >= n:
+        raise ValueError(f"node {ids[ids.view(np.uint64) >= n][0]} out of "
+                         f"range for a graph with n = {n} nodes")
+    return ids
+
+
 def build_graph(edges, n: int) -> Graph:
-    """Build a Graph from (i, j) pairs.
+    """Build a Graph from (i, j) pairs, read by ``node_ids``.
 
     Pairs are treated as undirected regardless of orientation; self-loops are
     dropped and duplicates collapsed. Raises ValueError on out-of-range ids
-    and on ids that are not integers, which a cast would truncate. An
-    ndarray of pairs is read as it is; any other iterable is listed first,
-    and each listed id checked, so that a bool is not read as 0 or 1.
+    and on ids that are not integers, which a cast would truncate.
     """
     if n < 0:
         raise ValueError("node count must be non-negative")
-    if not isinstance(edges, np.ndarray):
-        edges = list(edges)
-    pairs = np.asarray(edges)
-    # an empty list reads as float64; any other non-integer id is an error
-    if pairs.size and not np.issubdtype(pairs.dtype, np.integer):
-        raise ValueError(f"node ids must be integers, got {pairs.dtype}")
-    if isinstance(edges, list) and pairs.size:
-        # np.asarray gives a bool among listed ints an integer dtype, as 0 or 1
-        for v in np.asarray(edges, dtype=object).ravel():
-            if isinstance(v, (bool, np.bool_)):
-                raise ValueError(f"node ids must be integers, got {v!r}")
-    pairs = pairs.astype(np.int64, copy=False).reshape(-1, 2)
+    pairs = node_ids(edges).reshape(-1, 2)
     if pairs.size:
         if pairs.min() < 0 or pairs.max() >= n:
             bad = pairs[(pairs < 0).any(axis=1) | (pairs >= n).any(axis=1)][0]
@@ -190,30 +205,22 @@ def spmm(op: SparseOperator, x: np.ndarray) -> np.ndarray:
 
 def hop_distances(g: Graph, v: int) -> np.ndarray:
     """Shortest-path distance from v to every node; -1 where unreachable."""
-    dist = np.full(g.n, -1, dtype=np.int64)
-    dist[v] = 0
-    frontier = [v]
-    t = 0
-    while frontier:
-        t += 1
-        nxt = []
-        for u in frontier:
-            for w in g.neighbors(u):
-                if dist[w] < 0:
-                    dist[w] = t
-                    nxt.append(int(w))
-        frontier = nxt
+    a, dist = adjacency(g), np.full(g.n, -1, dtype=np.int64)
+    dist[node_ids(v, g.n)] = 0
+    frontier, hops = dist == 0, 0
+    while frontier.any():
+        hops += 1
+        frontier = (a @ frontier > 0) & (dist < 0)
+        dist[frontier] = hops
     return dist
 
 
 def induced_subgraph(g: Graph, nodes) -> tuple[Graph, np.ndarray]:
-    """Induced subgraph on the given node set.
+    """Induced subgraph on the given node set, read by ``node_ids``.
 
     Returns the subgraph and the sorted original ids, so position k of the
     id array is subgraph node k.
     """
-    keep = np.unique(np.asarray(list(nodes), dtype=np.int64))
-    if keep.size and (keep[0] < 0 or keep[-1] >= g.n):
-        raise ValueError("subgraph node out of range")
+    keep = np.unique(node_ids(nodes, g.n))
     edges = sp.triu(adjacency(g)[keep][:, keep]).tocoo()
     return build_graph(np.column_stack([edges.row, edges.col]), keep.size), keep

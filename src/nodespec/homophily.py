@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 import scipy.sparse as sp
 
-from .graph import Graph, adjacency
+from .graph import Graph, adjacency, node_ids
 
 ENTROPY_EPS = 1e-10
 
@@ -250,13 +250,9 @@ def jaccard_neighbor_distances(g: Graph, ii, jj) -> np.ndarray:
     JACCARD_BLOCK_PAIRS pairs at a time, so memory stays bounded however many
     pairs are asked for.
     """
-    ii = np.asarray(ii, dtype=np.int64)
-    jj = np.asarray(jj, dtype=np.int64)
+    ii, jj = node_ids(ii, g.n), node_ids(jj, g.n)
     if ii.shape != jj.shape or ii.ndim != 1:
         raise ValueError("pair index arrays must be 1-D and of equal length")
-    if ii.size and (min(ii.min(), jj.min()) < 0
-                    or max(ii.max(), jj.max()) >= g.n):
-        raise ValueError("node id out of range")
     a = adjacency(g)
     inter = np.empty(ii.size)
     for lo in range(0, ii.size, JACCARD_BLOCK_PAIRS):

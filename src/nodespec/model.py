@@ -55,7 +55,7 @@ from .autodiff import (log_softmax_nll, log_softmax_nll_grad,
 from .data import Dataset, Split, subset, validate_split
 from .evaluate import accuracy
 from .graph import (Graph, SparseOperator, chebyshev_operator,
-                    estimate_lambda_max, normalized_laplacian)
+                    estimate_lambda_max, node_ids, normalized_laplacian)
 from .polyfilter import (PropagationStack, iter_layers, polynomial_layers,
                          propagate)
 
@@ -476,7 +476,7 @@ def forward_sgc_like(params: ModelParams, stack: PropagationStack,
                          "model")
     layers = stack.layers
     if rows is not None:
-        layers = layers[:, np.asarray(rows, dtype=np.int64)]
+        layers = layers[:, node_ids(rows, layers.shape[1])]
     combined, combine = _combine_layers(layers.astype(cfg.dtype, copy=False),
                                         params, cfg)
     mask, scale = _dropout(combined, cfg.dp_p if training else 0.0, rng,
@@ -489,9 +489,10 @@ def forward_sgc_like(params: ModelParams, stack: PropagationStack,
 
 def loss(logits: np.ndarray, labels: np.ndarray, index_set,
          params: ModelParams, l2: float) -> float:
-    """Mean cross-entropy over index_set plus l2 * sum of squared parameters."""
+    """Mean cross-entropy over index_set, read by ``graph.node_ids``, plus
+    l2 * sum of squared parameters."""
     nll, _ = log_softmax_nll(np.asarray(logits, dtype=np.float64), labels,
-                             index_set)
+                             node_ids(index_set, len(logits)))
     penalty = sum(float(np.sum(a.astype(np.float64) ** 2))
                   for a in params.values())
     return float(nll + l2 * penalty)
@@ -500,12 +501,13 @@ def loss(logits: np.ndarray, labels: np.ndarray, index_set,
 def attach_loss(trace: ForwardTrace, labels: np.ndarray, index_set,
                 l2: float) -> float:
     """The training loss of the trace, in the logits' dtype: the mean
-    cross-entropy over index_set plus l2 times each weight's squared norm.
-    Keeps the loss gradient of the logits and l2 on the trace for
-    ``backward``."""
+    cross-entropy over index_set, read once by ``graph.node_ids``, plus l2
+    times each weight's squared norm. Keeps the loss gradient of the logits
+    and l2 on the trace for ``backward``."""
     l2 = float(l2)
-    total, log_probs = log_softmax_nll(trace.logits, labels, index_set)
-    trace.logits_grad = log_softmax_nll_grad(trace.logits, labels, index_set,
+    index = node_ids(index_set, len(trace.logits))
+    total, log_probs = log_softmax_nll(trace.logits, labels, index)
+    trace.logits_grad = log_softmax_nll_grad(trace.logits, labels, index,
                                              log_probs)
     trace.l2 = l2
     if l2 > 0.0:
@@ -626,10 +628,8 @@ def train(dataset: Dataset, split: Split, cfg: TrainConfig) -> TrainResult:
     if split.mode == "inductive":
         observed = split.observed_nodes()
         sub_ds, ids = subset(dataset, observed)
-        remap = -np.ones(dataset.n, dtype=np.int64)
-        remap[ids] = np.arange(ids.size)
-        train_idx = remap[split.train]
-        val_idx = remap[split.validation]
+        train_idx = np.searchsorted(ids, split.train)  # ids is sorted
+        val_idx = np.searchsorted(ids, split.validation)
         work = sub_ds
     else:
         train_idx = split.train
@@ -717,11 +717,11 @@ def eval_outputs(params: ModelParams, dataset: Dataset,
 
 def predict(params: ModelParams, dataset: Dataset, cfg: TrainConfig,
             index_set=None) -> tuple[np.ndarray, np.ndarray]:
-    """Predicted labels (argmax, lowest class index wins ties) and logits."""
-    logits, _ = eval_outputs(params, dataset, cfg)
-    if index_set is not None:
-        index = np.asarray(index_set, dtype=np.int64)
-        logits = logits[index]
+    """Predicted labels (argmax, lowest class index wins ties) and logits
+    of every node, or of ``index_set``, read first by ``graph.node_ids``."""
+    index = (slice(None) if index_set is None
+             else node_ids(index_set, dataset.n))
+    logits = eval_outputs(params, dataset, cfg)[0][index]
     return np.argmax(logits, axis=1), logits
 
 

@@ -12,7 +12,8 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .graph import Graph, SparseOperator, hop_distances, normalized_laplacian
+from .graph import (Graph, SparseOperator, hop_distances, node_ids,
+                    normalized_laplacian)
 from .model import TrainConfig, build_operator
 from .polyfilter import BASES, combine, frequency_response, propagate
 from .synthetic import er_graph, path_graph, random_tree
@@ -82,10 +83,8 @@ def exact_filter(es: EigenSystem, filt: SpectralFilter, x: np.ndarray) -> np.nda
 
 def translate_filter(es: EigenSystem, filt: SpectralFilter, i: int) -> np.ndarray:
     """Center the filter signal at node i: sqrt(n) sum_l u_l u_l(i) g(lambda_l)."""
-    if not 0 <= i < es.n:
-        raise ValueError(f"node {i} out of range")
     gains = filt.values(es.eigenvalues)
-    return np.sqrt(es.n) * (es.basis @ (gains * es.basis[i, :]))
+    return np.sqrt(es.n) * (es.basis @ (gains * es.basis[node_ids(i, es.n)]))
 
 
 def filter_at_node(es: EigenSystem, filt: SpectralFilter, x: np.ndarray,
@@ -94,8 +93,7 @@ def filter_at_node(es: EigenSystem, filt: SpectralFilter, x: np.ndarray,
 
     The node-centered gain is g_i(lambda_l) = sqrt(n) u_l(i) g(lambda_l).
     """
-    if not 0 <= i < es.n:
-        raise ValueError(f"node {i} out of range")
+    i = node_ids(i, es.n)
     x = np.asarray(x, dtype=np.float64)
     gains_i = np.sqrt(es.n) * es.basis[i, :] * filt.values(es.eigenvalues)
     return es.basis @ (gains_i * (es.basis.T @ x))
@@ -108,6 +106,7 @@ def localization_check(g: Graph, basis: str, coeffs, i: int) -> float:
     node-constant coefficients; a degree-K polynomial filter must vanish at
     hop distance > K, so the returned leak is the localization defect.
     """
+    dist = hop_distances(g, i)  # reads i before delta[i] does
     coeffs = np.asarray(coeffs, dtype=np.float64)
     order = coeffs.size - 1
     op = build_operator(g, TrainConfig(basis=basis))
@@ -116,7 +115,6 @@ def localization_check(g: Graph, basis: str, coeffs, i: int) -> float:
     stack = propagate(basis, op, delta[:, None], order)
     psi = np.tile(coeffs, (g.n, 1))
     z = combine(stack, psi)[:, 0]
-    dist = hop_distances(g, i)
     # unreachable nodes (distance -1) are beyond any K as well
     outside = (dist > order) | (dist < 0)
     if not np.any(outside):

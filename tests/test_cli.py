@@ -517,6 +517,67 @@ def test_filter_response_node_out_of_range_exits_one(data_root, tmp_path,
     assert "error: node 5000 out of range for a graph with n = 60 nodes" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["eval", "--checkpoint", "absent.ckpt", "--pair-sample", "0"],
+    ["eval", "--checkpoint", "absent.ckpt", "--pair-sample", "-5"],
+    ["prop-sim", "--alpha", "0.5", "--classes", "3", "--samples", "0"],
+    ["prop-sim", "--alpha", "0.5", "--classes", "3", "--samples", "1e3"]],
+    ids=["pair-sample-0", "pair-sample-negative", "samples-0",
+         "samples-float"])
+def test_count_flags_fail_at_parse_time(data_root, tmp_path, capsys,
+                                        monkeypatch, argv):
+    # argparse rejects the count before a dataset is read
+    monkeypatch.setattr(nodespec.cli, "load_named_dataset",
+                        lambda *a: pytest.fail("loaded the dataset"))
+    extra = ([] if argv[0] == "prop-sim" else
+             ["--dataset", "toy", "--data-root", data_root,
+              "--out-dir", tmp_path / "out"])
+    with pytest.raises(SystemExit) as exc:
+        main([str(a) for a in [*argv, *extra]])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "expected an integer >= 1" in out.err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("flags, token", [
+    (["--coeffs", "nan,1"], "non-finite feature value: 'nan'"),
+    (["--coeffs", "1_0,1"], "not a decimal float: '1_0'"),
+    (["--coeffs", "1,"], "not a decimal float: ''"),
+    (["--coeffs", "0,1", "--nodes", "1.5"],
+     "not a decimal int64 node id: '1.5'"),
+    (["--coeffs", "0,1", "--nodes", "3,True"],
+     "not a decimal int64 node id: 'True'"),
+    (["--coeffs", "0,1", "--nodes", "1_0"],
+     "not a decimal int64 node id: '1_0'")],
+    ids=["nan", "underscore", "empty", "float-node", "bool-node",
+         "underscore-node"])
+def test_filter_response_bad_tokens_exit_two(tmp_path, capsys, flags,
+                                             token):
+    out_csv = tmp_path / "out.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["filter-response", *flags, "--out", str(out_csv)])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.endswith(f"error: {flags[-2]}: {token}\n")
+    assert not out_csv.exists()
+
+
+def test_filter_response_negative_node_exits_one(data_root, tmp_path,
+                                                 capsys):
+    cfg = model.TrainConfig(order=2, hidden=8)
+    ckpt = tmp_path / "toy.ckpt"
+    model.save_checkpoint(
+        ckpt, model.init_params(cfg, 6, 3, np.random.default_rng(0)), cfg)
+    code, out, err = run_cli(capsys, "filter-response", "--checkpoint", ckpt,
+                             "--dataset", "toy", "--data-root", data_root,
+                             "--nodes", "3,-1", "--out", tmp_path / "r.csv")
+    assert (code, out) == (1, "")
+    assert err == "error: node -1 out of range for a graph with n = 60 nodes\n"
+    assert not (tmp_path / "r.csv").exists()
+
+
 def test_filter_response_uses_the_estimated_spectrum(dense_data_root,
                                                      tmp_path, capsys,
                                                      monkeypatch):

@@ -30,7 +30,7 @@ class TestAccuracy:
     def test_non_integer_index_rejected(self, index):
         # as ids, the mask [F, F, T, T] would score nodes 0 and 1 (right)
         # in place of nodes 2 and 3 (both wrong)
-        with pytest.raises(ValueError, match="integer node ids"):
+        with pytest.raises(ValueError, match="node ids must be integers"):
             accuracy([0, 1, 1, 1], [0, 1, 0, 0], index)
 
     def test_integer_index_of_any_width(self):
@@ -141,10 +141,10 @@ class TestCoefficientDistance:
         g = er_graph(60, 0.1, seed=7)
         labels = np.random.default_rng(8).integers(0, 2, size=60)
         psi = np.random.default_rng(9).standard_normal((60, 4))
-        a = coefficient_distance_report(psi, g, labels, pair_sample=500,
-                                        seed=1, all_pairs_limit=10)
-        b = coefficient_distance_report(psi, g, labels, pair_sample=500,
-                                        seed=1, all_pairs_limit=10)
+        with mock.patch.object(evaluate, "PAIR_SEED", 1), \
+                mock.patch.object(evaluate, "ALL_PAIRS_LIMIT", 10):
+            a = coefficient_distance_report(psi, g, labels, pair_sample=500)
+            b = coefficient_distance_report(psi, g, labels, pair_sample=500)
         np.testing.assert_array_equal(a.same_label_count, b.same_label_count)
         np.testing.assert_allclose(a.same_label_mean, b.same_label_mean,
                                    equal_nan=True)
