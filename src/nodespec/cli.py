@@ -69,6 +69,12 @@ def _listed(text: str, flag: str, problem, cast) -> list:
     return [cast(tok) for tok in tokens]
 
 
+def _int64_listed(text: str, flag: str, what: str) -> list:
+    """``_listed`` decimal int64 tokens, the rule of an edge-list id."""
+    return _listed(text, flag, lambda t: None if _is_int64(t)
+                   else f"not a decimal int64 {what}: {t!r}", int)
+
+
 def _add_dataset_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--dataset", help="dataset name under --data-root")
     p.add_argument("--data-root", default="data")
@@ -275,8 +281,7 @@ def cmd_eval(args) -> int:
 def cmd_filter_response(args) -> int:
     grid = np.linspace(0.0, 2.0, args.grid_points)
     rows = []
-    nodes = _listed(args.nodes, "--nodes", lambda t: None if _is_int64(t)
-                    else f"not a decimal int64 node id: {t!r}", int)
+    nodes = _int64_listed(args.nodes, "--nodes", "node id")
     if args.coeffs:
         coeffs = np.array(_listed(args.coeffs, "--coeffs",
                                   _feature_cell_problem, float))
@@ -336,10 +341,13 @@ def cmd_oracle_check(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    orders = _int64_listed(args.orders, "--orders", "order")
+    ranks = _int64_listed(args.ranks, "--ranks", "rank")
+    if not (orders and ranks):
+        raise UsageError("--orders and --ranks each need at least one value")
     dataset = _load_dataset(args)
     base = _train_config(args)
-    grid = [replace(base, order=int(k), rank=int(d))
-            for k in args.orders.split(",") for d in args.ranks.split(",")]
+    grid = [replace(base, order=k, rank=d) for k in orders for d in ranks]
     for cfg in grid:  # before any run trains or --out is opened
         cfg.validate()
     _resolve_split(args, dataset, args.seed)  # a bad --split fails here too
@@ -364,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="homophily and entropy reports")
     _add_dataset_args(p)
-    p.add_argument("--bins", type=int, default=10)
+    p.add_argument("--bins", type=_positive_int, default=10)
     p.add_argument("--out-dir", default="reports")
     p.set_defaults(func=cmd_analyze)
 
@@ -388,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_dataset_args(p)
     _add_split_args(p)
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--bins", type=int, default=5)
+    p.add_argument("--bins", type=_positive_int, default=5)
     p.add_argument("--pair-sample", type=_positive_int, default=200_000)
     p.add_argument("--out-dir", default="reports")
     p.set_defaults(func=cmd_eval)

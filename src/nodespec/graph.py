@@ -8,9 +8,11 @@ pattern, and the diagonal is merged in by one subtraction, O(nnz), no sort.
 
 Every public function that takes node ids reads them with ``node_ids``. An
 int64 ndarray is used as it is, another integer ndarray is cast, and any
-other iterable is listed first; one id is a 0-d value. A non-integer dtype
-(a bool mask, floats) and a bool among listed ints, which numpy reads as 0
-or 1, raise ValueError, as does an id outside [0, n) given the node count n.
+other iterable is listed first; one id is a 0-d value. Listed ints that
+numpy would read as floats (Python ints with uint64 scalars) are read one
+by one. A non-integer dtype (a bool mask, floats) and a bool among listed
+ints, which numpy reads as 0 or 1, raise ValueError, as do an id beyond
+int64 and an id outside [0, n) given the node count n.
 """
 
 import math
@@ -56,24 +58,47 @@ class SparseOperator:
         return self.matrix.toarray()
 
 
+def _out_of_range(v, n: Optional[int]) -> ValueError:
+    where = "int64 node ids" if n is None else f"a graph with n = {n} nodes"
+    return ValueError(f"node {v} out of range for {where}")
+
+
+def _listed_ids(values: list, ids: np.ndarray,
+                n: Optional[int]) -> np.ndarray:
+    """``ids``, numpy's reading of listed ``values``, checked one by one:
+    a bool is not an id, and ints that numpy reads as floats or objects (a
+    Python int with a uint64, or one beyond 64 bits) are read as ints."""
+    cells = np.asarray(values, dtype=object)
+    for v in cells.flat:
+        if isinstance(v, (bool, np.bool_)):
+            raise ValueError(f"node ids must be integers, got {v!r}")
+    if ids.dtype.kind not in "fO" or not all(
+            isinstance(v, (int, np.integer)) for v in cells.flat):
+        return ids
+    ints = [int(v) for v in cells.flat]
+    for v in ints:
+        if not -2**63 <= v < 2**63:
+            raise _out_of_range(v, n)
+    return np.array(ints, dtype=np.int64).reshape(cells.shape)
+
+
 def node_ids(values, n: Optional[int] = None) -> np.ndarray:
     """``values`` as int64 node ids, by the module docstring's rule."""
     if not isinstance(values, np.ndarray) and np.iterable(values):
         values = list(values)
     ids = np.asarray(values)  # an int64 ndarray is returned as it is
+    if isinstance(values, list) and ids.size:
+        ids = _listed_ids(values, ids, n)
     if ids.dtype != np.int64:
         # an empty list reads as float64; any other non-integer id is an error
         if ids.size and not np.issubdtype(ids.dtype, np.integer):
             raise ValueError(f"node ids must be integers, got {ids.dtype}")
+        if ids.dtype == np.uint64 and ids.size and ids.max() >= 2**63:
+            raise _out_of_range(ids[ids >= 2**63][0], n)
         ids = ids.astype(np.int64)
-    if isinstance(values, list) and ids.size:
-        for v in np.asarray(values, dtype=object).ravel():
-            if isinstance(v, (bool, np.bool_)):
-                raise ValueError(f"node ids must be integers, got {v!r}")
     # one reduction: a negative id viewed as uint64 is at least 2**63
     if n is not None and ids.size and ids.view(np.uint64).max() >= n:
-        raise ValueError(f"node {ids[ids.view(np.uint64) >= n][0]} out of "
-                         f"range for a graph with n = {n} nodes")
+        raise _out_of_range(ids[ids.view(np.uint64) >= n][0], n)
     return ids
 
 

@@ -5,12 +5,15 @@ and base-filter matrix Gamma), declared once, by name and shape, in
 ``param_shapes``; ``ModelParams`` maps those names to arrays, and every
 consumer (forwards, backwards, loss, Adam, checkpoints) reads them by name:
 
-* ``appnp_like``  - transform features with the MLP, then run the polynomial
-  recursion on the transformed features, mixing each order k with the
-  node-dependent coefficient sigmoid(X^(k) W) Gamma_k.
+* ``appnp_like``  - transform features with the MLP, then propagate its
+  outputs: layer Z_k is the MLP output propagated k times.
 * ``sgc_like``    - propagate the raw features once (precomputable, reusable
-  across epochs and mini-batches), combine with the same coefficients, and
-  apply the MLP last.
+  across epochs and mini-batches), so Z_k is the raw features propagated k
+  times, and apply the MLP after the combine.
+
+Both combine sum_k eta_k * Z_k with one coefficient map, ``_coefficients``:
+eta[k, i] = sigmoid(Z_k[i] W) . Gamma_k, so by default order k reads layer
+Z_k; with static coefficients (``--static-h``) every order reads layer 0.
 
 ``global_only`` is the ablation: a single learned coefficient vector gamma
 replaces the factorized per-node coefficients in the appnp pipeline. Its
@@ -181,9 +184,8 @@ class CombineTrace:
     """What the combine forward keeps for its backward."""
 
     z: np.ndarray                   # the (K+1, n, c) stack
-    h: Optional[np.ndarray]         # sigmoid(A); None for global_only
+    h: Optional[np.ndarray]         # (m, n, d) sigmoid(A); None global_only
     eta: np.ndarray                 # (K+1, n) coefficients
-    static: bool                    # A read only the order-0 layer
 
 
 @dataclass
@@ -356,26 +358,28 @@ def _mlp_backward(g: np.ndarray, saved: MLPTrace, params: ModelParams,
     return g
 
 
+def _coefficients(z_a: np.ndarray, gamma: np.ndarray, w: Optional[np.ndarray]
+                  ) -> tuple[Optional[np.ndarray], np.ndarray]:
+    """H = sigmoid(Z_a W) and eta[k, i] = H[k, i] . Gamma_k, the (K+1, n)
+    coefficients, from the (m, n, c) layers Z_a they read: m = K+1 feeds
+    layer k to order k, m = 1 feeds one layer to every order. Without W
+    (global_only) H is None and eta is Gamma broadcast over the nodes."""
+    if w is None:
+        return None, np.broadcast_to(gamma, (len(gamma), z_a.shape[1]))
+    a = z_a @ w
+    h = sigmoid(a, out=a)
+    return h, np.einsum("kir,kr->ki", h, gamma)
+
+
 def _combine_layers(z: np.ndarray, params: ModelParams,
                     cfg: TrainConfig) -> tuple[np.ndarray, CombineTrace]:
-    """Mix a (K+1, n, c) stack Z with per-node (or global) coefficients.
-
-    Per node, A = Z @ W (Z_0 @ W with static coefficients), H = sigmoid(A),
-    eta[k, i] = H[k, i] . Gamma_k, and the output is sum_k eta_k * Z_k;
-    global_only uses eta[k, i] = gamma_k.
-    """
-    gamma, w = params["filter.gamma"], params.get("filter.w")
-    if w is None:
-        h, static = None, False
-        eta = np.broadcast_to(gamma, z.shape[:2])
-    else:
-        static = cfg.static_coefficients
-        a = (z[0] if static else z) @ w       # (n, d) or (K+1, n, d)
-        h = sigmoid(a, out=a)
-        eta = (gamma @ h.T if static
-               else np.einsum("kir,kr->ki", h, gamma))
+    """Mix a (K+1, n, c) stack Z with its ``_coefficients``: order k reads
+    layer Z_k, or, with static coefficients, every order reads Z_0; the
+    output is sum_k eta_k * Z_k."""
+    z_a = z[:1] if cfg.static_coefficients else z
+    h, eta = _coefficients(z_a, params["filter.gamma"], params.get("filter.w"))
     out = np.einsum("kic,ki->ic", z, eta)
-    return out, CombineTrace(z, h, eta, static)
+    return out, CombineTrace(z, h, eta)
 
 
 def _combine_backward(g: np.ndarray, saved: CombineTrace,
@@ -383,30 +387,28 @@ def _combine_backward(g: np.ndarray, saved: CombineTrace,
                       z_grad: bool) -> Optional[np.ndarray]:
     """Put the filter gradients for output gradient g in ``grads``; return
     the stack gradient if ``z_grad``, else None (the sgc stack is
-    constant)."""
-    z, h, eta, static = saved.z, saved.h, saved.eta, saved.static
+    constant). H of fewer layers than eta has orders read the leading
+    layers of Z, so their A gradients sum over the orders."""
+    z, h, eta = saved.z, saved.h, saved.eta
     gamma, w = params["filter.gamma"], params.get("filter.w")
     d_eta = np.einsum("kic,ic->ki", z, g)
     if w is None:
         grads["filter.gamma"] = d_eta.sum(axis=1, keepdims=True)
     else:
-        if static:
-            grads["filter.gamma"] = d_eta @ h
-            d_a = d_eta.T @ gamma
-        else:
-            grads["filter.gamma"] = np.matmul(d_eta[:, None, :], h)[:, 0, :]
-            d_a = d_eta[:, :, None] * gamma[:, None, :]
+        grads["filter.gamma"] = np.matmul(d_eta[:, None, :], h)[:, 0, :]
+        d_a = d_eta[:, :, None] * gamma[:, None, :]
+        if len(h) < len(eta):
+            d_a = d_a.sum(axis=0, keepdims=True)
         d_a *= h
         d_a *= 1.0 - h
-        z_a = z[0] if static else z
+        z_a = z[:len(h)]
         grads["filter.w"] = (z_a.reshape(-1, z_a.shape[-1]).T
                              @ d_a.reshape(-1, d_a.shape[-1]))
     if not z_grad:
         return None
     d_z = eta[:, :, None] * g
     if w is not None:
-        d_z_a = d_z[0] if static else d_z
-        d_z_a += d_a @ w.T
+        d_z[:len(h)] += d_a @ w.T
     return d_z
 
 
@@ -430,16 +432,12 @@ def _appnp_eval(params: ModelParams, features: np.ndarray,
                          for lo in range(0, len(x), EVAL_BLOCK_ROWS)])
     gamma, w = params["filter.gamma"], params.get("filter.w")
     eta = np.empty((cfg.order + 1, len(x0)), dtype=x0.dtype)
-    if w is None:
-        eta[:] = gamma
     out = np.zeros_like(x0)
     for k, z in enumerate(iter_layers(cfg.basis, op, x0, cfg.order)):
-        if w is not None and (k == 0 or not cfg.static_coefficients):
-            h = sigmoid(z @ w)
-            if cfg.static_coefficients:
-                eta[:] = gamma @ h.T
-            else:
-                eta[k] = np.einsum("ir,r->i", h, gamma[k])
+        if k == 0 or not cfg.static_coefficients:
+            # order k's coefficients, or every order's from layer 0
+            orders = slice(k, None if cfg.static_coefficients else k + 1)
+            eta[orders] = _coefficients(z[None], gamma[orders], w)[1]
         out += z * eta[k][:, None]
     _check_finite(out)
     return out, eta.T

@@ -435,20 +435,23 @@ def test_feature_width_mismatch_names_the_checkpoint(data_root, tmp_path,
 
 
 def test_zero_bins_fail_alike_in_analyze_and_eval(data_root, tmp_path,
-                                                  capsys):
-    cfg = model.TrainConfig(order=2, hidden=8)
-    ckpt = tmp_path / "toy.ckpt"
-    model.save_checkpoint(
-        ckpt, model.init_params(cfg, 6, 3, np.random.default_rng(0)), cfg)
+                                                  capsys, monkeypatch):
+    # argparse rejects --bins 0 before the dataset or checkpoint is read
+    monkeypatch.setattr(nodespec.cli, "load_named_dataset",
+                        lambda *a: pytest.fail("loaded the dataset"))
     errors = []
-    for command in (["analyze"], ["eval", "--checkpoint", ckpt]):
-        code, out, err = run_cli(capsys, *command, "--dataset", "toy",
-                                 "--data-root", data_root, "--bins", "0",
-                                 "--out-dir", tmp_path / "reports")
-        assert code == 1
-        assert out == ""
-        errors.append(err)
-    assert errors == ["error: bin_count must be at least 1\n"] * 2
+    for command in (["analyze"], ["eval", "--checkpoint", "absent.ckpt"]):
+        with pytest.raises(SystemExit) as exc:
+            main([str(a) for a in [*command, "--dataset", "toy",
+                                   "--data-root", data_root, "--bins", "0",
+                                   "--out-dir", tmp_path / "reports"]])
+        assert exc.value.code == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        errors.append(out.err.splitlines()[-1].split(": ", 1)[1])
+    assert errors == ["error: argument --bins: expected an integer >= 1, "
+                      "got '0'"] * 2
+    assert not (tmp_path / "reports").exists()
 
 
 @pytest.mark.parametrize("how", ["saved", "split-seed"])
@@ -562,6 +565,38 @@ def test_filter_response_bad_tokens_exit_two(tmp_path, capsys, flags,
     assert out.out == ""
     assert out.err.endswith(f"error: {flags[-2]}: {token}\n")
     assert not out_csv.exists()
+
+
+@pytest.mark.parametrize("flags, token", [
+    (["--orders", "1_0"], "not a decimal int64 order: '1_0'"),
+    (["--orders", "2,3.0"], "not a decimal int64 order: '3.0'"),
+    (["--ranks", "1,"], "not a decimal int64 rank: ''"),
+    (["--ranks", "True"], "not a decimal int64 rank: 'True'")],
+    ids=["underscore-order", "float-order", "empty-rank", "bool-rank"])
+def test_sweep_bad_grid_tokens_exit_two(data_root, tmp_path, capsys,
+                                        monkeypatch, flags, token):
+    # the grid is read before the dataset: --orders 1_0 is not K = 10
+    monkeypatch.setattr(nodespec.cli, "load_named_dataset",
+                        lambda *a: pytest.fail("loaded the dataset"))
+    out_csv = tmp_path / "out.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", *flags, "--dataset", "toy", "--data-root",
+              str(data_root), "--out", str(out_csv)])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.endswith(f"error: {flags[0]}: {token}\n")
+    assert not out_csv.exists()
+
+
+def test_sweep_empty_grid_exits_two(data_root, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--orders", "", "--dataset", "toy", "--data-root",
+              str(data_root), "--out", str(tmp_path / "out.csv")])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        "error: --orders and --ranks each need at least one value\n")
+    assert not (tmp_path / "out.csv").exists()
 
 
 def test_filter_response_negative_node_exits_one(data_root, tmp_path,

@@ -181,6 +181,48 @@ class TestForward:
         ratio_dyn = eta_dyn / params["filter.gamma"][:, 0]
         assert np.max(np.abs(ratio_dyn - ratio_dyn[:, [0]])) > 1e-6
 
+    @pytest.mark.parametrize("basis", polyfilter.BASES)
+    def test_static_coefficients_read_layer_zero(self, toy, basis,
+                                                 monkeypatch):
+        # static: eta = Gamma sigmoid(Z_0 W)^T for every order, with Z_0
+        # layer 0 of the stack, built here by hand from polynomial_layers
+        cfg = base_config(mode="appnp_like", basis=basis, rank=3,
+                          static_coefficients=True)
+        rng = np.random.default_rng(8)
+        params = model.init_params(cfg, toy.feature_dim, toy.class_count,
+                                   rng)
+        params["filter.w"][:] = rng.standard_normal(params["filter.w"].shape)
+        params["filter.gamma"][:] = rng.standard_normal(
+            params["filter.gamma"].shape)
+        op = model.build_operator(toy.graph, cfg)
+        x0 = (np.maximum(toy.features @ params["mlp.w1"] + params["mlp.b1"],
+                         0.0) @ params["mlp.w2"] + params["mlp.b2"])
+        stack = polyfilter.polynomial_layers(basis, op, x0, cfg.order)
+        if basis == "bernstein":
+            # layer 0 is (I - L/2)^K x, not x
+            half = np.eye(toy.n) - normalized_laplacian(
+                toy.graph).to_dense() / 2.0
+            np.testing.assert_allclose(
+                stack[0], np.linalg.matrix_power(half, cfg.order) @ x0,
+                rtol=0.0, atol=1e-12)
+            assert np.abs(stack[0] - x0).max() > 0.1
+        else:
+            np.testing.assert_array_equal(stack[0], x0)
+        eta = params["filter.gamma"] @ (
+            1.0 / (1.0 + np.exp(-(stack[0] @ params["filter.w"])))).T
+        logits = np.einsum("kic,ki->ic", stack, eta)
+
+        trace = model.forward_appnp_like(params, toy.features, op, cfg)
+        np.testing.assert_allclose(trace.coefficients, eta.T, rtol=1e-12,
+                                   atol=1e-14)
+        np.testing.assert_allclose(trace.logits, logits, rtol=1e-12,
+                                   atol=1e-14)
+        monkeypatch.setattr(model, "EVAL_BLOCK_ROWS", 7)
+        got_logits, got_eta = model.eval_outputs(params, toy, cfg)
+        np.testing.assert_allclose(got_eta, eta.T, rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose(got_logits, logits, rtol=1e-12,
+                                   atol=1e-14)
+
     @pytest.mark.parametrize("precision", ["float64", "float32"])
     @pytest.mark.parametrize("basis", polyfilter.BASES)
     @pytest.mark.parametrize("mode, static", [("appnp_like", False),

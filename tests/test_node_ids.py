@@ -80,6 +80,8 @@ BAD_MANY = {
     "id-n": [0, N],
     # np.asarray reads [0, True, 2] as the int64 ids [0, 1, 2]
     "listed-bool": [0, True, 2],
+    # np.asarray reads this as floats, the second 2**63 exactly
+    "beyond-int64": [0, np.uint64(2**63)],
 }
 BAD_ONE = {"true": True, "float": 1.5, "negative": -1, "n": N}
 
@@ -116,6 +118,8 @@ GOOD = {
        for t in (np.int8, np.uint8, np.int16, np.uint16, np.int32,
                  np.uint32, np.uint64)},
     "list": [1, 3, 5], "tuple": (1, 3, 5), "numpy-ints": [np.int32(1), 3, 5],
+    # np.asarray reads Python ints with a uint64 as float64
+    "mixed-uint64": [1, np.uint64(3), 5],
     "range": range(1, 6, 2),
 }
 # these average over the ids, so no ids is an error of their own
@@ -164,9 +168,34 @@ def test_int64_ids_are_not_copied():
     (np.array([-3, 9]), "node -3 out of range for a graph with n = 6 nodes"),
     ([1.5], "node ids must be integers, got float64"),
     ([0, True], "node ids must be integers, got True"),
-    (False, "node ids must be integers, got bool")],
-    ids=["first-of-two", "negative", "float", "listed-bool", "single-bool"])
+    (False, "node ids must be integers, got bool"),
+    ([0, np.uint64(1), 2.0], "node ids must be integers, got float64"),
+    ([0, np.uint64(2**63)],
+     "node 9223372036854775808 out of range for a graph with n = 6 nodes"),
+    ([3, 2**64],
+     "node 18446744073709551616 out of range for a graph with n = 6 nodes"),
+    (np.array([1, 2**63], dtype=np.uint64),
+     "node 9223372036854775808 out of range for a graph with n = 6 nodes")],
+    ids=["first-of-two", "negative", "float", "listed-bool", "single-bool",
+         "mixed-with-float", "listed-uint64-2^63", "listed-2^64",
+         "uint64-array-2^63"])
 def test_messages_name_the_first_bad_id(values, message):
     with pytest.raises(ValueError) as exc:
         graph.node_ids(values, 6)
     assert str(exc.value) == message
+
+
+def test_mixed_integer_pairs_build_their_edge():
+    g = build_graph([(0, np.uint64(1))], 3)
+    np.testing.assert_array_equal(g.neighbors(0), [1])
+    np.testing.assert_array_equal(g.neighbors(1), [0])
+    assert g.edge_count == 1
+
+
+def test_ids_beyond_int64_without_a_node_count():
+    for values in ([0, np.uint64(2**63)], np.array([2**63], np.uint64)):
+        with pytest.raises(ValueError, match="^node 9223372036854775808 out "
+                                             "of range for int64 node ids$"):
+            graph.node_ids(values)
+    with pytest.raises(ValueError, match="out of range for int64 node ids"):
+        build_graph([(0, np.uint64(2**63))], 3)
