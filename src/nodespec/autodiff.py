@@ -11,13 +11,14 @@ propagation.
 The propagation forward is ``polyfilter.polynomial_layers``, the (K+1, n, c)
 stack of layers p_k(op) x in K sparse products. Its backward is the adjoint
 recursion ``polynomial_adjoint``, sum_k p_k(op) G_k for the layer gradients
-G_k, in K more: Horner for monomial, Clenshaw for Chebyshev and Bernstein.
+G_k, in K more: Clenshaw's sum over the forward's own step table
+``polyfilter.recurrence``, for every basis.
 """
 
 import numpy as np
 
 from .graph import SparseOperator, spmm
-from .polyfilter import bernstein_change
+from .polyfilter import bernstein_change, recurrence
 
 
 def sigmoid(x: np.ndarray, out=None) -> np.ndarray:
@@ -36,34 +37,28 @@ def sigmoid(x: np.ndarray, out=None) -> np.ndarray:
 
 def polynomial_adjoint(basis: str, op: SparseOperator,
                        grads: np.ndarray) -> np.ndarray:
-    """sum_k p_k(op) @ grads[k]: the gradient with respect to x of
-    ``polynomial_layers(basis, op, x, K)`` given the gradients of its K+1
-    layers, since op is symmetric. K ``spmm``: Horner for monomial, Clenshaw
-    for chebyshev, and for bernstein Clenshaw after the basis change."""
+    """sum_k p_k(op) @ grads[k], a fresh array: the gradient with respect to
+    x of ``polynomial_layers(basis, op, x, K)`` given the gradients of its
+    K+1 layers, since op is symmetric. K ``spmm`` by Clenshaw's sum over the
+    steps (a_k, c_k) of ``recurrence``, after the basis change for
+    bernstein."""
     order = grads.shape[0] - 1
-    if order == 0:
-        return grads[0].copy()
-    if basis == "monomial":
-        acc = grads[order]
-        for k in range(order - 1, -1, -1):
-            acc = spmm(op, acc)
-            acc += grads[k]
-        return acc
     if basis == "bernstein":
         grads = np.tensordot(bernstein_change(order).astype(grads.dtype),
                              grads, (1, 0))
-    # b_k = g_k + 2 op b_{k+1} - b_{k+2}, down to g_0 + op b_1 - b_2
-    b1, b2 = grads[order], 0.0
-    for k in range(order - 1, 0, -1):
+    # b_k = g_k + a_{k+1} op b_{k+1} - c_{k+2} b_{k+2} from b_K = g_K to b_0;
+    # the zero step past K stands for b_{K+1} = 0
+    steps = recurrence(basis, order) + [(0.0, 0.0)]
+    b1, b2 = grads[order].copy(), None
+    for k in range(order - 1, -1, -1):
+        (a, _), (_, c) = steps[k], steps[k + 1]
         b = spmm(op, b1)
-        b *= 2.0
+        b *= a
         b += grads[k]
-        b -= b2
+        if c:
+            b -= b2 if c == 1.0 else c * b2
         b1, b2 = b, b1
-    out = spmm(op, b1)
-    out += grads[0]
-    out -= b2
-    return out
+    return b1
 
 
 def log_softmax_nll(logits: np.ndarray, labels, index):

@@ -54,8 +54,17 @@ def _bin_rows(edges: np.ndarray, *columns: np.ndarray):
                *(c.tolist() for c in columns))
 
 
+def _int(text: str) -> int:
+    """An integer flag by ``_is_int64`` on the stripped token, the rule of an
+    edge-list id: no underscores, non-ASCII digits or values beyond int64."""
+    if not _is_int64(text.strip()):
+        raise argparse.ArgumentTypeError(
+            f"expected a decimal int64, got {text!r}")
+    return int(text)
+
+
 def _positive_int(text: str) -> int:
-    if not (text.isdecimal() and int(text) >= 1):
+    if not (_is_int64(text.strip()) and int(text) >= 1):
         raise argparse.ArgumentTypeError(
             f"expected an integer >= 1, got {text!r}")
     return int(text)
@@ -99,9 +108,9 @@ def _add_split_args(p: argparse.ArgumentParser) -> None:
     g = p.add_argument_group("split")
     g.add_argument("--split", default="dense",
                    help="sparse|dense|inductive or a split JSON path")
-    g.add_argument("--split-seed", type=int,
+    g.add_argument("--split-seed", type=_int,
                    help="seed of a split mode (default: the run's --seed)")
-    g.add_argument("--seed", type=int, default=model.TrainConfig.seed,
+    g.add_argument("--seed", type=_int, default=model.TrainConfig.seed,
                    help="run seed: the model's, and the split's without "
                         "--split-seed")
     g.add_argument("--stratified", action="store_true")
@@ -112,17 +121,17 @@ def _add_train_args(p: argparse.ArgumentParser) -> None:
     default; every default is TrainConfig's."""
     p.add_argument("--mode", choices=sorted(MODE_ALIASES))
     p.add_argument("--basis", choices=BASES)
-    p.add_argument("--K", "--order", dest="order", type=int)
-    p.add_argument("--d", "--rank", dest="rank", type=int)
-    p.add_argument("--f-h", "--hidden", dest="hidden", type=int)
+    p.add_argument("--K", "--order", dest="order", type=_int)
+    p.add_argument("--d", "--rank", dest="rank", type=_int)
+    p.add_argument("--f-h", "--hidden", dest="hidden", type=_int)
     p.add_argument("--lr-l", type=float)
     p.add_argument("--lr-p", type=float)
     p.add_argument("--dp-l", type=float)
     p.add_argument("--dp-p", type=float)
     p.add_argument("--l2", type=float)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--patience", type=int)
-    p.add_argument("--batch-size", type=int)
+    p.add_argument("--epochs", type=_int)
+    p.add_argument("--patience", type=_int)
+    p.add_argument("--batch-size", type=_int)
     p.add_argument("--static-h", dest="static_coefficients",
                    action="store_true",
                    help="derive mixing weights once from the order-0 features")
@@ -379,9 +388,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("prop-sim",
                        help="closed-form vs Monte-Carlo label-chain checks")
     p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--classes", type=int, required=True)
+    p.add_argument("--classes", type=_int, required=True)
     p.add_argument("--samples", type=_positive_int, default=1_000_000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int, default=0)
     p.set_defaults(func=cmd_prop_sim)
 
     p = sub.add_parser("train", help="train a model and save artifacts")
@@ -414,9 +423,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle-check",
                        help="sparse pipeline vs dense spectral oracle")
-    p.add_argument("--n", type=int, default=32)
+    p.add_argument("--n", type=_int, default=32)
     p.add_argument("--trials", type=_positive_int, default=50)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int, default=0)
     p.set_defaults(func=cmd_oracle_check)
 
     p = sub.add_parser("sweep", help="order x rank accuracy grid")

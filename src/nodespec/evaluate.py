@@ -6,8 +6,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import Graph, node_ids
-from .homophily import (JACCARD_BLOCK_PAIRS, jaccard_neighbor_distances,
-                        per_node_homophily)
+from .homophily import (JACCARD_BLOCK_PAIRS, equal_width_bins,
+                        jaccard_neighbor_distances, per_node_homophily)
 
 ALL_PAIRS_LIMIT = 2000  # coefficient_distance_report: all pairs up to this n
 PAIR_SEED = 0  # the seed of its pair sample beyond that
@@ -73,33 +73,29 @@ def summarize_runs(accuracies, seeds=None) -> RunSummary:
 
 
 def _binned_means(stat: np.ndarray, values: np.ndarray, bins: int):
-    """Counts and mean ``values`` per equal-width bin of ``stat`` over
-    [0, 1] (the value 1.0 lands in the last bin), NaN where a bin is
-    empty."""
-    which = np.clip(np.floor(stat * bins).astype(np.int64), 0, bins - 1)
-    counts = np.bincount(which, minlength=bins)
-    sums = np.bincount(which, weights=values, minlength=bins)
+    """Edges, counts and mean ``values`` per ``equal_width_bins`` bin of
+    ``stat`` over [0, 1], NaN where a bin is empty."""
+    edges, which = equal_width_bins(stat, bins)
+    counts = np.bincount(which, minlength=bins + 1)[:-1]
+    sums = np.bincount(which, weights=values, minlength=bins + 1)[:-1]
     means = np.full(bins, np.nan)
     nonzero = counts > 0
     means[nonzero] = sums[nonzero] / counts[nonzero]
-    return counts, means
+    return edges, counts, means
 
 
 def homophily_binned_accuracy(predictions, labels, graph: Graph, test_set,
                               bins: int = 5) -> BinReport:
     """Accuracy over ``test_set``, read by ``graph.node_ids``, binned by
     each node's one-hop homophily; nodes without neighbours are left out."""
-    if bins < 1:
-        raise ValueError("bin_count must be at least 1")
     predictions, labels = np.asarray(predictions), np.asarray(labels)
     test = node_ids(test_set, graph.n)
     ratios = per_node_homophily(graph, labels)[test]
     valid = ~np.isnan(ratios)
     test, ratios = test[valid], ratios[valid]
     correct = (predictions[test] == labels[test]).astype(np.float64)
-    counts, acc = _binned_means(ratios, correct, bins)
-    return BinReport(edges=np.linspace(0.0, 1.0, bins + 1), counts=counts,
-                     accuracy=acc)
+    edges, counts, acc = _binned_means(ratios, correct, bins)
+    return BinReport(edges=edges, counts=counts, accuracy=acc)
 
 
 def coefficient_distance_report(psi: np.ndarray, graph: Graph, labels,
@@ -135,11 +131,12 @@ def coefficient_distance_report(psi: np.ndarray, graph: Graph, labels,
         block = slice(lo, lo + JACCARD_BLOCK_PAIRS)
         dist[block] = np.linalg.norm(psi[ii[block]] - psi[jj[block]], axis=1)
     same = labels[ii] == labels[jj]
-    same_count, same_mean = _binned_means(jac[same], dist[same], JACCARD_BINS)
-    diff_count, diff_mean = _binned_means(jac[~same], dist[~same],
-                                          JACCARD_BINS)
+    edges, same_count, same_mean = _binned_means(jac[same], dist[same],
+                                                 JACCARD_BINS)
+    _, diff_count, diff_mean = _binned_means(jac[~same], dist[~same],
+                                             JACCARD_BINS)
     return CoefficientDistanceReport(
-        edges=np.linspace(0.0, 1.0, JACCARD_BINS + 1),
+        edges=edges,
         same_label_count=same_count, same_label_mean=same_mean,
         diff_label_count=diff_count, diff_label_mean=diff_mean,
         pairs_evaluated=int(ii.size))

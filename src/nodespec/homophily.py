@@ -135,18 +135,30 @@ def _scoped_label_counts(g: Graph, labels: np.ndarray, scopes,
     return out
 
 
-def histogram(values, bin_count: int = 10, value_range=(0.0, 1.0)):
-    """Equal-width histogram with a right-inclusive last bin.
-
-    NaN entries (absent per-node values) are dropped before binning; an empty
-    input yields all-zero counts.
-    """
+def equal_width_bins(values, bin_count: int, value_range=(0.0, 1.0)):
+    """The edges lo + (hi - lo) k / bin_count, k = 0..bin_count, and the bin
+    of each value: k with edges[k] <= v < edges[k + 1], the top edge in the
+    last bin. NaN and values outside the range get bin_count, one past the
+    last, so ``np.bincount(which, minlength=bin_count + 1)[:-1]`` counts."""
     if bin_count < 1:
         raise ValueError("bin_count must be at least 1")
+    lo, hi = value_range
+    edges = lo + (hi - lo) * np.arange(bin_count + 1) / bin_count
     values = np.asarray(values, dtype=np.float64)
-    values = values[~np.isnan(values)]
-    counts, edges = np.histogram(values, bins=bin_count, range=value_range)
-    return edges, counts
+    which = np.searchsorted(edges, values, "right") - 1
+    which[values == edges[-1]] = bin_count - 1
+    which[which < 0] = bin_count
+    return edges, which
+
+
+def histogram(values, bin_count: int = 10, value_range=(0.0, 1.0)):
+    """The edges of ``equal_width_bins`` and the count in each bin.
+
+    NaN entries (absent per-node values) and values outside the range are
+    dropped; an empty input yields all-zero counts.
+    """
+    edges, which = equal_width_bins(values, bin_count, value_range)
+    return edges, np.bincount(which, minlength=bin_count + 1)[:-1]
 
 
 def homophily_report(g: Graph, labels, class_count: int,

@@ -10,6 +10,10 @@ A propagation stack holds the K+1 matrices p_k(operator) @ X as one
 (K+1, n, c) array; combining it with an n x (K+1) coefficient matrix
 evaluates one filter per node without ever materializing a dense operator.
 
+Every basis recurs by one step table, ``recurrence``: p_k = a_k op p_{k-1}
+- c_k p_{k-2}. ``_recursion`` reads it forwards, for the layers and for
+``basis_matrix``; ``autodiff.polynomial_adjoint`` by Clenshaw's sum.
+
 Bernstein layers are the Chebyshev layers T_j(L - I) X mixed by a cached
 (K+1) x (K+1) change-of-basis matrix: K sparse products, as for the other
 bases, and accurate at high K, where the direct degree-split recursion costs
@@ -41,11 +45,11 @@ class PropagationStack:
         return self.layers[0].shape
 
 
-def _check_basis_operator(basis: str, op: SparseOperator) -> None:
-    """Monomial runs on the normalized Laplacian (lambda_max None), chebyshev
+def _operator_steps(basis: str, op: SparseOperator, order: int) -> list:
+    """``recurrence(basis, order)``, once op is the basis's operator:
+    monomial runs on the normalized Laplacian (lambda_max None), chebyshev
     on a scaled Laplacian at any lambda_max, and bernstein at 2.0."""
-    if basis not in BASES:
-        raise ValueError(f"unknown basis {basis!r}; expected one of {BASES}")
+    steps = recurrence(basis, order)
     lam = op.lambda_max
     if basis == "monomial" and lam is not None:
         raise ValueError("monomial propagation needs the normalized_laplacian,"
@@ -56,6 +60,7 @@ def _check_basis_operator(basis: str, op: SparseOperator) -> None:
     if basis == "bernstein" and lam != 2.0:
         raise ValueError("bernstein propagation needs the chebyshev_operator "
                          f"at lambda_max 2.0, got lambda_max {lam!r}")
+    return steps
 
 
 @lru_cache(maxsize=32)
@@ -71,25 +76,30 @@ def bernstein_change(order: int) -> np.ndarray:
     return change
 
 
-def _recursion(op: SparseOperator, x: np.ndarray, order: int,
-               chebyshev: bool, layers: Optional[np.ndarray] = None):
-    """Yield x, then p_k(op) @ x for k = 1..K, holding only the two layers
-    the next one needs: p_k = op p_{k-1} for the monomial basis,
-    T_k = 2 op T_{k-1} - T_{k-2} for the Chebyshev one. Layer k is written
-    into layers[k] when a (K+1, n, c) array is given, else into a fresh
-    array."""
+def recurrence(basis: str, order: int) -> list:
+    """The steps (a_k, c_k), k = 1..K, of p_k = a_k op p_{k-1} - c_k p_{k-2}
+    with p_0 = I: (1, 0) at every k for monomial; (1, 0) then (2, 1) for
+    chebyshev and for the Chebyshev layers bernstein mixes."""
+    if basis not in BASES:
+        raise ValueError(f"unknown basis {basis!r}; expected one of {BASES}")
+    if basis == "monomial":
+        return [(1.0, 0.0)] * order
+    return [(1.0, 0.0)] * min(order, 1) + [(2.0, 1.0)] * (order - 1)
+
+
+def _recursion(apply, x: np.ndarray, steps,
+               layers: Optional[np.ndarray] = None):
+    """Yield x, then p_k(op) @ x for each step (a_k, c_k) of ``recurrence``,
+    with ``apply(v)`` = op @ v, holding only the two layers the next one
+    needs. Layer k is written into layers[k] when a (K+1, n, c) array is
+    given, else into a fresh array."""
     prev, cur = None, x
     yield cur
-    for k in range(1, order + 1):
-        slot = None if layers is None else layers[k]
-        if chebyshev and k >= 2:
-            nxt = np.multiply(spmm(op, cur), 2.0, out=slot)
-            nxt -= prev
-        else:
-            nxt = spmm(op, cur)
-            if slot is not None:
-                slot[...] = nxt
-                nxt = slot
+    for k, (a, c) in enumerate(steps, 1):
+        nxt = apply(cur)
+        nxt = np.multiply(nxt, a, out=nxt if layers is None else layers[k])
+        if c:
+            nxt -= prev if c == 1.0 else c * prev
         prev, cur = cur, nxt
         yield cur
 
@@ -102,8 +112,8 @@ def iter_layers(basis: str, op: SparseOperator, x: np.ndarray, order: int):
     basis's operator."""
     if basis == "bernstein":
         return iter(polynomial_layers(basis, op, x, order))
-    _check_basis_operator(basis, op)
-    return _recursion(op, x, order, basis == "chebyshev")
+    return _recursion(lambda v: spmm(op, v), x,
+                      _operator_steps(basis, op, order))
 
 
 def polynomial_layers(basis: str, op: SparseOperator, x: np.ndarray,
@@ -111,11 +121,11 @@ def polynomial_layers(basis: str, op: SparseOperator, x: np.ndarray,
     """The K+1 layers p_k(op) @ x as one (K+1, n, c) array in the dtype of x:
     K ``spmm``, plus one GEMM for the Bernstein basis.
     Raises ValueError when op is not the basis's operator."""
-    _check_basis_operator(basis, op)
+    steps = _operator_steps(basis, op, order)
     layers = np.empty((order + 1,) + x.shape, dtype=x.dtype)
     layers[0] = x
     # Bernstein mixes the Chebyshev layers of op = L - I
-    for _ in _recursion(op, x, order, basis != "monomial", layers):
+    for _ in _recursion(lambda v: spmm(op, v), x, steps, layers):
         pass
     if basis == "bernstein":
         layers = np.tensordot(bernstein_change(order).astype(x.dtype), layers,
@@ -157,9 +167,9 @@ def combine(stack: PropagationStack, psi: np.ndarray) -> np.ndarray:
 def frequency_response(basis: str, coeffs, lambda_grid,
                        lambda_max: float = 2.0) -> np.ndarray:
     """Scalar filter response sum_k gamma_k p_k(lambda) on a grid in [0, 2]."""
-    if basis not in BASES:
-        raise ValueError(f"unknown basis {basis!r}; expected one of {BASES}")
     coeffs = np.asarray(coeffs, dtype=np.float64)
+    if coeffs.size == 0:
+        raise ValueError("a filter needs at least one coefficient")
     grid = np.asarray(lambda_grid, dtype=np.float64)
     # allow eigenvalue-sized rounding just outside the nominal spectrum
     if grid.size and (grid.min() < -1e-9 or grid.max() > 2.0 + 1e-9):
@@ -171,23 +181,17 @@ def frequency_response(basis: str, coeffs, lambda_grid,
 
 def basis_matrix(basis: str, order: int, grid: np.ndarray,
                  lambda_max: float = 2.0) -> np.ndarray:
-    """Tabulate p_k(lambda) for k = 0..K over the grid; shape (len(grid), K+1)."""
-    grid = np.asarray(grid, dtype=np.float64)
-    cols = np.empty((grid.size, order + 1))
-    if basis == "monomial":
-        for k in range(order + 1):
-            cols[:, k] = grid ** k
-    elif basis == "chebyshev":
-        t = 2.0 * grid / lambda_max - 1.0
-        cols[:, 0] = 1.0
-        if order >= 1:
-            cols[:, 1] = t
-        for k in range(2, order + 1):
-            cols[:, k] = 2.0 * t * cols[:, k - 1] - cols[:, k - 2]
-    elif basis == "bernstein":
+    """Tabulate p_k(lambda) for k = 0..K over the grid; shape (len(grid), K+1).
+
+    Monomial and chebyshev run ``_recursion`` on the diagonal operator
+    diag(t), t the grid in the basis's variable, since p_k(t) = p_k(diag t) 1.
+    Bernstein keeps its closed form, which ``bernstein_change`` solves
+    against."""
+    grid = np.asarray(grid, dtype=np.float64).ravel()
+    if basis == "bernstein":
         half = grid / 2.0
-        for k in range(order + 1):
-            cols[:, k] = comb(order, k) * (1.0 - half) ** (order - k) * half ** k
-    else:
-        raise ValueError(f"unknown basis {basis!r}")
-    return cols
+        return np.stack([comb(order, k) * (1.0 - half) ** (order - k)
+                         * half ** k for k in range(order + 1)], axis=1)
+    t = grid if basis == "monomial" else 2.0 * grid / lambda_max - 1.0
+    return np.stack(list(_recursion(lambda v: t * v, np.ones(grid.size),
+                                    recurrence(basis, order))), axis=1)

@@ -61,6 +61,18 @@ class TestOps:
         np.testing.assert_allclose(np.sum(adjoint.astype(np.float64) * x),
                                    np.sum(pairs), rtol=1e-12, atol=atol)
 
+    @pytest.mark.parametrize("basis", BASES)
+    def test_order_zero_adjoint_is_a_fresh_array(self, basis, rng):
+        g = build_graph([(0, 1), (1, 2)], 3)
+        op = (normalized_laplacian(g) if basis == "monomial"
+              else chebyshev_operator(g, 2.0))
+        grads = rng.standard_normal((1, 3, 2))
+        before = grads.copy()
+        adjoint = polynomial_adjoint(basis, op, grads)
+        np.testing.assert_array_equal(adjoint, before[0])
+        adjoint[...] = 7.0
+        np.testing.assert_array_equal(grads, before)
+
     def test_cross_entropy_value_and_grad(self, rng):
         logits = rng.standard_normal((6, 3))
         labels = np.array([0, 1, 2, 0, 1, 2])

@@ -543,6 +543,31 @@ def test_count_flags_fail_at_parse_time(data_root, tmp_path, capsys,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["train", "--dataset", "toy", "--K", "1_0"],
+    ["train", "--dataset", "toy", "--seed", "٣"],
+    ["train", "--dataset", "toy", "--epochs", "99999999999999999999"],
+    ["oracle-check", "--n", "3.0"],
+    ["prop-sim", "--alpha", "0.5", "--classes", "3", "--samples", "٣"],
+    ["prop-sim", "--alpha", "0.5", "--classes", "3", "--samples", "1_000"]],
+    ids=["underscore-order", "arabic-indic-seed", "beyond-int64-epochs",
+         "float-n", "arabic-indic-samples", "underscore-samples"])
+def test_integer_flags_take_only_decimal_int64_tokens(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv)
+    assert exc.value.code == 2
+    assert f"got {argv[-1]!r}" in capsys.readouterr().err
+
+
+def test_integer_flags_still_read_plain_and_signed_tokens():
+    args = build_parser().parse_args(["train", "--dataset", "toy", "--K",
+                                      "10", "--seed", "-3", "--d", " 2 "])
+    assert (args.order, args.seed, args.rank) == (10, -3, 2)
+    args = build_parser().parse_args(["prop-sim", "--alpha", "0.5",
+                                      "--classes", "3", "--samples", "+7"])
+    assert args.samples == 7
+
+
 @pytest.mark.parametrize("flags, token", [
     (["--coeffs", "nan,1"], "non-finite feature value: 'nan'"),
     (["--coeffs", "1_0,1"], "not a decimal float: '1_0'"),

@@ -7,6 +7,7 @@ from nodespec import evaluate
 from nodespec.evaluate import (accuracy, coefficient_distance_report,
                                homophily_binned_accuracy, summarize_runs)
 from nodespec.graph import build_graph
+from nodespec.homophily import homophily_report
 from nodespec.synthetic import complete_graph, er_graph
 
 
@@ -105,6 +106,33 @@ class TestBinnedAccuracy:
         labels = np.zeros(4, dtype=int)
         with pytest.raises(ValueError, match="bin_count must be at least 1"):
             homophily_binned_accuracy(labels, labels, g, np.arange(4), bins)
+
+
+@pytest.mark.parametrize("matches, leaves", [((3, 6, 7), 10), ((1,), 49)],
+                         ids=["tenths", "one-49th"])
+def test_a_value_on_an_interior_edge_starts_its_bin(matches, leaves):
+    # one star per entry of matches: its centre has `leaves` neighbours, m of
+    # them of its label, so h1 = m / leaves, the interior edge m at `leaves`
+    # bins; the leaves sit at h1 = 0 and 1, in the outer bins
+    edges, labels = [], []
+    for m in matches:
+        centre = len(labels)
+        labels += [0] * (m + 1) + [1] * (leaves - m)
+        edges += [(centre, centre + i) for i in range(1, leaves + 1)]
+    g = build_graph(edges, len(labels))
+    labels = np.array(labels)
+    centres = np.arange(len(matches)) * (leaves + 1)
+    want = np.zeros(leaves, dtype=np.int64)
+    want[list(matches)] = 1
+
+    bin_edges, counts = homophily_report(g, labels, 2, leaves).histogram_h1
+    np.testing.assert_array_equal(counts[1:-1], want[1:-1])
+    report = homophily_binned_accuracy(labels, labels, g, centres, leaves)
+    np.testing.assert_array_equal(report.counts, want)
+    for edge_list in (bin_edges, report.edges):
+        # the CSVs print these edges: m / leaves, not a rounded neighbour
+        assert [edge_list[m] for m in matches] == [m / leaves
+                                                   for m in matches]
 
 
 class TestCoefficientDistance:

@@ -219,6 +219,10 @@ class TestHistogram:
         _, counts = histogram([0.5, float("nan")], 2, (0.0, 1.0))
         assert counts.sum() == 1
 
+    def test_values_outside_the_range_dropped(self):
+        edges, counts = histogram([-0.1, 1.1, 1.0, 0.0], 2, (0.0, 1.0))
+        assert counts.tolist() == [1, 1]
+
     def test_bad_bin_count(self):
         with pytest.raises(ValueError):
             histogram([0.5], 0)

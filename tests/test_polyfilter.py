@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from nodespec import polyfilter
-from nodespec.graph import (build_graph, chebyshev_operator,
+from nodespec.graph import (SparseOperator, build_graph, chebyshev_operator,
                             normalized_laplacian, spmm)
 from nodespec.oracle import SpectralFilter, eigendecompose, exact_filter
 from nodespec.polyfilter import (BASES, basis_matrix, bernstein_change,
@@ -254,6 +255,37 @@ class TestFrequencyResponse:
     def test_grid_validation(self):
         with pytest.raises(ValueError):
             frequency_response("monomial", [1.0], [2.5])
+
+    @pytest.mark.parametrize("basis, coeffs, message", [
+        ("legendre", [1.0], "unknown basis 'legendre'"),
+        ("chebyshev", [], "at least one coefficient"),
+        ("bernstein", [], "at least one coefficient")],
+        ids=["unknown-basis", "no-coefficients", "no-bernstein-coefficients"])
+    def test_bad_filter_rejected(self, basis, coeffs, message):
+        with pytest.raises(ValueError, match=message):
+            frequency_response(basis, coeffs, [0.5])
+
+    @pytest.mark.parametrize("order", [0, 1, 2, 10])
+    @pytest.mark.parametrize("basis, lambda_max", [
+        ("monomial", None), ("chebyshev", 2.0), ("chebyshev", 1.7),
+        ("bernstein", 2.0)])
+    def test_tabulation_is_propagation_on_a_diagonal_operator(
+            self, basis, lambda_max, order):
+        # p_k(t) = p_k(diag t) 1, t the grid in the basis's own variable
+        grid = np.concatenate([[0.0, 2.0], np.linspace(0.0, 2.0, 37)[1:-1],
+                               np.random.default_rng(5).uniform(0, 2, 24)])
+        t = {"monomial": grid, "bernstein": grid - 1.0,
+             "chebyshev": 2.0 * grid / (lambda_max or 2.0) - 1.0}[basis]
+        op = SparseOperator(sp.csr_array(sp.diags_array(t)), lambda_max)
+        layers = polyfilter.polynomial_layers(basis, op,
+                                              np.ones((grid.size, 1)), order)
+        table = basis_matrix(basis, order, grid, lambda_max or 2.0)
+        assert table.shape == (grid.size, order + 1)
+        if basis == "bernstein":
+            np.testing.assert_allclose(table, layers[:, :, 0].T, rtol=0,
+                                       atol=1e-12)
+        else:
+            np.testing.assert_array_equal(table, layers[:, :, 0].T)
 
 
 class TestOracleEquivalence:
