@@ -1,7 +1,9 @@
 """Command-line surface: analysis reports, training, evaluation, sweeps.
 
 Tabular artifacts are CSV, summaries are JSON on stdout. Exit codes: 0 on
-success, 1 on runtime failure, 2 on bad usage.
+success, 1 on runtime failure, 2 on bad usage: a flag that does not parse,
+flags that do not go together, or a config that ``TrainConfig`` rejects,
+which ``train`` and ``sweep`` build before they read any file.
 """
 
 import argparse
@@ -70,6 +72,13 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
+def _float(text: str) -> float:
+    """A float flag read as a feature cell, by ``_feature_cell_problem``."""
+    if _feature_cell_problem(text):
+        raise argparse.ArgumentTypeError(f"not a finite float: {text!r}")
+    return float(text)
+
+
 def _listed(text: str, flag: str, problem, cast) -> list:
     """Cast comma-separated tokens that pass ``problem``; else UsageError."""
     tokens = [tok.strip() for tok in text.split(",")] if text else []
@@ -124,11 +133,11 @@ def _add_train_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--K", "--order", dest="order", type=_int)
     p.add_argument("--d", "--rank", dest="rank", type=_int)
     p.add_argument("--f-h", "--hidden", dest="hidden", type=_int)
-    p.add_argument("--lr-l", type=float)
-    p.add_argument("--lr-p", type=float)
-    p.add_argument("--dp-l", type=float)
-    p.add_argument("--dp-p", type=float)
-    p.add_argument("--l2", type=float)
+    p.add_argument("--lr-l", type=_float)
+    p.add_argument("--lr-p", type=_float)
+    p.add_argument("--dp-l", type=_float)
+    p.add_argument("--dp-p", type=_float)
+    p.add_argument("--l2", type=_float)
     p.add_argument("--epochs", type=_int)
     p.add_argument("--patience", type=_int)
     p.add_argument("--batch-size", type=_int)
@@ -142,18 +151,14 @@ def _add_train_args(p: argparse.ArgumentParser) -> None:
     p.set_defaults(**asdict(model.TrainConfig()))
 
 
-def _train_config(args) -> model.TrainConfig:
-    """The run's TrainConfig; a flag its mode or basis would ignore is a
-    usage error."""
+def _train_config(args, **changes) -> model.TrainConfig:
+    """The run's TrainConfig with ``changes``, or a UsageError naming why."""
     values = {f.name: getattr(args, f.name) for f in fields(model.TrainConfig)}
-    cfg = model.TrainConfig(**dict(values, mode=MODE_ALIASES[args.mode]))
-    if cfg.batch_size is not None and cfg.mode != "sgc_like":
-        raise UsageError("--batch-size needs --mode sgc")
-    if cfg.static_coefficients and cfg.mode == "global_only":
-        raise UsageError("--static-h does not apply to --mode global")
-    if cfg.estimate_spectrum and cfg.basis != "chebyshev":
-        raise UsageError("--estimate-lambda-max needs --basis chebyshev")
-    return cfg
+    values.update(changes, mode=MODE_ALIASES[args.mode])
+    try:
+        return model.TrainConfig(**values)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 @contextmanager
@@ -228,8 +233,8 @@ def cmd_prop_sim(args) -> int:
 
 
 def cmd_train(args) -> int:
-    dataset = _load_dataset(args)
     cfg = _train_config(args)
+    dataset = _load_dataset(args)
     result, split, test_accuracy = _run(args, dataset, cfg)
     if args.history:
         _write_csv(args.history,
@@ -299,7 +304,7 @@ def cmd_filter_response(args) -> int:
     elif args.checkpoint:
         params, cfg = model.load_checkpoint(args.checkpoint)
         # such an operator is scaled by an estimate on the graph it runs on
-        estimated = cfg.basis == "chebyshev" and cfg.estimate_spectrum
+        estimated = cfg.estimate_spectrum
         if estimated and not (args.dataset or args.edges):
             raise ValueError(
                 f"{args.checkpoint}: this Chebyshev checkpoint estimated "
@@ -354,11 +359,8 @@ def cmd_sweep(args) -> int:
     ranks = _int64_listed(args.ranks, "--ranks", "rank")
     if not (orders and ranks):
         raise UsageError("--orders and --ranks each need at least one value")
+    grid = [_train_config(args, order=k, rank=d) for k in orders for d in ranks]
     dataset = _load_dataset(args)
-    base = _train_config(args)
-    grid = [replace(base, order=k, rank=d) for k in orders for d in ranks]
-    for cfg in grid:  # before any run trains or --out is opened
-        cfg.validate()
     _resolve_split(args, dataset, args.seed)  # a bad --split fails here too
 
     def rows():
@@ -387,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("prop-sim",
                        help="closed-form vs Monte-Carlo label-chain checks")
-    p.add_argument("--alpha", type=float, required=True)
+    p.add_argument("--alpha", type=_float, required=True)
     p.add_argument("--classes", type=_int, required=True)
     p.add_argument("--samples", type=_positive_int, default=1_000_000)
     p.add_argument("--seed", type=_int, default=0)

@@ -2,8 +2,10 @@
 
 Per-node metrics treat an empty neighborhood as "absent" (NaN) rather than
 zero, and the graph-level homophily ratio averages only over nodes that have
-neighbors. Label entropy uses the natural logarithm with a fixed 1e-10 floor
-inside the log, so a C-class uniform neighborhood scores ln C.
+neighbors. Label entropy is -sum p log p (natural log) over the classes
+present, clamped at ln C: a one-class neighborhood scores exactly 0 and a
+C-class uniform neighborhood scores ln C, so both fall inside the entropy
+histograms' range [0, ln C].
 
 ``homophily_report`` counts labels once per scope, an n x C matrix (1-hop
 from A, within-2 from the pattern of (A + I)^2 less the node itself), and
@@ -23,8 +25,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from .graph import Graph, adjacency, node_ids
-
-ENTROPY_EPS = 1e-10
 
 # Pairs per sparse row-intersection block in jaccard_neighbor_distances. The
 # two gathered adjacency row blocks hold block * mean degree entries each;
@@ -96,9 +96,13 @@ def _homophily(counts: np.ndarray, sizes: np.ndarray,
 
 
 def _entropy(counts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """-sum p log p over each row's p > 0, at most ln C for C columns, where
+    a uniform row can land an ulp above; NaN for an empty neighborhood.
+    0.0 - s, not -s, so a one-class row reads 0.0 rather than -0.0."""
     with np.errstate(invalid="ignore"):
-        p = counts / sizes[:, None] + ENTROPY_EPS
-    return -np.sum(p * np.log(p), axis=1)
+        p = counts / sizes[:, None]
+    plogp = p * np.log(p, out=np.zeros_like(p), where=p > 0)
+    return np.minimum(0.0 - plogp.sum(axis=1), np.log(p.shape[1]))
 
 
 def _within2_pattern(a: sp.csr_array) -> sp.csr_array:

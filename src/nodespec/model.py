@@ -59,8 +59,8 @@ from .data import Dataset, Split, subset, validate_split
 from .evaluate import accuracy
 from .graph import (Graph, SparseOperator, chebyshev_operator,
                     estimate_lambda_max, node_ids, normalized_laplacian)
-from .polyfilter import (PropagationStack, iter_layers, polynomial_layers,
-                         propagate)
+from .polyfilter import (BASES, PropagationStack, iter_layers,
+                         polynomial_layers, propagate)
 
 MODES = ("appnp_like", "sgc_like", "global_only")
 
@@ -97,8 +97,11 @@ class DivergenceError(RuntimeError):
         self.epoch = epoch
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
+    """One run's settings. ``__post_init__`` is the only validity rule: a
+    TrainConfig that exists trains as configured. Errors name the field."""
+
     lr_l: float = 0.01          # MLP learning rate
     lr_p: float = 0.01          # filtering-layer learning rate
     dp_l: float = 0.5           # MLP dropout
@@ -114,11 +117,11 @@ class TrainConfig:
     basis: str = "chebyshev"
     batch_size: Optional[int] = None   # sgc_like mini-batching; None = full batch
     static_coefficients: bool = False  # derive H once from the order-0 features
-    lambda_max: float = 2.0
+    lambda_max: float = 2.0            # chebyshev without an estimate only
     estimate_spectrum: bool = False    # lambda_max from a Lanczos bound on L
     precision: str = "float64"
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         for name in ("dp_l", "dp_p"):
             rate = getattr(self, name)
             if not 0.0 <= rate < 1.0:
@@ -137,25 +140,33 @@ class TrainConfig:
         if not (math.isfinite(self.l2) and self.l2 >= 0):
             raise ValueError(f"l2 must be finite and non-negative, got "
                              f"{self.l2!r}")
-        if self.patience < 0:
-            raise ValueError("patience must be >= 0")
-        if self.order < 1:
-            raise ValueError("polynomial order must be >= 1")
-        if self.rank < 1:
-            raise ValueError("factorization rank must be >= 1")
-        if self.hidden < 1:
-            raise ValueError("hidden width must be >= 1")
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        if self.batch_size is not None and self.batch_size < 1:
-            raise ValueError("batch size must be >= 1 when set")
+        for name, least in (("order", 1), ("rank", 1), ("hidden", 1),
+                            ("epochs", 1), ("patience", 0)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be >= {least}")
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
+        if self.basis not in BASES:
+            raise ValueError(f"unknown basis {self.basis!r}; expected one "
+                             f"of {BASES}")
         if self.precision not in ("float64", "float32"):
             raise ValueError("precision must be float64 or float32")
+        if self.batch_size is not None and self.batch_size < 1:
+            raise ValueError("batch_size must be >= 1 when set")
+        if self.batch_size is not None and self.mode != "sgc_like":
+            raise ValueError("batch_size needs mode sgc_like")
+        if self.static_coefficients and self.mode == "global_only":
+            raise ValueError("static_coefficients does not apply to mode "
+                             "global_only")
+        if self.estimate_spectrum and self.basis != "chebyshev":
+            raise ValueError("estimate_spectrum needs basis chebyshev")
         if not (math.isfinite(self.lambda_max) and self.lambda_max > 0):
             raise ValueError(f"lambda_max must be finite and positive, got "
                              f"{self.lambda_max!r}")
+        if self.lambda_max != 2.0 and (self.basis != "chebyshev"
+                                       or self.estimate_spectrum):
+            raise ValueError(f"lambda_max={self.lambda_max!r} applies only to "
+                             "basis chebyshev without estimate_spectrum")
 
     @property
     def dtype(self):
@@ -244,7 +255,6 @@ def init_params(cfg: TrainConfig, feature_dim: int, class_count: int,
     """Fan-scaled symmetric-uniform weight matrices, drawn in
     ``param_shapes`` order; zero biases; Gamma columns decaying as
     0.1 * 0.9^k."""
-    cfg.validate()
     decay = 0.1 * np.power(0.9, np.arange(cfg.order + 1))
     params = ModelParams()
     for name, shape in param_shapes(cfg, feature_dim, class_count).items():
@@ -262,13 +272,11 @@ def init_params(cfg: TrainConfig, feature_dim: int, class_count: int,
 def build_operator(graph: Graph, cfg: TrainConfig) -> SparseOperator:
     """The propagation operator of the configured basis; the only code that
     picks an operator and its lambda_max. Monomial gets the normalized
-    Laplacian, bernstein ``chebyshev_operator(graph, 2.0)``, and chebyshev
-    the scaled Laplacian at cfg.lambda_max or, with ``estimate_spectrum``, at
-    the Lanczos upper estimate ``estimate_lambda_max`` of L's spectrum."""
+    Laplacian; the others the scaled Laplacian at cfg.lambda_max (always 2.0
+    for bernstein) or, with ``estimate_spectrum``, at the Lanczos upper
+    estimate ``estimate_lambda_max`` of L's spectrum."""
     if cfg.basis == "monomial":
         return normalized_laplacian(graph)
-    if cfg.basis == "bernstein":
-        return chebyshev_operator(graph, 2.0)
     if not cfg.estimate_spectrum:
         return chebyshev_operator(graph, cfg.lambda_max)
     return chebyshev_operator(
@@ -580,7 +588,6 @@ def parameter_count(cfg: TrainConfig, feature_dim: int,
                     class_count: int) -> dict:
     """Exact trainable-parameter counts, the sizes of ``param_shapes``; the
     filter term never depends on n."""
-    cfg.validate()
     sizes = {name: math.prod(shape) for name, shape
              in param_shapes(cfg, feature_dim, class_count).items()}
     mlp = sum(size for name, size in sizes.items() if name.startswith("mlp."))
@@ -616,7 +623,6 @@ def train(dataset: Dataset, split: Split, cfg: TrainConfig) -> TrainResult:
     observed nodes (train, validation, observed test); prediction later
     rebuilds the operator on whatever graph it is given.
     """
-    cfg.validate()
     validate_split(split, n=dataset.n)
     for name, index in (("train", split.train),
                         ("validation", split.validation)):
@@ -648,7 +654,7 @@ def train(dataset: Dataset, split: Split, cfg: TrainConfig) -> TrainResult:
 
     for epoch in range(1, cfg.epochs + 1):
         try:
-            if cfg.mode == "sgc_like" and cfg.batch_size:
+            if cfg.batch_size:
                 order = train_idx[rng.permutation(train_idx.size)]
                 for lo in range(0, order.size, cfg.batch_size):
                     batch = order[lo:lo + cfg.batch_size]
@@ -756,7 +762,7 @@ def _read_exact(fh, size: int, path, what: str) -> bytes:
 
 def _checkpoint_config(header: dict, path) -> TrainConfig:
     """The config of a checkpoint header, once the header is consistent:
-    its config keys are TrainConfig's fields and pass ``validate``, its mode
+    its config keys are TrainConfig's fields and make a TrainConfig, its mode
     is the config's, and its arrays are that mode's ``param_shapes``, in
     order, at the feature and class widths of mlp.w1 and mlp.w2."""
     config = header.get("config")
@@ -767,9 +773,8 @@ def _checkpoint_config(header: dict, path) -> TrainConfig:
     if unknown or missing:
         raise ValueError(f"{path}: the config keys are not TrainConfig's "
                          f"(unknown {unknown}, missing {missing})")
-    cfg = TrainConfig(**config)
     try:
-        cfg.validate()
+        cfg = TrainConfig(**config)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{path}: invalid config: {exc}") from None
     if header.get("mode") != cfg.mode:

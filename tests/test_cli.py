@@ -247,8 +247,8 @@ def test_flags_that_do_not_go_together_exit_two(tmp_path, capsys, argv,
 
 @pytest.mark.parametrize("argv, code", [
     (["sweep", "--runs", "0"], 2),
-    (["sweep", "--orders", "2,0"], 1),
-    (["sweep", "--ranks", "1,0"], 1),
+    (["sweep", "--orders", "2,0"], 2),
+    (["sweep", "--ranks", "1,0"], 2),
     (["filter-response", "--coeffs", "0,1", "--grid-points", "0"], 2),
     (["filter-response", "--coeffs", "0,1", "--grid-points", "-1"], 2)],
     ids=["runs-0", "order-0", "rank-0", "grid-points-0", "grid-points-negative"])
@@ -265,28 +265,6 @@ def test_bad_counts_fail_before_any_output(data_root, tmp_path, capsys,
     assert got == code
     assert out.out == "" and "error: " in out.err
     assert not out_csv.exists()
-
-
-@pytest.mark.parametrize("command", ["train", "sweep"])
-@pytest.mark.parametrize("flags, message", [
-    (["--batch-size", "8"], "--batch-size needs --mode sgc"),
-    (["--mode", "appnp", "--batch-size", "8"], "--batch-size needs --mode sgc"),
-    (["--mode", "global", "--static-h"], "--static-h does not apply"),
-    (["--basis", "monomial", "--estimate-lambda-max"],
-     "--estimate-lambda-max needs --basis chebyshev"),
-    (["--basis", "bernstein", "--estimate-lambda-max"],
-     "--estimate-lambda-max needs --basis chebyshev")],
-    ids=["batch-default-mode", "batch-appnp", "static-h-global",
-         "estimate-monomial", "estimate-bernstein"])
-def test_ignored_flags_exit_two(data_root, capsys, monkeypatch, command,
-                                flags, message):
-    monkeypatch.setattr(model, "train", lambda *a: pytest.fail("trained"))
-    with pytest.raises(SystemExit) as exc:
-        main([command, "--dataset", "toy", "--data-root", str(data_root),
-              "--epochs", "2", *flags])
-    out = capsys.readouterr()
-    assert exc.value.code == 2
-    assert out.out == "" and message in out.err
 
 
 def test_split_mode_is_not_shadowed_by_a_path(data_root, tmp_path, capsys,
@@ -349,20 +327,6 @@ def test_train_without_validation_nodes_exits_one(data_root, tmp_path,
     assert "error: the validation set is empty" in err
 
 
-@pytest.mark.parametrize("flags, message", [
-    (["--mode", "sgc", "--batch-size", "-4"], "batch size must be >= 1"),
-    (["--epochs", "0"], "epochs must be >= 1"),
-    (["--f-h", "0"], "hidden width must be >= 1"),
-    (["--lr-l", "-0.1"], "lr_l must be finite and positive")])
-def test_untrainable_config_exits_one(data_root, capsys, flags, message):
-    code, out, err = run_cli(capsys, "train", "--dataset", "toy",
-                             "--data-root", data_root, "--epochs", "5",
-                             *flags)
-    assert code == 1
-    assert out == ""
-    assert f"error: {message}" in err
-
-
 def _rewrite_header(src, dst, edit):
     """Copy checkpoint src to dst with ``edit`` applied to its JSON header."""
     raw = src.read_bytes()
@@ -378,10 +342,6 @@ def _rewrite_header(src, dst, edit):
 MALFORMED_HEADERS = {
     "unknown-config-key": lambda h: h["config"].update(extra=1),
     "missing-config-key": lambda h: h["config"].pop("dp_p"),
-    "invalid-config": lambda h: h["config"].update(dp_l=1.5),
-    "nan-lambda-max": lambda h: h["config"].update(lambda_max=float("nan")),
-    "inf-lambda-max": lambda h: h["config"].update(lambda_max=float("inf")),
-    "negative-lambda-max": lambda h: h["config"].update(lambda_max=-1.0),
     # same byte count, so only the shapes tell: 12 x 2 after 8 hidden units
     "w2-shape": lambda h: h["arrays"][2].__setitem__(1, [12, 2]),
     "filter-w-shape": lambda h: h["arrays"][4].__setitem__(1, [1, 3]),
@@ -412,6 +372,126 @@ def test_malformed_checkpoint_fails_with_its_path(data_root, tmp_path, capsys,
     assert code == 1
     assert out == ""
     assert err.startswith(f"error: {bad}: ")
+
+
+# Configs that the TrainConfig rule rejects: the fields, the field that the
+# message names, and the train and sweep flags that ask for them. None where
+# no flag can: no flag sets lambda_max or writes a non-finite float (see
+# test_float_flags_read_as_feature_cells), and sweep takes K and d from
+# --orders and --ranks (see test_bad_counts_fail_before_any_output).
+NAN, INF = float("nan"), float("inf")
+REJECTED_CONFIGS = {
+    "unknown-basis": ({"basis": "foo"}, "basis", ["--basis", "foo"]),
+    "batch-default-mode": ({"batch_size": 8}, "batch_size",
+                           ["--batch-size", "8"]),
+    "batch-appnp": ({"mode": "appnp_like", "batch_size": 8}, "batch_size",
+                    ["--mode", "appnp", "--batch-size", "8"]),
+    "static-global": ({"mode": "global_only", "static_coefficients": True},
+                      "static_coefficients", ["--mode", "global", "--static-h"]),
+    "estimate-monomial": ({"basis": "monomial", "estimate_spectrum": True},
+                          "estimate_spectrum",
+                          ["--basis", "monomial", "--estimate-lambda-max"]),
+    "estimate-bernstein": ({"basis": "bernstein", "estimate_spectrum": True},
+                           "estimate_spectrum",
+                           ["--basis", "bernstein", "--estimate-lambda-max"]),
+    "lambda-bernstein": ({"basis": "bernstein", "lambda_max": 1.5},
+                         "lambda_max", None),
+    "lambda-monomial": ({"basis": "monomial", "lambda_max": 1.5},
+                        "lambda_max", None),
+    "lambda-estimated": ({"estimate_spectrum": True, "lambda_max": 1.5},
+                         "lambda_max", None),
+    "epochs-0": ({"epochs": 0}, "epochs", ["--epochs", "0"]),
+    "hidden-0": ({"hidden": 0}, "hidden", ["--f-h", "0"]),
+    "order-0": ({"order": 0}, "order", None),
+    "rank-0": ({"rank": 0}, "rank", None),
+    "patience-negative": ({"patience": -1}, "patience", ["--patience", "-1"]),
+    "batch-0": ({"mode": "sgc_like", "batch_size": 0}, "batch_size",
+                ["--mode", "sgc", "--batch-size", "0"]),
+    "batch-negative": ({"mode": "sgc_like", "batch_size": -4}, "batch_size",
+                       ["--mode", "sgc", "--batch-size", "-4"]),
+    "dp_l-above-one": ({"dp_l": 1.5}, "dp_l", ["--dp-l", "1.5"]),
+    "lambda-nan": ({"lambda_max": NAN}, "lambda_max", None),
+    "lambda-inf": ({"lambda_max": INF}, "lambda_max", None),
+    "lambda-negative": ({"lambda_max": -1.0}, "lambda_max", None),
+    "lr_l-0": ({"lr_l": 0.0}, "lr_l", ["--lr-l", "0"]),
+    "lr_l-negative": ({"lr_l": -0.1}, "lr_l", ["--lr-l", "-0.1"]),
+    "lr_l-nan": ({"lr_l": NAN}, "lr_l", None),
+    "lr_p-negative": ({"lr_p": -0.1}, "lr_p", ["--lr-p", "-0.1"]),
+    "lr_p-inf": ({"lr_p": INF}, "lr_p", None),
+    "l2-negative": ({"l2": -1e-4}, "l2", ["--l2", "-1e-4"]),
+    "l2-nan": ({"l2": NAN}, "l2", None),
+    "l2-inf": ({"l2": INF}, "l2", None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REJECTED_CONFIGS))
+def test_rejected_config_fails_at_every_entry_point(data_root, tmp_path,
+                                                     capsys, monkeypatch,
+                                                     case):
+    changes, field, flags = REJECTED_CONFIGS[case]
+    with pytest.raises(ValueError, match=field):
+        model.TrainConfig(**changes)
+
+    # a checkpoint header holding it fails to load, with the path
+    cfg = model.TrainConfig(order=3, hidden=8)
+    params = model.init_params(cfg, 6, 3, np.random.default_rng(0))
+    good, bad = tmp_path / "good.ckpt", tmp_path / "bad.ckpt"
+    model.save_checkpoint(good, params, cfg)
+    _rewrite_header(good, bad, lambda h: h["config"].update(changes))
+    with pytest.raises(ValueError, match=re.escape(f"{bad}: invalid config: ")
+                       + f".*{field}"):
+        model.load_checkpoint(bad)
+    code, out, err = run_cli(capsys, "eval", "--dataset", "toy",
+                             "--data-root", data_root, "--checkpoint", bad,
+                             "--out-dir", tmp_path / "reports")
+    assert code == 1
+    assert out == "" and err.startswith(f"error: {bad}: invalid config: ")
+    if flags is None:
+        return
+
+    # from flags: a usage error before any file is read
+    def read(*args, **kwargs):
+        pytest.fail("read a file")
+
+    for name in ("load_dataset", "load_named_dataset", "load_split"):
+        monkeypatch.setattr(nodespec.cli, name, read)
+    for command in ("train", "sweep"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--dataset", "toy", "--data-root", str(data_root),
+                  *flags])
+        out = capsys.readouterr()
+        assert exc.value.code == 2, command
+        assert out.out == "" and "error: " in out.err and field in out.err
+
+
+def test_train_config_is_frozen():
+    cfg = model.TrainConfig()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.epochs = 0
+
+
+@pytest.mark.parametrize("flag", ["--lr-l", "--lr-p", "--dp-l", "--dp-p",
+                                  "--l2", "--alpha"])
+@pytest.mark.parametrize("token, value", [
+    ("0.05", 0.05), (".5", 0.5), ("5e-4", 5e-4), ("1_0", None),
+    ("\u0660.\u0665", None), ("nan", None), ("inf", None)],
+    ids=["plain", "leading-point", "exponent", "underscore", "arabic-indic",
+         "nan", "inf"])
+def test_float_flags_read_as_feature_cells(capsys, flag, token, value):
+    # the rule of a feature cell: Python's float() would read 1_0 as 10 and
+    # Arabic-Indic 0.5 as 0.5
+    command = ["prop-sim", "--classes", "3"] if flag == "--alpha" else [
+        "train"]
+    argv = [*command, flag, token]
+    if value is None:
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        assert (f"argument {flag}: not a finite float: {token!r}"
+                in capsys.readouterr().err)
+    else:
+        args = build_parser().parse_args(argv)
+        assert getattr(args, flag[2:].replace("-", "_")) == value
 
 
 def test_feature_width_mismatch_names_the_checkpoint(data_root, tmp_path,

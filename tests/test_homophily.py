@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from nodespec import homophily
 from nodespec.graph import Graph, build_graph, hop_distances
-from nodespec.homophily import (ENTROPY_EPS, HOP1, WITHIN2, graph_homophily,
+from nodespec.homophily import (HOP1, WITHIN2, graph_homophily,
                                 histogram, homophily_report,
                                 jaccard_neighbor_distances,
                                 per_node_homophily,
@@ -41,16 +41,18 @@ def label_entropy(g: Graph, labels, v: int, scope: str,
                   class_count: int) -> float:
     """Entropy of the scoped neighborhood's label distribution.
 
-    Computed as -sum_y (p_y + eps) log(p_y + eps) over all class_count
-    labels with eps = 1e-10; NaN for an empty neighborhood.
+    -sum_y p_y log p_y over the labels with p_y > 0, at most
+    log(class_count); NaN for an empty neighborhood.
     """
     labels = np.asarray(labels)
     hood = _scope_neighbors(g, v, scope)
     if hood.size == 0:
         return float("nan")
     counts = np.bincount(labels[hood], minlength=class_count).astype(np.float64)
-    p = counts / hood.size + ENTROPY_EPS
-    return float(-np.sum(p * np.log(p)))
+    p = counts / hood.size
+    plogp = np.zeros_like(p)
+    plogp[p > 0] = p[p > 0] * np.log(p[p > 0])
+    return float(min(0.0 - plogp.sum(), np.log(class_count)))
 
 
 def jaccard_neighbor_distance(g: Graph, i: int, j: int) -> float:
@@ -170,7 +172,7 @@ class TestLabelEntropy:
         g = star_graph(6)
         labels = [1, 0, 0, 0, 0, 0, 0]
         value = label_entropy(g, labels, 0, "hop1", class_count=5)
-        assert 0.0 <= value <= 1e-7
+        assert value == 0.0
 
     def test_uniform_five_classes(self):
         g = star_graph(5)
@@ -198,6 +200,20 @@ class TestLabelEntropy:
             labels = [0] + rng.integers(0, 4, size=8).tolist()
             value = label_entropy(uniform, labels, 0, "hop1", class_count=4)
             assert value <= top + 1e-6
+
+
+@pytest.mark.parametrize("classes", [3, 5, 12, 13])
+def test_star_entropies_lie_in_the_histogram_range(classes):
+    # the hub's neighbours are uniform over the classes and each leaf has
+    # one neighbour; at 5, 12 and 13 classes the unclamped -sum p log p of
+    # the hub lands an ulp above ln C, the top of the histogram range
+    g = star_graph(classes)
+    rep = homophily_report(g, [0, *range(classes)], class_count=classes)
+    assert rep.per_node_s1[0] <= np.log(classes)
+    assert np.array_equal(rep.per_node_s1[1:], np.zeros(classes))
+    assert str(rep.per_node_s1[1]) == "0.0"  # not -0.0
+    assert rep.histogram_s1[1].sum() == g.n
+    assert rep.histogram_s_within2[1].sum() == g.n
 
 
 class TestHistogram:

@@ -325,7 +325,7 @@ class TestForward:
 
 @pytest.mark.parametrize("basis, estimate, builds", [
     ("monomial", False, 1), ("chebyshev", False, 1), ("bernstein", False, 1),
-    ("bernstein", True, 1), ("chebyshev", True, 2)])
+    ("chebyshev", True, 2)])
 def test_build_operator_assembles_one_matrix_per_basis(
         basis, estimate, builds, monkeypatch):
     # an estimated Chebyshev operator also builds L to run the estimate on
@@ -757,14 +757,14 @@ class TestDropoutRates:
     def test_rates_that_round_to_no_or_every_drop_are_rejected(self, name,
                                                                rate):
         with pytest.raises(ValueError, match="1/65536") as err:
-            model.TrainConfig(**{name: rate}).validate()
+            model.TrainConfig(**{name: rate})
         assert name in str(err.value)
 
     @pytest.mark.parametrize("rate, t", [
         (0.0, 0), (2.0 ** -17 + 2.0 ** -40, 1), (0.5, 32768),
         (1 - 2.0 ** -17 - 2.0 ** -40, 65535)])
     def test_rates_inside_the_steps_pass(self, rate, t):
-        model.TrainConfig(dp_l=rate, dp_p=rate).validate()
+        model.TrainConfig(dp_l=rate, dp_p=rate)
         assert model.dropout_threshold(rate) == t
 
     def test_rate_zero_draws_nothing(self):
@@ -926,22 +926,6 @@ class TestTrain:
         with pytest.raises(ValueError, match=f"the {empty} set is empty"):
             model.train(ds, split, base_config(epochs=5))
 
-    @pytest.mark.parametrize("field, value, message", [
-        ("epochs", 0, "epochs"), ("hidden", 0, "hidden width"),
-        ("batch_size", 0, "batch size"), ("batch_size", -4, "batch size"),
-        ("lambda_max", np.nan, "lambda_max"), ("lambda_max", np.inf,
-                                               "lambda_max"),
-        ("lambda_max", -1.0, "lambda_max"), ("lr_l", 0.0, "lr_l"),
-        ("lr_l", -0.1, "lr_l"), ("lr_l", np.nan, "lr_l"),
-        ("lr_p", -0.1, "lr_p"), ("lr_p", np.inf, "lr_p"),
-        ("l2", -1e-4, "l2"), ("l2", np.nan, "l2"), ("l2", np.inf, "l2"),
-        ("patience", -1, "patience")])
-    def test_untrainable_config_rejected(self, toy, field, value, message):
-        split = make_split(toy.n, "dense", seed=0)
-        cfg = base_config(mode="sgc_like", **{field: value})
-        with pytest.raises(ValueError, match=message):
-            model.train(toy, split, cfg)
-
     def test_inductive_training_runs_on_observed_subgraph(self):
         ds = planted_partition_dataset(n=80, classes=2, feature_dim=6, seed=3)
         split = make_split(ds.n, "inductive", seed=4)
@@ -1053,10 +1037,6 @@ class TestParameterCount:
             counts = model.parameter_count(cfg, 11, 4)
             total = sum(a.size for a in params.values())
             assert counts["total"] == total
-
-    def test_rank_zero_rejected(self):
-        with pytest.raises(ValueError):
-            model.parameter_count(base_config(rank=0), 8, 3)
 
     def test_global_only_count(self):
         cfg = base_config(order=10, mode="global_only")
