@@ -125,13 +125,15 @@ def _add_split_args(p: argparse.ArgumentParser) -> None:
     g.add_argument("--stratified", action="store_true")
 
 
-def _add_train_args(p: argparse.ArgumentParser) -> None:
+def _add_train_args(p: argparse.ArgumentParser, grid: bool = False) -> None:
     """A flag for each TrainConfig field but lambda_max, which keeps its
-    default; every default is TrainConfig's."""
+    default; every default is TrainConfig's. A ``grid`` parser takes K and d
+    from its own lists, so it has no --K/--order or --d/--rank."""
     p.add_argument("--mode", choices=sorted(MODE_ALIASES))
     p.add_argument("--basis", choices=BASES)
-    p.add_argument("--K", "--order", dest="order", type=_int)
-    p.add_argument("--d", "--rank", dest="rank", type=_int)
+    if not grid:
+        p.add_argument("--K", "--order", dest="order", type=_int)
+        p.add_argument("--d", "--rank", dest="rank", type=_int)
     p.add_argument("--f-h", "--hidden", dest="hidden", type=_int)
     p.add_argument("--lr-l", type=_float)
     p.add_argument("--lr-p", type=_float)
@@ -430,9 +432,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_int, default=0)
     p.set_defaults(func=cmd_oracle_check)
 
-    p = sub.add_parser("sweep", help="order x rank accuracy grid")
+    # no abbreviations, so --order and --rank are not read as --orders/--ranks
+    p = sub.add_parser("sweep", help="order x rank accuracy grid",
+                       allow_abbrev=False)
     _add_dataset_args(p)
-    _add_train_args(p)
+    _add_train_args(p, grid=True)
     p.add_argument("--orders", default="1,3,5,10")
     p.add_argument("--ranks", default="1,3,5")
     p.add_argument("--runs", type=_positive_int, default=5)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -22,3 +24,18 @@ def path5():
 @pytest.fixture
 def rng():
     return np.random.default_rng(0xA11CE)
+
+
+@pytest.fixture
+def traced_peak():
+    """Run a call under tracemalloc: its result and the peak bytes it
+    allocated above the memory held when it started."""
+    def run(call):
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            result = call()
+            return result, tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+    return run

@@ -294,8 +294,11 @@ def test_sweep_bad_split_fails_before_any_output(data_root, tmp_path, capsys,
     assert not (tmp_path / "s.csv").exists()
 
 
-@pytest.mark.parametrize("command", ["train", "sweep"])
-def test_train_config_defaults_come_from_train_config(command):
+@pytest.mark.parametrize("command, flagless", [
+    ("train", {"lambda_max"}),
+    # sweep takes K and d from --orders and --ranks
+    ("sweep", {"lambda_max", "order", "rank"})])
+def test_train_config_defaults_come_from_train_config(command, flagless):
     parser = build_parser()
     args = parser.parse_args([command, "--dataset", "x"])
     assert _train_config(args) == model.TrainConfig()
@@ -303,7 +306,7 @@ def test_train_config_defaults_come_from_train_config(command):
                if isinstance(a, argparse._SubParsersAction))
     dests = {a.dest for a in sub.choices[command]._actions}
     fields = {f.name for f in dataclasses.fields(model.TrainConfig)}
-    assert fields - dests == {"lambda_max"}
+    assert fields - dests == flagless
 
 
 def test_runtime_failure_exits_one(tmp_path, capsys):
@@ -565,9 +568,8 @@ def test_sweep_split_seed_picks_the_split(data_root, capsys, monkeypatch):
     monkeypatch.setattr(model, "train", lambda ds, split, cfg: (
         splits.append(split) or train(ds, split, cfg)))
     for split_seed in (5, 6):
-        flags = ["--dataset", "toy", "--data-root", data_root, "--K", "2",
-                 "--d", "1", "--epochs", "5", "--f-h", "8", "--seed", "3",
-                 "--split-seed", split_seed]
+        flags = ["--dataset", "toy", "--data-root", data_root, "--epochs",
+                 "5", "--f-h", "8", "--seed", "3", "--split-seed", split_seed]
         code, out, err = run_cli(capsys, "sweep", *flags, "--orders", "2",
                                  "--ranks", "1", "--runs", "1")
         assert code == 0, err
@@ -578,7 +580,8 @@ def test_sweep_split_seed_picks_the_split(data_root, capsys, monkeypatch):
             np.testing.assert_array_equal(getattr(swept[-1], part),
                                           getattr(want, part))
         # a one-run sweep row is the train run of the same flags
-        code, summary, err = run_cli(capsys, "train", *flags)
+        code, summary, err = run_cli(capsys, "train", *flags, "--K", "2",
+                                     "--d", "1")
         assert code == 0, err
         mean = float(out.splitlines()[1].split(",")[3])
         assert mean == json.loads(summary)["test_accuracy"]
@@ -691,6 +694,26 @@ def test_sweep_bad_grid_tokens_exit_two(data_root, tmp_path, capsys,
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err.endswith(f"error: {flags[0]}: {token}\n")
+    assert not out_csv.exists()
+
+
+@pytest.mark.parametrize("flags", [["--K", "0"], ["--order", "3"],
+                                   ["--d", "0"], ["--rank", "2"]])
+def test_sweep_per_run_order_and_rank_flags_exit_two(data_root, tmp_path,
+                                                     capsys, monkeypatch,
+                                                     flags):
+    # K and d come only from --orders and --ranks; --order and --rank are
+    # not read as abbreviations of them
+    monkeypatch.setattr(nodespec.cli, "load_named_dataset",
+                        lambda *a: pytest.fail("loaded the dataset"))
+    out_csv = tmp_path / "out.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", *flags, "--orders", "2", "--ranks", "1", "--dataset",
+              "toy", "--data-root", str(data_root), "--out", str(out_csv)])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert f"unrecognized arguments: {' '.join(flags)}" in out.err
     assert not out_csv.exists()
 
 

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from nodespec.data import (DataFormatError, Dataset, Split, load_dataset,
-                           load_edge_list, load_features, load_labels,
+from nodespec.data import (DataFormatError, Dataset, Split, dataset_dir_paths,
+                           load_dataset, load_edge_list, load_features,
+                           load_labels,
                            load_named_dataset, load_split, make_split,
                            save_dataset, save_split, subset)
 from nodespec.graph import build_graph
@@ -58,6 +59,23 @@ class TestLoadDataset:
                            match="features.csv:3:1: non-finite feature value"):
             load_dataset(toy_files / "edges.tsv", toy_files / "features.csv",
                          toy_files / "labels.txt")
+
+    def test_peak_is_what_it_keeps_plus_one_and_a_half_graphs(
+            self, tmp_path, traced_peak):
+        # saved with each edge once, so the edge array read and the build's
+        # keys are about 1.3 graphs
+        n = 20_000
+        rng = np.random.default_rng(2)
+        ds = Dataset(graph=build_graph(rng.integers(0, n, size=(5 * n, 2)), n),
+                     features=rng.standard_normal((n, 8)),
+                     labels=rng.integers(0, 4, size=n), class_count=4,
+                     name="large")
+        save_dataset(ds, tmp_path)
+        back, peak = traced_peak(lambda: load_dataset(
+            *dataset_dir_paths(tmp_path, "large")))
+        graph = back.graph.row_offsets.nbytes + back.graph.col_indices.nbytes
+        kept = graph + back.features.nbytes + back.labels.nbytes
+        assert peak < kept + 1.5 * graph
 
     def test_row_count_mismatch(self, toy_files):
         (toy_files / "labels.txt").write_text("0\n1\n")

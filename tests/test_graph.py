@@ -5,9 +5,10 @@ from scipy.sparse.csgraph import shortest_path
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nodespec.graph import (adjacency, build_graph, chebyshev_operator,
+from nodespec.graph import (Graph, adjacency, build_graph, chebyshev_operator,
                             estimate_lambda_max, hop_distances,
-                            induced_subgraph, normalized_laplacian, spmm)
+                            induced_subgraph, node_ids, normalized_laplacian,
+                            spmm)
 from nodespec.oracle import eigendecompose
 from nodespec.synthetic import er_graph, path_graph
 
@@ -94,6 +95,8 @@ def reference_csr(pairs, n):
 @example((1, []))
 @example((1, [(0, 0), (0, 0)]))
 @example((6, [(0, 1), (1, 0), (1, 1), (4, 2), (2, 4), (4, 2)]))
+@example((3, [(0, 0), (2, 2), (1, 1), (2, 2)]))
+@example((5, [(3, 1), (1, 1), (1, 3), (4, 4), (3, 1), (0, 0), (1, 3)]))
 def test_build_graph_matches_set_reference(case):
     n, pairs = case
     g = build_graph(pairs, n)
@@ -111,6 +114,19 @@ def test_build_graph_matches_set_reference(case):
         np.testing.assert_array_equal(as_array.col_indices, g.col_indices)
         assert as_array.col_indices.dtype == np.int64
         assert as_array.edge_count == g.edge_count
+
+
+@pytest.mark.parametrize("n, pairs", [
+    (6, [(0, 1), (1, 0), (1, 1), (4, 2), (2, 4), (5, 3), (3, 3)]),
+    (3, [(0, 0), (2, 2)]), (4, np.empty((0, 2)))])
+def test_build_graph_leaves_an_int64_input_unchanged(n, pairs):
+    edges = np.asarray(pairs, dtype=np.int64)
+    before = edges.copy()
+    g = build_graph(edges, n)
+    assert node_ids(edges) is edges  # passed through, never copied
+    np.testing.assert_array_equal(edges, before)
+    for out in (g.row_offsets, g.col_indices):
+        assert not np.shares_memory(out, edges)
 
 
 def assert_same_csr(got, want):
@@ -380,6 +396,75 @@ def test_induced_subgraph_keeps_internal_edges(path5):
     assert ids.tolist() == [0, 1, 3, 4]
     assert sub.edge_count == 2  # (0,1) and (3,4); the bridge through 2 is gone
     assert sub.degrees().tolist() == [1, 1, 1, 1]
+
+
+@st.composite
+def subgraph_cases(draw):
+    """A pair_lists graph and a node list over it: unsorted, with repeats,
+    possibly empty, and often holding isolated nodes."""
+    n, pairs = draw(pair_lists())
+    nodes = draw(st.lists(st.integers(0, n - 1), max_size=2 * n)
+                 if n else st.just([]))
+    return n, pairs, nodes
+
+
+def scipy_induced_subgraph(g, nodes):
+    """The scipy expression induced_subgraph replaced: slice the adjacency
+    twice, keep its upper triangle and build the graph again."""
+    keep = np.unique(node_ids(nodes, g.n))
+    edges = sp.triu(adjacency(g)[keep][:, keep]).tocoo()
+    return build_graph(np.column_stack([edges.row, edges.col]),
+                       keep.size), keep
+
+
+@settings(max_examples=200, deadline=None)
+@given(subgraph_cases())
+@example((0, [], []))
+@example((1, [], []))
+@example((1, [(0, 0)], [0, 0]))
+@example((6, [(0, 1), (1, 2), (4, 5)], [5, 3, 1, 3, 0]))
+@example((5, [(0, 1), (1, 2)], [4, 3]))
+def test_induced_subgraph_equals_the_scipy_expression_byte_for_byte(case):
+    n, pairs, nodes = case
+    g = build_graph(pairs, n)
+    want, want_ids = scipy_induced_subgraph(g, nodes)
+    as_array = np.asarray(nodes, dtype=np.int64)
+    for given_nodes in (nodes, as_array):
+        sub, ids = induced_subgraph(g, given_nodes)
+        assert as_array.tolist() == nodes  # the caller's ids stay unsorted
+        assert sub.n == want.n and sub.edge_count == want.edge_count
+        for got, ref in ((sub.row_offsets, want.row_offsets),
+                         (sub.col_indices, want.col_indices),
+                         (ids, want_ids)):
+            assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+
+
+def random_graph_edges(n, seed=0):
+    """Five random pairs per node, self-loops and repeats included."""
+    return np.random.default_rng(seed).integers(0, n, size=(5 * n, 2))
+
+
+def graph_bytes(g: Graph) -> int:
+    return g.row_offsets.nbytes + g.col_indices.nbytes
+
+
+def test_build_graph_peak_is_under_two_and_a_half_results(traced_peak):
+    # the keys and the two-orientation buffer: three int64 per edge, about
+    # 1.4 results
+    n = 20_000
+    edges = random_graph_edges(n)
+    g, peak = traced_peak(lambda: build_graph(edges, n))
+    assert peak < 2.5 * graph_bytes(g)
+
+
+def test_induced_subgraph_peak_is_under_two_and_a_half_results(traced_peak):
+    # the kept columns before and after relabelling, about two results when
+    # most nodes are kept
+    n = 20_000
+    g = build_graph(random_graph_edges(n), n)
+    nodes = np.random.default_rng(1).choice(n, size=4 * n // 5, replace=False)
+    (sub, ids), peak = traced_peak(lambda: induced_subgraph(g, nodes))
+    assert peak < 2.5 * (graph_bytes(sub) + ids.nbytes)
 
 
 def test_path_graph_factory():

@@ -5,7 +5,6 @@ import re
 import struct
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -675,7 +674,8 @@ class TestFusedMLP:
         assert all(m.dtype == bool for m in masks)
         assert sum(m.nbytes for m in masks) <= ds.features.nbytes / 4
 
-    def test_appnp_training_step_holds_no_whole_dropout_mask(self):
+    def test_appnp_training_step_holds_no_whole_dropout_mask(self,
+                                                             traced_peak):
         # at hidden = F = 64 every whole (n, F) or (n, hidden) array is as
         # large as the features. The step (forward, loss, backward) peaked
         # at about 6.9 feature sizes with both masks whole and kept, and is
@@ -689,13 +689,7 @@ class TestFusedMLP:
         rng = np.random.default_rng(1)
 
         def peak(step):
-            tracemalloc.start()
-            try:
-                start = tracemalloc.get_traced_memory()[0]
-                step()
-                return tracemalloc.get_traced_memory()[1] - start
-            finally:
-                tracemalloc.stop()
+            return traced_peak(step)[1]
 
         def train_step():
             trace = model.forward_appnp_like(params, ds.features, op, cfg,
