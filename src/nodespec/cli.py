@@ -298,12 +298,18 @@ def cmd_filter_response(args) -> int:
     grid = np.linspace(0.0, 2.0, args.grid_points)
     rows = []
     nodes = _int64_listed(args.nodes, "--nodes", "node id")
-    if args.coeffs:
+    if args.coeffs is not None:
+        # raw coefficients are one filter on no graph
+        for flag in ("nodes", "dataset", "edges", "features", "labels"):
+            if getattr(args, flag) is not None:
+                raise UsageError(f"--{flag} needs --checkpoint, not --coeffs")
         coeffs = np.array(_listed(args.coeffs, "--coeffs",
                                   _feature_cell_problem, float))
+        if coeffs.size == 0:
+            raise UsageError("--coeffs needs at least one value")
         response = frequency_response(args.basis, coeffs, grid)
         rows.append(("coeffs", response))
-    elif args.checkpoint:
+    else:
         params, cfg = model.load_checkpoint(args.checkpoint)
         # such an operator is scaled by an estimate on the graph it runs on
         estimated = cfg.estimate_spectrum
@@ -329,8 +335,6 @@ def cmd_filter_response(args) -> int:
             with _checkpoint_errors(args.checkpoint):
                 psi = model.node_coefficients(params, dataset, cfg)
             rows.extend((f"node_{v}", table @ psi[v]) for v in nodes)
-    else:
-        raise UsageError("provide --coeffs or --checkpoint")
 
     _write_csv(args.out, "filter,lambda,response",
                ((label, lam, val) for label, values in rows
@@ -345,8 +349,9 @@ def cmd_oracle_check(args) -> int:
                          f"{args.n}")
     errors = run_oracle_checks(max_nodes=args.n, trials=args.trials,
                                seed=args.seed)
-    bounds = {"spectral_equivalence": 1e-10, "translate_delta": 1e-9,
-              "localization_leak": 1e-12, "reconstruction": 1e-8}
+    bounds = {"spectral_equivalence": 1e-10, "node_filter": 1e-10,
+              "translate_delta": 1e-9, "localization_leak": 1e-12,
+              "reconstruction": 1e-8}
     ok = True
     for name, worst in errors.items():
         passed = worst <= bounds[name]
@@ -410,17 +415,22 @@ def build_parser() -> argparse.ArgumentParser:
     _add_split_args(p)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--bins", type=_positive_int, default=5)
-    p.add_argument("--pair-sample", type=_positive_int, default=200_000)
+    p.add_argument("--pair-sample", type=_positive_int, default=200_000,
+                   help="coefficient-distance pairs: all n(n-1)/2 when there "
+                        "are at most this many, else a seeded sample of this "
+                        "many (self-pairs dropped)")
     p.add_argument("--out-dir", default="reports")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("filter-response",
                        help="tabulate filter responses on a lambda grid")
     _add_dataset_args(p)
-    p.add_argument("--checkpoint")
-    p.add_argument("--coeffs", help="comma-separated coefficient vector")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--checkpoint")
+    source.add_argument("--coeffs", help="comma-separated coefficient vector")
     p.add_argument("--basis", default="chebyshev", choices=BASES)
-    p.add_argument("--nodes", help="comma-separated node ids for local filters")
+    p.add_argument("--nodes", help="comma-separated node ids for local "
+                                   "filters (needs --checkpoint)")
     p.add_argument("--grid-points", type=_positive_int, default=201)
     p.add_argument("--out")
     p.set_defaults(func=cmd_filter_response)

@@ -9,8 +9,7 @@ from .graph import Graph, node_ids
 from .homophily import (JACCARD_BLOCK_PAIRS, equal_width_bins,
                         jaccard_neighbor_distances, per_node_homophily)
 
-ALL_PAIRS_LIMIT = 2000  # coefficient_distance_report: all pairs up to this n
-PAIR_SEED = 0  # the seed of its pair sample beyond that
+PAIR_SEED = 0  # the seed of coefficient_distance_report's pair sample
 JACCARD_BINS = 5
 
 
@@ -103,8 +102,10 @@ def coefficient_distance_report(psi: np.ndarray, graph: Graph, labels,
                                 ) -> CoefficientDistanceReport:
     """Euclidean distance between coefficient rows vs neighborhood overlap.
 
-    All node pairs are used up to ALL_PAIRS_LIMIT nodes; beyond that,
-    ``pair_sample`` pairs are drawn uniformly with PAIR_SEED.
+    All n(n-1)/2 node pairs are read, in ``np.triu_indices`` order, when
+    there are at most ``pair_sample`` of them; otherwise ``pair_sample``
+    ordered pairs are drawn uniformly with PAIR_SEED and the self-pairs
+    among them dropped, so ``pairs_evaluated <= pair_sample`` at every n.
     """
     if pair_sample < 1:
         raise ValueError("pair_sample must be positive")
@@ -115,7 +116,7 @@ def coefficient_distance_report(psi: np.ndarray, graph: Graph, labels,
     if psi.shape[0] != n:
         raise ValueError("psi rows must match node count")
 
-    if n <= ALL_PAIRS_LIMIT:
+    if n * (n - 1) // 2 <= pair_sample:
         ii, jj = np.triu_indices(n, k=1)
     else:
         rng = np.random.default_rng(PAIR_SEED)

@@ -601,7 +601,9 @@ def _operator_and_stack(dataset: Dataset, cfg: TrainConfig
     op = build_operator(dataset.graph, cfg)
     if cfg.mode != "sgc_like":
         return op, None
-    return op, propagate(cfg.basis, op, dataset.features.astype(cfg.dtype),
+    # propagate copies x into layer 0: no copy here when the dtype matches
+    return op, propagate(cfg.basis, op,
+                         dataset.features.astype(cfg.dtype, copy=False),
                          cfg.order)
 
 
@@ -822,8 +824,9 @@ def load_checkpoint(path) -> tuple[ModelParams, TrainConfig]:
         for name, shape in header["arrays"]:
             count = int(np.prod(shape))
             raw = _read_exact(fh, count * 8, path, f"array {name!r}")
+            # astype copies out of the read-only buffer: a writable array
             params[name] = np.frombuffer(raw, dtype="<f8").reshape(
-                shape).astype(cfg.dtype).copy()
+                shape).astype(cfg.dtype)
         if fh.read(1):
             raise ValueError(f"{path}: trailing bytes after the last array")
     return params, cfg

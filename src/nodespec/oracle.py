@@ -130,14 +130,21 @@ def run_oracle_checks(max_nodes: int = 64, trials: int = 50,
 
     * ``spectral_equivalence`` - node-constant combine vs exact_filter with
       the matching scalar response, all three bases.
+    * ``node_filter``          - combine with a random coefficient row per
+      node vs each node's own filter translated to it, ``translate_filter``
+      row i times x over sqrt(n), all three bases.
     * ``translate_delta``      - unit-gain translation vs sqrt(n) delta_i.
     * ``localization_leak``    - degree-K delta filtering beyond K hops on
       random trees and paths.
     * ``reconstruction``       - eigendecomposition residual in max norm.
     """
     rng = np.random.default_rng(seed)
-    errors = {"spectral_equivalence": 0.0, "translate_delta": 0.0,
-              "localization_leak": 0.0, "reconstruction": 0.0}
+    # the per-node rows draw from a stream of their own, so the other checks
+    # see the graphs and signals they see without them
+    psi_rng = np.random.default_rng((seed, 1))
+    errors = {"spectral_equivalence": 0.0, "node_filter": 0.0,
+              "translate_delta": 0.0, "localization_leak": 0.0,
+              "reconstruction": 0.0}
 
     for _ in range(trials):
         n = int(rng.integers(8, max_nodes + 1))
@@ -160,6 +167,13 @@ def run_oracle_checks(max_nodes: int = 64, trials: int = 50,
             gap = float(np.max(np.abs(z - exact_filter(es, filt, x))))
             errors["spectral_equivalence"] = max(
                 errors["spectral_equivalence"], gap)
+            psi = psi_rng.uniform(-1.0, 1.0, size=(n, order + 1))
+            rows = combine(stack, psi)[:, 0]
+            exact = np.array([translate_filter(es, SpectralFilter(
+                lambda lam, b=basis, c=psi[i]: frequency_response(b, c, lam)),
+                i) @ x for i in range(n)]) / np.sqrt(n)
+            errors["node_filter"] = max(errors["node_filter"],
+                                        float(np.max(np.abs(rows - exact))))
         i = int(rng.integers(0, n))
         translated = translate_filter(es, SpectralFilter(np.ones(n)), i)
         delta = np.zeros(n)

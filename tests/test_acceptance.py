@@ -74,10 +74,12 @@ def test_criterion_1_oracle_equivalence():
     start = time.perf_counter()
     errors = run_oracle_checks(max_nodes=64, trials=50, max_order=10, seed=101)
     elapsed = time.perf_counter() - start
-    worst = errors["spectral_equivalence"]
+    # node-constant rows, and a random row per node
+    worst = max(errors["spectral_equivalence"], errors["node_filter"])
     _report(1, "PASS" if worst <= 1e-10 else "FAIL",
             f"propagate+combine vs dense oracle, 50 random graphs, three "
-            f"bases: max abs error {worst:.3e} (bound 1e-10), {elapsed:.1f}s")
+            f"bases, node-constant and per-node rows: max abs error "
+            f"{worst:.3e} (bound 1e-10), {elapsed:.1f}s")
     assert worst <= 1e-10
     assert elapsed < 30.0
 

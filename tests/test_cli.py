@@ -176,7 +176,8 @@ def test_oracle_check_passes(capsys):
     code, out, _ = run_cli(capsys, "oracle-check", "--n", "20",
                            "--trials", "6")
     assert code == 0
-    assert out.count("PASS") == 4 and "FAIL" not in out
+    assert out.count("PASS") == 5 and "FAIL" not in out
+    assert "node_filter: PASS" in out
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -231,7 +232,8 @@ def test_entry_point_lists_the_commands():
     (["analyze", "--edges", "edges.tsv"],
      "--edges/--features/--labels must be given together"),
     (["analyze"], "either --dataset or explicit file paths are required"),
-    (["filter-response"], "provide --coeffs or --checkpoint")],
+    (["filter-response"],
+     "one of the arguments --checkpoint --coeffs is required")],
     ids=["edges-alone", "no-dataset", "no-filter"])
 def test_flags_that_do_not_go_together_exit_two(tmp_path, capsys, argv,
                                                 message):
@@ -243,6 +245,32 @@ def test_flags_that_do_not_go_together_exit_two(tmp_path, capsys, argv,
     assert out.out == ""
     assert out.err.endswith(f"error: {message}\n")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--checkpoint", "absent.ckpt"],
+     "argument --checkpoint: not allowed with argument --coeffs"),
+    (["--nodes", "0"], "--nodes needs --checkpoint, not --coeffs"),
+    (["--dataset", "toy"], "--dataset needs --checkpoint, not --coeffs"),
+    (["--edges", "e.tsv"], "--edges needs --checkpoint, not --coeffs"),
+    (["--features", "f.csv"], "--features needs --checkpoint, not --coeffs"),
+    (["--labels", "l.txt"], "--labels needs --checkpoint, not --coeffs"),
+    ([], "--coeffs needs at least one value")],
+    ids=["checkpoint", "nodes", "dataset", "edges", "features", "labels",
+         "empty-coeffs"])
+def test_filter_response_raw_coeffs_take_no_graph(tmp_path, capsys, flags,
+                                                  message):
+    # raw coefficients are one filter: no checkpoint, node rows or graph
+    coeffs = "" if not flags else "1,0.5"
+    out_csv = tmp_path / "out.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["filter-response", "--coeffs", coeffs, *flags,
+              "--out", str(out_csv)])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.endswith(f"error: {message}\n")
+    assert not out_csv.exists()
 
 
 @pytest.mark.parametrize("argv, code", [

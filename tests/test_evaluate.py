@@ -166,16 +166,51 @@ class TestCoefficientDistance:
         assert report.same_label_mean[0] == 1.0
 
     def test_sampling_path_is_deterministic(self):
+        # 60 nodes have 1,770 pairs, more than 500, so the report samples
         g = er_graph(60, 0.1, seed=7)
         labels = np.random.default_rng(8).integers(0, 2, size=60)
         psi = np.random.default_rng(9).standard_normal((60, 4))
-        with mock.patch.object(evaluate, "PAIR_SEED", 1), \
-                mock.patch.object(evaluate, "ALL_PAIRS_LIMIT", 10):
+        with mock.patch.object(evaluate, "PAIR_SEED", 1):
             a = coefficient_distance_report(psi, g, labels, pair_sample=500)
             b = coefficient_distance_report(psi, g, labels, pair_sample=500)
         np.testing.assert_array_equal(a.same_label_count, b.same_label_count)
         np.testing.assert_allclose(a.same_label_mean, b.same_label_mean,
                                    equal_nan=True)
+
+    def test_all_pairs_exactly_when_pair_sample_covers_them(self):
+        # 20 nodes have 190 pairs: a sample of 190 reads each once, one
+        # fewer draws the PAIR_SEED sample instead
+        g = er_graph(20, 0.3, seed=14)
+        labels = np.random.default_rng(15).integers(0, 2, size=20)
+        psi = np.random.default_rng(16).standard_normal((20, 3))
+        every = coefficient_distance_report(psi, g, labels, pair_sample=190)
+        assert every.pairs_evaluated == 190
+        assert (every.same_label_count.sum()
+                + every.diff_label_count.sum()) == 190
+        ii, jj = np.triu_indices(20, k=1)
+        same = labels[ii] == labels[jj]
+        assert every.same_label_count.sum() == same.sum()
+        wide = coefficient_distance_report(psi, g, labels, pair_sample=10**9)
+        for name in ("same_label_count", "same_label_mean",
+                     "diff_label_count", "diff_label_mean"):
+            np.testing.assert_array_equal(getattr(wide, name),
+                                          getattr(every, name))
+
+        sampled = coefficient_distance_report(psi, g, labels, pair_sample=189)
+        rng = np.random.default_rng(evaluate.PAIR_SEED)
+        ii, jj = rng.integers(0, 20, size=189), rng.integers(0, 20, size=189)
+        assert sampled.pairs_evaluated == np.sum(ii != jj)
+        assert sampled.pairs_evaluated <= 189
+
+    def test_pair_sample_bounds_the_pairs_on_a_2000_node_graph(self):
+        g = er_graph(2000, 0.002, seed=17)
+        labels = np.random.default_rng(18).integers(0, 3, size=2000)
+        psi = np.random.default_rng(19).standard_normal((2000, 4))
+        report = coefficient_distance_report(psi, g, labels,
+                                             pair_sample=30_000)
+        assert 0 < report.pairs_evaluated <= 30_000
+        assert (report.same_label_count.sum()
+                + report.diff_label_count.sum()) == report.pairs_evaluated
 
     def test_pair_blocks_do_not_change_the_report(self):
         g = er_graph(40, 0.2, seed=11)

@@ -1099,6 +1099,8 @@ class TestCheckpoint:
             for a, b in zip(params.values(),
                             loaded.values()):
                 np.testing.assert_array_equal(a, b)
+                # each array is its own, not a view of the file's buffer
+                assert b.flags.writeable and b.flags.owndata
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.ckpt"

@@ -4,9 +4,10 @@ import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nodespec.graph import (SparseOperator, build_graph, normalized_laplacian,
-                            spmm)
+from nodespec.graph import (SparseOperator, build_graph, hop_distances,
+                            normalized_laplacian, spmm)
 from nodespec.model import TrainConfig, build_operator
+from nodespec import oracle
 from nodespec.oracle import (SpectralFilter, eigendecompose, exact_filter,
                              filter_at_node, localization_check,
                              run_oracle_checks, translate_filter)
@@ -181,9 +182,43 @@ class TestLocalizationCheck:
         assert localization_check(path_graph(60), "bernstein", coeffs, 3) == 0.0
 
 
+@pytest.mark.parametrize("basis", BASES)
+def test_node_varying_filter_stays_within_k_hops(basis):
+    # a delta at j, filtered with its own random coefficient row at every
+    # node, reaches no node beyond K hops: criterion 2 for per-node filters
+    rng = np.random.default_rng(303)
+    worst = 0.0
+    for t in range(30):
+        n = int(rng.integers(8, 41))
+        g = (path_graph(n) if t % 2
+             else random_tree(n, seed=int(rng.integers(2 ** 31))))
+        order = int(rng.integers(1, 6))
+        j = int(rng.integers(0, n))
+        delta = np.zeros((n, 1))
+        delta[j] = 1.0
+        stack = propagate(basis, build_operator(g, TrainConfig(basis=basis)),
+                          delta, order)
+        z = combine(stack, rng.uniform(-1.0, 1.0, size=(n, order + 1)))
+        dist = hop_distances(g, j)
+        outside = (dist > order) | (dist < 0)
+        if outside.any():
+            worst = max(worst, float(np.max(np.abs(z[outside]))))
+    assert worst <= 1e-12
+
+
+def test_node_filter_check_sees_rows_of_the_wrong_node(monkeypatch):
+    # node-constant rows cannot tell nodes apart; per-node rows can
+    monkeypatch.setattr(oracle, "combine",
+                        lambda stack, psi: combine(stack, psi[::-1]))
+    errors = run_oracle_checks(max_nodes=16, trials=2, seed=7)
+    assert errors["spectral_equivalence"] <= 1e-10
+    assert errors["node_filter"] > 1e-3
+
+
 def test_run_oracle_checks_bounds():
     errors = run_oracle_checks(max_nodes=24, trials=8, seed=42)
     assert errors["spectral_equivalence"] <= 1e-10
+    assert errors["node_filter"] <= 1e-10
     assert errors["translate_delta"] <= 1e-9
     assert errors["localization_leak"] <= 1e-12
     assert errors["reconstruction"] <= 1e-8
