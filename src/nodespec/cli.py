@@ -1,9 +1,17 @@
 """Command-line surface: analysis reports, training, evaluation, sweeps.
 
 Tabular artifacts are CSV, summaries are JSON on stdout. Exit codes: 0 on
-success, 1 on runtime failure, 2 on bad usage: a flag that does not parse,
-flags that do not go together, or a config that ``TrainConfig`` rejects,
-which ``train`` and ``sweep`` build before they read any file.
+success, 1 on runtime failure, 2 on bad usage, printed under the
+subcommand's usage line. Each flag is read once, by one rule: a value that
+does not parse fails its argparse ``type`` (the comma lists ``--nodes``,
+``--coeffs``, ``--orders`` and ``--ranks`` check every token, so an empty
+list fails), and a flag that the run would not read is a usage error, not
+ignored: ``--data-root`` without a ``--dataset`` directory,
+``filter-response --basis`` with a checkpoint, which holds its basis.
+Flags that do not go together, and a config that ``TrainConfig`` rejects,
+are found before any file is read wherever the flags alone decide. ``eval``
+draws a split mode with ``--split-seed``, else with the checkpoint's seed,
+the one its model was trained with.
 """
 
 import argparse
@@ -16,9 +24,10 @@ from pathlib import Path
 import numpy as np
 
 from . import evaluate, homophily, model
-from .data import (DRAWN_MODES, Dataset, _feature_cell_problem, _is_int64,
-                   load_dataset, load_named_dataset, load_split, make_split,
-                   save_split)
+from .data import (DRAWN_MODES, DataFormatError, Dataset,
+                   _feature_cell_problem, _is_int64, load_dataset,
+                   load_named_dataset, load_split, make_split, save_split,
+                   validate_split)
 from .graph import node_ids
 from .oracle import DEFAULT_EIGEN_CAP, run_oracle_checks
 from .polyfilter import BASES, basis_matrix, frequency_response
@@ -79,49 +88,82 @@ def _float(text: str) -> float:
     return float(text)
 
 
-def _listed(text: str, flag: str, problem, cast) -> list:
-    """Cast comma-separated tokens that pass ``problem``; else UsageError."""
-    tokens = [tok.strip() for tok in text.split(",")] if text else []
-    for bad in filter(None, map(problem, tokens)):
-        raise UsageError(f"{flag}: {bad}")
-    return [cast(tok) for tok in tokens]
+def _tokens(problem, cast):
+    """An argparse type for a comma-separated list: each stripped token must
+    pass ``problem`` and is read by ``cast``. An empty value is one empty
+    token, so it fails too."""
+    def parse(text: str) -> list:
+        tokens = [tok.strip() for tok in text.split(",")]
+        for bad in filter(None, map(problem, tokens)):
+            raise argparse.ArgumentTypeError(bad)
+        return [cast(tok) for tok in tokens]
+    return parse
 
 
-def _int64_listed(text: str, flag: str, what: str) -> list:
-    """``_listed`` decimal int64 tokens, the rule of an edge-list id."""
-    return _listed(text, flag, lambda t: None if _is_int64(t)
+def _int64_tokens(what: str):
+    """``_tokens`` read as decimal int64s, the rule of an edge-list id."""
+    return _tokens(lambda t: None if _is_int64(t)
                    else f"not a decimal int64 {what}: {t!r}", int)
 
 
+def _oracle_size(text: str) -> int:
+    """oracle-check --n: its random graphs have 8 to --n nodes, each
+    decomposed densely."""
+    n = _int(text)
+    if not 8 <= n <= DEFAULT_EIGEN_CAP:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer in [8, {DEFAULT_EIGEN_CAP}], got {text!r}")
+    return n
+
+
 def _add_dataset_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--dataset", help="dataset name under --data-root")
-    p.add_argument("--data-root", default="data")
+    p.add_argument("--dataset", help="dataset directory under --data-root, "
+                                     "or the name of --edges/--features/"
+                                     "--labels")
+    p.add_argument("--data-root", help="directory holding --dataset "
+                                       "(default: data); not with --edges")
     p.add_argument("--edges", help="edge-list path (overrides --dataset)")
     p.add_argument("--features", help="feature CSV path")
     p.add_argument("--labels", help="label file path")
 
 
+def _graph_flags(args) -> list:
+    """The dataset flags given, as ``--flag`` names."""
+    return [f"--{dest.replace('_', '-')}" for dest in
+            ("dataset", "data_root", "edges", "features", "labels")
+            if getattr(args, dest) is not None]
+
+
+def _check_dataset_flags(args) -> None:
+    """A UsageError unless the dataset flags name one dataset: all of
+    --edges/--features/--labels (--dataset then only names it), or a
+    --dataset directory under --data-root."""
+    files = (args.edges, args.features, args.labels)
+    if any(files) and not all(files):
+        raise UsageError("--edges/--features/--labels must be given together")
+    if not (any(files) or args.dataset):
+        raise UsageError("either --dataset or explicit file paths are required")
+    if any(files) and args.data_root is not None:
+        raise UsageError("--data-root holds --dataset directories; it does "
+                         "not go with --edges/--features/--labels")
+
+
 def _load_dataset(args) -> Dataset:
-    if args.edges or args.features or args.labels:
-        if not (args.edges and args.features and args.labels):
-            raise UsageError(
-                "--edges/--features/--labels must be given together")
+    _check_dataset_flags(args)
+    if args.edges:
         return load_dataset(args.edges, args.features, args.labels,
                             name=args.dataset or "dataset")
-    if not args.dataset:
-        raise UsageError("either --dataset or explicit file paths are required")
-    return load_named_dataset(args.data_root, args.dataset)
+    root = "data" if args.data_root is None else args.data_root
+    return load_named_dataset(root, args.dataset)
 
 
-def _add_split_args(p: argparse.ArgumentParser) -> None:
+def _add_split_args(p: argparse.ArgumentParser, model_seed: str) -> None:
     g = p.add_argument_group("split")
     g.add_argument("--split", default="dense",
                    help="sparse|dense|inductive or a split JSON path")
     g.add_argument("--split-seed", type=_int,
-                   help="seed of a split mode (default: the run's --seed)")
-    g.add_argument("--seed", type=_int, default=model.TrainConfig.seed,
-                   help="run seed: the model's, and the split's without "
-                        "--split-seed")
+                   help="seed of a split mode (default: the model's seed, "
+                        f"{model_seed})")
     g.add_argument("--stratified", action="store_true")
 
 
@@ -149,7 +191,10 @@ def _add_train_args(p: argparse.ArgumentParser, grid: bool = False) -> None:
     p.add_argument("--estimate-lambda-max", dest="estimate_spectrum",
                    action="store_true")
     p.add_argument("--precision", choices=["float64", "float32"])
-    _add_split_args(p)
+    p.add_argument("--seed", type=_int,
+                   help="run seed: the model's, and the split's without "
+                        "--split-seed")
+    _add_split_args(p, "--seed")
     p.set_defaults(**asdict(model.TrainConfig()))
 
 
@@ -175,11 +220,17 @@ def _checkpoint_errors(path):
 
 def _resolve_split(args, dataset: Dataset, seed: int):
     """The --split mode drawn with --split-seed or, without one, with
-    ``seed``, the run's model seed; else the split saved at --split. A mode
-    name is never read as a path, even when a file of that name exists."""
+    ``seed``, the model's seed; else the split saved at --split, whose ids
+    must lie in ``dataset``. A mode name is never read as a path, even when
+    a file of that name exists."""
     if args.split not in DRAWN_MODES and (args.split.endswith(".json")
                                           or Path(args.split).exists()):
-        return load_split(args.split)
+        split = load_split(args.split)
+        try:
+            validate_split(split, dataset.n)
+        except DataFormatError as exc:
+            raise DataFormatError(f"{args.split}: {exc}") from None
+        return split
     if args.split_seed is not None:
         seed = args.split_seed
     return make_split(dataset.n, args.split, seed, stratified=args.stratified,
@@ -262,7 +313,8 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     dataset = _load_dataset(args)
     params, cfg = model.load_checkpoint(args.checkpoint)
-    split = _resolve_split(args, dataset, args.seed)
+    # a split mode is drawn as training drew it, unless --split-seed says
+    split = _resolve_split(args, dataset, cfg.seed)
     with _checkpoint_errors(args.checkpoint):
         logits, psi = model.eval_outputs(params, dataset, cfg)
     preds = np.argmax(logits, axis=1)
@@ -297,28 +349,32 @@ def cmd_eval(args) -> int:
 def cmd_filter_response(args) -> int:
     grid = np.linspace(0.0, 2.0, args.grid_points)
     rows = []
-    nodes = _int64_listed(args.nodes, "--nodes", "node id")
+    graph = _graph_flags(args)
     if args.coeffs is not None:
         # raw coefficients are one filter on no graph
-        for flag in ("nodes", "dataset", "edges", "features", "labels"):
-            if getattr(args, flag) is not None:
-                raise UsageError(f"--{flag} needs --checkpoint, not --coeffs")
-        coeffs = np.array(_listed(args.coeffs, "--coeffs",
-                                  _feature_cell_problem, float))
-        if coeffs.size == 0:
-            raise UsageError("--coeffs needs at least one value")
-        response = frequency_response(args.basis, coeffs, grid)
+        for flag in (["--nodes"] if args.nodes is not None else []) + graph:
+            raise UsageError(f"{flag} needs --checkpoint, not --coeffs")
+        response = frequency_response(args.basis or model.TrainConfig.basis,
+                                      np.array(args.coeffs), grid)
         rows.append(("coeffs", response))
     else:
+        if args.basis is not None:
+            raise UsageError("--basis needs --coeffs: a checkpoint holds its "
+                             "basis")
+        if graph or args.nodes:
+            _check_dataset_flags(args)
         params, cfg = model.load_checkpoint(args.checkpoint)
         # such an operator is scaled by an estimate on the graph it runs on
         estimated = cfg.estimate_spectrum
-        if estimated and not (args.dataset or args.edges):
+        if estimated and not graph:
             raise ValueError(
                 f"{args.checkpoint}: this Chebyshev checkpoint estimated "
                 "lambda_max from its graph; give the graph with --dataset or "
                 "--edges/--features/--labels")
-        dataset = _load_dataset(args) if estimated or nodes else None
+        if graph and not (estimated or args.nodes):
+            raise UsageError(f"{graph[0]} needs --nodes or a checkpoint that "
+                             "estimated lambda_max")
+        dataset = _load_dataset(args) if graph else None
         if estimated:
             # estimate once: the node rows reuse it, on the same operator
             op = model.build_operator(dataset.graph, cfg)
@@ -330,8 +386,8 @@ def cmd_filter_response(args) -> int:
             # a global_only model has one gamma column and no projection
             label = f"base_{j}" if "filter.w" in params else "global"
             rows.append((label, table @ gamma[:, j]))
-        if nodes:
-            nodes = node_ids(nodes, dataset.n)
+        if args.nodes:
+            nodes = node_ids(args.nodes, dataset.n)
             with _checkpoint_errors(args.checkpoint):
                 psi = model.node_coefficients(params, dataset, cfg)
             rows.extend((f"node_{v}", table @ psi[v]) for v in nodes)
@@ -343,10 +399,6 @@ def cmd_filter_response(args) -> int:
 
 
 def cmd_oracle_check(args) -> int:
-    # random graphs of 8 to --n nodes, each decomposed densely
-    if not 8 <= args.n <= DEFAULT_EIGEN_CAP:
-        raise UsageError(f"--n must lie in [8, {DEFAULT_EIGEN_CAP}], got "
-                         f"{args.n}")
     errors = run_oracle_checks(max_nodes=args.n, trials=args.trials,
                                seed=args.seed)
     bounds = {"spectral_equivalence": 1e-10, "node_filter": 1e-10,
@@ -362,11 +414,8 @@ def cmd_oracle_check(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    orders = _int64_listed(args.orders, "--orders", "order")
-    ranks = _int64_listed(args.ranks, "--ranks", "rank")
-    if not (orders and ranks):
-        raise UsageError("--orders and --ranks each need at least one value")
-    grid = [_train_config(args, order=k, rank=d) for k in orders for d in ranks]
+    grid = [_train_config(args, order=k, rank=d)
+            for k in args.orders for d in args.ranks]
     dataset = _load_dataset(args)
     _resolve_split(args, dataset, args.seed)  # a bad --split fails here too
 
@@ -412,7 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="evaluate a checkpoint")
     _add_dataset_args(p)
-    _add_split_args(p)
+    _add_split_args(p, "read from the checkpoint")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--bins", type=_positive_int, default=5)
     p.add_argument("--pair-sample", type=_positive_int, default=200_000,
@@ -427,17 +476,21 @@ def build_parser() -> argparse.ArgumentParser:
     _add_dataset_args(p)
     source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("--checkpoint")
-    source.add_argument("--coeffs", help="comma-separated coefficient vector")
-    p.add_argument("--basis", default="chebyshev", choices=BASES)
-    p.add_argument("--nodes", help="comma-separated node ids for local "
-                                   "filters (needs --checkpoint)")
+    source.add_argument("--coeffs", type=_tokens(_feature_cell_problem, float),
+                        help="comma-separated coefficient vector")
+    p.add_argument("--basis", choices=BASES,
+                   help="basis of --coeffs (default: chebyshev); a checkpoint "
+                        "holds its own")
+    p.add_argument("--nodes", type=_int64_tokens("node id"),
+                   help="comma-separated node ids for local filters (needs "
+                        "--checkpoint)")
     p.add_argument("--grid-points", type=_positive_int, default=201)
     p.add_argument("--out")
     p.set_defaults(func=cmd_filter_response)
 
     p = sub.add_parser("oracle-check",
                        help="sparse pipeline vs dense spectral oracle")
-    p.add_argument("--n", type=_int, default=32)
+    p.add_argument("--n", type=_oracle_size, default=32)
     p.add_argument("--trials", type=_positive_int, default=50)
     p.add_argument("--seed", type=_int, default=0)
     p.set_defaults(func=cmd_oracle_check)
@@ -447,22 +500,28 @@ def build_parser() -> argparse.ArgumentParser:
                        allow_abbrev=False)
     _add_dataset_args(p)
     _add_train_args(p, grid=True)
-    p.add_argument("--orders", default="1,3,5,10")
-    p.add_argument("--ranks", default="1,3,5")
+    p.add_argument("--orders", type=_int64_tokens("order"), default="1,3,5,10")
+    p.add_argument("--ranks", type=_int64_tokens("rank"), default="1,3,5")
     p.add_argument("--runs", type=_positive_int, default=5)
     p.add_argument("--out")
     p.set_defaults(func=cmd_sweep)
 
+    for p in sub.choices.values():
+        p.set_defaults(command_parser=p)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args, unknown = build_parser().parse_known_args(argv)
+    if unknown:
+        # argparse would report them under the top-level usage
+        args.command_parser.error(
+            f"unrecognized arguments: {' '.join(unknown)}")
     try:
         return args.func(args)
     except UsageError as exc:
-        parser.error(str(exc))  # exits 2, as argparse's own usage errors do
+        # exits 2 under its subcommand's usage, as argparse's own errors do
+        args.command_parser.error(str(exc))
     except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -259,6 +259,10 @@ def load_dataset(edge_path, feature_path, label_path,
     labels = load_labels(label_path)
     if labels.size == 0:
         raise DataFormatError(f"{label_path}: no labels found")
+    class_count = int(labels.max()) + 1
+    if class_count < 2:
+        raise DataFormatError(f"{label_path}: need at least 2 classes, "
+                              "every label is 0")
     features = load_features(feature_path)
     if features.shape[0] != labels.size:
         raise DataFormatError(
@@ -269,7 +273,6 @@ def load_dataset(edge_path, feature_path, label_path,
         graph = build_graph(edges, labels.size)
     except ValueError as exc:
         raise DataFormatError(f"{edge_path}: {exc}") from None
-    class_count = int(labels.max()) + 1
     return Dataset(graph=graph, features=features, labels=labels,
                    class_count=class_count, name=name)
 

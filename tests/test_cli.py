@@ -71,6 +71,30 @@ def test_prop_sim_matches_closed_form(capsys):
     assert gap <= 3 * payload["se_epsilon_same_vs_diff"]
 
 
+def test_eval_draws_a_split_mode_with_the_checkpoints_seed(data_root,
+                                                          tmp_path, capsys):
+    # eval's split mode is the one training drew, so its test nodes are the
+    # run's test nodes, not another seed's, which would include train nodes
+    ckpt, split = tmp_path / "toy.ckpt", tmp_path / "split.json"
+    code, out, _ = run_cli(capsys, "train", "--dataset", "toy",
+                           "--data-root", data_root, "--K", "2", "--f-h", "8",
+                           "--epochs", "30", "--patience", "30",
+                           "--seed", "7", "--split", "dense",
+                           "--checkpoint", ckpt, "--save-split", split)
+    assert code == 0
+    trained = json.loads(out)["test_accuracy"]
+    reports = []
+    for tag, flags in (("mode", ["--split", "dense"]),
+                       ("saved", ["--split", split])):
+        code, out, err = run_cli(capsys, "eval", "--dataset", "toy",
+                                 "--data-root", data_root, "--checkpoint",
+                                 ckpt, *flags, "--out-dir", tmp_path / tag)
+        assert code == 0, err
+        assert json.loads(out)["test_accuracy"] == trained
+        reports.append((tmp_path / tag / "homophily_bins.csv").read_bytes())
+    assert reports[0] == reports[1]
+
+
 def test_train_eval_filter_response_pipeline(data_root, tmp_path, capsys):
     ckpt = tmp_path / "toy.ckpt"
     hist = tmp_path / "history.csv"
@@ -183,8 +207,9 @@ def test_oracle_check_passes(capsys):
 @pytest.mark.parametrize("argv, message", [
     (["--trials", "0"], "argument --trials: expected an integer >= 1"),
     (["--trials", "-3"], "argument --trials: expected an integer >= 1"),
-    (["--n", "7"], "--n must lie in [8, 512], got 7"),
-    (["--n", "513"], "--n must lie in [8, 512], got 513")],
+    (["--n", "7"], "argument --n: expected an integer in [8, 512], got '7'"),
+    (["--n", "513"],
+     "argument --n: expected an integer in [8, 512], got '513'")],
     ids=["trials-0", "trials-negative", "n-7", "n-above-eigen-cap"])
 def test_oracle_check_rejects_what_it_cannot_check(capsys, argv, message):
     # zero trials check nothing, and the random graphs have 8 to --n nodes,
@@ -194,6 +219,7 @@ def test_oracle_check_rejects_what_it_cannot_check(capsys, argv, message):
     assert exc.value.code == 2
     out = capsys.readouterr()
     assert out.out == ""
+    assert out.err.startswith("usage: nodespec oracle-check ")
     assert message in out.err
 
 
@@ -243,6 +269,8 @@ def test_flags_that_do_not_go_together_exit_two(tmp_path, capsys, argv,
     assert exc.value.code == 2
     out = capsys.readouterr()
     assert out.out == ""
+    # a UsageError prints its subcommand's usage, as argparse's errors do
+    assert out.err.startswith(f"usage: nodespec {argv[0]} ")
     assert out.err.endswith(f"error: {message}\n")
     assert not (tmp_path / "out").exists()
 
@@ -252,12 +280,13 @@ def test_flags_that_do_not_go_together_exit_two(tmp_path, capsys, argv,
      "argument --checkpoint: not allowed with argument --coeffs"),
     (["--nodes", "0"], "--nodes needs --checkpoint, not --coeffs"),
     (["--dataset", "toy"], "--dataset needs --checkpoint, not --coeffs"),
+    (["--data-root", "d"], "--data-root needs --checkpoint, not --coeffs"),
     (["--edges", "e.tsv"], "--edges needs --checkpoint, not --coeffs"),
     (["--features", "f.csv"], "--features needs --checkpoint, not --coeffs"),
     (["--labels", "l.txt"], "--labels needs --checkpoint, not --coeffs"),
-    ([], "--coeffs needs at least one value")],
-    ids=["checkpoint", "nodes", "dataset", "edges", "features", "labels",
-         "empty-coeffs"])
+    ([], "argument --coeffs: not a decimal float: ''")],
+    ids=["checkpoint", "nodes", "dataset", "data-root", "edges", "features",
+         "labels", "empty-coeffs"])
 def test_filter_response_raw_coeffs_take_no_graph(tmp_path, capsys, flags,
                                                   message):
     # raw coefficients are one filter: no checkpoint, node rows or graph
@@ -269,8 +298,68 @@ def test_filter_response_raw_coeffs_take_no_graph(tmp_path, capsys, flags,
     assert exc.value.code == 2
     out = capsys.readouterr()
     assert out.out == ""
+    assert out.err.startswith("usage: nodespec filter-response ")
     assert out.err.endswith(f"error: {message}\n")
     assert not out_csv.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["filter-response", "--checkpoint", "absent.ckpt", "--basis", "monomial"],
+     "--basis needs --coeffs: a checkpoint holds its basis"),
+    (["analyze", "--edges", "e.tsv", "--features", "f.csv", "--labels",
+      "l.txt", "--data-root", "d"],
+     "--data-root holds --dataset directories; it does not go with "
+     "--edges/--features/--labels"),
+    (["filter-response", "--checkpoint", "absent.ckpt", "--nodes", "0",
+      "--dataset", "toy", "--edges", "e.tsv", "--features", "f.csv",
+      "--labels", "l.txt", "--data-root", "d"],
+     "--data-root holds --dataset directories; it does not go with "
+     "--edges/--features/--labels"),
+    (["eval", "--checkpoint", "absent.ckpt", "--dataset", "toy", "--seed",
+      "7"], "unrecognized arguments: --seed 7")],
+    ids=["basis-with-checkpoint", "data-root-with-files",
+         "data-root-with-node-rows", "eval-seed"])
+def test_flags_the_run_would_not_read_exit_two(capsys, monkeypatch, argv,
+                                               message):
+    # the flags alone decide, so no file is read: the checkpoint holds the
+    # basis, --data-root holds only --dataset directories, and eval draws
+    # its split with --split-seed or the checkpoint's seed
+    def read(*args, **kwargs):
+        pytest.fail("read a file")
+
+    for name in ("load_dataset", "load_named_dataset", "load_split"):
+        monkeypatch.setattr(nodespec.cli, name, read)
+    monkeypatch.setattr(model, "load_checkpoint", read)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith(f"usage: nodespec {argv[0]} ")
+    assert out.err.endswith(f"error: {message}\n")
+
+
+@pytest.mark.parametrize("flags", [
+    ["--dataset", "toy"], ["--dataset", "toy", "--data-root", "d"],
+    ["--edges", "e.tsv", "--features", "f.csv", "--labels", "l.txt"]],
+    ids=["dataset", "data-root", "files"])
+def test_filter_response_graph_flags_need_a_graph_to_read(tmp_path, capsys,
+                                                          flags):
+    # a checkpoint that did not estimate lambda_max, without --nodes, reads
+    # no graph, so the graph flags would be ignored; the dataset named here
+    # does not exist, and is never read
+    cfg = model.TrainConfig(order=2, hidden=8)
+    ckpt = tmp_path / "toy.ckpt"
+    model.save_checkpoint(
+        ckpt, model.init_params(cfg, 6, 3, np.random.default_rng(0)), cfg)
+    with pytest.raises(SystemExit) as exc:
+        main(["filter-response", "--checkpoint", str(ckpt), *flags])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("usage: nodespec filter-response ")
+    assert out.err.endswith(f"error: {flags[0]} needs --nodes or a checkpoint "
+                            "that estimated lambda_max\n")
 
 
 @pytest.mark.parametrize("argv, code", [
@@ -356,6 +445,27 @@ def test_train_without_validation_nodes_exits_one(data_root, tmp_path,
     assert code == 1
     assert out == ""
     assert "error: the validation set is empty" in err
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_split_beyond_the_dataset_names_the_split(data_root, tmp_path, capsys,
+                                                  command):
+    split = tmp_path / "wide.json"
+    split.write_text(json.dumps({"seed": 0, "mode": "custom",
+                                 "train": list(range(40)),
+                                 "validation": list(range(40, 50)),
+                                 "test": [*range(50, 60), 99]}))
+    ckpt = tmp_path / "toy.ckpt"
+    cfg = model.TrainConfig(order=2, hidden=8)
+    model.save_checkpoint(
+        ckpt, model.init_params(cfg, 6, 3, np.random.default_rng(0)), cfg)
+    flags = ["--checkpoint", ckpt, "--out-dir", tmp_path / "ev"]
+    code, out, err = run_cli(capsys, command, "--dataset", "toy",
+                             "--data-root", data_root, "--split", split,
+                             *(flags if command == "eval" else []))
+    assert (code, out) == (1, "")
+    assert err == f"error: {split}: split references node 99 >= n=60\n"
+    assert not (tmp_path / "ev").exists()
 
 
 def _rewrite_header(src, dst, edit):
@@ -688,9 +798,10 @@ def test_integer_flags_still_read_plain_and_signed_tokens():
     (["--coeffs", "0,1", "--nodes", "3,True"],
      "not a decimal int64 node id: 'True'"),
     (["--coeffs", "0,1", "--nodes", "1_0"],
-     "not a decimal int64 node id: '1_0'")],
+     "not a decimal int64 node id: '1_0'"),
+    (["--coeffs", "1", "--nodes", ""], "not a decimal int64 node id: ''")],
     ids=["nan", "underscore", "empty", "float-node", "bool-node",
-         "underscore-node"])
+         "underscore-node", "empty-nodes"])
 def test_filter_response_bad_tokens_exit_two(tmp_path, capsys, flags,
                                              token):
     out_csv = tmp_path / "out.csv"
@@ -699,7 +810,8 @@ def test_filter_response_bad_tokens_exit_two(tmp_path, capsys, flags,
     assert exc.value.code == 2
     out = capsys.readouterr()
     assert out.out == ""
-    assert out.err.endswith(f"error: {flags[-2]}: {token}\n")
+    assert out.err.startswith("usage: nodespec filter-response ")
+    assert out.err.endswith(f"error: argument {flags[-2]}: {token}\n")
     assert not out_csv.exists()
 
 
@@ -721,7 +833,7 @@ def test_sweep_bad_grid_tokens_exit_two(data_root, tmp_path, capsys,
     assert exc.value.code == 2
     out = capsys.readouterr()
     assert out.out == ""
-    assert out.err.endswith(f"error: {flags[0]}: {token}\n")
+    assert out.err.endswith(f"error: argument {flags[0]}: {token}\n")
     assert not out_csv.exists()
 
 
@@ -751,7 +863,7 @@ def test_sweep_empty_grid_exits_two(data_root, tmp_path, capsys):
               str(data_root), "--out", str(tmp_path / "out.csv")])
     assert exc.value.code == 2
     assert capsys.readouterr().err.endswith(
-        "error: --orders and --ranks each need at least one value\n")
+        "error: argument --orders: not a decimal int64 order: ''\n")
     assert not (tmp_path / "out.csv").exists()
 
 
@@ -809,6 +921,17 @@ def test_filter_response_uses_the_estimated_spectrum(dense_data_root,
     assert code == 1
     assert out == ""
     assert "error: " in err and "--dataset" in err
+
+
+def test_one_class_labels_name_the_label_file(data_root, tmp_path, capsys):
+    labels = tmp_path / "labels.txt"
+    labels.write_text("0\n" * 60)
+    code, out, err = run_cli(capsys, "analyze", "--edges",
+                             data_root / "toy" / "edges.tsv", "--features",
+                             data_root / "toy" / "features.csv", "--labels",
+                             labels, "--out-dir", tmp_path / "reports")
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {labels}: need at least 2 classes")
 
 
 def test_non_finite_features_exit_one(data_root, tmp_path, capsys):

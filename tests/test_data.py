@@ -343,7 +343,9 @@ def test_features_fail_where_numpy_does(tmp_path, case):
 class TestDatasetValidation:
     def test_single_class_rejected(self, toy_files):
         (toy_files / "labels.txt").write_text("0\n0\n0\n")
-        with pytest.raises(ValueError, match="at least 2 classes"):
+        # the label file is at fault, so the message names it
+        message = f"{toy_files / 'labels.txt'}: need at least 2 classes"
+        with pytest.raises(DataFormatError, match=f"^{re.escape(message)}"):
             load_dataset(toy_files / "edges.tsv", toy_files / "features.csv",
                          toy_files / "labels.txt")
 
