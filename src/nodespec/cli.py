@@ -3,11 +3,13 @@
 Tabular artifacts are CSV, summaries are JSON on stdout. Exit codes: 0 on
 success, 1 on runtime failure, 2 on bad usage, printed under the
 subcommand's usage line. Each flag is read once, by one rule: a value that
-does not parse fails its argparse ``type`` (the comma lists ``--nodes``,
-``--coeffs``, ``--orders`` and ``--ranks`` check every token, so an empty
-list fails), and a flag that the run would not read is a usage error, not
-ignored: ``--data-root`` without a ``--dataset`` directory,
-``filter-response --basis`` with a checkpoint, which holds its basis.
+does not parse, or lies outside the flag's range, fails its argparse
+``type`` (the comma lists ``--nodes``, ``--coeffs``, ``--orders`` and
+``--ranks`` check every token, so an empty list fails), and a flag that the
+run would not read is a usage error, not ignored: ``--data-root`` without a
+``--dataset`` directory, ``filter-response --basis`` with a checkpoint,
+which holds its basis, ``--split-seed`` or ``--stratified`` with a saved
+split, which they would not change.
 Flags that do not go together, and a config that ``TrainConfig`` rejects,
 are found before any file is read wherever the flags alone decide. ``eval``
 draws a split mode with ``--split-seed``, else with the checkpoint's seed,
@@ -74,11 +76,18 @@ def _int(text: str) -> int:
     return int(text)
 
 
-def _positive_int(text: str) -> int:
-    if not (_is_int64(text.strip()) and int(text) >= 1):
-        raise argparse.ArgumentTypeError(
-            f"expected an integer >= 1, got {text!r}")
-    return int(text)
+def _int_at_least(least: int):
+    """An argparse type for an integer flag of at least ``least``, by
+    ``_int``'s rule."""
+    def parse(text: str) -> int:
+        if not (_is_int64(text.strip()) and int(text) >= least):
+            raise argparse.ArgumentTypeError(
+                f"expected an integer >= {least}, got {text!r}")
+        return int(text)
+    return parse
+
+
+_positive_int = _int_at_least(1)
 
 
 def _float(text: str) -> float:
@@ -86,6 +95,15 @@ def _float(text: str) -> float:
     if _feature_cell_problem(text):
         raise argparse.ArgumentTypeError(f"not a finite float: {text!r}")
     return float(text)
+
+
+def _unit_float(text: str) -> float:
+    """A ``_float`` flag in [0, 1]."""
+    value = _float(text)
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(
+            f"expected a float in [0, 1], got {text!r}")
+    return value
 
 
 def _tokens(problem, cast):
@@ -218,13 +236,31 @@ def _checkpoint_errors(path):
         raise ValueError(f"{path}: {exc}") from None
 
 
+def _split_is_file(args) -> bool:
+    """Whether --split names a saved split: a path ending in .json or one
+    that exists. A mode name is never read as a path, even when a file of
+    that name exists."""
+    return args.split not in DRAWN_MODES and (args.split.endswith(".json")
+                                              or Path(args.split).exists())
+
+
+def _check_split_flags(args) -> None:
+    """A UsageError for --split-seed or --stratified beside a saved split,
+    which they would not change."""
+    if not _split_is_file(args):
+        return
+    for flag, given in (("--split-seed", args.split_seed is not None),
+                        ("--stratified", args.stratified)):
+        if given:
+            raise UsageError(f"{flag} draws a split mode; it does not go "
+                             f"with the saved split {args.split}")
+
+
 def _resolve_split(args, dataset: Dataset, seed: int):
     """The --split mode drawn with --split-seed or, without one, with
     ``seed``, the model's seed; else the split saved at --split, whose ids
-    must lie in ``dataset``. A mode name is never read as a path, even when
-    a file of that name exists."""
-    if args.split not in DRAWN_MODES and (args.split.endswith(".json")
-                                          or Path(args.split).exists()):
+    must lie in ``dataset``."""
+    if _split_is_file(args):
         split = load_split(args.split)
         try:
             validate_split(split, dataset.n)
@@ -287,6 +323,7 @@ def cmd_prop_sim(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _train_config(args)
+    _check_split_flags(args)
     dataset = _load_dataset(args)
     result, split, test_accuracy = _run(args, dataset, cfg)
     if args.history:
@@ -311,6 +348,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    _check_split_flags(args)
     dataset = _load_dataset(args)
     params, cfg = model.load_checkpoint(args.checkpoint)
     # a split mode is drawn as training drew it, unless --split-seed says
@@ -416,6 +454,7 @@ def cmd_oracle_check(args) -> int:
 def cmd_sweep(args) -> int:
     grid = [_train_config(args, order=k, rank=d)
             for k in args.orders for d in args.ranks]
+    _check_split_flags(args)
     dataset = _load_dataset(args)
     _resolve_split(args, dataset, args.seed)  # a bad --split fails here too
 
@@ -445,8 +484,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("prop-sim",
                        help="closed-form vs Monte-Carlo label-chain checks")
-    p.add_argument("--alpha", type=_float, required=True)
-    p.add_argument("--classes", type=_int, required=True)
+    p.add_argument("--alpha", type=_unit_float, required=True)
+    p.add_argument("--classes", type=_int_at_least(2), required=True)
     p.add_argument("--samples", type=_positive_int, default=1_000_000)
     p.add_argument("--seed", type=_int, default=0)
     p.set_defaults(func=cmd_prop_sim)

@@ -33,12 +33,13 @@ applied a row block at a time by ``_dropout``, from uint16 draws: an element
 is kept when its draw is at least t = round(rate * 65536), so rates are
 quantised to 1/65536. A mask a backward reads is kept as a bool keep-mask
 plus its 0-d keep-scale 65536 / (65536 - t).
-Evaluation and prediction run the same forwards without dropout, except that
-``eval_outputs`` on a graph of more than EVAL_BLOCK_ROWS nodes runs the
-appnp one without intermediates (``_appnp_eval``): the MLP on blocks of
-rows, so the (n, hidden) array is never whole, and each layer mixed in as
-the recursion yields it, so no (K+1, n, c) stack is either, except for the
-Bernstein basis, whose layers each mix the whole Chebyshev stack.
+Evaluation is one function, ``_evaluate``, read by training's per-epoch
+check and by ``eval_outputs`` alike: sgc_like runs its forward without
+dropout over the precomputed stack; the appnp pipeline runs without
+intermediates at every graph size: the MLP on blocks of rows, so the
+(n, hidden) array is never whole, and each layer mixed in as the recursion
+yields it, so no (K+1, n, c) stack is either, except for the Bernstein
+basis, whose layers each mix the whole Chebyshev stack.
 ``build_operator`` alone picks each basis's operator and its lambda_max,
 each assembled from the graph in one pass.
 Optimization is Adam with the MLP and filter parameters on separate learning
@@ -67,11 +68,7 @@ MODES = ("appnp_like", "sgc_like", "global_only")
 CHECKPOINT_MAGIC = b"NODESPEC-CKPT-1\n"
 
 # Rows per block of the evaluation MLP: a (4096, hidden) array, 2 MiB at
-# 64 float64 units, in place of the whole (n, hidden) one. A graph of at
-# most this many nodes is evaluated by the training forward instead: its
-# arrays are as small, and mixing the whole stack in one einsum beats K+1
-# per-layer steps, which made predict about 10% slower at 3000 nodes, 5
-# classes and K = 10.
+# 64 float64 units, in place of the whole (n, hidden) one.
 EVAL_BLOCK_ROWS = 4096
 
 # Elements per row block of a training dropout mask, in place of a whole
@@ -426,31 +423,6 @@ def _check_finite(logits: np.ndarray, epoch: int = -1) -> None:
         raise DivergenceError(f"logits contain {bad} non-finite entries", epoch)
 
 
-def _appnp_eval(params: ModelParams, features: np.ndarray,
-                op: SparseOperator,
-                cfg: TrainConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Logits and n x (K+1) coefficients of the appnp pipeline without
-    dropout, those of ``forward_appnp_like`` up to rounding, keeping
-    nothing for a backward: the MLP runs on blocks of EVAL_BLOCK_ROWS rows,
-    and each layer is mixed into the output as ``iter_layers`` yields it,
-    in O(n (c + K)) memory but for the Bernstein stack."""
-    x = np.asarray(features, dtype=cfg.dtype)
-    x0 = np.concatenate([_mlp(x[lo:lo + EVAL_BLOCK_ROWS], params, cfg, False,
-                              None)[0]
-                         for lo in range(0, len(x), EVAL_BLOCK_ROWS)])
-    gamma, w = params["filter.gamma"], params.get("filter.w")
-    eta = np.empty((cfg.order + 1, len(x0)), dtype=x0.dtype)
-    out = np.zeros_like(x0)
-    for k, z in enumerate(iter_layers(cfg.basis, op, x0, cfg.order)):
-        if k == 0 or not cfg.static_coefficients:
-            # order k's coefficients, or every order's from layer 0
-            orders = slice(k, None if cfg.static_coefficients else k + 1)
-            eta[orders] = _coefficients(z[None], gamma[orders], w)[1]
-        out += z * eta[k][:, None]
-    _check_finite(out)
-    return out, eta.T
-
-
 def forward_appnp_like(params: ModelParams, features: np.ndarray,
                        op: SparseOperator, cfg: TrainConfig,
                        training: bool = False,
@@ -491,6 +463,36 @@ def forward_sgc_like(params: ModelParams, stack: PropagationStack,
     _check_finite(logits)
     return ForwardTrace(logits, combine.eta.T, params, mlp, combine, mask,
                         scale, None)
+
+
+def _evaluate(params: ModelParams, features: np.ndarray,
+              op: SparseOperator, stack: Optional[PropagationStack],
+              cfg: TrainConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Logits and n x (K+1) coefficients of the configured pipeline without
+    dropout. sgc_like runs ``forward_sgc_like`` over its precomputed stack.
+    The appnp pipeline gives those of ``forward_appnp_like`` up to rounding,
+    keeping nothing for a backward: the MLP runs on blocks of
+    EVAL_BLOCK_ROWS rows, and each layer is mixed into the output as
+    ``iter_layers`` yields it, in O(n (c + K)) memory but for the Bernstein
+    stack."""
+    if cfg.mode == "sgc_like":
+        trace = forward_sgc_like(params, stack, cfg)
+        return trace.logits, trace.coefficients
+    x = np.asarray(features, dtype=cfg.dtype)
+    x0 = np.concatenate([_mlp(x[lo:lo + EVAL_BLOCK_ROWS], params, cfg, False,
+                              None)[0]
+                         for lo in range(0, len(x), EVAL_BLOCK_ROWS)])
+    gamma, w = params["filter.gamma"], params.get("filter.w")
+    eta = np.empty((cfg.order + 1, len(x0)), dtype=x0.dtype)
+    out = np.zeros_like(x0)
+    for k, z in enumerate(iter_layers(cfg.basis, op, x0, cfg.order)):
+        if k == 0 or not cfg.static_coefficients:
+            # order k's coefficients, or every order's from layer 0
+            orders = slice(k, None if cfg.static_coefficients else k + 1)
+            eta[orders] = _coefficients(z[None], gamma[orders], w)[1]
+        out += z * eta[k][:, None]
+    _check_finite(out)
+    return out, eta.T
 
 
 def loss(logits: np.ndarray, labels: np.ndarray, index_set,
@@ -607,17 +609,6 @@ def _operator_and_stack(dataset: Dataset, cfg: TrainConfig
                          cfg.order)
 
 
-def _forward(params: ModelParams, dataset: Dataset, cfg: TrainConfig,
-             op: SparseOperator, stack: Optional[PropagationStack],
-             training: bool = False,
-             rng: Optional[np.random.Generator] = None) -> ForwardTrace:
-    """Full-batch forward pass of the configured pipeline."""
-    if cfg.mode == "sgc_like":
-        return forward_sgc_like(params, stack, cfg, training=training, rng=rng)
-    return forward_appnp_like(params, dataset.features, op, cfg,
-                              training=training, rng=rng)
-
-
 def train(dataset: Dataset, split: Split, cfg: TrainConfig) -> TrainResult:
     """Full training run with early stopping on validation accuracy.
 
@@ -666,11 +657,15 @@ def train(dataset: Dataset, split: Split, cfg: TrainConfig) -> TrainResult:
                                 np.arange(batch.size), cfg.l2)
                     adam_step(params, backward(trace), adam, cfg.lr_l, cfg.lr_p)
             else:
-                trace = _forward(params, work, cfg, op, stack, training=True,
-                                 rng=rng)
+                if cfg.mode == "sgc_like":
+                    trace = forward_sgc_like(params, stack, cfg, training=True,
+                                             rng=rng)
+                else:
+                    trace = forward_appnp_like(params, work.features, op, cfg,
+                                               training=True, rng=rng)
                 attach_loss(trace, labels, train_idx, cfg.l2)
                 adam_step(params, backward(trace), adam, cfg.lr_l, cfg.lr_p)
-            logits = _forward(params, work, cfg, op, stack).logits
+            logits = _evaluate(params, work.features, op, stack, cfg)[0]
         except DivergenceError as exc:
             raise DivergenceError("training diverged", epoch) from exc
 
@@ -704,21 +699,17 @@ def eval_outputs(params: ModelParams, dataset: Dataset,
 
     The operator (and, for sgc_like, the propagation stack) is rebuilt from
     the dataset's graph, so the graph may contain nodes and edges that were
-    never seen in training. On more than EVAL_BLOCK_ROWS nodes the appnp
-    pipeline runs ``_appnp_eval``, which holds neither the hidden array nor
-    (but for Bernstein) the propagation stack. Training's per-epoch
-    evaluation runs the training forward: on that graph it holds the stack
-    anyway. Parameters for another feature width raise ValueError first.
+    never seen in training. The forward is ``_evaluate``, training's
+    per-epoch check: at every graph size the appnp pipeline holds neither
+    the hidden array nor (but for Bernstein) the propagation stack.
+    Parameters for another feature width raise ValueError first.
     """
     width = params["mlp.w1"].shape[0]
     if width != dataset.feature_dim:
         raise ValueError(f"the model takes {width} features per node, the "
                          f"dataset has {dataset.feature_dim}")
     op, stack = _operator_and_stack(dataset, cfg)
-    if cfg.mode != "sgc_like" and dataset.n > EVAL_BLOCK_ROWS:
-        return _appnp_eval(params, dataset.features, op, cfg)
-    trace = _forward(params, dataset, cfg, op, stack)
-    return trace.logits, trace.coefficients
+    return _evaluate(params, dataset.features, op, stack, cfg)
 
 
 def predict(params: ModelParams, dataset: Dataset, cfg: TrainConfig,

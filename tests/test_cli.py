@@ -223,6 +223,28 @@ def test_oracle_check_rejects_what_it_cannot_check(capsys, argv, message):
     assert message in out.err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--alpha", "1.5", "--classes", "3"],
+     "argument --alpha: expected a float in [0, 1], got '1.5'"),
+    (["--alpha", "-0.5", "--classes", "3"],
+     "argument --alpha: expected a float in [0, 1], got '-0.5'"),
+    (["--alpha", "0.5", "--classes", "1"],
+     "argument --classes: expected an integer >= 2, got '1'")],
+    ids=["alpha-above-1", "alpha-below-0", "classes-1"])
+def test_prop_sim_rejects_out_of_range_flags(capsys, monkeypatch, argv,
+                                             message):
+    # the label chain needs a retention probability and two classes
+    monkeypatch.setattr(nodespec.cli.homophily, "proposition_monte_carlo",
+                        lambda *a: pytest.fail("ran the simulation"))
+    with pytest.raises(SystemExit) as exc:
+        main(["prop-sim", *argv])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("usage: nodespec prop-sim ")
+    assert out.err.endswith(f"error: {message}\n")
+
+
 def test_sweep_emits_grid(data_root, tmp_path, capsys):
     out_csv = tmp_path / "sweep.csv"
     code, _, _ = run_cli(capsys, "sweep", "--dataset", "toy",
@@ -316,14 +338,27 @@ def test_filter_response_raw_coeffs_take_no_graph(tmp_path, capsys, flags,
      "--data-root holds --dataset directories; it does not go with "
      "--edges/--features/--labels"),
     (["eval", "--checkpoint", "absent.ckpt", "--dataset", "toy", "--seed",
-      "7"], "unrecognized arguments: --seed 7")],
+      "7"], "unrecognized arguments: --seed 7"),
+    (["train", "--dataset", "toy", "--split", "s.json", "--split-seed", "3"],
+     "--split-seed draws a split mode; it does not go with the saved split "
+     "s.json"),
+    (["eval", "--checkpoint", "absent.ckpt", "--dataset", "toy", "--split",
+      "s.json", "--stratified"],
+     "--stratified draws a split mode; it does not go with the saved split "
+     "s.json"),
+    (["sweep", "--dataset", "toy", "--split", "s.json", "--split-seed", "3",
+      "--stratified"],
+     "--split-seed draws a split mode; it does not go with the saved split "
+     "s.json")],
     ids=["basis-with-checkpoint", "data-root-with-files",
-         "data-root-with-node-rows", "eval-seed"])
+         "data-root-with-node-rows", "eval-seed", "train-split-seed",
+         "eval-stratified", "sweep-split-seed"])
 def test_flags_the_run_would_not_read_exit_two(capsys, monkeypatch, argv,
                                                message):
     # the flags alone decide, so no file is read: the checkpoint holds the
-    # basis, --data-root holds only --dataset directories, and eval draws
-    # its split with --split-seed or the checkpoint's seed
+    # basis, --data-root holds only --dataset directories, eval draws its
+    # split with --split-seed or the checkpoint's seed, and a saved split is
+    # not drawn
     def read(*args, **kwargs):
         pytest.fail("read a file")
 

@@ -245,13 +245,20 @@ class TestForward:
             assert a.dtype == b.dtype == cfg.dtype and a.shape == b.shape
             np.testing.assert_allclose(a, b, rtol=0.0, atol=atol, err_msg=name)
 
+    @pytest.mark.parametrize("block_rows, blocks", [(8, [8, 8, 4]),
+                                                    (None, [20])],
+                             ids=["blocks-of-8", "one-block"])
     @pytest.mark.parametrize("basis", ["monomial", "chebyshev"])
     def test_predict_holds_no_stack_and_no_whole_hidden_array(
-            self, toy, basis, monkeypatch):
+            self, toy, basis, block_rows, blocks, monkeypatch):
+        # at every graph size: the 20-node toy, one block of the MLP at the
+        # default EVAL_BLOCK_ROWS, streams its layers as a large graph does
         cfg = base_config(mode="appnp_like", basis=basis)
         params = model.init_params(cfg, toy.feature_dim, toy.class_count,
                                    np.random.default_rng(0))
-        want = model.predict(params, toy, cfg)[1]
+        want = model.forward_appnp_like(params, toy.features,
+                                        model.build_operator(toy.graph, cfg),
+                                        cfg).logits
         rows = []
 
         def no_stack(*args):
@@ -265,27 +272,11 @@ class TestForward:
         monkeypatch.setattr(model, "polynomial_layers", no_stack)
         monkeypatch.setattr(polyfilter, "polynomial_layers", no_stack)
         monkeypatch.setattr(model, "_mlp", watched_mlp)
-        monkeypatch.setattr(model, "EVAL_BLOCK_ROWS", 8)
+        if block_rows is not None:
+            monkeypatch.setattr(model, "EVAL_BLOCK_ROWS", block_rows)
         got = model.predict(params, toy, cfg)[1]
-        assert rows == [8, 8, 4]
+        assert rows == blocks
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
-
-    def test_small_graphs_evaluate_by_the_training_forward(self, toy,
-                                                           monkeypatch):
-        cfg = base_config(mode="appnp_like")
-        params = model.init_params(cfg, toy.feature_dim, toy.class_count,
-                                   np.random.default_rng(0))
-        op = model.build_operator(toy.graph, cfg)
-        want = model.forward_appnp_like(params, toy.features, op, cfg)
-
-        def no_lean_eval(*args):
-            raise AssertionError("a 20-node graph ran _appnp_eval")
-
-        monkeypatch.setattr(model, "EVAL_BLOCK_ROWS", 20)
-        monkeypatch.setattr(model, "_appnp_eval", no_lean_eval)
-        logits, coefficients = model.eval_outputs(params, toy, cfg)
-        assert logits.tobytes() == want.logits.tobytes()
-        assert coefficients.tobytes() == want.coefficients.tobytes()
 
     def test_nan_features_raise_divergence(self, toy):
         cfg = base_config()
@@ -885,6 +876,23 @@ class TestTrain:
         result = model.train(ds, split, cfg)
         preds, _ = model.predict(result.params, ds, cfg)
         assert accuracy(preds, ds.labels, split.train) == 1.0
+
+    @pytest.mark.parametrize("mode", ["appnp_like", "global_only"])
+    def test_appnp_builds_one_stack_per_epoch(self, toy, mode, monkeypatch):
+        # the training forward builds the stack its backward reads; the
+        # per-epoch evaluation streams the layers and builds none
+        calls = []
+
+        def counted(*args):
+            calls.append(args[0])
+            return build(*args)
+
+        build = model.polynomial_layers
+        monkeypatch.setattr(model, "polynomial_layers", counted)
+        split = make_split(toy.n, "dense", seed=0)
+        result = model.train(toy, split, base_config(mode=mode, epochs=7,
+                                                     dp_l=0.2, dp_p=0.2))
+        assert len(calls) == result.epochs_run == 7
 
     def test_patience_zero_stops_at_first_plateau(self, toy):
         split = make_split(toy.n, "dense", seed=0)
