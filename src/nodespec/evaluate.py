@@ -126,11 +126,21 @@ def coefficient_distance_report(psi: np.ndarray, graph: Graph, labels,
         ii, jj = ii[keep], jj[keep]
 
     jac = jaccard_neighbor_distances(graph, ii, jj)
-    # pair blocks bound the two gathered pairs x (K+1) row copies
+    # pair blocks bound the two gathered pairs x (K+1) row copies, which
+    # every block writes into the same two buffers
     dist = np.empty(ii.size)
+    rows_i = np.empty((min(ii.size, JACCARD_BLOCK_PAIRS), psi.shape[1]))
+    rows_j = np.empty_like(rows_i)
     for lo in range(0, ii.size, JACCARD_BLOCK_PAIRS):
         block = slice(lo, lo + JACCARD_BLOCK_PAIRS)
-        dist[block] = np.linalg.norm(psi[ii[block]] - psi[jj[block]], axis=1)
+        size = len(ii[block])
+        # ids lie in [0, n), so "clip" changes none; it lets take write
+        # into out, where "raise" gathers into a copy first
+        d = np.take(psi, ii[block], axis=0, out=rows_i[:size], mode="clip")
+        d -= np.take(psi, jj[block], axis=0, out=rows_j[:size], mode="clip")
+        d *= d
+        # np.linalg.norm(..., axis=1), bit for bit
+        np.sqrt(np.add.reduce(d, axis=1), out=dist[block])
     same = labels[ii] == labels[jj]
     edges, same_count, same_mean = _binned_means(jac[same], dist[same],
                                                  JACCARD_BINS)

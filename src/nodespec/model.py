@@ -33,6 +33,11 @@ applied a row block at a time by ``_dropout``, from uint16 draws: an element
 is kept when its draw is at least t = round(rate * 65536), so rates are
 quantised to 1/65536. A mask a backward reads is kept as a bool keep-mask
 plus its 0-d keep-scale 65536 / (65536 - t).
+The appnp forward's MLP writes its output into layer 0 of the stack, and
+``train`` hands each epoch's appnp forward the previous epoch's trace as
+``reuse``: it gives up x_d (when dropped), the hidden array, the stack, the
+dp_p keep-mask, H, eta and the logits, which the new forward overwrites, so
+a run holds one trace, not two, and the lent trace is stale afterwards.
 Evaluation is one function, ``_evaluate``, read by training's per-epoch
 check and by ``eval_outputs`` alike: sgc_like runs its forward without
 dropout over the precomputed stack; the appnp pipeline runs without
@@ -207,6 +212,12 @@ class ForwardTrace:
     dropped; ``propagation`` is the (basis, operator) pair of the appnp
     pipeline, None for sgc_like, whose stack is a constant input.
     ``attach_loss`` fills in the loss gradient of the logits and l2.
+
+    An appnp trace whose backward has run may be passed to the next
+    ``forward_appnp_like`` as ``reuse``. It then gives up its x_d (when
+    dropped), mlp.h, combine.z, dropout, combine.h, combine.eta, logits and
+    coefficients to the new trace, which writes over them, and loses its
+    loss gradient: it is stale afterwards and must not be read again.
     """
 
     logits: np.ndarray
@@ -287,7 +298,8 @@ def dropout_threshold(rate: float) -> int:
 
 
 def _dropout(x: np.ndarray, rate: float, rng: Optional[np.random.Generator],
-             out: np.ndarray, keep_mask: bool = False
+             out: np.ndarray, keep_mask: bool = False,
+             mask: Optional[np.ndarray] = None
              ) -> tuple[Optional[np.ndarray], Optional[np.ndarray]]:
     """Inverted dropout of x into ``out`` (may be x): x * (bits >= t) *
     65536 / (65536 - t), where t = ``dropout_threshold(rate)`` and bits are
@@ -296,15 +308,19 @@ def _dropout(x: np.ndarray, rate: float, rng: Optional[np.random.Generator],
     quantised to 1/65536. The draws are taken MASK_BLOCK elements of rows
     at a time, a whole number of uint64s per block but the last, so they
     are the same as one whole draw of ceil(x.size / 4) uint64s. Returns the
-    bool keep-mask if ``keep_mask`` and the 0-d keep-scale in x's dtype;
-    times the mask, then the scale, is times the float mask keep * scale
-    bit for bit. At rate 0 nothing is drawn: (None, None)."""
+    bool keep-mask if ``keep_mask``, written into ``mask`` when given, and
+    the 0-d keep-scale in x's dtype; times the mask, then the scale, is
+    times the float mask keep * scale bit for bit. At rate 0 nothing is
+    drawn: (None, None)."""
     if rate <= 0.0:
         return None, None
     t = dropout_threshold(rate)
     scale = (np.array(DROPOUT_LEVELS, x.dtype)
              / np.array(DROPOUT_LEVELS - t, x.dtype))
-    mask = np.empty(x.shape, dtype=bool) if keep_mask else None
+    if not keep_mask:
+        mask = None
+    elif mask is None:
+        mask = np.empty(x.shape, dtype=bool)
     rows = max(4, MASK_BLOCK // max(1, x.shape[1]) // 4 * 4)
     for lo in range(0, len(x), rows):
         block = x[lo:lo + rows]
@@ -321,21 +337,28 @@ def _dropout(x: np.ndarray, rate: float, rng: Optional[np.random.Generator],
 
 
 def _mlp(x: np.ndarray, params: ModelParams, cfg: TrainConfig,
-         training: bool, rng, x_grad: bool = False
-         ) -> tuple[np.ndarray, MLPTrace]:
+         training: bool, rng, x_grad: bool = False,
+         out: Optional[np.ndarray] = None,
+         reuse: Optional[MLPTrace] = None) -> tuple[np.ndarray, MLPTrace]:
     """relu(x_d W1 + b1)_d W2 + b2, where _d is dropout at rate dp_l in
     training, run in place on the one (n, hidden) array h. Its masks are
     drawn and applied a row block at a time. Only an ``x_grad`` input keeps
     its mask; the backward reads the hidden mask from h > 0, which after
-    the dropout holds where both the ReLU and the mask pass."""
+    the dropout holds where both the ReLU and the mask pass. The output is
+    written into ``out`` when given, and x_d and h into the arrays of
+    ``reuse``, an MLPTrace of the same shapes."""
     rate = cfg.dp_l if training else 0.0
-    x_d = np.empty_like(x) if rate > 0.0 else x
+    x_d = x
+    if rate > 0.0:
+        # a trace's x_d is an array of its own only when its x was dropped
+        x_d = (reuse.x_d if reuse is not None and reuse.scale is not None
+               else np.empty_like(x))
     x_mask, scale = _dropout(x, rate, rng, x_d, keep_mask=x_grad)
-    h = x_d @ params["mlp.w1"]
+    h = np.matmul(x_d, params["mlp.w1"], out=None if reuse is None else reuse.h)
     h += params["mlp.b1"]
     np.maximum(h, 0.0, out=h)
     _dropout(h, rate, rng, h)
-    out = h @ params["mlp.w2"]
+    out = np.matmul(h, params["mlp.w2"], out=out)
     out += params["mlp.b2"]
     return out, MLPTrace(x_d, x_mask, h, scale)
 
@@ -363,27 +386,34 @@ def _mlp_backward(g: np.ndarray, saved: MLPTrace, params: ModelParams,
     return g
 
 
-def _coefficients(z_a: np.ndarray, gamma: np.ndarray, w: Optional[np.ndarray]
+def _coefficients(z_a: np.ndarray, gamma: np.ndarray, w: Optional[np.ndarray],
+                  reuse: Optional[CombineTrace] = None
                   ) -> tuple[Optional[np.ndarray], np.ndarray]:
     """H = sigmoid(Z_a W) and eta[k, i] = H[k, i] . Gamma_k, the (K+1, n)
     coefficients, from the (m, n, c) layers Z_a they read: m = K+1 feeds
     layer k to order k, m = 1 feeds one layer to every order. Without W
-    (global_only) H is None and eta is Gamma broadcast over the nodes."""
+    (global_only) H is None and eta is Gamma broadcast over the nodes.
+    H and eta are written into the arrays of ``reuse`` when given."""
     if w is None:
         return None, np.broadcast_to(gamma, (len(gamma), z_a.shape[1]))
-    a = z_a @ w
+    a = np.matmul(z_a, w, out=None if reuse is None else reuse.h)
     h = sigmoid(a, out=a)
-    return h, np.einsum("kir,kr->ki", h, gamma)
+    return h, np.einsum("kir,kr->ki", h, gamma,
+                        out=None if reuse is None else reuse.eta)
 
 
-def _combine_layers(z: np.ndarray, params: ModelParams,
-                    cfg: TrainConfig) -> tuple[np.ndarray, CombineTrace]:
+def _combine_layers(z: np.ndarray, params: ModelParams, cfg: TrainConfig,
+                    reuse: Optional[ForwardTrace] = None
+                    ) -> tuple[np.ndarray, CombineTrace]:
     """Mix a (K+1, n, c) stack Z with its ``_coefficients``: order k reads
     layer Z_k, or, with static coefficients, every order reads Z_0; the
-    output is sum_k eta_k * Z_k."""
+    output is sum_k eta_k * Z_k. H, eta and the output are written into
+    the arrays of ``reuse`` when given."""
     z_a = z[:1] if cfg.static_coefficients else z
-    h, eta = _coefficients(z_a, params["filter.gamma"], params.get("filter.w"))
-    out = np.einsum("kic,ki->ic", z, eta)
+    h, eta = _coefficients(z_a, params["filter.gamma"], params.get("filter.w"),
+                           None if reuse is None else reuse.combine)
+    out = np.einsum("kic,ki->ic", z, eta,
+                    out=None if reuse is None else reuse.logits)
     return out, CombineTrace(z, h, eta)
 
 
@@ -423,16 +453,48 @@ def _check_finite(logits: np.ndarray, epoch: int = -1) -> None:
         raise DivergenceError(f"logits contain {bad} non-finite entries", epoch)
 
 
+def _check_reuse(reuse: ForwardTrace, x: np.ndarray, params: ModelParams,
+                 cfg: TrainConfig) -> None:
+    """Raise ValueError unless ``reuse`` is an appnp trace whose stack,
+    hidden array and H have the shapes, and whose stack has the dtype, that
+    a forward of cfg and params over x keeps."""
+    n, w = len(x), params.get("filter.w")
+    want = ((cfg.order + 1, n, params["mlp.b2"].size), (n, cfg.hidden),
+            None if w is None else
+            (1 if cfg.static_coefficients else cfg.order + 1, n, w.shape[1]))
+    got = tuple(None if a is None else a.shape
+                for a in (reuse.combine.z, reuse.mlp.h, reuse.combine.h))
+    if (reuse.propagation is None or got != want
+            or reuse.combine.z.dtype != cfg.dtype):
+        raise ValueError("reuse must be an appnp trace of the same config "
+                         "and graph")
+
+
 def forward_appnp_like(params: ModelParams, features: np.ndarray,
                        op: SparseOperator, cfg: TrainConfig,
                        training: bool = False,
-                       rng: Optional[np.random.Generator] = None) -> ForwardTrace:
-    """Transform-then-propagate pipeline; logits are the combined output."""
-    x0, mlp = _mlp(np.asarray(features, dtype=cfg.dtype), params, cfg,
-                   training, rng)
-    mask, scale = _dropout(x0, cfg.dp_p if training else 0.0, rng, x0, True)
-    stack = polynomial_layers(cfg.basis, op, x0, cfg.order)
-    logits, combine = _combine_layers(stack, params, cfg)
+                       rng: Optional[np.random.Generator] = None,
+                       reuse: Optional[ForwardTrace] = None) -> ForwardTrace:
+    """Transform-then-propagate pipeline; logits are the combined output.
+    The MLP writes its output into layer 0 of the (K+1, n, c) stack, where
+    the dp_p dropout and the propagation continue in place.
+
+    ``reuse``, an appnp trace of the same config and graph whose backward
+    has run, lends this forward every array it keeps (see ``ForwardTrace``)
+    and is stale afterwards."""
+    x = np.asarray(features, dtype=cfg.dtype)
+    if reuse is None:
+        stack = np.empty((cfg.order + 1, len(x), params["mlp.b2"].size),
+                         dtype=cfg.dtype)
+    else:
+        _check_reuse(reuse, x, params, cfg)
+        stack, reuse.logits_grad = reuse.combine.z, None
+    x0, mlp = _mlp(x, params, cfg, training, rng, out=stack[0],
+                   reuse=None if reuse is None else reuse.mlp)
+    mask, scale = _dropout(x0, cfg.dp_p if training else 0.0, rng, x0, True,
+                           None if reuse is None else reuse.dropout)
+    polynomial_layers(cfg.basis, op, x0, cfg.order, stack)
+    logits, combine = _combine_layers(stack, params, cfg, reuse)
     _check_finite(logits)
     return ForwardTrace(logits, combine.eta.T, params, mlp, combine, mask,
                         scale, (cfg.basis, op))
@@ -636,6 +698,10 @@ def train(dataset: Dataset, split: Split, cfg: TrainConfig) -> TrainResult:
     rng = np.random.default_rng(cfg.seed)
     params = init_params(cfg, work.feature_dim, work.class_count, rng)
     op, stack = _operator_and_stack(work, cfg)
+    # appnp casts once, not in every forward; sgc_like reads only its stack
+    features = (work.features if stack is not None
+                else np.asarray(work.features, dtype=cfg.dtype))
+    trace = None
 
     adam = AdamState()
     best = params.copy()
@@ -661,11 +727,13 @@ def train(dataset: Dataset, split: Split, cfg: TrainConfig) -> TrainResult:
                     trace = forward_sgc_like(params, stack, cfg, training=True,
                                              rng=rng)
                 else:
-                    trace = forward_appnp_like(params, work.features, op, cfg,
-                                               training=True, rng=rng)
+                    # the previous epoch's trace lends its arrays
+                    trace = forward_appnp_like(params, features, op, cfg,
+                                               training=True, rng=rng,
+                                               reuse=trace)
                 attach_loss(trace, labels, train_idx, cfg.l2)
                 adam_step(params, backward(trace), adam, cfg.lr_l, cfg.lr_p)
-            logits = _evaluate(params, work.features, op, stack, cfg)[0]
+            logits = _evaluate(params, features, op, stack, cfg)[0]
         except DivergenceError as exc:
             raise DivergenceError("training diverged", epoch) from exc
 

@@ -117,20 +117,33 @@ def iter_layers(basis: str, op: SparseOperator, x: np.ndarray, order: int):
 
 
 def polynomial_layers(basis: str, op: SparseOperator, x: np.ndarray,
-                      order: int) -> np.ndarray:
+                      order: int, out: Optional[np.ndarray] = None
+                      ) -> np.ndarray:
     """The K+1 layers p_k(op) @ x as one (K+1, n, c) array in the dtype of x:
-    K ``spmm``, plus one GEMM for the Bernstein basis.
+    K ``spmm``, plus one GEMM for the Bernstein basis. They are written into
+    ``out`` when given, a C-contiguous (K+1, n, c) array of x's dtype, and x
+    may be its layer 0, which is then not copied.
     Raises ValueError when op is not the basis's operator."""
     steps = _operator_steps(basis, op, order)
-    layers = np.empty((order + 1,) + x.shape, dtype=x.dtype)
-    layers[0] = x
+    shape = (order + 1,) + x.shape
+    if out is None:
+        out = np.empty(shape, dtype=x.dtype)
+    elif (out.shape != shape or out.dtype != x.dtype
+          or not out.flags.c_contiguous):
+        raise ValueError(f"out must be a C-contiguous {shape} {x.dtype} "
+                         f"array, got {out.shape} {out.dtype}")
     # Bernstein mixes the Chebyshev layers of op = L - I
+    layers = np.empty_like(out) if basis == "bernstein" else out
+    # numpy skips the copy when x is layers[0] itself
+    layers[0] = x
     for _ in _recursion(lambda v: spmm(op, v), x, steps, layers):
         pass
     if basis == "bernstein":
-        layers = np.tensordot(bernstein_change(order).astype(x.dtype), layers,
-                              (0, 0))
-    return layers
+        # np.tensordot(change, layers, (0, 0)), bit for bit, written in place
+        np.matmul(bernstein_change(order).astype(x.dtype).T,
+                  layers.reshape(order + 1, -1),
+                  out=out.reshape(order + 1, -1))
+    return out
 
 
 def propagate(basis: str, op: SparseOperator, x: np.ndarray,

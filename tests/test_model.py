@@ -693,6 +693,87 @@ class TestFusedMLP:
         assert (peak(lambda: model._mlp(ds.features, params, cfg, True, rng))
                 < 2.5 * ds.features.nbytes)
 
+    @pytest.mark.parametrize("basis", polyfilter.BASES)
+    def test_a_training_run_holds_one_trace(self, traced_peak, basis):
+        # each epoch's forward writes into the arrays of the trace the
+        # previous backward finished with. With the previous trace held
+        # while the next forward allocated its own, a run peaked at 8.3 to
+        # 8.6 feature sizes; with one trace the backward sets it, below 7
+        ds = planted_partition_dataset(n=2000, classes=4, feature_dim=64)
+        cfg = model.TrainConfig(hidden=64, dp_l=0.5, epochs=6, basis=basis)
+        split = make_split(ds.n, "dense", seed=0)
+        peak = traced_peak(lambda: model.train(ds, split, cfg))[1]
+        assert peak < 7.5 * ds.features.nbytes
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @pytest.mark.parametrize("mode, static", [("appnp_like", False),
+                                              ("appnp_like", True),
+                                              ("global_only", False)])
+    @pytest.mark.parametrize("basis", polyfilter.BASES)
+    def test_a_reused_trace_changes_no_byte(self, toy, basis, mode, static,
+                                            dtype):
+        # a forward into the arrays of an earlier, finished trace gives the
+        # bytes of a forward into fresh ones, and keeps its arrays there
+        cfg = base_config(basis=basis, mode=mode, static_coefficients=static,
+                          precision=dtype, dp_l=0.4, dp_p=0.3)
+        params = model.init_params(cfg, toy.feature_dim, toy.class_count,
+                                   np.random.default_rng(0))
+        op = model.build_operator(toy.graph, cfg)
+
+        def step(seed, reuse=None):
+            trace = model.forward_appnp_like(params, toy.features, op, cfg,
+                                             True, np.random.default_rng(seed),
+                                             reuse=reuse)
+            model.attach_loss(trace, toy.labels, np.arange(10), cfg.l2)
+            return trace, model.backward(trace)
+
+        earlier, _ = step(1)
+        kept = (earlier.mlp.x_d, earlier.mlp.h, earlier.combine.z)
+        fresh, want = step(2)
+        reused, got = step(2, reuse=earlier)
+        for a, b in ((reused.logits, fresh.logits),
+                     (reused.coefficients, fresh.coefficients)):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        assert got.keys() == want.keys()
+        for name, g in want.items():
+            assert got[name].tobytes() == g.tobytes(), name
+        for mine, lent in zip((reused.mlp.x_d, reused.mlp.h,
+                               reused.combine.z), kept):
+            assert np.shares_memory(mine, lent)
+
+    def test_reuse_never_writes_into_the_features(self, toy):
+        # an undropped forward keeps the features themselves as its x_d
+        cfg = base_config(dp_l=0.4, dp_p=0.3)
+        params = model.init_params(cfg, toy.feature_dim, toy.class_count,
+                                   np.random.default_rng(0))
+        op = model.build_operator(toy.graph, cfg)
+        features = toy.features.copy()
+        earlier = model.forward_appnp_like(params, features, op, cfg)
+        assert earlier.mlp.x_d is features
+        reused = model.forward_appnp_like(params, features, op, cfg, True,
+                                          np.random.default_rng(2),
+                                          reuse=earlier)
+        assert features.tobytes() == toy.features.tobytes()
+        assert not np.shares_memory(reused.mlp.x_d, features)
+
+    @pytest.mark.parametrize("other", [dict(order=3), dict(hidden=5),
+                                       dict(static_coefficients=True),
+                                       dict(mode="global_only"),
+                                       dict(precision="float32")])
+    def test_a_trace_of_another_config_is_not_reused(self, toy, other):
+        cfg = base_config(dp_l=0.4, dp_p=0.3)
+        params = model.init_params(cfg, toy.feature_dim, toy.class_count,
+                                   np.random.default_rng(0))
+        trace, _ = eval_loss(params, toy, cfg, np.arange(10), dropout_seed=1)
+        cfg = base_config(dp_l=0.4, dp_p=0.3, **other)
+        params = model.init_params(cfg, toy.feature_dim, toy.class_count,
+                                   np.random.default_rng(0))
+        with pytest.raises(ValueError, match="same config and graph"):
+            model.forward_appnp_like(params, toy.features,
+                                     model.build_operator(toy.graph, cfg),
+                                     cfg, True, np.random.default_rng(2),
+                                     reuse=trace)
+
     def test_float32_stays_float32(self):
         x, params = self.setup(np.float32)
         out, _, grads = self.run(fused_mlp, x, params, 0.3, x_grad=True)

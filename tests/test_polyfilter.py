@@ -152,6 +152,33 @@ class TestBernsteinEngine:
         for want, got in zip(stack, layers):
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("basis", BASES)
+    def test_layers_written_into_out_keep_their_bytes(self, basis, dtype,
+                                                      rng):
+        # x may already sit in layer 0 of out; Bernstein's mix into out is
+        # the product tensordot forms
+        g = er_graph(12, 0.3, seed=24)
+        x = rng.standard_normal((12, 3)).astype(dtype)
+        op = _operators(g)[basis]
+        want = polyfilter.polynomial_layers(basis, op, x, 6)
+        out = np.full_like(want, np.nan)
+        assert polyfilter.polynomial_layers(basis, op, x, 6, out) is out
+        assert out.tobytes() == want.tobytes()
+        out = np.full_like(want, np.nan)
+        out[0] = x
+        polyfilter.polynomial_layers(basis, op, out[0], 6, out)
+        assert out.tobytes() == want.tobytes()
+
+    def test_out_of_another_shape_dtype_or_layout_is_rejected(self, rng):
+        g = er_graph(12, 0.3, seed=25)
+        x = rng.standard_normal((12, 3))
+        op = _operators(g)["chebyshev"]
+        for out in (np.empty((6, 12, 3)), np.empty((7, 12, 3), np.float32),
+                    np.empty((7, 3, 12)).transpose(0, 2, 1)):
+            with pytest.raises(ValueError, match="C-contiguous"):
+                polyfilter.polynomial_layers("chebyshev", op, x, 6, out)
+
     @pytest.mark.parametrize("basis", ["monomial", "chebyshev"])
     def test_iter_layers_runs_one_product_per_layer_taken(self, basis,
                                                           monkeypatch, rng):
