@@ -12,7 +12,8 @@ The propagation forward is ``polyfilter.polynomial_layers``, the (K+1, n, c)
 stack of layers p_k(op) x in K sparse products. Its backward is the adjoint
 recursion ``polynomial_adjoint``, sum_k p_k(op) G_k for the layer gradients
 G_k, in K more: Clenshaw's sum over the forward's own step table
-``polyfilter.recurrence``, for every basis.
+``polyfilter.recurrence``, for every basis. The sum reads G_k from k = K down
+to 0, so it takes each one from its caller as it reaches it.
 """
 
 import numpy as np
@@ -35,26 +36,32 @@ def sigmoid(x: np.ndarray, out=None) -> np.ndarray:
     return np.divide(e, denom, out=e)
 
 
-def polynomial_adjoint(basis: str, op: SparseOperator,
-                       grads: np.ndarray) -> np.ndarray:
-    """sum_k p_k(op) @ grads[k], a fresh array: the gradient with respect to
-    x of ``polynomial_layers(basis, op, x, K)`` given the gradients of its
-    K+1 layers, since op is symmetric. K ``spmm`` by Clenshaw's sum over the
-    steps (a_k, c_k) of ``recurrence``, after the basis change for
-    bernstein."""
-    order = grads.shape[0] - 1
+def polynomial_adjoint(basis: str, op: SparseOperator, grad,
+                       order: int) -> np.ndarray:
+    """sum_k p_k(op) @ grad(k): the gradient with respect to x of
+    ``polynomial_layers(basis, op, x, K)``, K = order, given the gradient
+    grad(k) of each layer k, since op is symmetric. K ``spmm`` by Clenshaw's
+    sum over the steps (a_k, c_k) of ``recurrence``.
+
+    grad(k) is asked for once per layer, from k = K down to 0, as the sum
+    reaches that layer, so no (K+1, n, c) gradient stack need exist.
+    Bernstein is the exception: its change of basis mixes every layer, so
+    it stacks them all first. At order 0 the result is grad(0) itself, so
+    grad should return an array of its own."""
     if basis == "bernstein":
-        grads = np.tensordot(bernstein_change(order).astype(grads.dtype),
-                             grads, (1, 0))
+        layers = np.stack([grad(k) for k in range(order + 1)])
+        grad = np.tensordot(bernstein_change(order).astype(layers.dtype),
+                            layers, (1, 0)).__getitem__
+        del layers
     # b_k = g_k + a_{k+1} op b_{k+1} - c_{k+2} b_{k+2} from b_K = g_K to b_0;
     # the zero step past K stands for b_{K+1} = 0
     steps = recurrence(basis, order) + [(0.0, 0.0)]
-    b1, b2 = grads[order].copy(), None
+    b1, b2 = grad(order), None
     for k in range(order - 1, -1, -1):
         (a, _), (_, c) = steps[k], steps[k + 1]
         b = spmm(op, b1)
         b *= a
-        b += grads[k]
+        b += grad(k)
         if c:
             b -= b2 if c == 1.0 else c * b2
         b1, b2 = b, b1

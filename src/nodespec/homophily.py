@@ -8,9 +8,10 @@ C-class uniform neighborhood scores ln C, so both fall inside the entropy
 histograms' range [0, ln C].
 
 ``homophily_report`` counts labels once per scope, an n x C matrix (1-hop
-from A, within-2 from the pattern of (A + I)^2 less the node itself), and
-reads both statistics from it: homophily as counts[i, y_i] / size_i and
-entropy from counts / size.
+from A, within-2 from the pattern of (A + I)^2 less the node itself, built
+and counted a row block at a time), and reads both statistics from it:
+homophily as counts[i, y_i] / size_i and entropy from counts / size. Its
+labels must be class ids below its class count.
 
 The proposition checks quantify a two-step Markov chain on labels: each hop
 keeps the label with probability alpha and otherwise moves uniformly to one
@@ -30,6 +31,11 @@ from .graph import Graph, adjacency, node_ids
 # two gathered adjacency row blocks hold block * mean degree entries each;
 # gathering all pairs at once took 7x the report's memory at 2e6 pairs.
 JACCARD_BLOCK_PAIRS = 16384
+
+# Stored entries per row block of the within-2 pattern, per entry of the
+# n x C count matrix: at 4, a block's product holds about 6 times the bytes
+# of the counts, where the whole pattern holds about n d^2 entries.
+WITHIN2_BLOCK_ENTRIES = 4
 
 HOP1 = "hop1"
 WITHIN2 = "within2"
@@ -105,14 +111,29 @@ def _entropy(counts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     return np.minimum(0.0 - plogp.sum(axis=1), np.log(p.shape[1]))
 
 
-def _within2_pattern(a: sp.csr_array) -> sp.csr_array:
-    """0/1 pattern of (A + I)^2: every node within two hops, itself included.
-    Each stored entry of the product is a sum of positive terms, so none is
-    zero and its values are overwritten with ones in place."""
-    loops = a + sp.eye_array(a.shape[0])
-    p = loops @ loops
+def _within2_rows(loops: sp.csr_array, lo: int, hi: int) -> sp.csr_array:
+    """0/1 pattern of rows lo:hi of (A + I)^2, from loops = A + I: every node
+    within two hops of each row's node, itself included. Each stored entry
+    of the product is a sum of positive terms, so none is zero and its
+    values are overwritten with ones in place."""
+    p = loops[lo:hi] @ loops
     p.data[:] = 1.0
     return p
+
+
+def _row_blocks(loops: sp.csr_array, budget: int) -> list:
+    """(lo, hi) row ranges that tile loops = A + I in order, each as long as
+    its rows of (A + I)^2 fit ``budget`` stored entries by the bound
+    sum_{u in N[v]} (deg u + 1) on row v, one SpMV; a row past the budget
+    is a block of its own."""
+    bound = loops @ np.diff(loops.indptr)
+    ends = np.concatenate(([0.0], np.cumsum(bound)))
+    blocks, lo = [], 0
+    while lo < len(bound):
+        hi = int(np.searchsorted(ends, ends[lo] + budget, "right")) - 1
+        blocks.append((lo, max(hi, lo + 1)))
+        lo = blocks[-1][1]
+    return blocks
 
 
 def _scoped_label_counts(g: Graph, labels: np.ndarray, scopes,
@@ -121,7 +142,11 @@ def _scoped_label_counts(g: Graph, labels: np.ndarray, scopes,
     each scope in turn, from one adjacency.
 
     C is class_count or one more than the largest label, if that is larger.
-    The within-2 counts are those of (A + I)^2's pattern less the node itself.
+    The within-2 counts are those of (A + I)^2's pattern less the node
+    itself, counted over the ``_row_blocks`` of WITHIN2_BLOCK_ENTRIES n C
+    stored entries, so the whole pattern, about n d^2 entries at mean
+    degree d, never exists. The counts are sums of ones, exact however the
+    rows are blocked.
     """
     a = adjacency(g)
     width = max(class_count, int(labels.max(initial=-1)) + 1)
@@ -131,7 +156,11 @@ def _scoped_label_counts(g: Graph, labels: np.ndarray, scopes,
         if scope == HOP1:
             counts = a @ onehot
         elif scope == WITHIN2:
-            counts = _within2_pattern(a) @ onehot
+            loops = a + sp.eye_array(g.n)
+            counts = np.empty_like(onehot)
+            for lo, hi in _row_blocks(loops,
+                                      WITHIN2_BLOCK_ENTRIES * onehot.size):
+                counts[lo:hi] = _within2_rows(loops, lo, hi) @ onehot
             counts -= onehot
         else:
             raise ValueError(f"unknown scope {scope!r}")
@@ -170,11 +199,16 @@ def homophily_report(g: Graph, labels, class_count: int,
     """Per-node 1-hop and within-2 homophily and label entropy, the graph
     ratio, and their histograms, from one label count matrix per scope.
 
-    Labels are the non-negative class ids the entropy is taken over.
+    Labels are the class ids 0..class_count - 1 the entropy is taken over;
+    another id raises ValueError, as its node's entropy could pass ln C, the
+    histograms' top edge, and drop out of them.
     """
     labels = np.asarray(labels)
     if labels.min(initial=0) < 0:
         raise ValueError("labels must be non-negative class ids")
+    if labels.max(initial=0) >= class_count:
+        raise ValueError(f"label {labels.max()} is not a class id below "
+                         f"class_count {class_count}")
     (c1, n1), (c2, n2) = _scoped_label_counts(g, labels, (HOP1, WITHIN2),
                                               class_count)
     h1, h2 = _homophily(c1, n1, labels), _homophily(c2, n2, labels)

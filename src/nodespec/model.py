@@ -28,6 +28,10 @@ the gradient of constant features; the filtering-layer dropout; the
 (K+1, n, c) propagation stack, whose backward is
 the adjoint recursion ``autodiff.polynomial_adjoint``; and the combine
 (``_combine_layers``), which mixes the whole stack with its coefficients.
+The combine's backward hands the adjoint one layer gradient at a time, as
+Clenshaw's sum reaches it, so no (K+1, n, c) gradient stack exists but for
+the Bernstein basis, and the MLP's backward writes its hidden gradient over
+the trace's hidden array: ``backward`` consumes its trace.
 Every dropout (dp_l in the MLP, dp_p on the filtering layer) is drawn and
 applied a row block at a time by ``_dropout``, from uint16 draws: an element
 is kept when its draw is at least t = round(rate * 65536), so rates are
@@ -38,6 +42,8 @@ The appnp forward's MLP writes its output into layer 0 of the stack, and
 ``reuse``: it gives up x_d (when dropped), the hidden array, the stack, the
 dp_p keep-mask, H, eta and the logits, which the new forward overwrites, so
 a run holds one trace, not two, and the lent trace is stale afterwards.
+Between the two, the epoch's evaluation runs its MLP in that trace's hidden
+array.
 Evaluation is one function, ``_evaluate``, read by training's per-epoch
 check and by ``eval_outputs`` alike: sgc_like runs its forward without
 dropout over the precomputed stack; the appnp pipeline runs without
@@ -55,7 +61,7 @@ import json
 import math
 import struct
 from dataclasses import asdict, dataclass, field, fields
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -212,6 +218,10 @@ class ForwardTrace:
     dropped; ``propagation`` is the (basis, operator) pair of the appnp
     pipeline, None for sgc_like, whose stack is a constant input.
     ``attach_loss`` fills in the loss gradient of the logits and l2.
+    ``backward`` consumes the trace: it clears the loss gradient, so a
+    second ``backward`` raises until ``attach_loss`` runs again, and it
+    writes the hidden gradient over mlp.h, which no longer holds the
+    activations.
 
     An appnp trace whose backward has run may be passed to the next
     ``forward_appnp_like`` as ``reuse``. It then gives up its x_d (when
@@ -367,12 +377,15 @@ def _mlp_backward(g: np.ndarray, saved: MLPTrace, params: ModelParams,
                   grads: dict, x_grad: bool) -> Optional[np.ndarray]:
     """Put the MLP weight gradients for output gradient g in ``grads``;
     return the input gradient if ``x_grad``, else None: the appnp features
-    are constant, so their g @ W1^T is never formed."""
+    are constant, so their g @ W1^T is never formed. Once h's keep-mask and
+    h^T g are read, the hidden gradient g W2^T is written over saved.h."""
     grads["mlp.b2"] = g.sum(axis=0)
     grads["mlp.w2"] = saved.h.T @ g
-    g = g @ params["mlp.w2"].T
     # h > 0 is the ReLU's and the hidden mask's keep-mask at once
-    g *= saved.h > 0.0
+    keep = saved.h > 0.0
+    g = np.matmul(g, params["mlp.w2"].T, out=saved.h)
+    g *= keep
+    del keep
     if saved.scale is not None:
         g *= saved.scale
     grads["mlp.w1"] = saved.x_d.T @ g
@@ -419,11 +432,14 @@ def _combine_layers(z: np.ndarray, params: ModelParams, cfg: TrainConfig,
 
 def _combine_backward(g: np.ndarray, saved: CombineTrace,
                       params: ModelParams, grads: dict,
-                      z_grad: bool) -> Optional[np.ndarray]:
+                      z_grad: bool) -> Optional[Callable]:
     """Put the filter gradients for output gradient g in ``grads``; return
-    the stack gradient if ``z_grad``, else None (the sgc stack is
-    constant). H of fewer layers than eta has orders read the leading
-    layers of Z, so their A gradients sum over the orders."""
+    the stack gradient if ``z_grad`` as a function of k, the gradient
+    eta_k * g + dA_k W^T of layer k in an array of its own, else None (the
+    sgc stack is constant). Layers are asked for one at a time, so the
+    (K+1, n, c) gradient is never whole. H of fewer layers than eta has
+    orders read the leading layers of Z, so their A gradients sum over the
+    orders, and only those layers get the W^T term."""
     z, h, eta = saved.z, saved.h, saved.eta
     gamma, w = params["filter.gamma"], params.get("filter.w")
     d_eta = np.einsum("kic,ic->ki", z, g)
@@ -441,10 +457,14 @@ def _combine_backward(g: np.ndarray, saved: CombineTrace,
                              @ d_a.reshape(-1, d_a.shape[-1]))
     if not z_grad:
         return None
-    d_z = eta[:, :, None] * g
-    if w is not None:
-        d_z[:len(h)] += d_a @ w.T
-    return d_z
+
+    def layer_grad(k: int) -> np.ndarray:
+        d_z = eta[k][:, None] * g
+        if w is not None and k < len(h):
+            d_z += d_a[k] @ w.T
+        return d_z
+
+    return layer_grad
 
 
 def _check_finite(logits: np.ndarray, epoch: int = -1) -> None:
@@ -529,21 +549,25 @@ def forward_sgc_like(params: ModelParams, stack: PropagationStack,
 
 def _evaluate(params: ModelParams, features: np.ndarray,
               op: SparseOperator, stack: Optional[PropagationStack],
-              cfg: TrainConfig) -> tuple[np.ndarray, np.ndarray]:
+              cfg: TrainConfig, hidden: Optional[np.ndarray] = None
+              ) -> tuple[np.ndarray, np.ndarray]:
     """Logits and n x (K+1) coefficients of the configured pipeline without
     dropout. sgc_like runs ``forward_sgc_like`` over its precomputed stack.
     The appnp pipeline gives those of ``forward_appnp_like`` up to rounding,
     keeping nothing for a backward: the MLP runs on blocks of
-    EVAL_BLOCK_ROWS rows, and each layer is mixed into the output as
-    ``iter_layers`` yields it, in O(n (c + K)) memory but for the Bernstein
-    stack."""
+    EVAL_BLOCK_ROWS rows, each block's hidden array in its rows of
+    ``hidden`` when given, an (n, hidden) array it may overwrite; and each
+    layer is mixed into the output as ``iter_layers`` yields it, in
+    O(n (c + K)) memory but for the Bernstein stack."""
     if cfg.mode == "sgc_like":
         trace = forward_sgc_like(params, stack, cfg)
         return trace.logits, trace.coefficients
     x = np.asarray(features, dtype=cfg.dtype)
-    x0 = np.concatenate([_mlp(x[lo:lo + EVAL_BLOCK_ROWS], params, cfg, False,
-                              None)[0]
-                         for lo in range(0, len(x), EVAL_BLOCK_ROWS)])
+    x0 = np.concatenate([
+        _mlp(x[lo:lo + EVAL_BLOCK_ROWS], params, cfg, False, None,
+             reuse=None if hidden is None else
+             MLPTrace(None, None, hidden[lo:lo + EVAL_BLOCK_ROWS], None))[0]
+        for lo in range(0, len(x), EVAL_BLOCK_ROWS)])
     gamma, w = params["filter.gamma"], params.get("filter.w")
     eta = np.empty((cfg.order + 1, len(x0)), dtype=x0.dtype)
     out = np.zeros_like(x0)
@@ -589,23 +613,25 @@ def attach_loss(trace: ForwardTrace, labels: np.ndarray, index_set,
 def backward(trace: ForwardTrace) -> dict:
     """Gradients of the attached loss, keyed and ordered like the trace's
     params: the forward's stages in reverse order, then the penalty's
-    2 l2 p."""
+    2 l2 p. Consumes the trace: the loss gradient is cleared and mlp.h
+    overwritten (see ``ForwardTrace``)."""
     if trace.logits_grad is None:
         raise ValueError("attach_loss must run before backward")
     grads, params = {}, trace.params
+    g, trace.logits_grad = trace.logits_grad, None
     if trace.propagation is None:
         # sgc_like: logits = MLP(dropout(combine(stack)))
-        g = _mlp_backward(trace.logits_grad, trace.mlp, params, grads,
-                          x_grad=True)
+        g = _mlp_backward(g, trace.mlp, params, grads, x_grad=True)
         if trace.dropout is not None:
             g *= trace.dropout
             g *= trace.dropout_scale
         _combine_backward(g, trace.combine, params, grads, z_grad=False)
     else:
         # logits = combine(propagate(dropout(MLP(features))))
-        g = _combine_backward(trace.logits_grad, trace.combine, params, grads,
-                              z_grad=True)
-        g = polynomial_adjoint(*trace.propagation, g)
+        g = polynomial_adjoint(*trace.propagation,
+                               _combine_backward(g, trace.combine, params,
+                                                 grads, z_grad=True),
+                               len(trace.combine.eta) - 1)
         if trace.dropout is not None:
             g *= trace.dropout
             g *= trace.dropout_scale
@@ -733,7 +759,9 @@ def train(dataset: Dataset, split: Split, cfg: TrainConfig) -> TrainResult:
                                                reuse=trace)
                 attach_loss(trace, labels, train_idx, cfg.l2)
                 adam_step(params, backward(trace), adam, cfg.lr_l, cfg.lr_p)
-            logits = _evaluate(params, features, op, stack, cfg)[0]
+            # the trace's hidden array is free until the next forward
+            logits = _evaluate(params, features, op, stack, cfg,
+                               None if stack is not None else trace.mlp.h)[0]
         except DivergenceError as exc:
             raise DivergenceError("training diverged", epoch) from exc
 

@@ -52,9 +52,19 @@ class TestOps:
             calls.append(op)
             return spmm(op, y)
 
+        asked = []
+
+        def grad(k):
+            asked.append(k)
+            return grads[k].copy()
+
         monkeypatch.setattr(autodiff, "spmm", counting_spmm)
-        adjoint = polynomial_adjoint(basis, op, grads)
+        adjoint = polynomial_adjoint(basis, op, grad, order)
         assert len(calls) == order
+        # each layer once, and from K down unless bernstein mixes them all
+        assert sorted(asked) == list(range(order + 1))
+        if basis != "bernstein":
+            assert asked == list(range(order, -1, -1))
         assert adjoint.dtype == layers.dtype == dtype
         pairs = grads.astype(np.float64) * layers
         atol = 0.0 if dtype == np.float64 else 1e-5 * np.abs(pairs).sum()
@@ -68,7 +78,7 @@ class TestOps:
               else chebyshev_operator(g, 2.0))
         grads = rng.standard_normal((1, 3, 2))
         before = grads.copy()
-        adjoint = polynomial_adjoint(basis, op, grads)
+        adjoint = polynomial_adjoint(basis, op, lambda k: grads[k].copy(), 0)
         np.testing.assert_array_equal(adjoint, before[0])
         adjoint[...] = 7.0
         np.testing.assert_array_equal(grads, before)

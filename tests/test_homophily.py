@@ -2,18 +2,20 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nodespec import homophily
-from nodespec.graph import Graph, build_graph, hop_distances
+from nodespec.graph import Graph, adjacency, build_graph, hop_distances
 from nodespec.homophily import (HOP1, WITHIN2, graph_homophily,
                                 histogram, homophily_report,
                                 jaccard_neighbor_distances,
                                 per_node_homophily,
                                 proposition_closed_forms,
                                 proposition_monte_carlo)
-from nodespec.synthetic import er_graph, star_graph
+from nodespec.synthetic import (er_graph, planted_partition_dataset,
+                                star_graph)
 
 
 # Per-node and per-pair references for the batched statistics, from a
@@ -131,22 +133,98 @@ def test_per_node_metrics_match_single_node_api(g, scope):
     np.testing.assert_array_equal(s, s_want)
 
 
-def test_report_builds_adjacency_and_within2_pattern_once():
+def test_report_builds_adjacency_once_and_every_row_in_one_block():
     g = _graph_with_isolated_nodes()
     labels = np.random.default_rng(6).integers(0, 3, size=g.n)
     with mock.patch.object(homophily, "adjacency",
                            wraps=homophily.adjacency) as adj, \
-            mock.patch.object(homophily, "_within2_pattern",
-                              wraps=homophily._within2_pattern) as within2:
+            mock.patch.object(homophily, "_within2_rows",
+                              wraps=homophily._within2_rows) as within2:
         homophily_report(g, labels, class_count=3)
     assert adj.call_count == 1
-    assert within2.call_count == 1
+    blocks = [call.args[1:] for call in within2.call_args_list]
+    assert len(blocks) > 1
+    rows = np.concatenate([np.arange(lo, hi) for lo, hi in blocks])
+    np.testing.assert_array_equal(rows, np.arange(g.n))
+
+
+def _whole_pattern_within2_counts(g: Graph, labels, width: int) -> np.ndarray:
+    """The within-2 label counts from the whole 0/1 pattern of (A + I)^2,
+    less each node's own label: the reference the row blocks must match."""
+    loops = adjacency(g) + sp.eye_array(g.n)
+    pattern = loops @ loops
+    pattern.data[:] = 1.0
+    onehot = (np.asarray(labels)[:, None] == np.arange(width)).astype(float)
+    return pattern @ onehot - onehot
+
+
+@pytest.mark.parametrize("entries", [homophily.WITHIN2_BLOCK_ENTRIES, 1])
+@pytest.mark.parametrize("g", [
+    _graph_with_isolated_nodes(),
+    build_graph([(i, j) for i, j in np.random.default_rng(8).integers(
+        0, 150, size=(400, 2)) if i != j], 160),
+    build_graph([], 5),
+    star_graph(300)], ids=["er_plus_isolated", "random_plus_isolated",
+                           "edgeless", "hub"])
+def test_blocked_within2_counts_equal_the_whole_pattern(g, entries):
+    # counts are sums of ones, so the blocking changes no byte; at one
+    # entry per count the star's hub row, 901 stored entries by the bound,
+    # is past the budget of 602 and makes a block of its own
+    labels = np.random.default_rng(9).integers(0, 2, size=g.n)
+    want = _whole_pattern_within2_counts(g, labels, 2)
+    blocks = []
+    row_blocks = homophily._row_blocks
+
+    def watched(loops, budget):
+        blocks.extend(row_blocks(loops, budget))
+        return blocks
+
+    with mock.patch.object(homophily, "WITHIN2_BLOCK_ENTRIES", entries), \
+            mock.patch.object(homophily, "_row_blocks", watched):
+        (counts, sizes), = homophily._scoped_label_counts(g, labels,
+                                                          (WITHIN2,), 2)
+    assert counts.tobytes() == want.tobytes()
+    assert sizes.tobytes() == want.sum(axis=1).tobytes()
+    if g.n == 301 and entries == 1:
+        assert blocks[0] == (0, 1)
+
+
+def test_row_blocks_tile_the_rows_within_the_budget():
+    g = _graph_with_isolated_nodes()
+    loops = adjacency(g) + sp.eye_array(g.n)
+    budget = 60
+    blocks = homophily._row_blocks(loops, budget)
+    assert [lo for lo, _ in blocks] == [0] + [hi for _, hi in blocks[:-1]]
+    assert blocks[-1][1] == g.n
+    for lo, hi in blocks:
+        assert hi > lo
+        if hi - lo > 1:
+            assert homophily._within2_rows(loops, lo, hi).nnz <= budget
+
+
+def test_report_peak_is_bounded_by_the_counts(traced_peak):
+    # degree about 55 on 2,000 nodes in 4 classes: the whole (A + I)^2
+    # pattern took the report to about 735 times the n x C float64 counts;
+    # row blocks of 4 n C entries leave the adjacency, A + I, one block and
+    # the per-node arrays. The bound was fixed before the blocks were
+    # measured.
+    ds = planted_partition_dataset(n=2000, classes=4, feature_dim=4)
+    peak = traced_peak(lambda: homophily_report(ds.graph, ds.labels, 4))[1]
+    assert peak < 100 * ds.n * ds.class_count * 8
 
 
 def test_report_rejects_negative_labels(triangle):
     # a negative id would count nowhere and read another class's column
     with pytest.raises(ValueError, match="non-negative"):
         homophily_report(triangle, [-1, 0, 0], class_count=2)
+
+
+def test_report_rejects_labels_past_class_count():
+    # node 0 sees three classes, entropy ln 3, past the top edge ln 2 of a
+    # two-class histogram, where it would have dropped out of the counts
+    g = build_graph([(0, 1), (0, 2), (0, 3)], 4)
+    with pytest.raises(ValueError, match="label 2 .*class_count 2"):
+        homophily_report(g, [0, 1, 2, 0], class_count=2)
 
 
 class TestGraphHomophily:

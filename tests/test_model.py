@@ -245,6 +245,23 @@ class TestForward:
             assert a.dtype == b.dtype == cfg.dtype and a.shape == b.shape
             np.testing.assert_allclose(a, b, rtol=0.0, atol=atol, err_msg=name)
 
+    @pytest.mark.parametrize("basis", polyfilter.BASES)
+    def test_evaluation_in_a_lent_hidden_array_changes_no_byte(
+            self, toy, basis, monkeypatch):
+        # training's per-epoch check runs its MLP blocks in the rows of the
+        # trace's hidden array, which it overwrites
+        monkeypatch.setattr(model, "EVAL_BLOCK_ROWS", 7)
+        cfg = base_config(basis=basis)
+        params = model.init_params(cfg, toy.feature_dim, toy.class_count,
+                                   np.random.default_rng(6))
+        op = model.build_operator(toy.graph, cfg)
+        want = model._evaluate(params, toy.features, op, None, cfg)
+        hidden = np.full((toy.n, cfg.hidden), np.nan)
+        got = model._evaluate(params, toy.features, op, None, cfg, hidden)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        assert not np.isnan(hidden).any()
+
     @pytest.mark.parametrize("block_rows, blocks", [(8, [8, 8, 4]),
                                                     (None, [20])],
                              ids=["blocks-of-8", "one-block"])
@@ -264,9 +281,9 @@ class TestForward:
         def no_stack(*args):
             raise AssertionError("the evaluation built the whole stack")
 
-        def watched_mlp(x, *args):
+        def watched_mlp(x, *args, **kwargs):
             rows.append(len(x))
-            return mlp(x, *args)
+            return mlp(x, *args, **kwargs)
 
         mlp = model._mlp
         monkeypatch.setattr(model, "polynomial_layers", no_stack)
@@ -463,8 +480,9 @@ class TestGradients:
                                                cfg)
             got = {}
             # 2 out is the gradient of sum(out ** 2)
-            got["stack"] = model._combine_backward(2.0 * out, saved, params,
-                                                   got, z_grad=True)
+            layer_grad = model._combine_backward(2.0 * out, saved, params,
+                                                 got, z_grad=True)
+            got["stack"] = np.stack([layer_grad(k) for k in range(len(z))])
             filters = {"filter.gamma"} | (set() if mode == "global_only"
                                           else {"filter.w"})
             assert got.keys() == filters | {"stack"}
@@ -473,6 +491,51 @@ class TestGradients:
         for name, g64 in grads["float64"].items():
             np.testing.assert_allclose(grads["float32"][name], g64,
                                        rtol=1e-4, atol=1e-5 * np.abs(g64).max())
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @pytest.mark.parametrize("variant", [dict(static_coefficients=True),
+                                         dict(rank=3),
+                                         dict(mode="global_only")],
+                             ids=["static", "rank3", "global"])
+    @pytest.mark.parametrize("basis", polyfilter.BASES)
+    def test_streamed_adjoint_equals_the_stacked_one(self, basis, variant,
+                                                     dtype):
+        # one layer gradient at a time gives the bytes of the whole
+        # (K+1, n, c) gradient stack, and the same filter gradients
+        ds = planted_partition_dataset(n=300, classes=4, feature_dim=8)
+        cfg = base_config(basis=basis, precision=dtype, order=6, dp_l=0.2,
+                          dp_p=0.2, **variant)
+        params = model.init_params(cfg, ds.feature_dim, ds.class_count,
+                                   np.random.default_rng(4))
+        op = model.build_operator(ds.graph, cfg)
+        trace = model.forward_appnp_like(params, ds.features, op, cfg, True,
+                                         np.random.default_rng(5))
+        g = np.random.default_rng(6).standard_normal(
+            trace.logits.shape).astype(cfg.dtype)
+        got, want = {}, {}
+        streamed = autodiff.polynomial_adjoint(
+            basis, op, model._combine_backward(g, trace.combine, params, got,
+                                               z_grad=True), cfg.order)
+        stacked = stacked_combine_adjoint(g, trace.combine, params, want,
+                                          basis, op)
+        assert streamed.dtype == stacked.dtype == cfg.dtype
+        assert streamed.tobytes() == stacked.tobytes()
+        assert got.keys() == want.keys()
+        for name, arr in want.items():
+            assert got[name].tobytes() == arr.tobytes(), name
+
+    @pytest.mark.parametrize("mode", ["appnp_like", "sgc_like"])
+    def test_backward_consumes_its_trace(self, toy, mode):
+        # the backward writes the hidden gradient over the trace's hidden
+        # array, so a second one would read it as activations
+        cfg = base_config(mode=mode, dp_l=0.3, dp_p=0.3)
+        params = model.init_params(cfg, toy.feature_dim, toy.class_count,
+                                   np.random.default_rng(0))
+        trace, _ = eval_loss(params, toy, cfg, np.arange(10), dropout_seed=1)
+        model.backward(trace)
+        assert trace.logits_grad is None
+        with pytest.raises(ValueError, match="attach_loss must run before"):
+            model.backward(trace)
 
     def test_monomial_appnp_gradcheck(self, toy):
         failures = finite_difference_check(
@@ -490,6 +553,45 @@ class TestGradients:
         np.testing.assert_allclose(
             grads["filter.w"],
             2 * cfg.l2 * params["filter.w"], atol=1e-12)
+
+
+def stacked_combine_adjoint(g, saved, params, grads, basis, op):
+    """The combine and propagation backward through one whole (K+1, n, c)
+    layer-gradient stack, eta_k g + dA_k W^T, summed by Clenshaw over the
+    stack: the reference the streamed backward must reproduce bit for bit.
+    Puts the filter gradients in ``grads`` and returns the input gradient."""
+    z, h, eta = saved.z, saved.h, saved.eta
+    gamma, w = params["filter.gamma"], params.get("filter.w")
+    d_eta = np.einsum("kic,ic->ki", z, g)
+    d_z = eta[:, :, None] * g
+    if w is None:
+        grads["filter.gamma"] = d_eta.sum(axis=1, keepdims=True)
+    else:
+        grads["filter.gamma"] = np.matmul(d_eta[:, None, :], h)[:, 0, :]
+        d_a = d_eta[:, :, None] * gamma[:, None, :]
+        if len(h) < len(eta):
+            d_a = d_a.sum(axis=0, keepdims=True)
+        d_a *= h
+        d_a *= 1.0 - h
+        z_a = z[:len(h)]
+        grads["filter.w"] = (z_a.reshape(-1, z_a.shape[-1]).T
+                             @ d_a.reshape(-1, d_a.shape[-1]))
+        d_z[:len(h)] += d_a @ w.T
+    order = len(d_z) - 1
+    if basis == "bernstein":
+        d_z = np.tensordot(
+            polyfilter.bernstein_change(order).astype(d_z.dtype), d_z, (1, 0))
+    steps = polyfilter.recurrence(basis, order) + [(0.0, 0.0)]
+    b1, b2 = d_z[order].copy(), None
+    for k in range(order - 1, -1, -1):
+        (a, _), (_, c) = steps[k], steps[k + 1]
+        b = graph.spmm(op, b1)
+        b *= a
+        b += d_z[k]
+        if c:
+            b -= b2 if c == 1.0 else c * b2
+        b1, b2 = b, b1
+    return b1
 
 
 def generic_op_mlp(x, params, rate, training, rng, x_grad):
@@ -704,6 +806,20 @@ class TestFusedMLP:
         split = make_split(ds.n, "dense", seed=0)
         peak = traced_peak(lambda: model.train(ds, split, cfg))[1]
         assert peak < 7.5 * ds.features.nbytes
+
+    @pytest.mark.parametrize("basis", ["chebyshev", "monomial"])
+    def test_a_training_run_streams_its_backward(self, traced_peak, basis):
+        # the backward hands the adjoint one layer gradient at a time and
+        # writes the hidden gradient over the trace's hidden array, where
+        # the evaluation then runs. With the (K+1, n, c) gradient stack and
+        # a fresh hidden gradient, a run at this setting peaked at 6.85 to
+        # 6.91 feature sizes; the bound was fixed before measuring the
+        # streamed backward
+        ds = planted_partition_dataset(n=2000, classes=4, feature_dim=64)
+        cfg = model.TrainConfig(hidden=64, dp_l=0.5, epochs=6, basis=basis)
+        split = make_split(ds.n, "dense", seed=0)
+        peak = traced_peak(lambda: model.train(ds, split, cfg))[1]
+        assert peak < 6.2 * ds.features.nbytes
 
     @pytest.mark.parametrize("dtype", ["float64", "float32"])
     @pytest.mark.parametrize("mode, static", [("appnp_like", False),
