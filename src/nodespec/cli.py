@@ -41,6 +41,11 @@ MODE_ALIASES = {
 }
 
 
+# Rows of node_metrics.csv formatted at a time, so its text and Python
+# objects are bounded by the block, not by the node count.
+NODE_METRICS_BLOCK_ROWS = 16384
+
+
 class UsageError(Exception):
     """Flags that parse but do not go together; ``main`` exits 2 on it."""
 
@@ -49,6 +54,16 @@ def _fmt(x) -> str:
     if x is None or (isinstance(x, float) and np.isnan(x)):
         return "nan"
     return f"{x:.17g}" if isinstance(x, float) else str(x)
+
+
+def _g17(values: np.ndarray) -> list:
+    """``"{:.17g}"`` of each float64 value, "nan" for NaN as in ``_fmt``.
+    Each distinct bit pattern is formatted once: a report column holds few
+    distinct ratios, and a float format costs more than a list lookup."""
+    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    text = np.array([f"{v:.17g}" for v in bits.view(np.float64).tolist()],
+                    dtype=object)
+    return text[inverse].tolist()
 
 
 def _write_csv(path, header: str, rows) -> None:
@@ -288,13 +303,14 @@ def cmd_analyze(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     rep = homophily.homophily_report(dataset.graph, dataset.labels,
                                      dataset.class_count, args.bins)
-    rows = np.column_stack([rep.per_node_h1, rep.per_node_h_within2,
-                            rep.per_node_s1, rep.per_node_s_within2]).tolist()
+    columns = (rep.per_node_h1, rep.per_node_h_within2, rep.per_node_s1,
+               rep.per_node_s_within2)
     with open(out / "node_metrics.csv", "w", encoding="utf-8") as fh:
         fh.write("node,h_hop1,h_within2,entropy_hop1,entropy_within2\n")
-        # "{:.17g}" prints NaN as "nan", as _fmt does
-        fh.writelines("{},{:.17g},{:.17g},{:.17g},{:.17g}\n".format(v, *row)
-                      for v, row in enumerate(rows))
+        for lo in range(0, dataset.n, NODE_METRICS_BLOCK_ROWS):
+            block = [_g17(c[lo:lo + NODE_METRICS_BLOCK_ROWS]) for c in columns]
+            fh.writelines(f"{v},{a},{b},{c},{d}\n" for v, a, b, c, d
+                          in zip(range(lo, dataset.n), *block))
     histograms = (("h_hop1", rep.histogram_h1),
                   ("h_within2", rep.histogram_h_within2),
                   ("entropy_hop1", rep.histogram_s1),
@@ -470,27 +486,22 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="nodespec",
-        description="Node-oriented spectral filtering toolkit")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("analyze", help="homophily and entropy reports")
+def _analyze_args(p: argparse.ArgumentParser) -> None:
     _add_dataset_args(p)
     p.add_argument("--bins", type=_positive_int, default=10)
     p.add_argument("--out-dir", default="reports")
     p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("prop-sim",
-                       help="closed-form vs Monte-Carlo label-chain checks")
+
+def _prop_sim_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--alpha", type=_unit_float, required=True)
     p.add_argument("--classes", type=_int_at_least(2), required=True)
     p.add_argument("--samples", type=_positive_int, default=1_000_000)
     p.add_argument("--seed", type=_int, default=0)
     p.set_defaults(func=cmd_prop_sim)
 
-    p = sub.add_parser("train", help="train a model and save artifacts")
+
+def _train_args(p: argparse.ArgumentParser) -> None:
     _add_dataset_args(p)
     _add_train_args(p)
     p.add_argument("--checkpoint", help="checkpoint output path")
@@ -498,7 +509,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--save-split", help="write the resolved split as JSON")
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("eval", help="evaluate a checkpoint")
+
+def _eval_args(p: argparse.ArgumentParser) -> None:
     _add_dataset_args(p)
     _add_split_args(p, "read from the checkpoint")
     p.add_argument("--checkpoint", required=True)
@@ -510,8 +522,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", default="reports")
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("filter-response",
-                       help="tabulate filter responses on a lambda grid")
+
+def _filter_response_args(p: argparse.ArgumentParser) -> None:
     _add_dataset_args(p)
     source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("--checkpoint")
@@ -527,16 +539,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=cmd_filter_response)
 
-    p = sub.add_parser("oracle-check",
-                       help="sparse pipeline vs dense spectral oracle")
+
+def _oracle_check_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", type=_oracle_size, default=32)
     p.add_argument("--trials", type=_positive_int, default=50)
     p.add_argument("--seed", type=_int, default=0)
     p.set_defaults(func=cmd_oracle_check)
 
-    # no abbreviations, so --order and --rank are not read as --orders/--ranks
-    p = sub.add_parser("sweep", help="order x rank accuracy grid",
-                       allow_abbrev=False)
+
+def _sweep_args(p: argparse.ArgumentParser) -> None:
     _add_dataset_args(p)
     _add_train_args(p, grid=True)
     p.add_argument("--orders", type=_int64_tokens("order"), default="1,3,5,10")
@@ -545,13 +556,48 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=cmd_sweep)
 
-    for p in sub.choices.values():
+
+# Each subcommand: its add_parser keywords and the builder of its arguments.
+# The builders are apart because each add_argument costs a help formatter and
+# a terminal-size query, and a run needs only its own command's arguments.
+COMMANDS = {
+    "analyze": ({"help": "homophily and entropy reports"}, _analyze_args),
+    "prop-sim": ({"help": "closed-form vs Monte-Carlo label-chain checks"},
+                 _prop_sim_args),
+    "train": ({"help": "train a model and save artifacts"}, _train_args),
+    "eval": ({"help": "evaluate a checkpoint"}, _eval_args),
+    "filter-response": ({"help": "tabulate filter responses on a lambda "
+                                 "grid"}, _filter_response_args),
+    "oracle-check": ({"help": "sparse pipeline vs dense spectral oracle"},
+                     _oracle_check_args),
+    # no abbreviations, so --order and --rank are not read as --orders/--ranks
+    "sweep": ({"help": "order x rank accuracy grid", "allow_abbrev": False},
+              _sweep_args),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The nodespec parser, every subcommand registered by name and help.
+    Only ``command``'s subparser gets its arguments, or, with no
+    ``command``, every subparser does."""
+    parser = argparse.ArgumentParser(
+        prog="nodespec",
+        description="Node-oriented spectral filtering toolkit")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (keywords, add_arguments) in COMMANDS.items():
+        p = sub.add_parser(name, **keywords)
+        if command in (None, name):
+            add_arguments(p)
         p.set_defaults(command_parser=p)
     return parser
 
 
 def main(argv=None) -> int:
-    args, unknown = build_parser().parse_known_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # a first token that names no command (help, a typo, a flag before the
+    # command) gets the whole parser, so every message stays argparse's own
+    command = argv[0] if argv and argv[0] in COMMANDS else None
+    args, unknown = build_parser(command).parse_known_args(argv)
     if unknown:
         # argparse would report them under the top-level usage
         args.command_parser.error(

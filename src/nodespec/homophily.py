@@ -34,7 +34,9 @@ JACCARD_BLOCK_PAIRS = 16384
 
 # Stored entries per row block of the within-2 pattern, per entry of the
 # n x C count matrix: at 4, a block's product holds about 6 times the bytes
-# of the counts, where the whole pattern holds about n d^2 entries.
+# of the counts, where the whole pattern holds about n d^2 entries. The
+# budget is never below nnz(A + I), a transient no larger than the A + I the
+# count already holds, so a dense graph is not cut into blocks of few rows.
 WITHIN2_BLOCK_ENTRIES = 4
 
 HOP1 = "hop1"
@@ -144,9 +146,10 @@ def _scoped_label_counts(g: Graph, labels: np.ndarray, scopes,
     C is class_count or one more than the largest label, if that is larger.
     The within-2 counts are those of (A + I)^2's pattern less the node
     itself, counted over the ``_row_blocks`` of WITHIN2_BLOCK_ENTRIES n C
-    stored entries, so the whole pattern, about n d^2 entries at mean
-    degree d, never exists. The counts are sums of ones, exact however the
-    rows are blocked.
+    stored entries, or of nnz(A + I) where that is more, so the whole
+    pattern, about n d^2 entries at mean degree d, never exists, and it
+    takes about d blocks at most. The counts are sums of ones, exact however
+    the rows are blocked.
     """
     a = adjacency(g)
     width = max(class_count, int(labels.max(initial=-1)) + 1)
@@ -158,8 +161,8 @@ def _scoped_label_counts(g: Graph, labels: np.ndarray, scopes,
         elif scope == WITHIN2:
             loops = a + sp.eye_array(g.n)
             counts = np.empty_like(onehot)
-            for lo, hi in _row_blocks(loops,
-                                      WITHIN2_BLOCK_ENTRIES * onehot.size):
+            budget = max(WITHIN2_BLOCK_ENTRIES * onehot.size, loops.nnz)
+            for lo, hi in _row_blocks(loops, budget):
                 counts[lo:hi] = _within2_rows(loops, lo, hi) @ onehot
             counts -= onehot
         else:

@@ -11,13 +11,26 @@ import numpy as np
 import pytest
 
 import nodespec
-from nodespec import model
+from nodespec import cli, model
 from nodespec.cli import _train_config, build_parser, main
-from nodespec.data import (load_named_dataset, load_split, make_split,
-                           save_dataset, save_split)
-from nodespec.graph import estimate_lambda_max, normalized_laplacian
+from nodespec.data import (Dataset, load_named_dataset, load_split,
+                           make_split, save_dataset, save_split)
+from nodespec.graph import (build_graph, estimate_lambda_max,
+                            normalized_laplacian)
+from nodespec.homophily import homophily_report
 from nodespec.polyfilter import basis_matrix
 from nodespec.synthetic import planted_partition_dataset
+
+# Each subcommand and its line in the top-level help.
+COMMAND_HELP = {
+    "analyze": "homophily and entropy reports",
+    "prop-sim": "closed-form vs Monte-Carlo label-chain checks",
+    "train": "train a model and save artifacts",
+    "eval": "evaluate a checkpoint",
+    "filter-response": "tabulate filter responses on a lambda grid",
+    "oracle-check": "sparse pipeline vs dense spectral oracle",
+    "sweep": "order x rank accuracy grid",
+}
 
 
 @pytest.fixture(scope="module")
@@ -58,6 +71,95 @@ def test_analyze_writes_reports(data_root, tmp_path, capsys):
     assert node_csv.count("\n") == 61  # header + one row per node
     hist_csv = (tmp_path / "reports" / "histograms.csv").read_text()
     assert "h_hop1" in hist_csv and "entropy_within2" in hist_csv
+
+
+def test_node_metrics_bytes_equal_the_per_row_rendering(tmp_path, capsys,
+                                                       monkeypatch):
+    # the last node is isolated, so its row reads nan; blocks of 16 rows
+    # cut the 41 nodes in three
+    ds = planted_partition_dataset(n=40, classes=2, p_in=0.2, p_out=0.02,
+                                   feature_dim=3, seed=3)
+    edges = [(i, int(j)) for i in range(ds.n) for j in ds.graph.neighbors(i)
+             if i < j]
+    save_dataset(Dataset(build_graph(edges, ds.n + 1),
+                         np.vstack([ds.features, np.zeros((1, 3))]),
+                         np.append(ds.labels, 1), 2, name="iso"), tmp_path)
+    monkeypatch.setattr(cli, "NODE_METRICS_BLOCK_ROWS", 16)
+    code, _, _ = run_cli(capsys, "analyze", "--dataset", "iso",
+                         "--data-root", tmp_path,
+                         "--out-dir", tmp_path / "reports")
+    assert code == 0
+    iso = load_named_dataset(tmp_path, "iso")
+    rep = homophily_report(iso.graph, iso.labels, 2)
+    rows = np.column_stack([rep.per_node_h1, rep.per_node_h_within2,
+                            rep.per_node_s1, rep.per_node_s_within2]).tolist()
+    want = "node,h_hop1,h_within2,entropy_hop1,entropy_within2\n" + "".join(
+        "{},{:.17g},{:.17g},{:.17g},{:.17g}\n".format(v, *row)
+        for v, row in enumerate(rows))
+    assert (tmp_path / "reports" / "node_metrics.csv").read_bytes() == \
+        want.encode()
+    cells = [line.split(",") for line in want.splitlines()[1:]]
+    assert cells[-1] == ["40", "nan", "nan", "nan", "nan"]
+    assert {"0", "1"} <= {cell for row in cells for cell in row[1:]}
+
+
+def _subparsers(parser: argparse.ArgumentParser) -> dict:
+    return next(a for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def _type_key(t):
+    """A flag's type by name and captured values: the type factories make a
+    new closure for each parser built."""
+    cells = getattr(t, "__closure__", None) or ()
+    return (getattr(t, "__qualname__", t),
+            tuple(_type_key(c.cell_contents) for c in cells))
+
+
+def _parser_key(p: argparse.ArgumentParser):
+    actions = [(type(a), a.option_strings, a.dest, a.default,
+                _type_key(a.type), a.required, a.choices, a.nargs, a.const,
+                a.help, a.metavar) for a in p._actions]
+    exclusive = [(g.required, [a.dest for a in g._group_actions])
+                 for g in p._mutually_exclusive_groups]
+    defaults = {k: v for k, v in p._defaults.items() if k != "command_parser"}
+    return actions, exclusive, defaults, p.allow_abbrev, p.format_help()
+
+
+@pytest.mark.parametrize("command", list(COMMAND_HELP))
+def test_one_command_parser_equals_its_part_of_the_whole(command):
+    whole = _subparsers(build_parser())
+    alone = _subparsers(build_parser(command))
+    assert list(alone) == list(whole) == list(COMMAND_HELP)
+    assert _parser_key(alone[command]) == _parser_key(whole[command])
+    assert alone[command].get_default("command_parser") is alone[command]
+    # the other commands are registered by name and help alone
+    for other, p in alone.items():
+        if other != command:
+            assert [a.dest for a in p._actions] == ["help"]
+
+
+@pytest.mark.parametrize("argv, built", [
+    (["prop-sim", "--alpha", "0.5", "--classes", "3", "--samples", "10"],
+     "prop-sim"),
+    # a first token that names no command gets the whole parser
+    (["--no-such-flag", "prop-sim"], None),
+    ([], None)], ids=["command", "flag-first", "empty"])
+def test_main_builds_the_named_command_alone(monkeypatch, capsys, argv,
+                                             built):
+    asked = []
+
+    def watched(command=None):
+        asked.append(command)
+        return build_parser(command)
+
+    monkeypatch.setattr(cli, "build_parser", watched)
+    try:
+        main(argv)
+    except SystemExit:
+        pass
+    capsys.readouterr()
+    assert asked == [built]
 
 
 def test_prop_sim_matches_closed_form(capsys):
@@ -272,8 +374,10 @@ def test_entry_point_lists_the_commands():
                           env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 0, proc.stderr
     commands = re.search(r"\{([^}]*)\}", proc.stdout).group(1).split(",")
-    assert commands == ["analyze", "prop-sim", "train", "eval",
-                        "filter-response", "oracle-check", "sweep"]
+    assert commands == list(COMMAND_HELP)
+    for command, line in COMMAND_HELP.items():
+        assert re.search(rf"^    {command} +{re.escape(line)}$", proc.stdout,
+                         re.M)
 
 
 @pytest.mark.parametrize("argv, message", [

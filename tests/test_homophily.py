@@ -164,12 +164,18 @@ def _whole_pattern_within2_counts(g: Graph, labels, width: int) -> np.ndarray:
     build_graph([(i, j) for i, j in np.random.default_rng(8).integers(
         0, 150, size=(400, 2)) if i != j], 160),
     build_graph([], 5),
-    star_graph(300)], ids=["er_plus_isolated", "random_plus_isolated",
-                           "edgeless", "hub"])
+    star_graph(300),
+    planted_partition_dataset(n=2000, classes=4, feature_dim=4, p_in=0.1,
+                              p_out=0.01).graph],
+    ids=["er_plus_isolated", "random_plus_isolated", "edgeless", "hub",
+         "dense"])
 def test_blocked_within2_counts_equal_the_whole_pattern(g, entries):
     # counts are sums of ones, so the blocking changes no byte; at one
-    # entry per count the star's hub row, 901 stored entries by the bound,
-    # is past the budget of 602 and makes a block of its own
+    # entry per count (602) the budget is its floor nnz(A + I) = 901, the
+    # star's hub row by the bound, so the hub makes a block of its own.
+    # The dense graph's bound sums to about n (d + 1)^2 at mean degree
+    # d = 65, so blocks of nnz(A + I) entries number about d; blocks of
+    # 4 n C entries numbered over 500.
     labels = np.random.default_rng(9).integers(0, 2, size=g.n)
     want = _whole_pattern_within2_counts(g, labels, 2)
     blocks = []
@@ -187,12 +193,16 @@ def test_blocked_within2_counts_equal_the_whole_pattern(g, entries):
     assert sizes.tobytes() == want.sum(axis=1).tobytes()
     if g.n == 301 and entries == 1:
         assert blocks[0] == (0, 1)
+    if g.n == 2000:
+        assert len(blocks) <= 1.1 * g.degrees().mean()
 
 
-def test_row_blocks_tile_the_rows_within_the_budget():
-    g = _graph_with_isolated_nodes()
+@pytest.mark.parametrize("g, budget", [
+    (_graph_with_isolated_nodes(), 60),
+    # the hub row, 901 stored entries by the bound, is past the budget
+    (star_graph(300), 602)], ids=["er_plus_isolated", "hub"])
+def test_row_blocks_tile_the_rows_within_the_budget(g, budget):
     loops = adjacency(g) + sp.eye_array(g.n)
-    budget = 60
     blocks = homophily._row_blocks(loops, budget)
     assert [lo for lo, _ in blocks] == [0] + [hi for _, hi in blocks[:-1]]
     assert blocks[-1][1] == g.n
@@ -200,14 +210,16 @@ def test_row_blocks_tile_the_rows_within_the_budget():
         assert hi > lo
         if hi - lo > 1:
             assert homophily._within2_rows(loops, lo, hi).nnz <= budget
+    if g.n == 301:
+        assert blocks[0] == (0, 1)
 
 
 def test_report_peak_is_bounded_by_the_counts(traced_peak):
     # degree about 55 on 2,000 nodes in 4 classes: the whole (A + I)^2
     # pattern took the report to about 735 times the n x C float64 counts;
-    # row blocks of 4 n C entries leave the adjacency, A + I, one block and
-    # the per-node arrays. The bound was fixed before the blocks were
-    # measured.
+    # row blocks of 4 n C entries, or nnz(A + I) where that is more, leave
+    # the adjacency, A + I, one block and the per-node arrays. The bound was
+    # fixed before the blocks were measured.
     ds = planted_partition_dataset(n=2000, classes=4, feature_dim=4)
     peak = traced_peak(lambda: homophily_report(ds.graph, ds.labels, 4))[1]
     assert peak < 100 * ds.n * ds.class_count * 8
