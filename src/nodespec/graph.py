@@ -4,7 +4,13 @@ The graph is immutable once built: symmetric adjacency with sorted rows, no
 self-loops, no duplicate edges. Its operators, the normalized Laplacian L
 and the scaled Laplacian 2 L / lambda_max - I, are symmetric ``scipy.sparse``
 CSR arrays: D^{-1/2} A D^{-1/2} is written directly on the adjacency's sorted
-pattern, and the diagonal is merged in by one subtraction, O(nnz), no sort.
+pattern, O(nnz), no sort. At lambda_max = 2 (L - I, on which the Chebyshev
+and Bernstein bases run) the diagonal is 0 in every row with a neighbour: on
+a graph without isolated nodes the operator shares the graph's
+``col_indices`` and ``row_offsets`` and owns only its values, and an
+isolated row's -1 is inserted as that row's only entry. L itself, and the
+scaled Laplacian at any other lambda_max, merge their diagonal in by one
+scipy subtraction and own all their arrays.
 
 The two functions that make a Graph, ``build_graph`` and
 ``induced_subgraph``, assemble its CSR arrays in place with numpy sorts,
@@ -177,22 +183,51 @@ def adjacency(g: Graph) -> sp.csr_array:
 
 def _shifted_laplacian(g: Graph, scale: float, shift: float) -> sp.csr_array:
     """scale * (I - D^{-1/2} A D^{-1/2}) - shift * I, with the isolated rows'
-    I entries left out, in one sparse subtraction.
+    I entries left out.
 
-    The diagonal is ``where(deg > 0, scale, 0) - shift``, and entry (i, j) of
-    the subtracted matrix is ``scale * d_i * d_j`` on A's pattern, so no
-    sparse matrix product runs. scipy prunes the zeros the subtraction leaves.
+    The diagonal is ``where(deg > 0, scale, 0) - shift`` and the off-diagonal
+    entry (i, j) is ``-scale * d_i * d_j`` on A's pattern, so no sparse
+    matrix product runs. Where the diagonal's non-zeros fall picks the
+    assembly, each giving the arrays of ``diags(diagonal) - off`` byte for
+    byte:
+
+    * nowhere (scale == shift, no isolated node): the negated products on
+      the graph's own ``col_indices`` and ``row_offsets``, shared, not
+      copied;
+    * only in isolated rows (scale == shift): each is its row's only entry,
+      inserted at the row's offset, with no merge;
+    * elsewhere, or a graph without edges (which scipy gives int32
+      indices): one scipy subtraction, which prunes the zeros it leaves.
     """
     deg = g.degrees()
     inv_sqrt = np.zeros(g.n)
     nz = deg > 0
     inv_sqrt[nz] = 1.0 / np.sqrt(deg[nz])
-    dad = np.repeat(inv_sqrt, deg) * inv_sqrt[g.col_indices]
-    dad *= scale
+    # scale - shift is the diagonal entry of every row with a neighbour;
     # scipy gives an empty product int32 indices
-    off = (sp.csr_array((dad, g.col_indices, g.row_offsets), shape=(g.n, g.n))
-           if g.edge_count else sp.csr_array((g.n, g.n)))
-    return sp.diags_array(np.where(nz, scale, 0.0) - shift) - off
+    merge = not g.edge_count or scale - shift != 0
+    dad = np.repeat(inv_sqrt, deg)
+    dad *= inv_sqrt[g.col_indices]
+    # unmerged, the products are negated: -x is 0 - x, as no product is 0
+    dad *= scale if merge else -scale
+    diag = np.where(nz, scale, 0.0)
+    diag -= shift
+    shape = (g.n, g.n)
+    if merge:
+        off = (sp.csr_array((dad, g.col_indices, g.row_offsets), shape=shape)
+               if g.edge_count else sp.csr_array(shape))
+        # a dia_array on diag itself, which diags_array would copy
+        return sp.dia_array((diag[None], [0]), shape=shape) - off
+    lone = np.flatnonzero(diag)
+    if not lone.size:
+        return sp.csr_array((dad, g.col_indices, g.row_offsets), shape=shape)
+    at = g.row_offsets[lone]
+    data = np.insert(dad, at, diag[lone])
+    del dad
+    offsets = g.row_offsets.copy()
+    offsets[1:] += np.cumsum(diag != 0)
+    return sp.csr_array((data, np.insert(g.col_indices, at, lone), offsets),
+                        shape=shape)
 
 
 def normalized_laplacian(g: Graph) -> SparseOperator:
@@ -208,9 +243,13 @@ def normalized_laplacian(g: Graph) -> SparseOperator:
 
 def chebyshev_operator(g: Graph, lambda_max: float = 2.0) -> SparseOperator:
     """The scaled Laplacian 2 L / lambda_max - I of g's normalized Laplacian
-    L, assembled in one pass; its arrays equal those of the two-pass
-    ``(2 / lambda_max) * L - I`` byte for byte. At 2.0 it is L - I, on which
-    the Bernstein basis runs too.
+    L, assembled from the graph without L; its arrays equal those of the
+    two-pass ``(2 / lambda_max) * L - I`` byte for byte. At 2.0 it is L - I,
+    on which the Bernstein basis runs too, and has no diagonal outside
+    isolated rows: on a graph without isolated nodes its ``indices`` and
+    ``indptr`` are the graph's own arrays, and on one with isolated nodes
+    each isolated row's -1 is inserted, not merged. At any other lambda_max
+    the diagonal is merged in by one subtraction.
     """
     if not (math.isfinite(lambda_max) and lambda_max > 0):
         raise ValueError(f"lambda_max must be finite and positive, "

@@ -52,7 +52,9 @@ intermediates at every graph size: the MLP on blocks of rows, so the
 yields it, so no (K+1, n, c) stack is either, except for the Bernstein
 basis, whose layers each mix the whole Chebyshev stack.
 ``build_operator`` alone picks each basis's operator and its lambda_max,
-each assembled from the graph in one pass.
+each assembled from the graph without a sparse matrix product; at
+lambda_max = 2 the Chebyshev and Bernstein operator shares the index arrays
+of a graph without isolated nodes (see ``graph.chebyshev_operator``).
 Optimization is Adam with the MLP and filter parameters on separate learning
 rates, and weight decay enters the loss as an explicit squared-norm penalty.
 """

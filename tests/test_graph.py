@@ -10,7 +10,7 @@ from nodespec.graph import (Graph, adjacency, build_graph, chebyshev_operator,
                             induced_subgraph, node_ids, normalized_laplacian,
                             spmm)
 from nodespec.oracle import eigendecompose
-from nodespec.synthetic import er_graph, path_graph
+from nodespec.synthetic import er_graph, path_graph, planted_partition_dataset
 
 
 class TestBuildGraph:
@@ -129,6 +129,12 @@ def test_build_graph_leaves_an_int64_input_unchanged(n, pairs):
         assert not np.shares_memory(out, edges)
 
 
+# the three assemblies of _shifted_laplacian at lambda_max = 2: a cycle has
+# no isolated node; nodes 0, 3 and 7 are isolated among connected ones
+CYCLE = (5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
+ISOLATED_SPREAD = (8, [(1, 2), (2, 4), (4, 5), (5, 6), (6, 1)])
+
+
 def assert_same_csr(got, want):
     for name in ("data", "indices", "indptr"):
         a, b = getattr(got, name), getattr(want, name)
@@ -140,6 +146,8 @@ def assert_same_csr(got, want):
 @example((0, []))
 @example((1, []))
 @example((5, [(0, 1), (1, 2)]))
+@example(CYCLE)
+@example(ISOLATED_SPREAD)
 def test_operators_equal_the_matrix_expressions_byte_for_byte(case):
     # the directly assembled operators against the scipy expressions they
     # replace, so every spmm result is unchanged
@@ -153,7 +161,7 @@ def test_operators_equal_the_matrix_expressions_byte_for_byte(case):
     lap = normalized_laplacian(g)
     assert_same_csr(lap.matrix, want)
     estimate = max(estimate_lambda_max(lap), 1e-12)
-    for lambda_max in (2.0, estimate):
+    for lambda_max in (2.0, 1.7, estimate):
         assert_same_csr(chebyshev_operator(g, lambda_max).matrix,
                         (2.0 / lambda_max) * want - sp.eye_array(n))
 
@@ -164,12 +172,18 @@ def test_operators_equal_the_matrix_expressions_byte_for_byte(case):
 @example((1, []), 2.0)
 @example((1, []), 1.7)
 @example((4, []), 3.1)
+@example((5, [(1, 2), (2, 3)]), 1e-310)  # 2 / lambda_max overflows to inf
 @example((5, [(0, 1), (1, 2)]), 2.0)
 @example((5, [(0, 1), (1, 2)]), 1.7)
+@example(CYCLE, 2.0)
+@example(CYCLE, 1.7)
+@example(ISOLATED_SPREAD, 2.0)
+@example(ISOLATED_SPREAD, 1.7)
 def test_chebyshev_operator_equals_the_two_pass_build_byte_for_byte(
         case, lambda_max):
-    # one subtraction from the graph against normalized_laplacian followed
-    # by (2 / lambda_max) L - I; isolated nodes keep their -1 diagonal entry
+    # the operator assembled from the graph against normalized_laplacian
+    # followed by (2 / lambda_max) L - I; isolated nodes keep their -1
+    # diagonal entry
     n, pairs = case
     g = build_graph(pairs, n)
     op = chebyshev_operator(g, lambda_max)
@@ -177,6 +191,38 @@ def test_chebyshev_operator_equals_the_two_pass_build_byte_for_byte(
     assert op.lambda_max == lambda_max
     assert op.matrix.shape == want.shape
     assert_same_csr(op.matrix, want)
+
+
+def test_lambda_two_operator_shares_the_graph_index_arrays():
+    g = build_graph(CYCLE[1], CYCLE[0])
+    op = chebyshev_operator(g, 2.0).matrix
+    assert np.shares_memory(op.indices, g.col_indices)
+    assert np.shares_memory(op.indptr, g.row_offsets)
+
+
+@pytest.mark.parametrize("case, build", [
+    (CYCLE, lambda g: chebyshev_operator(g, 2.0)),  # shares the indices
+    (ISOLATED_SPREAD, lambda g: chebyshev_operator(g, 2.0)),  # inserts
+    (CYCLE, lambda g: chebyshev_operator(g, 1.7)),  # subtracts
+    (ISOLATED_SPREAD, normalized_laplacian)])
+def test_operators_never_write_the_graph(case, build):
+    n, pairs = case
+    g = build_graph(pairs, n)
+    before = [a.tobytes() for a in (g.row_offsets, g.col_indices)]
+    for a in (g.row_offsets, g.col_indices):
+        a.flags.writeable = False
+    build(g)
+    assert [a.tobytes() for a in (g.row_offsets, g.col_indices)] == before
+
+
+def test_lambda_two_operator_peak_is_bounded_by_its_values(traced_peak):
+    # the products and one gather of D^{-1/2}, about 2.1 value arrays; a
+    # second copy of the indices, as one sparse subtraction makes, exceeds it
+    g = planted_partition_dataset(n=2000, p_in=0.02, p_out=0.002).graph
+    assert g.degrees().min() > 0
+    nnz = g.col_indices.size
+    peak = traced_peak(lambda: chebyshev_operator(g, 2.0))[1]
+    assert peak <= 2.5 * nnz * 8 + 32 * g.n
 
 
 @settings(max_examples=200, deadline=None)
