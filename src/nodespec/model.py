@@ -39,11 +39,11 @@ quantised to 1/65536. A mask a backward reads is kept as a bool keep-mask
 plus its 0-d keep-scale 65536 / (65536 - t).
 The appnp forward's MLP writes its output into layer 0 of the stack, and
 ``train`` hands each epoch's appnp forward the previous epoch's trace as
-``reuse``: it gives up x_d (when dropped), the hidden array, the stack, the
-dp_p keep-mask, H, eta and the logits, which the new forward overwrites, so
-a run holds one trace, not two, and the lent trace is stale afterwards.
-Between the two, the epoch's evaluation runs its MLP in that trace's hidden
-array.
+``reuse``. It lends what was measured to pay, and is stale afterwards: the
+stack, the hidden array (where the epoch's evaluation runs its MLP in
+between) and x_d when dropped. Lending none made training 8-12% slower;
+without x_d, or the evaluation in the hidden array, a run peaked at 5.7 or
+5.3 feature sizes, not 4.8. H, eta, the logits and dp_p mask saved nothing.
 Evaluation is one function, ``_evaluate``, read by training's per-epoch
 check and by ``eval_outputs`` alike: sgc_like runs its forward without
 dropout over the precomputed stack; the appnp pipeline runs without
@@ -61,6 +61,7 @@ rates, and weight decay enters the loss as an explicit squared-norm penalty.
 
 import json
 import math
+import os
 import struct
 from dataclasses import asdict, dataclass, field, fields
 from typing import Callable, Optional
@@ -226,10 +227,10 @@ class ForwardTrace:
     activations.
 
     An appnp trace whose backward has run may be passed to the next
-    ``forward_appnp_like`` as ``reuse``. It then gives up its x_d (when
-    dropped), mlp.h, combine.z, dropout, combine.h, combine.eta, logits and
-    coefficients to the new trace, which writes over them, and loses its
-    loss gradient: it is stale afterwards and must not be read again.
+    ``forward_appnp_like`` as ``reuse``. It then gives up combine.z, mlp.h
+    and, when dp_l dropped its input, mlp.x_d, the arrays whose reuse pays
+    (see the module docstring), to the new trace, which writes over them,
+    and loses its loss gradient: it is stale and must not be read again.
     """
 
     logits: np.ndarray
@@ -310,8 +311,7 @@ def dropout_threshold(rate: float) -> int:
 
 
 def _dropout(x: np.ndarray, rate: float, rng: Optional[np.random.Generator],
-             out: np.ndarray, keep_mask: bool = False,
-             mask: Optional[np.ndarray] = None
+             out: np.ndarray, keep_mask: bool = False
              ) -> tuple[Optional[np.ndarray], Optional[np.ndarray]]:
     """Inverted dropout of x into ``out`` (may be x): x * (bits >= t) *
     65536 / (65536 - t), where t = ``dropout_threshold(rate)`` and bits are
@@ -320,19 +320,15 @@ def _dropout(x: np.ndarray, rate: float, rng: Optional[np.random.Generator],
     quantised to 1/65536. The draws are taken MASK_BLOCK elements of rows
     at a time, a whole number of uint64s per block but the last, so they
     are the same as one whole draw of ceil(x.size / 4) uint64s. Returns the
-    bool keep-mask if ``keep_mask``, written into ``mask`` when given, and
-    the 0-d keep-scale in x's dtype; times the mask, then the scale, is
-    times the float mask keep * scale bit for bit. At rate 0 nothing is
-    drawn: (None, None)."""
+    bool keep-mask if ``keep_mask``, a new array, and the 0-d keep-scale in
+    x's dtype; times the mask, then the scale, is times the float mask
+    keep * scale bit for bit. At rate 0 nothing is drawn: (None, None)."""
     if rate <= 0.0:
         return None, None
     t = dropout_threshold(rate)
     scale = (np.array(DROPOUT_LEVELS, x.dtype)
              / np.array(DROPOUT_LEVELS - t, x.dtype))
-    if not keep_mask:
-        mask = None
-    elif mask is None:
-        mask = np.empty(x.shape, dtype=bool)
+    mask = np.empty(x.shape, dtype=bool) if keep_mask else None
     rows = max(4, MASK_BLOCK // max(1, x.shape[1]) // 4 * 4)
     for lo in range(0, len(x), rows):
         block = x[lo:lo + rows]
@@ -350,23 +346,22 @@ def _dropout(x: np.ndarray, rate: float, rng: Optional[np.random.Generator],
 
 def _mlp(x: np.ndarray, params: ModelParams, cfg: TrainConfig,
          training: bool, rng, x_grad: bool = False,
-         out: Optional[np.ndarray] = None,
-         reuse: Optional[MLPTrace] = None) -> tuple[np.ndarray, MLPTrace]:
+         out: Optional[np.ndarray] = None, h: Optional[np.ndarray] = None,
+         x_d: Optional[np.ndarray] = None) -> tuple[np.ndarray, MLPTrace]:
     """relu(x_d W1 + b1)_d W2 + b2, where _d is dropout at rate dp_l in
     training, run in place on the one (n, hidden) array h. Its masks are
     drawn and applied a row block at a time. Only an ``x_grad`` input keeps
     its mask; the backward reads the hidden mask from h > 0, which after
     the dropout holds where both the ReLU and the mask pass. The output is
-    written into ``out`` when given, and x_d and h into the arrays of
-    ``reuse``, an MLPTrace of the same shapes."""
+    written into ``out``, the hidden array into ``h`` and the dropped input
+    into ``x_d`` when given; without dp_l dropout x_d is x itself."""
     rate = cfg.dp_l if training else 0.0
-    x_d = x
-    if rate > 0.0:
-        # a trace's x_d is an array of its own only when its x was dropped
-        x_d = (reuse.x_d if reuse is not None and reuse.scale is not None
-               else np.empty_like(x))
+    if rate <= 0.0:
+        x_d = x
+    elif x_d is None:
+        x_d = np.empty_like(x)
     x_mask, scale = _dropout(x, rate, rng, x_d, keep_mask=x_grad)
-    h = np.matmul(x_d, params["mlp.w1"], out=None if reuse is None else reuse.h)
+    h = np.matmul(x_d, params["mlp.w1"], out=h)
     h += params["mlp.b1"]
     np.maximum(h, 0.0, out=h)
     _dropout(h, rate, rng, h)
@@ -401,35 +396,28 @@ def _mlp_backward(g: np.ndarray, saved: MLPTrace, params: ModelParams,
     return g
 
 
-def _coefficients(z_a: np.ndarray, gamma: np.ndarray, w: Optional[np.ndarray],
-                  reuse: Optional[CombineTrace] = None
+def _coefficients(z_a: np.ndarray, gamma: np.ndarray, w: Optional[np.ndarray]
                   ) -> tuple[Optional[np.ndarray], np.ndarray]:
     """H = sigmoid(Z_a W) and eta[k, i] = H[k, i] . Gamma_k, the (K+1, n)
     coefficients, from the (m, n, c) layers Z_a they read: m = K+1 feeds
     layer k to order k, m = 1 feeds one layer to every order. Without W
-    (global_only) H is None and eta is Gamma broadcast over the nodes.
-    H and eta are written into the arrays of ``reuse`` when given."""
+    (global_only) H is None and eta is Gamma broadcast over the nodes."""
     if w is None:
         return None, np.broadcast_to(gamma, (len(gamma), z_a.shape[1]))
-    a = np.matmul(z_a, w, out=None if reuse is None else reuse.h)
+    a = np.matmul(z_a, w)
     h = sigmoid(a, out=a)
-    return h, np.einsum("kir,kr->ki", h, gamma,
-                        out=None if reuse is None else reuse.eta)
+    return h, np.einsum("kir,kr->ki", h, gamma)
 
 
-def _combine_layers(z: np.ndarray, params: ModelParams, cfg: TrainConfig,
-                    reuse: Optional[ForwardTrace] = None
+def _combine_layers(z: np.ndarray, params: ModelParams, cfg: TrainConfig
                     ) -> tuple[np.ndarray, CombineTrace]:
     """Mix a (K+1, n, c) stack Z with its ``_coefficients``: order k reads
     layer Z_k, or, with static coefficients, every order reads Z_0; the
-    output is sum_k eta_k * Z_k. H, eta and the output are written into
-    the arrays of ``reuse`` when given."""
+    output is sum_k eta_k * Z_k. H, eta and the output are new in every
+    forward: lending them saved no time, page faults or peak."""
     z_a = z[:1] if cfg.static_coefficients else z
-    h, eta = _coefficients(z_a, params["filter.gamma"], params.get("filter.w"),
-                           None if reuse is None else reuse.combine)
-    out = np.einsum("kic,ki->ic", z, eta,
-                    out=None if reuse is None else reuse.logits)
-    return out, CombineTrace(z, h, eta)
+    h, eta = _coefficients(z_a, params["filter.gamma"], params.get("filter.w"))
+    return np.einsum("kic,ki->ic", z, eta), CombineTrace(z, h, eta)
 
 
 def _combine_backward(g: np.ndarray, saved: CombineTrace,
@@ -477,19 +465,15 @@ def _check_finite(logits: np.ndarray, epoch: int = -1) -> None:
 
 def _check_reuse(reuse: ForwardTrace, x: np.ndarray, params: ModelParams,
                  cfg: TrainConfig) -> None:
-    """Raise ValueError unless ``reuse`` is an appnp trace whose stack,
-    hidden array and H have the shapes, and whose stack has the dtype, that
-    a forward of cfg and params over x keeps."""
-    n, w = len(x), params.get("filter.w")
-    want = ((cfg.order + 1, n, params["mlp.b2"].size), (n, cfg.hidden),
-            None if w is None else
-            (1 if cfg.static_coefficients else cfg.order + 1, n, w.shape[1]))
-    got = tuple(None if a is None else a.shape
-                for a in (reuse.combine.z, reuse.mlp.h, reuse.combine.h))
-    if (reuse.propagation is None or got != want
-            or reuse.combine.z.dtype != cfg.dtype):
-        raise ValueError("reuse must be an appnp trace of the same config "
-                         "and graph")
+    """Raise ValueError unless ``reuse`` is an appnp trace (an sgc stack is
+    shared) whose stack and hidden array have the shapes, and whose stack
+    has the dtype, that a forward of cfg and params over x keeps."""
+    n, c = len(x), params["mlp.b2"].size
+    if (reuse.propagation is None or reuse.combine.z.dtype != cfg.dtype
+            or reuse.combine.z.shape != (cfg.order + 1, n, c)
+            or reuse.mlp.h.shape != (n, cfg.hidden)):
+        raise ValueError("reuse must be an appnp trace of the same graph, "
+                         "order, widths and dtype")
 
 
 def forward_appnp_like(params: ModelParams, features: np.ndarray,
@@ -501,22 +485,23 @@ def forward_appnp_like(params: ModelParams, features: np.ndarray,
     The MLP writes its output into layer 0 of the (K+1, n, c) stack, where
     the dp_p dropout and the propagation continue in place.
 
-    ``reuse``, an appnp trace of the same config and graph whose backward
-    has run, lends this forward every array it keeps (see ``ForwardTrace``)
-    and is stale afterwards."""
+    ``reuse``, an appnp trace of the same graph, order, widths and dtype
+    whose backward has run, lends this forward its stack, hidden array and
+    dropped input (see ``ForwardTrace``) and is stale afterwards."""
     x = np.asarray(features, dtype=cfg.dtype)
+    h = x_d = None
     if reuse is None:
         stack = np.empty((cfg.order + 1, len(x), params["mlp.b2"].size),
                          dtype=cfg.dtype)
     else:
         _check_reuse(reuse, x, params, cfg)
-        stack, reuse.logits_grad = reuse.combine.z, None
-    x0, mlp = _mlp(x, params, cfg, training, rng, out=stack[0],
-                   reuse=None if reuse is None else reuse.mlp)
-    mask, scale = _dropout(x0, cfg.dp_p if training else 0.0, rng, x0, True,
-                           None if reuse is None else reuse.dropout)
+        stack, h, reuse.logits_grad = reuse.combine.z, reuse.mlp.h, None
+        # a trace's x_d is an array of its own only when its x was dropped
+        x_d = None if reuse.mlp.scale is None else reuse.mlp.x_d
+    x0, mlp = _mlp(x, params, cfg, training, rng, out=stack[0], h=h, x_d=x_d)
+    mask, scale = _dropout(x0, cfg.dp_p if training else 0.0, rng, x0, True)
     polynomial_layers(cfg.basis, op, x0, cfg.order, stack)
-    logits, combine = _combine_layers(stack, params, cfg, reuse)
+    logits, combine = _combine_layers(stack, params, cfg)
     _check_finite(logits)
     return ForwardTrace(logits, combine.eta.T, params, mlp, combine, mask,
                         scale, (cfg.basis, op))
@@ -567,8 +552,7 @@ def _evaluate(params: ModelParams, features: np.ndarray,
     x = np.asarray(features, dtype=cfg.dtype)
     x0 = np.concatenate([
         _mlp(x[lo:lo + EVAL_BLOCK_ROWS], params, cfg, False, None,
-             reuse=None if hidden is None else
-             MLPTrace(None, None, hidden[lo:lo + EVAL_BLOCK_ROWS], None))[0]
+             h=None if hidden is None else hidden[lo:lo + EVAL_BLOCK_ROWS])[0]
         for lo in range(0, len(x), EVAL_BLOCK_ROWS)])
     gamma, w = params["filter.gamma"], params.get("filter.w")
     eta = np.empty((cfg.order + 1, len(x0)), dtype=x0.dtype)
@@ -755,7 +739,7 @@ def train(dataset: Dataset, split: Split, cfg: TrainConfig) -> TrainResult:
                     trace = forward_sgc_like(params, stack, cfg, training=True,
                                              rng=rng)
                 else:
-                    # the previous epoch's trace lends its arrays
+                    # the previous epoch's trace lends its stack, h and x_d
                     trace = forward_appnp_like(params, features, op, cfg,
                                                training=True, rng=rng,
                                                reuse=trace)
@@ -844,7 +828,10 @@ def save_checkpoint(path, params: ModelParams, cfg: TrainConfig) -> None:
 
 
 def _read_exact(fh, size: int, path, what: str) -> bytes:
-    raw = fh.read(size)
+    # a file is read no further than its end: a header may claim any size
+    left = (os.fstat(fh.fileno()).st_size - fh.tell() if fh.seekable()
+            else size)
+    raw = fh.read(min(size, left))
     if len(raw) != size:
         raise ValueError(f"{path}: truncated checkpoint: {what} needs {size} "
                          f"bytes, {len(raw)} remain")
@@ -871,21 +858,26 @@ def _checkpoint_config(header: dict, path) -> TrainConfig:
     if header.get("mode") != cfg.mode:
         raise ValueError(f"{path}: header mode {header.get('mode')!r} is not "
                          f"the config's {cfg.mode!r}")
-    arrays = [entry[0] for entry in header.get("arrays", ())]
+    entries = header.get("arrays")
+    if not (isinstance(entries, list)
+            and all(isinstance(e, list) and len(e) == 2 for e in entries)):
+        raise ValueError(f"{path}: the checkpoint arrays are not a list of "
+                         "[name, shape] pairs")
+    arrays = [name for name, _ in entries]
     # the names do not depend on the widths
     expected = list(param_shapes(cfg, 0, 0))
     if arrays != expected:
         raise ValueError(f"{path}: arrays {arrays} are not the {cfg.mode} "
                          f"arrays {expected}")
-    shapes = {name: tuple(shape) for name, shape in header["arrays"]}
-    for name, shape in shapes.items():
+    for name, shape in entries:
         # 6.0 == 6, but a float dimension fails the array read
-        if not all(type(d) is int for d in shape):
-            raise ValueError(f"{path}: array {name!r} has a non-integer "
-                             f"shape {shape}")
+        if not (isinstance(shape, list) and all(type(d) is int for d in shape)):
+            raise ValueError(f"{path}: array {name!r} has shape {shape!r}, "
+                             "not a list of integers")
         if any(d < 0 for d in shape):
             raise ValueError(f"{path}: array {name!r} has a negative "
                              "dimension")
+    shapes = {name: tuple(shape) for name, shape in entries}
     for name in ("mlp.w1", "mlp.w2"):
         if len(shapes[name]) != 2:
             raise ValueError(f"{path}: array {name!r} has shape "
@@ -900,19 +892,26 @@ def _checkpoint_config(header: dict, path) -> TrainConfig:
 
 def load_checkpoint(path) -> tuple[ModelParams, TrainConfig]:
     with open(path, "rb") as fh:
-        magic = fh.read(len(CHECKPOINT_MAGIC))
-        if magic != CHECKPOINT_MAGIC:
+        if fh.read(len(CHECKPOINT_MAGIC)) != CHECKPOINT_MAGIC:
             raise ValueError(f"{path}: not a checkpoint (bad magic)")
         raw_length = _read_exact(fh, 4, path, "header length")
         (length,) = struct.unpack("<I", raw_length)
-        header = json.loads(_read_exact(fh, length, path, "header").decode())
+        raw_header = _read_exact(fh, length, path, "header")
+        try:
+            header = json.loads(raw_header)
+        except ValueError:  # not UTF-8, or not JSON
+            header = None
+        if not isinstance(header, dict):
+            raise ValueError(f"{path}: the checkpoint header is not a JSON "
+                             "object")
         if header.get("version") != 1:
             raise ValueError(f"{path}: unsupported checkpoint version")
         cfg = _checkpoint_config(header, path)
         params = ModelParams()
         for name, shape in header["arrays"]:
-            count = int(np.prod(shape))
-            raw = _read_exact(fh, count * 8, path, f"array {name!r}")
+            # math.prod is exact where np.prod wraps around at 2^63
+            raw = _read_exact(fh, math.prod(shape) * 8, path,
+                              f"array {name!r}")
             # astype copies out of the read-only buffer: a writable array
             params[name] = np.frombuffer(raw, dtype="<f8").reshape(
                 shape).astype(cfg.dtype)

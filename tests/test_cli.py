@@ -608,12 +608,14 @@ def test_split_beyond_the_dataset_names_the_split(data_root, tmp_path, capsys,
 
 
 def _rewrite_header(src, dst, edit):
-    """Copy checkpoint src to dst with ``edit`` applied to its JSON header."""
+    """Copy checkpoint src to dst with ``edit`` applied to its JSON header:
+    in place, or, where it returns one, a header to write instead."""
     raw = src.read_bytes()
     start = len(model.CHECKPOINT_MAGIC)
     (length,) = struct.unpack("<I", raw[start:start + 4])
     header = json.loads(raw[start + 4:start + 4 + length])
-    edit(header)
+    replaced = edit(header)
+    header = header if replaced is None else replaced
     blob = json.dumps(header).encode()
     dst.write_bytes(raw[:start] + struct.pack("<I", len(blob)) + blob
                     + raw[start + 4 + length:])
@@ -621,7 +623,7 @@ def _rewrite_header(src, dst, edit):
 
 MALFORMED_HEADERS = {
     "unknown-config-key": lambda h: h["config"].update(extra=1),
-    "missing-config-key": lambda h: h["config"].pop("dp_p"),
+    "missing-config-key": lambda h: h["config"].__delitem__("dp_p"),
     # same byte count, so only the shapes tell: 12 x 2 after 8 hidden units
     "w2-shape": lambda h: h["arrays"][2].__setitem__(1, [12, 2]),
     "filter-w-shape": lambda h: h["arrays"][4].__setitem__(1, [1, 3]),
@@ -632,6 +634,15 @@ MALFORMED_HEADERS = {
     "w1-0d": lambda h: h["arrays"][0].__setitem__(1, []),
     "w2-0d": lambda h: h["arrays"][2].__setitem__(1, []),
     "float-shape": lambda h: h["arrays"][0].__setitem__(1, [6.0, 8]),
+    # JSON, but not the v1 shape: these raised AttributeError or TypeError,
+    # or a ValueError that did not name the file
+    "list-header": lambda h: [h],
+    "arrays-not-a-list": lambda h: h.update(arrays=5),
+    "entry-not-a-list": lambda h: h.update(arrays=[5]),
+    "entry-of-three": lambda h: h["arrays"][0].append(1),
+    "shape-not-a-list": lambda h: h["arrays"][0].__setitem__(1, 3),
+    # 10^10 rows at the feature width 10^10: the read raised MemoryError
+    "huge-w1": lambda h: h["arrays"][0][1].__setitem__(0, 10 ** 10),
 }
 
 
@@ -652,6 +663,23 @@ def test_malformed_checkpoint_fails_with_its_path(data_root, tmp_path, capsys,
     assert code == 1
     assert out == ""
     assert err.startswith(f"error: {bad}: ")
+
+
+def test_misshapen_checkpoint_fails_filter_response_in_one_line(tmp_path,
+                                                                capsys):
+    cfg = model.TrainConfig(order=3, hidden=8)
+    good, bad = tmp_path / "good.ckpt", tmp_path / "bad.ckpt"
+    model.save_checkpoint(
+        good, model.init_params(cfg, 6, 3, np.random.default_rng(0)), cfg)
+    for case in ("list-header", "arrays-not-a-list", "entry-not-a-list",
+                 "entry-of-three", "shape-not-a-list", "huge-w1"):
+        _rewrite_header(good, bad, MALFORMED_HEADERS[case])
+        code, out, err = run_cli(capsys, "filter-response", "--checkpoint",
+                                 bad, "--out", tmp_path / "fr.csv")
+        assert (code, out) == (1, ""), case
+        assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1, err
+        assert "Traceback" not in err
+        assert not (tmp_path / "fr.csv").exists()
 
 
 # Configs that the TrainConfig rule rejects: the fields, the field that the

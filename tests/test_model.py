@@ -5,6 +5,7 @@ import re
 import struct
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -654,6 +655,9 @@ def fused_mlp(x, params, rate, training, rng, x_grad):
 class TestFusedMLP:
     LABELS = np.array([0, 1, 2, 2, 1, 0, 0, 1, 2])
     INDEX = np.arange(7)
+    # the appnp pipelines' ways of reading coefficients: (mode, static)
+    COEFFICIENT_READS = [("appnp_like", False), ("appnp_like", True),
+                         ("global_only", False)]
 
     @staticmethod
     def setup(dtype=np.float64, hidden=6, rows=9):
@@ -797,10 +801,11 @@ class TestFusedMLP:
 
     @pytest.mark.parametrize("basis", polyfilter.BASES)
     def test_a_training_run_holds_one_trace(self, traced_peak, basis):
-        # each epoch's forward writes into the arrays of the trace the
-        # previous backward finished with. With the previous trace held
-        # while the next forward allocated its own, a run peaked at 8.3 to
-        # 8.6 feature sizes; with one trace the backward sets it, below 7
+        # each epoch's forward writes its stack, hidden array and dropped
+        # input into those of the trace the previous backward finished
+        # with. With the previous trace held while the next forward
+        # allocated its own, a run peaked at 8.3 to 8.6 feature sizes; with
+        # one trace the backward sets it, below 7
         ds = planted_partition_dataset(n=2000, classes=4, feature_dim=64)
         cfg = model.TrainConfig(hidden=64, dp_l=0.5, epochs=6, basis=basis)
         split = make_split(ds.n, "dense", seed=0)
@@ -822,31 +827,31 @@ class TestFusedMLP:
         assert peak < 6.2 * ds.features.nbytes
 
     @pytest.mark.parametrize("dtype", ["float64", "float32"])
-    @pytest.mark.parametrize("mode, static", [("appnp_like", False),
-                                              ("appnp_like", True),
-                                              ("global_only", False)])
+    @pytest.mark.parametrize("mode, static", COEFFICIENT_READS)
+    @pytest.mark.parametrize("lender", COEFFICIENT_READS)
     @pytest.mark.parametrize("basis", polyfilter.BASES)
-    def test_a_reused_trace_changes_no_byte(self, toy, basis, mode, static,
-                                            dtype):
+    def test_a_reused_trace_changes_no_byte(self, toy, basis, lender, mode,
+                                            static, dtype):
         # a forward into the arrays of an earlier, finished trace gives the
-        # bytes of a forward into fresh ones, and keeps its arrays there
-        cfg = base_config(basis=basis, mode=mode, static_coefficients=static,
-                          precision=dtype, dp_l=0.4, dp_p=0.3)
-        params = model.init_params(cfg, toy.feature_dim, toy.class_count,
-                                   np.random.default_rng(0))
-        op = model.build_operator(toy.graph, cfg)
-
-        def step(seed, reuse=None):
-            trace = model.forward_appnp_like(params, toy.features, op, cfg,
-                                             True, np.random.default_rng(seed),
-                                             reuse=reuse)
+        # bytes of a forward into fresh ones, and keeps its arrays there.
+        # The lender may read its coefficients another way: only its stack
+        # and hidden array must match
+        def step(seed, mode, static, reuse=None):
+            cfg = base_config(basis=basis, mode=mode,
+                              static_coefficients=static, precision=dtype,
+                              dp_l=0.4, dp_p=0.3)
+            params = model.init_params(cfg, toy.feature_dim, toy.class_count,
+                                       np.random.default_rng(0))
+            trace = model.forward_appnp_like(
+                params, toy.features, model.build_operator(toy.graph, cfg),
+                cfg, True, np.random.default_rng(seed), reuse=reuse)
             model.attach_loss(trace, toy.labels, np.arange(10), cfg.l2)
             return trace, model.backward(trace)
 
-        earlier, _ = step(1)
+        earlier, _ = step(1, *lender)
         kept = (earlier.mlp.x_d, earlier.mlp.h, earlier.combine.z)
-        fresh, want = step(2)
-        reused, got = step(2, reuse=earlier)
+        fresh, want = step(2, mode, static)
+        reused, got = step(2, mode, static, reuse=earlier)
         for a, b in ((reused.logits, fresh.logits),
                      (reused.coefficients, fresh.coefficients)):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
@@ -873,8 +878,6 @@ class TestFusedMLP:
         assert not np.shares_memory(reused.mlp.x_d, features)
 
     @pytest.mark.parametrize("other", [dict(order=3), dict(hidden=5),
-                                       dict(static_coefficients=True),
-                                       dict(mode="global_only"),
                                        dict(precision="float32")])
     def test_a_trace_of_another_config_is_not_reused(self, toy, other):
         cfg = base_config(dp_l=0.4, dp_p=0.3)
@@ -884,7 +887,7 @@ class TestFusedMLP:
         cfg = base_config(dp_l=0.4, dp_p=0.3, **other)
         params = model.init_params(cfg, toy.feature_dim, toy.class_count,
                                    np.random.default_rng(0))
-        with pytest.raises(ValueError, match="same config and graph"):
+        with pytest.raises(ValueError, match="same graph, order, widths"):
             model.forward_appnp_like(params, toy.features,
                                      model.build_operator(toy.graph, cfg),
                                      cfg, True, np.random.default_rng(2),
@@ -1334,20 +1337,69 @@ class TestCheckpoint:
                                            "array 'filter.gamma' needs")):
             model.load_checkpoint(saved)
 
-    def test_negative_dimension_names_the_array(self, saved):
-        # (-3, hidden) is mlp.w1's shape at feature width -3, so only the
-        # sign can reject it before the read asks for -3 * hidden * 8 bytes
-        raw = saved.read_bytes()
+    @staticmethod
+    def rewrite_header(path, edit):
+        """Apply ``edit`` to the JSON header of the checkpoint at path."""
+        raw = path.read_bytes()
         start = len(model.CHECKPOINT_MAGIC)
         (length,) = struct.unpack("<I", raw[start:start + 4])
         header = json.loads(raw[start + 4:start + 4 + length])
-        header["arrays"][0][1][0] = -3
+        edit(header)
         blob = json.dumps(header).encode()
-        saved.write_bytes(raw[:start] + struct.pack("<I", len(blob)) + blob
-                          + raw[start + 4 + length:])
+        path.write_bytes(raw[:start] + struct.pack("<I", len(blob)) + blob
+                         + raw[start + 4 + length:])
+        return header
+
+    def test_negative_dimension_names_the_array(self, saved):
+        # (-3, hidden) is mlp.w1's shape at feature width -3, so only the
+        # sign can reject it before the read asks for -3 * hidden * 8 bytes
+        self.rewrite_header(saved, lambda h: h["arrays"][0][1].__setitem__(
+            0, -3))
         with pytest.raises(ValueError,
                            match=re.escape(f"{saved}: array 'mlp.w1' has a "
                                            "negative dimension")):
+            model.load_checkpoint(saved)
+
+    def test_a_claim_beyond_the_file_is_not_read(self, saved):
+        # the bytes left are compared before the read, which asked for all
+        # of mlp.w1's 10^10 rows at once and raised MemoryError
+        header = self.rewrite_header(
+            saved, lambda h: h["arrays"][0][1].__setitem__(0, 10 ** 10))
+        size = 10 ** 10 * header["arrays"][0][1][1] * 8
+        with pytest.raises(ValueError,
+                           match=re.escape(f"{saved}: truncated checkpoint: "
+                                           f"array 'mlp.w1' needs {size} "
+                                           "bytes, ")):
+            model.load_checkpoint(saved)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    def test_a_piped_checkpoint_loads(self, saved, tmp_path):
+        # a pipe has no size to check a header's claims against, so it is
+        # read as it comes
+        fifo = tmp_path / "piped.ckpt"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_bytes,
+                                  args=(saved.read_bytes(),))
+        writer.start()
+        try:
+            piped, cfg = model.load_checkpoint(fifo)
+        finally:
+            writer.join(timeout=30)
+        assert not writer.is_alive()
+        want, want_cfg = model.load_checkpoint(saved)
+        assert cfg == want_cfg
+        for name, arr in want.items():
+            assert piped[name].tobytes() == arr.tobytes(), name
+
+    @pytest.mark.parametrize("blob", [b"\xff{", b"{not json"])
+    def test_a_header_that_is_not_json_names_the_file(self, saved, blob):
+        # json.loads raised its own ValueError, which named no file
+        start = len(model.CHECKPOINT_MAGIC)
+        saved.write_bytes(saved.read_bytes()[:start]
+                          + struct.pack("<I", len(blob)) + blob)
+        with pytest.raises(ValueError,
+                           match=re.escape(f"{saved}: the checkpoint header "
+                                           "is not a JSON object")):
             model.load_checkpoint(saved)
 
     def test_byte_identical_saves(self, tmp_path, toy):
