@@ -13,7 +13,10 @@ split, which they would not change.
 Flags that do not go together, and a config that ``TrainConfig`` rejects,
 are found before any file is read wherever the flags alone decide. ``eval``
 draws a split mode with ``--split-seed``, else with the checkpoint's seed,
-the one its model was trained with.
+the one its model was trained with. ``analyze`` computes nothing from
+features, so it reads the feature file only to its first data row, for the
+summary's width; every command that computes from features reads and checks
+all of it.
 """
 
 import argparse
@@ -27,9 +30,9 @@ import numpy as np
 
 from . import evaluate, homophily, model
 from .data import (DRAWN_MODES, DataFormatError, Dataset,
-                   _feature_cell_problem, _is_int64, load_dataset,
-                   load_named_dataset, load_split, make_split, save_split,
-                   validate_split)
+                   _feature_cell_problem, _is_int64, dataset_dir_paths,
+                   feature_width, load_class_labels, load_dataset, load_graph,
+                   load_split, make_split, save_split, validate_split)
 from .graph import node_ids
 from .oracle import DEFAULT_EIGEN_CAP, run_oracle_checks
 from .polyfilter import BASES, basis_matrix, frequency_response
@@ -181,13 +184,20 @@ def _check_dataset_flags(args) -> None:
                          "not go with --edges/--features/--labels")
 
 
-def _load_dataset(args) -> Dataset:
+def _dataset_paths(args):
+    """The edge, feature and label paths of the dataset the flags name, and
+    its name: the explicit files, else the --dataset directory."""
     _check_dataset_flags(args)
     if args.edges:
-        return load_dataset(args.edges, args.features, args.labels,
-                            name=args.dataset or "dataset")
+        return ((args.edges, args.features, args.labels),
+                args.dataset or "dataset")
     root = "data" if args.data_root is None else args.data_root
-    return load_named_dataset(root, args.dataset)
+    return dataset_dir_paths(root, args.dataset), args.dataset
+
+
+def _load_dataset(args) -> Dataset:
+    paths, name = _dataset_paths(args)
+    return load_dataset(*paths, name=name)
 
 
 def _add_split_args(p: argparse.ArgumentParser, model_seed: str) -> None:
@@ -298,19 +308,23 @@ def _run(args, dataset: Dataset, cfg: model.TrainConfig):
 
 
 def cmd_analyze(args) -> int:
-    dataset = _load_dataset(args)
+    # the reports need no feature values, so of the feature file only the
+    # first row is read, for its width; the files go in load_dataset's order
+    (edge_path, feature_path, label_path), name = _dataset_paths(args)
+    labels, class_count = load_class_labels(label_path)
+    width = feature_width(feature_path)
+    graph = load_graph(edge_path, labels.size)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    rep = homophily.homophily_report(dataset.graph, dataset.labels,
-                                     dataset.class_count, args.bins)
+    rep = homophily.homophily_report(graph, labels, class_count, args.bins)
     columns = (rep.per_node_h1, rep.per_node_h_within2, rep.per_node_s1,
                rep.per_node_s_within2)
     with open(out / "node_metrics.csv", "w", encoding="utf-8") as fh:
         fh.write("node,h_hop1,h_within2,entropy_hop1,entropy_within2\n")
-        for lo in range(0, dataset.n, NODE_METRICS_BLOCK_ROWS):
+        for lo in range(0, graph.n, NODE_METRICS_BLOCK_ROWS):
             block = [_g17(c[lo:lo + NODE_METRICS_BLOCK_ROWS]) for c in columns]
             fh.writelines(f"{v},{a},{b},{c},{d}\n" for v, a, b, c, d
-                          in zip(range(lo, dataset.n), *block))
+                          in zip(range(lo, graph.n), *block))
     histograms = (("h_hop1", rep.histogram_h1),
                   ("h_within2", rep.histogram_h_within2),
                   ("entropy_hop1", rep.histogram_s1),
@@ -319,11 +333,11 @@ def cmd_analyze(args) -> int:
                ((label, *row) for label, (edges, counts) in histograms
                 for row in _bin_rows(edges, counts)))
     summary = {
-        "dataset": dataset.name,
-        "nodes": dataset.n,
-        "edges": dataset.graph.edge_count,
-        "features": dataset.feature_dim,
-        "classes": dataset.class_count,
+        "dataset": name,
+        "nodes": graph.n,
+        "edges": graph.edge_count,
+        "features": width,
+        "classes": class_count,
         "graph_homophily": rep.graph_ratio,
     }
     print(json.dumps(summary, indent=2, sort_keys=True))

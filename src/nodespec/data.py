@@ -20,6 +20,8 @@ call and a check of the whole table (two columns; one non-negative column;
 all finite). Only when either fails does a Python re-scan apply the format's
 line rule to name the first bad ``path:line`` (``path:line:col`` for a
 feature cell), or the path alone when no one line is at fault.
+``feature_width`` reads a feature file only to its first data row, the
+part ``analyze`` needs: later rows are neither parsed nor checked.
 
 Split generation is pinned to a SplitMix64-driven Fisher-Yates permutation
 with exact rational ratio arithmetic, so a (n, mode, seed) triple produces
@@ -170,7 +172,8 @@ def _feature_cell_problem(cell: str) -> Optional[str]:
 
 
 def _read_table(path, loadtxt_args: dict, table_problem, split, width,
-                field_problem, cell_location=False) -> np.ndarray:
+                field_problem, cell_location=False,
+                max_rows=None) -> np.ndarray:
     """The file as a 2-D array: one ``np.loadtxt`` call, then the table
     check ``table_problem``. Only if either fails does a Python re-scan
     apply the format's line rule: ``split`` a line into fields (none: skip
@@ -178,12 +181,18 @@ def _read_table(path, loadtxt_args: dict, table_problem, split, width,
     check each with ``field_problem``. The first bad line raises a
     DataFormatError at ``path:line`` (``path:line:col`` with
     ``cell_location``); if no line is bad, the error is at ``path``. A file
-    without data rows gives a (0, 1) array, without loadtxt's warning."""
+    without data rows gives a (0, 1) array, without loadtxt's warnings.
+    ``max_rows`` stops both the read and the re-scan after that many data
+    rows, so no later line is parsed or reported."""
     try:
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "loadtxt: input contained no data",
                                     UserWarning)
-            table = np.loadtxt(path, ndmin=2, **loadtxt_args)
+            # skipped lines are not rows, as the re-scan counts them too
+            warnings.filterwarnings("ignore", r"Input line \d+ contained no "
+                                    "data", UserWarning)
+            table = np.loadtxt(path, ndmin=2, max_rows=max_rows,
+                               **loadtxt_args)
     except ValueError as exc:
         problem = str(exc)
     else:
@@ -191,10 +200,14 @@ def _read_table(path, loadtxt_args: dict, table_problem, split, width,
         if problem is None:
             return table
     with open(path, "r", encoding="utf-8", errors="replace") as fh:
+        rows = 0
         for lineno, line in enumerate(fh, start=1):
+            if rows == max_rows:
+                break
             fields = split(line)
             if not fields:
                 continue
+            rows += 1
             width = width or len(fields)
             if len(fields) != width:
                 raise DataFormatError(f"{path}:{lineno}: expected {width} "
@@ -219,8 +232,8 @@ def load_edge_list(path) -> np.ndarray:
     ).reshape(-1, 2)
 
 
-def load_features(path) -> np.ndarray:
-    """One float64 row per line that is not empty, as an (n, f) array."""
+def _feature_table(path, max_rows=None) -> np.ndarray:
+    """The feature CSV's first ``max_rows`` rows, all without it."""
     def split(line):
         # numpy skips only a line that is empty once its comment is cut, so
         # a line of spaces is a row of one blank cell
@@ -231,7 +244,22 @@ def load_features(path) -> np.ndarray:
         table_problem=lambda t: (None if np.isfinite(t).all()
                                  else "non-finite feature value"),
         split=split, width=None, field_problem=_feature_cell_problem,
-        cell_location=True)
+        cell_location=True, max_rows=max_rows)
+
+
+def load_features(path) -> np.ndarray:
+    """One float64 row per line that is not empty, as an (n, f) array."""
+    return _feature_table(path)
+
+
+def feature_width(path) -> int:
+    """The feature CSV's column count, from its first data row alone: no
+    later row is parsed or checked. A first row that ``load_features``
+    rejects fails with the same message, and so does a file without rows."""
+    first = _feature_table(path, max_rows=1)
+    if not first.size:
+        raise DataFormatError(f"{path}: no feature rows")
+    return first.shape[1]
 
 
 def load_labels(path) -> np.ndarray:
@@ -253,28 +281,40 @@ def load_labels(path) -> np.ndarray:
         field_problem=label_problem).ravel()
 
 
+def load_class_labels(path) -> tuple[np.ndarray, int]:
+    """The label file's labels and class count, max label + 1, which must
+    be at least 2."""
+    labels = load_labels(path)
+    if labels.size == 0:
+        raise DataFormatError(f"{path}: no labels found")
+    class_count = int(labels.max()) + 1
+    if class_count < 2:
+        raise DataFormatError(f"{path}: need at least 2 classes, "
+                              "every label is 0")
+    return labels, class_count
+
+
+def load_graph(path, n: int) -> Graph:
+    """The graph of the edge list at ``path`` on ``n`` nodes; an edge the
+    graph rejects fails naming the file."""
+    edges = load_edge_list(path)
+    try:
+        return build_graph(edges, n)
+    except ValueError as exc:
+        raise DataFormatError(f"{path}: {exc}") from None
+
+
 def load_dataset(edge_path, feature_path, label_path,
                  name: str = "dataset") -> Dataset:
     """Load and validate a dataset from the three text files."""
-    labels = load_labels(label_path)
-    if labels.size == 0:
-        raise DataFormatError(f"{label_path}: no labels found")
-    class_count = int(labels.max()) + 1
-    if class_count < 2:
-        raise DataFormatError(f"{label_path}: need at least 2 classes, "
-                              "every label is 0")
+    labels, class_count = load_class_labels(label_path)
     features = load_features(feature_path)
     if features.shape[0] != labels.size:
         raise DataFormatError(
             f"row-count mismatch: {feature_path} has {features.shape[0]} rows, "
             f"{label_path} has {labels.size}")
-    edges = load_edge_list(edge_path)
-    try:
-        graph = build_graph(edges, labels.size)
-    except ValueError as exc:
-        raise DataFormatError(f"{edge_path}: {exc}") from None
-    return Dataset(graph=graph, features=features, labels=labels,
-                   class_count=class_count, name=name)
+    return Dataset(graph=load_graph(edge_path, labels.size), features=features,
+                   labels=labels, class_count=class_count, name=name)
 
 
 def dataset_dir_paths(root, name: str):

@@ -81,6 +81,11 @@ MODES = ("appnp_like", "sgc_like", "global_only")
 
 CHECKPOINT_MAGIC = b"NODESPEC-CKPT-1\n"
 
+# Bytes per read of a checkpoint from a pipe, which has no size to check a
+# header's claims against: a claim beyond the data costs at most what the
+# pipe holds, not what the header says.
+PIPE_READ_CHUNK = 1 << 20
+
 # Rows per block of the evaluation MLP: a (4096, hidden) array, 2 MiB at
 # 64 float64 units, in place of the whole (n, hidden) one.
 EVAL_BLOCK_ROWS = 4096
@@ -827,11 +832,16 @@ def save_checkpoint(path, params: ModelParams, cfg: TrainConfig) -> None:
             fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
-def _read_exact(fh, size: int, path, what: str) -> bytes:
-    # a file is read no further than its end: a header may claim any size
-    left = (os.fstat(fh.fileno()).st_size - fh.tell() if fh.seekable()
-            else size)
-    raw = fh.read(min(size, left))
+def _read_exact(fh, size: int, path, what: str) -> bytes | bytearray:
+    # a header may claim any size: a file is read no further than its end,
+    # and a pipe, whose end is unknown, in chunks until its end
+    if fh.seekable():
+        raw = fh.read(min(size, os.fstat(fh.fileno()).st_size - fh.tell()))
+    else:
+        raw = bytearray()
+        while len(raw) < size and (chunk := fh.read(
+                min(size - len(raw), PIPE_READ_CHUNK))):
+            raw += chunk
     if len(raw) != size:
         raise ValueError(f"{path}: truncated checkpoint: {what} needs {size} "
                          f"bytes, {len(raw)} remain")

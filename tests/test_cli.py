@@ -466,7 +466,8 @@ def test_flags_the_run_would_not_read_exit_two(capsys, monkeypatch, argv,
     def read(*args, **kwargs):
         pytest.fail("read a file")
 
-    for name in ("load_dataset", "load_named_dataset", "load_split"):
+    for name in ("load_dataset", "load_class_labels", "feature_width",
+                 "load_graph", "load_split"):
         monkeypatch.setattr(nodespec.cli, name, read)
     monkeypatch.setattr(model, "load_checkpoint", read)
     with pytest.raises(SystemExit) as exc:
@@ -665,6 +666,32 @@ def test_malformed_checkpoint_fails_with_its_path(data_root, tmp_path, capsys,
     assert err.startswith(f"error: {bad}: ")
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"),
+                    reason="no /dev/stdin")
+def test_piped_checkpoint_claiming_too_much_fails_in_one_line(tmp_path):
+    # the header claims 10^10 rows of mlp.w1, 640 GB, which a pipe cannot
+    # be asked its size for: the read raised MemoryError with a traceback
+    cfg = model.TrainConfig(order=3, hidden=8)
+    good, bad = tmp_path / "good.ckpt", tmp_path / "bad.ckpt"
+    model.save_checkpoint(good, model.init_params(
+        cfg, 6, 3, np.random.default_rng(0)), cfg)
+    _rewrite_header(good, bad, MALFORMED_HEADERS["huge-w1"])
+    read_end, write_end = os.pipe()
+    with os.fdopen(write_end, "wb") as fh:  # a few KiB: the pipe holds it
+        fh.write(bad.read_bytes())
+    src = os.path.dirname(os.path.dirname(nodespec.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    with os.fdopen(read_end, "rb") as stdin:
+        proc = subprocess.run(
+            [sys.executable, "-m", "nodespec.cli", "filter-response",
+             "--checkpoint", "/dev/stdin"], stdin=stdin, capture_output=True,
+            text=True, timeout=60, env=dict(os.environ, PYTHONPATH=path))
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert re.fullmatch(r"error: /dev/stdin: truncated checkpoint: array "
+                        rf"'mlp\.w1' needs {10 ** 10 * 8 * 8} bytes, \d+ "
+                        r"remain\n", proc.stderr), proc.stderr
+
+
 def test_misshapen_checkpoint_fails_filter_response_in_one_line(tmp_path,
                                                                 capsys):
     cfg = model.TrainConfig(order=3, hidden=8)
@@ -761,7 +788,7 @@ def test_rejected_config_fails_at_every_entry_point(data_root, tmp_path,
     def read(*args, **kwargs):
         pytest.fail("read a file")
 
-    for name in ("load_dataset", "load_named_dataset", "load_split"):
+    for name in ("load_dataset", "load_split"):
         monkeypatch.setattr(nodespec.cli, name, read)
     for command in ("train", "sweep"):
         with pytest.raises(SystemExit) as exc:
@@ -825,8 +852,9 @@ def test_feature_width_mismatch_names_the_checkpoint(data_root, tmp_path,
 def test_zero_bins_fail_alike_in_analyze_and_eval(data_root, tmp_path,
                                                   capsys, monkeypatch):
     # argparse rejects --bins 0 before the dataset or checkpoint is read
-    monkeypatch.setattr(nodespec.cli, "load_named_dataset",
-                        lambda *a: pytest.fail("loaded the dataset"))
+    for name in ("load_dataset", "load_class_labels"):
+        monkeypatch.setattr(nodespec.cli, name,
+                            lambda *a, **k: pytest.fail("loaded the dataset"))
     errors = []
     for command in (["analyze"], ["eval", "--checkpoint", "absent.ckpt"]):
         with pytest.raises(SystemExit) as exc:
@@ -918,8 +946,8 @@ def test_filter_response_node_out_of_range_exits_one(data_root, tmp_path,
 def test_count_flags_fail_at_parse_time(data_root, tmp_path, capsys,
                                         monkeypatch, argv):
     # argparse rejects the count before a dataset is read
-    monkeypatch.setattr(nodespec.cli, "load_named_dataset",
-                        lambda *a: pytest.fail("loaded the dataset"))
+    monkeypatch.setattr(nodespec.cli, "load_dataset",
+                        lambda *a, **k: pytest.fail("loaded the dataset"))
     extra = ([] if argv[0] == "prop-sim" else
              ["--dataset", "toy", "--data-root", data_root,
               "--out-dir", tmp_path / "out"])
@@ -991,8 +1019,8 @@ def test_filter_response_bad_tokens_exit_two(tmp_path, capsys, flags,
 def test_sweep_bad_grid_tokens_exit_two(data_root, tmp_path, capsys,
                                         monkeypatch, flags, token):
     # the grid is read before the dataset: --orders 1_0 is not K = 10
-    monkeypatch.setattr(nodespec.cli, "load_named_dataset",
-                        lambda *a: pytest.fail("loaded the dataset"))
+    monkeypatch.setattr(nodespec.cli, "load_dataset",
+                        lambda *a, **k: pytest.fail("loaded the dataset"))
     out_csv = tmp_path / "out.csv"
     with pytest.raises(SystemExit) as exc:
         main(["sweep", *flags, "--dataset", "toy", "--data-root",
@@ -1011,8 +1039,8 @@ def test_sweep_per_run_order_and_rank_flags_exit_two(data_root, tmp_path,
                                                      flags):
     # K and d come only from --orders and --ranks; --order and --rank are
     # not read as abbreviations of them
-    monkeypatch.setattr(nodespec.cli, "load_named_dataset",
-                        lambda *a: pytest.fail("loaded the dataset"))
+    monkeypatch.setattr(nodespec.cli, "load_dataset",
+                        lambda *a, **k: pytest.fail("loaded the dataset"))
     out_csv = tmp_path / "out.csv"
     with pytest.raises(SystemExit) as exc:
         main(["sweep", *flags, "--orders", "2", "--ranks", "1", "--dataset",
@@ -1101,17 +1129,110 @@ def test_one_class_labels_name_the_label_file(data_root, tmp_path, capsys):
     assert err.startswith(f"error: {labels}: need at least 2 classes")
 
 
+def _toy_paths(data_root, tmp_path, features=None):
+    """The toy dataset's three file flags, with ``features`` lines, if
+    given, written to a feature file of their own."""
+    feature_path = data_root / "toy" / "features.csv"
+    if features is not None:
+        feature_path = tmp_path / "features.csv"
+        feature_path.write_text("".join(line + "\n" for line in features))
+    return ["--edges", data_root / "toy" / "edges.tsv",
+            "--features", feature_path,
+            "--labels", data_root / "toy" / "labels.txt"]
+
+
+def _toy_feature_rows(data_root):
+    return (data_root / "toy" / "features.csv").read_text().splitlines()
+
+
 def test_non_finite_features_exit_one(data_root, tmp_path, capsys):
-    bad = tmp_path / "features.csv"
-    rows = (data_root / "toy" / "features.csv").read_text().splitlines()
+    # train computes from every feature row, so it rejects a bad later one
+    rows = _toy_feature_rows(data_root)
     rows[4] = "inf," + rows[4].split(",", 1)[1]
-    bad.write_text("\n".join(rows) + "\n")
-    code, _, err = run_cli(capsys, "analyze", "--edges",
-                           data_root / "toy" / "edges.tsv", "--features", bad,
-                           "--labels", data_root / "toy" / "labels.txt",
-                           "--out-dir", tmp_path / "reports")
+    flags = _toy_paths(data_root, tmp_path, rows)
+    code, _, err = run_cli(capsys, "train", *flags, "--epochs", "1")
     assert code == 1
-    assert f"error: {bad}:5:1: non-finite feature value" in err
+    assert f"error: {flags[3]}:5:1: non-finite feature value" in err
+
+
+def test_analyze_reads_features_to_the_first_row(data_root, tmp_path,
+                                                 capsys):
+    # analyze reports no feature value: a bad cell past the first row, or a
+    # missing row, goes unread, and the summary still has the width
+    rows = _toy_feature_rows(data_root)
+    rows[4] = "inf," + rows[4].split(",", 1)[1]
+    for features in (rows, rows[:2]):
+        code, out, err = run_cli(capsys, "analyze",
+                                 *_toy_paths(data_root, tmp_path, features),
+                                 "--out-dir", tmp_path / "reports")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["features"] == 6
+
+
+@pytest.mark.parametrize("first, message", [
+    ("1.0,oops,2", "2:2: not a decimal float: 'oops'"),
+    ("1.0,2.0,nan", "2:3: non-finite feature value: 'nan'")])
+def test_analyze_rejects_a_bad_first_feature_row(data_root, tmp_path, capsys,
+                                                 first, message):
+    # the message load_dataset gives, after the comment line
+    rows = ["# toy features", first, *_toy_feature_rows(data_root)[1:]]
+    flags = _toy_paths(data_root, tmp_path, rows)
+    for command in (["analyze", "--out-dir", tmp_path / "reports"],
+                    ["train", "--epochs", "1"]):
+        code, out, err = run_cli(capsys, command[0], *flags, *command[1:])
+        assert (code, out) == (1, "")
+        assert err == f"error: {flags[3]}:{message}\n"
+    assert not (tmp_path / "reports").exists()
+
+
+@pytest.mark.parametrize("lines", [[], ["# a comment", "", "# another"]],
+                         ids=["empty", "comments-only"])
+def test_analyze_rejects_a_feature_file_without_rows(data_root, tmp_path,
+                                                     capsys, lines):
+    flags = _toy_paths(data_root, tmp_path, lines)
+    code, out, err = run_cli(capsys, "analyze", *flags,
+                             "--out-dir", tmp_path / "reports")
+    assert (code, out) == (1, "")
+    assert err == f"error: {flags[3]}: no feature rows\n"
+
+
+def _analyze_outputs(capsys, out_dir, *flags):
+    """analyze's stdout and the bytes of its two reports."""
+    code, out, err = run_cli(capsys, "analyze", *flags, "--out-dir", out_dir)
+    assert (code, err) == (0, "")
+    return [out.encode()] + [(out_dir / name).read_bytes()
+                             for name in ("node_metrics.csv", "histograms.csv")]
+
+
+def test_analyze_dataset_flags_equal_the_explicit_files(data_root, tmp_path,
+                                                        capsys):
+    by_dir = _analyze_outputs(capsys, tmp_path / "dir", "--dataset", "toy",
+                              "--data-root", data_root)
+    by_files = _analyze_outputs(capsys, tmp_path / "files", "--dataset", "toy",
+                                *_toy_paths(data_root, tmp_path))
+    assert by_dir == by_files
+    summary = json.loads(by_dir[0])
+    assert (summary["dataset"], summary["nodes"], summary["features"],
+            summary["classes"]) == ("toy", 60, 6, 3)
+
+
+def test_analyze_reports_equal_those_of_the_loaded_dataset(
+        data_root, tmp_path, capsys, monkeypatch):
+    # analyze given the parts of a full load_dataset writes the same bytes
+    # as analyze reading its own parts
+    flags = ["--dataset", "toy", "--data-root", data_root, "--bins", "4"]
+    own = _analyze_outputs(capsys, tmp_path / "own", *flags)
+    ds = load_named_dataset(data_root, "toy")
+    monkeypatch.setattr(cli, "load_class_labels",
+                        lambda path: (ds.labels, ds.class_count))
+    monkeypatch.setattr(cli, "feature_width", lambda path: ds.feature_dim)
+    monkeypatch.setattr(cli, "load_graph", lambda path, n: ds.graph)
+    assert _analyze_outputs(capsys, tmp_path / "loaded", *flags) == own
+    rep = homophily_report(ds.graph, ds.labels, ds.class_count, 4)
+    assert json.loads(own[0]) == {
+        "dataset": "toy", "nodes": ds.n, "edges": ds.graph.edge_count,
+        "features": ds.feature_dim, "classes": ds.class_count,
+        "graph_homophily": rep.graph_ratio}
 
 
 @pytest.mark.parametrize("name, line", [

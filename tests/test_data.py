@@ -7,9 +7,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from nodespec.data import (DataFormatError, Dataset, Split, dataset_dir_paths,
-                           load_dataset, load_edge_list, load_features,
-                           load_labels,
+from nodespec.data import (DataFormatError, Dataset, Split, _read_table,
+                           dataset_dir_paths, feature_width, load_dataset,
+                           load_edge_list, load_features, load_labels,
                            load_named_dataset, load_split, make_split,
                            save_dataset, save_split, subset)
 from nodespec.graph import build_graph
@@ -338,6 +338,58 @@ def test_features_fail_where_numpy_does(tmp_path, case):
         want = np.array(rows, dtype=np.float64).reshape(len(rows), -1) \
             if rows else np.empty((0, 1))
         np.testing.assert_array_equal(load_features(path), want, strict=True)
+
+
+@LOADER_SETTINGS
+@given(feature_files())
+def test_feature_width_reads_only_the_first_row(tmp_path, case):
+    # the first data row fails as load_features fails on it; later rows,
+    # ragged or not a float, are never read
+    lines, eol = case
+    path = tmp_path / "features.csv"
+    path.write_bytes("".join(line + eol for line in lines).encode())
+    rows = [lineno for lineno, line in enumerate(lines, start=1) if line]
+    if not rows:
+        with pytest.raises(DataFormatError,
+                           match="^" + re.escape(f"{path}: no feature rows")):
+            feature_width(path)
+    elif first_bad_feature_line(lines) == rows[0]:
+        with pytest.raises(DataFormatError,
+                           match="^" + re.escape(f"{path}:{rows[0]}:")):
+            feature_width(path)
+    else:
+        assert feature_width(path) == lines[rows[0] - 1].count(",") + 1
+
+
+class TestFeatureWidth:
+    def test_bad_first_row_after_a_comment(self, tmp_path):
+        path = tmp_path / "features.csv"
+        for row, message in (("1.0,x", "2:2: not a decimal float: 'x'"),
+                             ("inf,1.0", "2:1: non-finite feature value")):
+            path.write_text(f"# header comment\n{row}\n1.0,2.0\n")
+            for read in (feature_width, load_features):
+                with pytest.raises(DataFormatError, match="^" + re.escape(
+                        f"{path}:{message}")):
+                    read(path)
+
+    def test_later_rows_are_not_read(self, tmp_path):
+        path = tmp_path / "features.csv"
+        path.write_text("\n# c\n1.0,2.0,3.0\nnan,1,2\n1.0\noops\n")
+        assert feature_width(path) == 3
+
+    def test_rescan_stops_at_max_rows(self, tmp_path):
+        # a table check that fails sends the re-scan over the first row
+        # alone: the bad second line goes unreported
+        path = tmp_path / "t.csv"
+        path.write_text("# c\n1\n\nx\n")
+        with pytest.raises(DataFormatError,
+                           match="^" + re.escape(f"{path}: table problem") + "$"):
+            _read_table(path, dict(dtype=np.float64),
+                        table_problem=lambda t: "table problem",
+                        split=lambda line: line.split("#")[0].split(),
+                        width=1,
+                        field_problem=lambda f: None if f == "1" else "bad",
+                        max_rows=1)
 
 
 class TestDatasetValidation:

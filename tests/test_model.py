@@ -1391,6 +1391,32 @@ class TestCheckpoint:
         for name, arr in want.items():
             assert piped[name].tobytes() == arr.tobytes(), name
 
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    def test_a_piped_claim_beyond_the_data_is_read_in_chunks(
+            self, saved, tmp_path, traced_peak):
+        # 10^10 rows of mlp.w1 in a pipe: its read asked for all of them at
+        # once and raised MemoryError; read in chunks, it finds the end
+        header = self.rewrite_header(
+            saved, lambda h: h["arrays"][0][1].__setitem__(0, 10 ** 10))
+        size = 10 ** 10 * header["arrays"][0][1][1] * 8
+        fifo = tmp_path / "piped.ckpt"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_bytes,
+                                  args=(saved.read_bytes(),))
+        writer.start()
+
+        def load():
+            with pytest.raises(ValueError, match=re.escape(
+                    f"{fifo}: truncated checkpoint: array 'mlp.w1' needs "
+                    f"{size} bytes, ")):
+                model.load_checkpoint(fifo)
+        try:
+            _, peak = traced_peak(load)
+        finally:
+            writer.join(timeout=30)
+        assert not writer.is_alive()
+        assert peak < 4 * model.PIPE_READ_CHUNK
+
     @pytest.mark.parametrize("blob", [b"\xff{", b"{not json"])
     def test_a_header_that_is_not_json_names_the_file(self, saved, blob):
         # json.loads raised its own ValueError, which named no file
