@@ -255,7 +255,10 @@ def load_features(path) -> np.ndarray:
 def feature_width(path) -> int:
     """The feature CSV's column count, from its first data row alone: no
     later row is parsed or checked. A first row that ``load_features``
-    rejects fails with the same message, and so does a file without rows."""
+    rejects fails with the same message, and so does a file without rows.
+    ``np.loadtxt`` decodes a whole read chunk with the first row, in the
+    locale's encoding, so a byte that does not decode in that chunk also
+    fails, naming the file; one further on is never decoded."""
     first = _feature_table(path, max_rows=1)
     if not first.size:
         raise DataFormatError(f"{path}: no feature rows")

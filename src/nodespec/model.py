@@ -61,7 +61,6 @@ rates, and weight decay enters the loss as an explicit squared-norm penalty.
 
 import json
 import math
-import os
 import struct
 from dataclasses import asdict, dataclass, field, fields
 from typing import Callable, Optional
@@ -81,10 +80,10 @@ MODES = ("appnp_like", "sgc_like", "global_only")
 
 CHECKPOINT_MAGIC = b"NODESPEC-CKPT-1\n"
 
-# Bytes per read of a checkpoint from a pipe, which has no size to check a
-# header's claims against: a claim beyond the data costs at most what the
-# pipe holds, not what the header says.
-PIPE_READ_CHUNK = 1 << 20
+# Bytes per read of a checkpoint: a header may claim any size, and a claim
+# beyond the data costs at most what the file or pipe holds, not what the
+# header says.
+CHECKPOINT_READ_CHUNK = 1 << 20
 
 # Rows per block of the evaluation MLP: a (4096, hidden) array, 2 MiB at
 # 64 float64 units, in place of the whole (n, hidden) one.
@@ -832,16 +831,14 @@ def save_checkpoint(path, params: ModelParams, cfg: TrainConfig) -> None:
             fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
-def _read_exact(fh, size: int, path, what: str) -> bytes | bytearray:
-    # a header may claim any size: a file is read no further than its end,
-    # and a pipe, whose end is unknown, in chunks until its end
-    if fh.seekable():
-        raw = fh.read(min(size, os.fstat(fh.fileno()).st_size - fh.tell()))
-    else:
-        raw = bytearray()
-        while len(raw) < size and (chunk := fh.read(
-                min(size - len(raw), PIPE_READ_CHUNK))):
-            raw += chunk
+def _read_exact(fh, size: int, path, what: str) -> bytes:
+    chunks, got = [], 0
+    while got < size and (chunk := fh.read(
+            min(size - got, CHECKPOINT_READ_CHUNK))):
+        chunks.append(chunk)
+        got += len(chunk)
+    # one chunk is joined without a copy
+    raw = b"".join(chunks)
     if len(raw) != size:
         raise ValueError(f"{path}: truncated checkpoint: {what} needs {size} "
                          f"bytes, {len(raw)} remain")

@@ -1,5 +1,7 @@
+import codecs
 import io
 import json
+import locale
 import re
 
 import numpy as np
@@ -371,6 +373,23 @@ class TestFeatureWidth:
                 with pytest.raises(DataFormatError, match="^" + re.escape(
                         f"{path}:{message}")):
                     read(path)
+
+    @pytest.mark.skipif(
+        codecs.lookup(locale.getpreferredencoding(False)).name != "utf-8",
+        reason="the locale's encoding decodes byte 0xff")
+    def test_an_undecodable_byte_beside_the_first_row_fails(self, tmp_path):
+        # loadtxt decodes the text it reads with the first row, more than
+        # that row: a byte the locale cannot decode on line 2 fails
+        # feature_width, naming the file, though the re-scan stops at row 1;
+        # load_features re-scans on and names the cell
+        path = tmp_path / "features.csv"
+        path.write_bytes(b"1.0,2.0\n\xff,1.0\n")
+        with pytest.raises(DataFormatError, match="^" + re.escape(
+                f"{path}: 'utf-8' codec can't decode byte 0xff")):
+            feature_width(path)
+        with pytest.raises(DataFormatError, match="^" + re.escape(
+                f"{path}:2:1: not a decimal float")):
+            load_features(path)
 
     def test_later_rows_are_not_read(self, tmp_path):
         path = tmp_path / "features.csv"

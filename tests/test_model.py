@@ -1360,22 +1360,24 @@ class TestCheckpoint:
                                            "negative dimension")):
             model.load_checkpoint(saved)
 
-    def test_a_claim_beyond_the_file_is_not_read(self, saved):
-        # the bytes left are compared before the read, which asked for all
-        # of mlp.w1's 10^10 rows at once and raised MemoryError
+    def test_a_claim_beyond_the_file_is_not_read(self, saved, traced_peak):
+        # the file is read in chunks until its end; a read that asked for all
+        # of mlp.w1's 10^10 rows at once raised MemoryError
         header = self.rewrite_header(
             saved, lambda h: h["arrays"][0][1].__setitem__(0, 10 ** 10))
         size = 10 ** 10 * header["arrays"][0][1][1] * 8
-        with pytest.raises(ValueError,
-                           match=re.escape(f"{saved}: truncated checkpoint: "
-                                           f"array 'mlp.w1' needs {size} "
-                                           "bytes, ")):
-            model.load_checkpoint(saved)
+
+        def load():
+            with pytest.raises(ValueError, match=re.escape(
+                    f"{saved}: truncated checkpoint: array 'mlp.w1' needs "
+                    f"{size} bytes, ")):
+                model.load_checkpoint(saved)
+        _, peak = traced_peak(load)
+        assert peak < 4 * model.CHECKPOINT_READ_CHUNK
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
     def test_a_piped_checkpoint_loads(self, saved, tmp_path):
-        # a pipe has no size to check a header's claims against, so it is
-        # read as it comes
+        # a pipe has no size, and is read in chunks as it comes
         fifo = tmp_path / "piped.ckpt"
         os.mkfifo(fifo)
         writer = threading.Thread(target=fifo.write_bytes,
@@ -1415,7 +1417,7 @@ class TestCheckpoint:
         finally:
             writer.join(timeout=30)
         assert not writer.is_alive()
-        assert peak < 4 * model.PIPE_READ_CHUNK
+        assert peak < 4 * model.CHECKPOINT_READ_CHUNK
 
     @pytest.mark.parametrize("blob", [b"\xff{", b"{not json"])
     def test_a_header_that_is_not_json_names_the_file(self, saved, blob):
