@@ -298,6 +298,13 @@ def _resolve_split(args, dataset: Dataset, seed: int):
                       labels=dataset.labels)
 
 
+def _check_output_dirs(*paths) -> None:
+    """FileNotFoundError for an output path whose directory is missing."""
+    for path in filter(None, paths):
+        if not (parent := Path(path).parent).is_dir():
+            raise FileNotFoundError(f"{path}: {parent} is not a directory")
+
+
 def _run(args, dataset: Dataset, cfg: model.TrainConfig):
     """Train ``cfg`` on its run's split: the result, the split, and the
     trained model's test accuracy."""
@@ -354,6 +361,7 @@ def cmd_prop_sim(args) -> int:
 def cmd_train(args) -> int:
     cfg = _train_config(args)
     _check_split_flags(args)
+    _check_output_dirs(args.checkpoint, args.history, args.save_split)
     dataset = _load_dataset(args)
     result, split, test_accuracy = _run(args, dataset, cfg)
     if args.history:
@@ -485,6 +493,7 @@ def cmd_sweep(args) -> int:
     grid = [_train_config(args, order=k, rank=d)
             for k in args.orders for d in args.ranks]
     _check_split_flags(args)
+    _check_output_dirs(args.out)
     dataset = _load_dataset(args)
     _resolve_split(args, dataset, args.seed)  # a bad --split fails here too
 

@@ -37,13 +37,12 @@ applied a row block at a time by ``_dropout``, from uint16 draws: an element
 is kept when its draw is at least t = round(rate * 65536), so rates are
 quantised to 1/65536. A mask a backward reads is kept as a bool keep-mask
 plus its 0-d keep-scale 65536 / (65536 - t).
-The appnp forward's MLP writes its output into layer 0 of the stack, and
-``train`` hands each epoch's appnp forward the previous epoch's trace as
-``reuse``. It lends what was measured to pay, and is stale afterwards: the
-stack, the hidden array (where the epoch's evaluation runs its MLP in
-between) and x_d when dropped. Lending none made training 8-12% slower;
-without x_d, or the evaluation in the hidden array, a run peaked at 5.7 or
-5.3 feature sizes, not 4.8. H, eta, the logits and dp_p mask saved nothing.
+The appnp forward writes its stack (the MLP output into layer 0), hidden
+array and dp_l-dropped x_d into a ``Workspace``, one per ``train`` run,
+where each epoch's evaluation also runs its MLP in the hidden array. New
+arrays each epoch made training 8-12% slower; without x_d, or the
+evaluation in the hidden array, a run peaked at 5.7 or 5.3 feature sizes,
+not 4.8. H, eta, the logits and dp_p mask saved nothing.
 Evaluation is one function, ``_evaluate``, read by training's per-epoch
 check and by ``eval_outputs`` alike: sgc_like runs its forward without
 dropout over the precomputed stack; the appnp pipeline runs without
@@ -63,7 +62,7 @@ import json
 import math
 import struct
 from dataclasses import asdict, dataclass, field, fields
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -228,13 +227,9 @@ class ForwardTrace:
     ``backward`` consumes the trace: it clears the loss gradient, so a
     second ``backward`` raises until ``attach_loss`` runs again, and it
     writes the hidden gradient over mlp.h, which no longer holds the
-    activations.
-
-    An appnp trace whose backward has run may be passed to the next
-    ``forward_appnp_like`` as ``reuse``. It then gives up combine.z, mlp.h
-    and, when dp_l dropped its input, mlp.x_d, the arrays whose reuse pays
-    (see the module docstring), to the new trace, which writes over them,
-    and loses its loss gradient: it is stale and must not be read again.
+    activations. An appnp trace's combine.z, mlp.h and dropped mlp.x_d
+    belong to its ``Workspace``, so the next forward or ``_evaluate`` into
+    that workspace writes over them.
     """
 
     logits: np.ndarray
@@ -247,6 +242,14 @@ class ForwardTrace:
     propagation: Optional[tuple]
     logits_grad: Optional[np.ndarray] = None
     l2: float = 0.0
+
+
+class Workspace(NamedTuple):
+    """The arrays an appnp forward writes into, made by ``appnp_workspace``."""
+
+    stack: np.ndarray               # the (K+1, n, c) propagation stack
+    h: np.ndarray                   # the (n, hidden) hidden array
+    x_d: Optional[np.ndarray]       # the dp_l-dropped input; None undropped
 
 
 @dataclass
@@ -418,7 +421,7 @@ def _combine_layers(z: np.ndarray, params: ModelParams, cfg: TrainConfig
     """Mix a (K+1, n, c) stack Z with its ``_coefficients``: order k reads
     layer Z_k, or, with static coefficients, every order reads Z_0; the
     output is sum_k eta_k * Z_k. H, eta and the output are new in every
-    forward: lending them saved no time, page faults or peak."""
+    forward: holding them in a workspace saved no time, faults or peak."""
     z_a = z[:1] if cfg.static_coefficients else z
     h, eta = _coefficients(z_a, params["filter.gamma"], params.get("filter.w"))
     return np.einsum("kic,ki->ic", z, eta), CombineTrace(z, h, eta)
@@ -467,41 +470,28 @@ def _check_finite(logits: np.ndarray, epoch: int = -1) -> None:
         raise DivergenceError(f"logits contain {bad} non-finite entries", epoch)
 
 
-def _check_reuse(reuse: ForwardTrace, x: np.ndarray, params: ModelParams,
-                 cfg: TrainConfig) -> None:
-    """Raise ValueError unless ``reuse`` is an appnp trace (an sgc stack is
-    shared) whose stack and hidden array have the shapes, and whose stack
-    has the dtype, that a forward of cfg and params over x keeps."""
-    n, c = len(x), params["mlp.b2"].size
-    if (reuse.propagation is None or reuse.combine.z.dtype != cfg.dtype
-            or reuse.combine.z.shape != (cfg.order + 1, n, c)
-            or reuse.mlp.h.shape != (n, cfg.hidden)):
-        raise ValueError("reuse must be an appnp trace of the same graph, "
-                         "order, widths and dtype")
+def appnp_workspace(cfg: TrainConfig, n: int, feature_dim: int,
+                    class_count: int, training: bool) -> Workspace:
+    """Uninitialised arrays for appnp forwards of cfg over n nodes; x_d
+    only for a training forward that dp_l drops."""
+    return Workspace(np.empty((cfg.order + 1, n, class_count), cfg.dtype),
+                     np.empty((n, cfg.hidden), cfg.dtype),
+                     np.empty((n, feature_dim), cfg.dtype)
+                     if training and cfg.dp_l > 0.0 else None)
 
 
 def forward_appnp_like(params: ModelParams, features: np.ndarray,
                        op: SparseOperator, cfg: TrainConfig,
                        training: bool = False,
                        rng: Optional[np.random.Generator] = None,
-                       reuse: Optional[ForwardTrace] = None) -> ForwardTrace:
+                       workspace: Optional[Workspace] = None) -> ForwardTrace:
     """Transform-then-propagate pipeline; logits are the combined output.
     The MLP writes its output into layer 0 of the (K+1, n, c) stack, where
-    the dp_p dropout and the propagation continue in place.
-
-    ``reuse``, an appnp trace of the same graph, order, widths and dtype
-    whose backward has run, lends this forward its stack, hidden array and
-    dropped input (see ``ForwardTrace``) and is stale afterwards."""
+    the dp_p dropout and the propagation continue in place. The stack,
+    hidden array and dropped input are ``workspace``'s, or a new one's."""
     x = np.asarray(features, dtype=cfg.dtype)
-    h = x_d = None
-    if reuse is None:
-        stack = np.empty((cfg.order + 1, len(x), params["mlp.b2"].size),
-                         dtype=cfg.dtype)
-    else:
-        _check_reuse(reuse, x, params, cfg)
-        stack, h, reuse.logits_grad = reuse.combine.z, reuse.mlp.h, None
-        # a trace's x_d is an array of its own only when its x was dropped
-        x_d = None if reuse.mlp.scale is None else reuse.mlp.x_d
+    stack, h, x_d = workspace or appnp_workspace(
+        cfg, len(x), x.shape[1], params["mlp.b2"].size, training)
     x0, mlp = _mlp(x, params, cfg, training, rng, out=stack[0], h=h, x_d=x_d)
     mask, scale = _dropout(x0, cfg.dp_p if training else 0.0, rng, x0, True)
     polynomial_layers(cfg.basis, op, x0, cfg.order, stack)
@@ -540,23 +530,24 @@ def forward_sgc_like(params: ModelParams, stack: PropagationStack,
 
 def _evaluate(params: ModelParams, features: np.ndarray,
               op: SparseOperator, stack: Optional[PropagationStack],
-              cfg: TrainConfig, hidden: Optional[np.ndarray] = None
+              cfg: TrainConfig, workspace: Optional[Workspace] = None
               ) -> tuple[np.ndarray, np.ndarray]:
     """Logits and n x (K+1) coefficients of the configured pipeline without
     dropout. sgc_like runs ``forward_sgc_like`` over its precomputed stack.
     The appnp pipeline gives those of ``forward_appnp_like`` up to rounding,
     keeping nothing for a backward: the MLP runs on blocks of
     EVAL_BLOCK_ROWS rows, each block's hidden array in its rows of
-    ``hidden`` when given, an (n, hidden) array it may overwrite; and each
-    layer is mixed into the output as ``iter_layers`` yields it, in
-    O(n (c + K)) memory but for the Bernstein stack."""
+    ``workspace.h`` when given; and each layer is mixed into the output as
+    ``iter_layers`` yields it, in O(n (c + K)) memory but for the
+    Bernstein stack."""
     if cfg.mode == "sgc_like":
         trace = forward_sgc_like(params, stack, cfg)
         return trace.logits, trace.coefficients
     x = np.asarray(features, dtype=cfg.dtype)
     x0 = np.concatenate([
         _mlp(x[lo:lo + EVAL_BLOCK_ROWS], params, cfg, False, None,
-             h=None if hidden is None else hidden[lo:lo + EVAL_BLOCK_ROWS])[0]
+             h=None if workspace is None
+             else workspace.h[lo:lo + EVAL_BLOCK_ROWS])[0]
         for lo in range(0, len(x), EVAL_BLOCK_ROWS)])
     gamma, w = params["filter.gamma"], params.get("filter.w")
     eta = np.empty((cfg.order + 1, len(x0)), dtype=x0.dtype)
@@ -717,7 +708,9 @@ def train(dataset: Dataset, split: Split, cfg: TrainConfig) -> TrainResult:
     # appnp casts once, not in every forward; sgc_like reads only its stack
     features = (work.features if stack is not None
                 else np.asarray(work.features, dtype=cfg.dtype))
-    trace = None
+    workspace = (None if stack is not None
+                 else appnp_workspace(cfg, work.n, work.feature_dim,
+                                      work.class_count, training=True))
 
     adam = AdamState()
     best = params.copy()
@@ -743,15 +736,12 @@ def train(dataset: Dataset, split: Split, cfg: TrainConfig) -> TrainResult:
                     trace = forward_sgc_like(params, stack, cfg, training=True,
                                              rng=rng)
                 else:
-                    # the previous epoch's trace lends its stack, h and x_d
                     trace = forward_appnp_like(params, features, op, cfg,
                                                training=True, rng=rng,
-                                               reuse=trace)
+                                               workspace=workspace)
                 attach_loss(trace, labels, train_idx, cfg.l2)
                 adam_step(params, backward(trace), adam, cfg.lr_l, cfg.lr_p)
-            # the trace's hidden array is free until the next forward
-            logits = _evaluate(params, features, op, stack, cfg,
-                               None if stack is not None else trace.mlp.h)[0]
+            logits = _evaluate(params, features, op, stack, cfg, workspace)[0]
         except DivergenceError as exc:
             raise DivergenceError("training diverged", epoch) from exc
 

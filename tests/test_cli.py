@@ -524,6 +524,22 @@ def test_bad_counts_fail_before_any_output(data_root, tmp_path, capsys,
     assert not out_csv.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["train", "--checkpoint"], ["train", "--history"],
+    ["train", "--save-split"], ["sweep", "--out"]],
+    ids=["checkpoint", "history", "save-split", "sweep-out"])
+def test_a_missing_output_directory_fails_before_loading(
+        data_root, tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.setattr(model, "train", lambda *a: pytest.fail("trained"))
+    monkeypatch.setattr(cli, "load_dataset",
+                        lambda *a, **k: pytest.fail("loaded the dataset"))
+    path = tmp_path / "absent" / "out"
+    code, out, err = run_cli(capsys, *argv, path, "--dataset", "toy",
+                             "--data-root", data_root)
+    assert code == 1 and out == ""
+    assert err == f"error: {path}: {path.parent} is not a directory\n"
+
+
 def test_split_mode_is_not_shadowed_by_a_path(data_root, tmp_path, capsys,
                                               monkeypatch):
     (tmp_path / "dense").mkdir()

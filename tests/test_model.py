@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -247,21 +248,23 @@ class TestForward:
             np.testing.assert_allclose(a, b, rtol=0.0, atol=atol, err_msg=name)
 
     @pytest.mark.parametrize("basis", polyfilter.BASES)
-    def test_evaluation_in_a_lent_hidden_array_changes_no_byte(
+    def test_evaluation_in_a_workspace_changes_no_byte(
             self, toy, basis, monkeypatch):
         # training's per-epoch check runs its MLP blocks in the rows of the
-        # trace's hidden array, which it overwrites
+        # workspace's hidden array, which it overwrites
         monkeypatch.setattr(model, "EVAL_BLOCK_ROWS", 7)
         cfg = base_config(basis=basis)
         params = model.init_params(cfg, toy.feature_dim, toy.class_count,
                                    np.random.default_rng(6))
         op = model.build_operator(toy.graph, cfg)
         want = model._evaluate(params, toy.features, op, None, cfg)
-        hidden = np.full((toy.n, cfg.hidden), np.nan)
-        got = model._evaluate(params, toy.features, op, None, cfg, hidden)
+        workspace = model.appnp_workspace(cfg, toy.n, toy.feature_dim,
+                                          toy.class_count, training=False)
+        workspace.h.fill(np.nan)
+        got = model._evaluate(params, toy.features, op, None, cfg, workspace)
         for a, b in zip(got, want):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
-        assert not np.isnan(hidden).any()
+        assert not np.isnan(workspace.h).any()
 
     @pytest.mark.parametrize("block_rows, blocks", [(8, [8, 8, 4]),
                                                     (None, [20])],
@@ -802,10 +805,10 @@ class TestFusedMLP:
     @pytest.mark.parametrize("basis", polyfilter.BASES)
     def test_a_training_run_holds_one_trace(self, traced_peak, basis):
         # each epoch's forward writes its stack, hidden array and dropped
-        # input into those of the trace the previous backward finished
-        # with. With the previous trace held while the next forward
-        # allocated its own, a run peaked at 8.3 to 8.6 feature sizes; with
-        # one trace the backward sets it, below 7
+        # input into the run's one workspace. With the previous epoch's
+        # arrays held while the next forward allocated its own, a run
+        # peaked at 8.3 to 8.6 feature sizes; with one workspace the
+        # backward sets it, below 7
         ds = planted_partition_dataset(n=2000, classes=4, feature_dim=64)
         cfg = model.TrainConfig(hidden=64, dp_l=0.5, epochs=6, basis=basis)
         split = make_split(ds.n, "dense", seed=0)
@@ -815,83 +818,77 @@ class TestFusedMLP:
     @pytest.mark.parametrize("basis", ["chebyshev", "monomial"])
     def test_a_training_run_streams_its_backward(self, traced_peak, basis):
         # the backward hands the adjoint one layer gradient at a time and
-        # writes the hidden gradient over the trace's hidden array, where
-        # the evaluation then runs. With the (K+1, n, c) gradient stack and
-        # a fresh hidden gradient, a run at this setting peaked at 6.85 to
-        # 6.91 feature sizes; the bound was fixed before measuring the
-        # streamed backward
+        # writes the hidden gradient over the workspace's hidden array,
+        # where the evaluation then runs. With the (K+1, n, c) gradient
+        # stack and a fresh hidden gradient, a run at this setting peaked
+        # at 6.85 to 6.91 feature sizes; the bound was fixed before
+        # measuring the streamed backward
         ds = planted_partition_dataset(n=2000, classes=4, feature_dim=64)
         cfg = model.TrainConfig(hidden=64, dp_l=0.5, epochs=6, basis=basis)
         split = make_split(ds.n, "dense", seed=0)
         peak = traced_peak(lambda: model.train(ds, split, cfg))[1]
         assert peak < 6.2 * ds.features.nbytes
 
+    @staticmethod
+    def workspace_step(toy, basis, mode, static, dtype, seed, workspace=None):
+        # one training forward, loss and backward, into workspace if given
+        cfg = base_config(basis=basis, mode=mode, static_coefficients=static,
+                          precision=dtype, dp_l=0.4, dp_p=0.3)
+        params = model.init_params(cfg, toy.feature_dim, toy.class_count,
+                                   np.random.default_rng(0))
+        trace = model.forward_appnp_like(
+            params, toy.features, model.build_operator(toy.graph, cfg), cfg,
+            True, np.random.default_rng(seed), workspace=workspace)
+        model.attach_loss(trace, toy.labels, np.arange(10), cfg.l2)
+        return cfg, trace, model.backward(trace)
+
+    @staticmethod
+    def assert_same_bytes(got, want):
+        (trace, grads), (fresh, fresh_grads) = got, want
+        for a, b in ((trace.logits, fresh.logits),
+                     (trace.coefficients, fresh.coefficients)):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        assert grads.keys() == fresh_grads.keys()
+        for name, g in fresh_grads.items():
+            assert grads[name].tobytes() == g.tobytes(), name
+
     @pytest.mark.parametrize("dtype", ["float64", "float32"])
     @pytest.mark.parametrize("mode, static", COEFFICIENT_READS)
-    @pytest.mark.parametrize("lender", COEFFICIENT_READS)
     @pytest.mark.parametrize("basis", polyfilter.BASES)
-    def test_a_reused_trace_changes_no_byte(self, toy, basis, lender, mode,
-                                            static, dtype):
-        # a forward into the arrays of an earlier, finished trace gives the
-        # bytes of a forward into fresh ones, and keeps its arrays there.
-        # The lender may read its coefficients another way: only its stack
-        # and hidden array must match
-        def step(seed, mode, static, reuse=None):
-            cfg = base_config(basis=basis, mode=mode,
-                              static_coefficients=static, precision=dtype,
-                              dp_l=0.4, dp_p=0.3)
-            params = model.init_params(cfg, toy.feature_dim, toy.class_count,
-                                       np.random.default_rng(0))
-            trace = model.forward_appnp_like(
-                params, toy.features, model.build_operator(toy.graph, cfg),
-                cfg, True, np.random.default_rng(seed), reuse=reuse)
-            model.attach_loss(trace, toy.labels, np.arange(10), cfg.l2)
-            return trace, model.backward(trace)
+    def test_a_written_workspace_changes_no_byte(self, toy, basis, mode,
+                                                 static, dtype):
+        # a forward into a workspace that an earlier forward and backward
+        # wrote gives the bytes of a forward into a new one, and keeps its
+        # stack, hidden array and dropped input there
+        cfg, *want = self.workspace_step(toy, basis, mode, static, dtype, 2)
+        workspace = model.appnp_workspace(cfg, toy.n, toy.feature_dim,
+                                          toy.class_count, training=True)
+        self.workspace_step(toy, basis, mode, static, dtype, 1, workspace)
+        _, trace, got = self.workspace_step(toy, basis, mode, static, dtype,
+                                            2, workspace)
+        self.assert_same_bytes((trace, got), want)
+        assert trace.combine.z is workspace.stack
+        assert trace.mlp.h is workspace.h
+        assert trace.mlp.x_d is workspace.x_d
 
-        earlier, _ = step(1, *lender)
-        kept = (earlier.mlp.x_d, earlier.mlp.h, earlier.combine.z)
-        fresh, want = step(2, mode, static)
-        reused, got = step(2, mode, static, reuse=earlier)
-        for a, b in ((reused.logits, fresh.logits),
-                     (reused.coefficients, fresh.coefficients)):
-            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
-        assert got.keys() == want.keys()
-        for name, g in want.items():
-            assert got[name].tobytes() == g.tobytes(), name
-        for mine, lent in zip((reused.mlp.x_d, reused.mlp.h,
-                               reused.combine.z), kept):
-            assert np.shares_memory(mine, lent)
+    def test_a_nan_workspace_changes_no_byte(self, toy):
+        # a forward reads no byte of its workspace before writing it
+        cfg, *want = self.workspace_step(toy, "chebyshev", "appnp_like",
+                                         False, "float64", 2)
+        workspace = model.appnp_workspace(cfg, toy.n, toy.feature_dim,
+                                          toy.class_count, training=True)
+        for arr in workspace:
+            arr.fill(np.nan)
+        _, *got = self.workspace_step(toy, "chebyshev", "appnp_like", False,
+                                      "float64", 2, workspace)
+        self.assert_same_bytes(got, want)
 
-    def test_reuse_never_writes_into_the_features(self, toy):
-        # an undropped forward keeps the features themselves as its x_d
-        cfg = base_config(dp_l=0.4, dp_p=0.3)
-        params = model.init_params(cfg, toy.feature_dim, toy.class_count,
-                                   np.random.default_rng(0))
-        op = model.build_operator(toy.graph, cfg)
-        features = toy.features.copy()
-        earlier = model.forward_appnp_like(params, features, op, cfg)
-        assert earlier.mlp.x_d is features
-        reused = model.forward_appnp_like(params, features, op, cfg, True,
-                                          np.random.default_rng(2),
-                                          reuse=earlier)
-        assert features.tobytes() == toy.features.tobytes()
-        assert not np.shares_memory(reused.mlp.x_d, features)
-
-    @pytest.mark.parametrize("other", [dict(order=3), dict(hidden=5),
-                                       dict(precision="float32")])
-    def test_a_trace_of_another_config_is_not_reused(self, toy, other):
-        cfg = base_config(dp_l=0.4, dp_p=0.3)
-        params = model.init_params(cfg, toy.feature_dim, toy.class_count,
-                                   np.random.default_rng(0))
-        trace, _ = eval_loss(params, toy, cfg, np.arange(10), dropout_seed=1)
-        cfg = base_config(dp_l=0.4, dp_p=0.3, **other)
-        params = model.init_params(cfg, toy.feature_dim, toy.class_count,
-                                   np.random.default_rng(0))
-        with pytest.raises(ValueError, match="same graph, order, widths"):
-            model.forward_appnp_like(params, toy.features,
-                                     model.build_operator(toy.graph, cfg),
-                                     cfg, True, np.random.default_rng(2),
-                                     reuse=trace)
+    def test_training_never_writes_into_the_features(self, toy):
+        # with dp_l the dropped input is the workspace's array, not x
+        cfg = base_config(dp_l=0.4, dp_p=0.3, epochs=3)
+        dataset = dataclasses.replace(toy, features=toy.features.copy())
+        model.train(dataset, make_split(toy.n, "dense", seed=0), cfg)
+        assert dataset.features.tobytes() == toy.features.tobytes()
 
     def test_float32_stays_float32(self):
         x, params = self.setup(np.float32)
