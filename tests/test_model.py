@@ -854,22 +854,54 @@ class TestFusedMLP:
 
     @pytest.mark.parametrize("dtype", ["float64", "float32"])
     @pytest.mark.parametrize("mode, static", COEFFICIENT_READS)
+    @pytest.mark.parametrize("writer", COEFFICIENT_READS)
     @pytest.mark.parametrize("basis", polyfilter.BASES)
-    def test_a_written_workspace_changes_no_byte(self, toy, basis, mode,
-                                                 static, dtype):
+    def test_a_written_workspace_changes_no_byte(self, toy, basis, writer,
+                                                 mode, static, dtype):
         # a forward into a workspace that an earlier forward and backward
         # wrote gives the bytes of a forward into a new one, and keeps its
-        # stack, hidden array and dropped input there
+        # stack, hidden array and dropped input there. The writer may read
+        # its coefficients another way, so its backward leaves other bytes
+        # in the hidden array
         cfg, *want = self.workspace_step(toy, basis, mode, static, dtype, 2)
         workspace = model.appnp_workspace(cfg, toy.n, toy.feature_dim,
                                           toy.class_count, training=True)
-        self.workspace_step(toy, basis, mode, static, dtype, 1, workspace)
+        self.workspace_step(toy, basis, *writer, dtype, 1, workspace)
         _, trace, got = self.workspace_step(toy, basis, mode, static, dtype,
                                             2, workspace)
         self.assert_same_bytes((trace, got), want)
         assert trace.combine.z is workspace.stack
         assert trace.mlp.h is workspace.h
         assert trace.mlp.x_d is workspace.x_d
+
+    @pytest.mark.parametrize("other", [dict(order=3), dict(hidden=5),
+                                       dict(precision="float32")])
+    def test_a_workspace_follows_its_config(self, toy, other):
+        # the stack, hidden array and dropped input take cfg's order,
+        # widths and precision, and a forward into them matches one with
+        # none; x_d exists only for a training forward that dp_l drops
+        cfg = base_config(dp_l=0.4, dp_p=0.3, **other)
+        workspace = model.appnp_workspace(cfg, toy.n, toy.feature_dim,
+                                          toy.class_count, training=True)
+        assert workspace.stack.shape == (cfg.order + 1, toy.n,
+                                         toy.class_count)
+        assert workspace.h.shape == (toy.n, cfg.hidden)
+        assert workspace.x_d.shape == (toy.n, toy.feature_dim)
+        for arr in workspace:
+            assert arr.dtype == cfg.dtype
+        params = model.init_params(cfg, toy.feature_dim, toy.class_count,
+                                   np.random.default_rng(0))
+        op = model.build_operator(toy.graph, cfg)
+        want = model.forward_appnp_like(params, toy.features, op, cfg, True,
+                                        np.random.default_rng(2))
+        got = model.forward_appnp_like(params, toy.features, op, cfg, True,
+                                       np.random.default_rng(2), workspace)
+        assert got.logits.tobytes() == want.logits.tobytes()
+        for training, dp_l in ((False, cfg.dp_l), (True, 0.0)):
+            undropped = model.appnp_workspace(
+                dataclasses.replace(cfg, dp_l=dp_l), toy.n, toy.feature_dim,
+                toy.class_count, training)
+            assert undropped.x_d is None
 
     def test_a_nan_workspace_changes_no_byte(self, toy):
         # a forward reads no byte of its workspace before writing it
