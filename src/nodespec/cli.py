@@ -423,6 +423,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_filter_response(args) -> int:
+    _check_output_dirs(args.out)
     grid = np.linspace(0.0, 2.0, args.grid_points)
     rows = []
     graph = _graph_flags(args)

@@ -37,19 +37,17 @@ applied a row block at a time by ``_dropout``, from uint16 draws: an element
 is kept when its draw is at least t = round(rate * 65536), so rates are
 quantised to 1/65536. A mask a backward reads is kept as a bool keep-mask
 plus its 0-d keep-scale 65536 / (65536 - t).
-The appnp forward writes its stack (the MLP output into layer 0), hidden
-array and dp_l-dropped x_d into a ``Workspace``, one per ``train`` run,
-where each epoch's evaluation also runs its MLP in the hidden array. New
-arrays each epoch made training 8-12% slower; without x_d, or the
-evaluation in the hidden array, a run peaked at 5.7 or 5.3 feature sizes,
-not 4.8. H, eta, the logits and dp_p mask saved nothing.
-Evaluation is one function, ``_evaluate``, read by training's per-epoch
-check and by ``eval_outputs`` alike: sgc_like runs its forward without
-dropout over the precomputed stack; the appnp pipeline runs without
-intermediates at every graph size: the MLP on blocks of rows, so the
-(n, hidden) array is never whole, and each layer mixed in as the recursion
-yields it, so no (K+1, n, c) stack is either, except for the Bernstein
-basis, whose layers each mix the whole Chebyshev stack.
+``train`` picks its pipeline's forward once per run and calls it for every
+step, the full batch being one batch, and, without dropout, for every
+per-epoch check. The appnp forward writes its stack (the MLP output into
+layer 0), hidden array and dp_l-dropped x_d into a ``Workspace``, one per
+``train`` run, the check's as well as the step's. New arrays each epoch
+made training 8-12% slower; without x_d, or the evaluation in the hidden
+array, a run peaked at 5.7 or 5.3 feature sizes, not 4.8. H, eta, the
+logits and dp_p mask saved nothing.
+Cold inference, ``eval_outputs``, has no workspace and streams the appnp
+pipeline instead: no (n, hidden) array, nor but for Bernstein a (K+1, n, c)
+stack, is ever whole.
 ``build_operator`` alone picks each basis's operator and its lambda_max,
 each assembled from the graph without a sparse matrix product; at
 lambda_max = 2 the Chebyshev and Bernstein operator shares the index arrays
@@ -228,8 +226,8 @@ class ForwardTrace:
     second ``backward`` raises until ``attach_loss`` runs again, and it
     writes the hidden gradient over mlp.h, which no longer holds the
     activations. An appnp trace's combine.z, mlp.h and dropped mlp.x_d
-    belong to its ``Workspace``, so the next forward or ``_evaluate`` into
-    that workspace writes over them.
+    belong to its ``Workspace``, so the next forward into that workspace
+    writes over them.
     """
 
     logits: np.ndarray
@@ -245,7 +243,9 @@ class ForwardTrace:
 
 
 class Workspace(NamedTuple):
-    """The arrays an appnp forward writes into, made by ``appnp_workspace``."""
+    """The arrays an appnp forward writes into, made by ``appnp_workspace``:
+    in ``train``, every step's forward and, without dropout, every
+    per-epoch check's."""
 
     stack: np.ndarray               # the (K+1, n, c) propagation stack
     h: np.ndarray                   # the (n, hidden) hidden array
@@ -528,40 +528,6 @@ def forward_sgc_like(params: ModelParams, stack: PropagationStack,
                         scale, None)
 
 
-def _evaluate(params: ModelParams, features: np.ndarray,
-              op: SparseOperator, stack: Optional[PropagationStack],
-              cfg: TrainConfig, workspace: Optional[Workspace] = None
-              ) -> tuple[np.ndarray, np.ndarray]:
-    """Logits and n x (K+1) coefficients of the configured pipeline without
-    dropout. sgc_like runs ``forward_sgc_like`` over its precomputed stack.
-    The appnp pipeline gives those of ``forward_appnp_like`` up to rounding,
-    keeping nothing for a backward: the MLP runs on blocks of
-    EVAL_BLOCK_ROWS rows, each block's hidden array in its rows of
-    ``workspace.h`` when given; and each layer is mixed into the output as
-    ``iter_layers`` yields it, in O(n (c + K)) memory but for the
-    Bernstein stack."""
-    if cfg.mode == "sgc_like":
-        trace = forward_sgc_like(params, stack, cfg)
-        return trace.logits, trace.coefficients
-    x = np.asarray(features, dtype=cfg.dtype)
-    x0 = np.concatenate([
-        _mlp(x[lo:lo + EVAL_BLOCK_ROWS], params, cfg, False, None,
-             h=None if workspace is None
-             else workspace.h[lo:lo + EVAL_BLOCK_ROWS])[0]
-        for lo in range(0, len(x), EVAL_BLOCK_ROWS)])
-    gamma, w = params["filter.gamma"], params.get("filter.w")
-    eta = np.empty((cfg.order + 1, len(x0)), dtype=x0.dtype)
-    out = np.zeros_like(x0)
-    for k, z in enumerate(iter_layers(cfg.basis, op, x0, cfg.order)):
-        if k == 0 or not cfg.static_coefficients:
-            # order k's coefficients, or every order's from layer 0
-            orders = slice(k, None if cfg.static_coefficients else k + 1)
-            eta[orders] = _coefficients(z[None], gamma[orders], w)[1]
-        out += z * eta[k][:, None]
-    _check_finite(out)
-    return out, eta.T
-
-
 def loss(logits: np.ndarray, labels: np.ndarray, index_set,
          params: ModelParams, l2: float) -> float:
     """Mean cross-entropy over index_set, read by ``graph.node_ids``, plus
@@ -705,12 +671,19 @@ def train(dataset: Dataset, split: Split, cfg: TrainConfig) -> TrainResult:
     rng = np.random.default_rng(cfg.seed)
     params = init_params(cfg, work.feature_dim, work.class_count, rng)
     op, stack = _operator_and_stack(work, cfg)
-    # appnp casts once, not in every forward; sgc_like reads only its stack
-    features = (work.features if stack is not None
-                else np.asarray(work.features, dtype=cfg.dtype))
-    workspace = (None if stack is not None
-                 else appnp_workspace(cfg, work.n, work.feature_dim,
-                                      work.class_count, training=True))
+    if stack is None:
+        # appnp casts once, not in every forward, and every forward, step
+        # and check alike, writes into the run's one workspace
+        features = np.asarray(work.features, dtype=cfg.dtype)
+        workspace = appnp_workspace(cfg, work.n, work.feature_dim,
+                                    work.class_count, training=True)
+
+        def forward(training: bool, rows=None) -> ForwardTrace:
+            return forward_appnp_like(params, features, op, cfg, training,
+                                      rng, workspace)
+    else:
+        def forward(training: bool, rows=None) -> ForwardTrace:
+            return forward_sgc_like(params, stack, cfg, training, rng, rows)
 
     adam = AdamState()
     best = params.copy()
@@ -721,27 +694,22 @@ def train(dataset: Dataset, split: Split, cfg: TrainConfig) -> TrainResult:
     labels = work.labels
 
     for epoch in range(1, cfg.epochs + 1):
+        # full batch is the one batch of rows None
+        batches = [None]
+        if cfg.batch_size:
+            order = train_idx[rng.permutation(train_idx.size)]
+            batches = [order[lo:lo + cfg.batch_size]
+                       for lo in range(0, order.size, cfg.batch_size)]
         try:
-            if cfg.batch_size:
-                order = train_idx[rng.permutation(train_idx.size)]
-                for lo in range(0, order.size, cfg.batch_size):
-                    batch = order[lo:lo + cfg.batch_size]
-                    trace = forward_sgc_like(params, stack, cfg, training=True,
-                                             rng=rng, rows=batch)
-                    attach_loss(trace, labels[batch],
-                                np.arange(batch.size), cfg.l2)
-                    adam_step(params, backward(trace), adam, cfg.lr_l, cfg.lr_p)
-            else:
-                if cfg.mode == "sgc_like":
-                    trace = forward_sgc_like(params, stack, cfg, training=True,
-                                             rng=rng)
+            for rows in batches:
+                trace = forward(True, rows)
+                if rows is None:
+                    attach_loss(trace, labels, train_idx, cfg.l2)
                 else:
-                    trace = forward_appnp_like(params, features, op, cfg,
-                                               training=True, rng=rng,
-                                               workspace=workspace)
-                attach_loss(trace, labels, train_idx, cfg.l2)
+                    attach_loss(trace, labels[rows], np.arange(rows.size),
+                                cfg.l2)
                 adam_step(params, backward(trace), adam, cfg.lr_l, cfg.lr_p)
-            logits = _evaluate(params, features, op, stack, cfg, workspace)[0]
+            logits = forward(False).logits
         except DivergenceError as exc:
             raise DivergenceError("training diverged", epoch) from exc
 
@@ -775,9 +743,13 @@ def eval_outputs(params: ModelParams, dataset: Dataset,
 
     The operator (and, for sgc_like, the propagation stack) is rebuilt from
     the dataset's graph, so the graph may contain nodes and edges that were
-    never seen in training. The forward is ``_evaluate``, training's
-    per-epoch check: at every graph size the appnp pipeline holds neither
-    the hidden array nor (but for Bernstein) the propagation stack.
+    never seen in training. sgc_like runs ``forward_sgc_like`` over that
+    stack. The appnp pipeline streams at every graph size: the MLP on
+    blocks of EVAL_BLOCK_ROWS rows, and each layer mixed into the output as
+    ``iter_layers`` yields it, so neither the hidden array nor (but for
+    Bernstein) the stack is ever whole. Up to EVAL_BLOCK_ROWS nodes that is
+    the bytes of ``forward_appnp_like`` without dropout; above, BLAS may
+    round a row block's MLP products otherwise, in the last bits.
     Parameters for another feature width raise ValueError first.
     """
     width = params["mlp.w1"].shape[0]
@@ -785,7 +757,24 @@ def eval_outputs(params: ModelParams, dataset: Dataset,
         raise ValueError(f"the model takes {width} features per node, the "
                          f"dataset has {dataset.feature_dim}")
     op, stack = _operator_and_stack(dataset, cfg)
-    return _evaluate(params, dataset.features, op, stack, cfg)
+    if stack is not None:
+        trace = forward_sgc_like(params, stack, cfg)
+        return trace.logits, trace.coefficients
+    x = np.asarray(dataset.features, dtype=cfg.dtype)
+    x0 = np.concatenate([
+        _mlp(x[lo:lo + EVAL_BLOCK_ROWS], params, cfg, False, None)[0]
+        for lo in range(0, len(x), EVAL_BLOCK_ROWS)])
+    gamma, w = params["filter.gamma"], params.get("filter.w")
+    eta = np.empty((cfg.order + 1, len(x0)), dtype=x0.dtype)
+    out = np.zeros_like(x0)
+    for k, z in enumerate(iter_layers(cfg.basis, op, x0, cfg.order)):
+        if k == 0 or not cfg.static_coefficients:
+            # order k's coefficients, or every order's from layer 0
+            orders = slice(k, None if cfg.static_coefficients else k + 1)
+            eta[orders] = _coefficients(z[None], gamma[orders], w)[1]
+        out += z * eta[k][:, None]
+    _check_finite(out)
+    return out, eta.T
 
 
 def predict(params: ModelParams, dataset: Dataset, cfg: TrainConfig,

@@ -526,16 +526,23 @@ def test_bad_counts_fail_before_any_output(data_root, tmp_path, capsys,
 
 @pytest.mark.parametrize("argv", [
     ["train", "--checkpoint"], ["train", "--history"],
-    ["train", "--save-split"], ["sweep", "--out"]],
-    ids=["checkpoint", "history", "save-split", "sweep-out"])
+    ["train", "--save-split"], ["sweep", "--out"],
+    ["filter-response", "--coeffs", "1,0.5", "--out"],
+    ["filter-response", "--checkpoint", "m.ckpt", "--nodes", "0", "--out"]],
+    ids=["checkpoint", "history", "save-split", "sweep-out",
+         "filter-response-coeffs", "filter-response-nodes"])
 def test_a_missing_output_directory_fails_before_loading(
         data_root, tmp_path, capsys, monkeypatch, argv):
     monkeypatch.setattr(model, "train", lambda *a: pytest.fail("trained"))
+    monkeypatch.setattr(model, "load_checkpoint",
+                        lambda *a: pytest.fail("loaded the checkpoint"))
     monkeypatch.setattr(cli, "load_dataset",
                         lambda *a, **k: pytest.fail("loaded the dataset"))
     path = tmp_path / "absent" / "out"
-    code, out, err = run_cli(capsys, *argv, path, "--dataset", "toy",
-                             "--data-root", data_root)
+    # raw coefficients take no dataset
+    dataset = ([] if "--coeffs" in argv
+               else ["--dataset", "toy", "--data-root", data_root])
+    code, out, err = run_cli(capsys, *argv, path, *dataset)
     assert code == 1 and out == ""
     assert err == f"error: {path}: {path.parent} is not a directory\n"
 

@@ -231,8 +231,9 @@ class TestForward:
                                               ("global_only", False)])
     def test_eval_outputs_match_the_training_forward(
             self, toy, mode, static, basis, precision, monkeypatch):
-        # blocks of 7 rows split the toy's 20 into three, one of them short
-        monkeypatch.setattr(model, "EVAL_BLOCK_ROWS", 7)
+        # in one block of rows the streamed evaluation gives the forward's
+        # bytes; blocks of 7 rows split the toy's 20 into three, one of them
+        # short, whose MLP products BLAS may round otherwise
         cfg = base_config(mode=mode, basis=basis, precision=precision,
                           static_coefficients=static,
                           lambda_max=1.8 if basis == "chebyshev" else 2.0)
@@ -240,31 +241,15 @@ class TestForward:
                                    np.random.default_rng(6))
         op = model.build_operator(toy.graph, cfg)
         want = model.forward_appnp_like(params, toy.features, op, cfg)
+        whole = model.eval_outputs(params, toy, cfg)
+        monkeypatch.setattr(model, "EVAL_BLOCK_ROWS", 7)
         got = model.eval_outputs(params, toy, cfg)
         atol = 1e-12 if precision == "float64" else 1e-5
-        for name, a, b in zip(("logits", "coefficients"), got,
-                              (want.logits, want.coefficients)):
+        for name, a, b, c in zip(("logits", "coefficients"), got,
+                                 (want.logits, want.coefficients), whole):
             assert a.dtype == b.dtype == cfg.dtype and a.shape == b.shape
             np.testing.assert_allclose(a, b, rtol=0.0, atol=atol, err_msg=name)
-
-    @pytest.mark.parametrize("basis", polyfilter.BASES)
-    def test_evaluation_in_a_workspace_changes_no_byte(
-            self, toy, basis, monkeypatch):
-        # training's per-epoch check runs its MLP blocks in the rows of the
-        # workspace's hidden array, which it overwrites
-        monkeypatch.setattr(model, "EVAL_BLOCK_ROWS", 7)
-        cfg = base_config(basis=basis)
-        params = model.init_params(cfg, toy.feature_dim, toy.class_count,
-                                   np.random.default_rng(6))
-        op = model.build_operator(toy.graph, cfg)
-        want = model._evaluate(params, toy.features, op, None, cfg)
-        workspace = model.appnp_workspace(cfg, toy.n, toy.feature_dim,
-                                          toy.class_count, training=False)
-        workspace.h.fill(np.nan)
-        got = model._evaluate(params, toy.features, op, None, cfg, workspace)
-        for a, b in zip(got, want):
-            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
-        assert not np.isnan(workspace.h).any()
+            assert c.dtype == b.dtype and c.tobytes() == b.tobytes(), name
 
     @pytest.mark.parametrize("block_rows, blocks", [(8, [8, 8, 4]),
                                                     (None, [20])],
@@ -830,15 +815,17 @@ class TestFusedMLP:
         assert peak < 6.2 * ds.features.nbytes
 
     @staticmethod
-    def workspace_step(toy, basis, mode, static, dtype, seed, workspace=None):
-        # one training forward, loss and backward, into workspace if given
+    def workspace_step(toy, basis, mode, static, dtype, seed, workspace=None,
+                       training=True):
+        # one forward, loss and backward, into workspace if given; without
+        # training, the forward is training's per-epoch check
         cfg = base_config(basis=basis, mode=mode, static_coefficients=static,
                           precision=dtype, dp_l=0.4, dp_p=0.3)
         params = model.init_params(cfg, toy.feature_dim, toy.class_count,
                                    np.random.default_rng(0))
         trace = model.forward_appnp_like(
             params, toy.features, model.build_operator(toy.graph, cfg), cfg,
-            True, np.random.default_rng(seed), workspace=workspace)
+            training, np.random.default_rng(seed), workspace=workspace)
         model.attach_loss(trace, toy.labels, np.arange(10), cfg.l2)
         return cfg, trace, model.backward(trace)
 
@@ -904,16 +891,24 @@ class TestFusedMLP:
             assert undropped.x_d is None
 
     def test_a_nan_workspace_changes_no_byte(self, toy):
-        # a forward reads no byte of its workspace before writing it
-        cfg, *want = self.workspace_step(toy, "chebyshev", "appnp_like",
-                                         False, "float64", 2)
-        workspace = model.appnp_workspace(cfg, toy.n, toy.feature_dim,
-                                          toy.class_count, training=True)
-        for arr in workspace:
-            arr.fill(np.nan)
-        _, *got = self.workspace_step(toy, "chebyshev", "appnp_like", False,
-                                      "float64", 2, workspace)
-        self.assert_same_bytes(got, want)
+        # a forward reads no byte of its workspace before writing it: a
+        # training step, or the per-epoch check, which leaves the training
+        # run's dropped input unread
+        for training in (True, False):
+            cfg, *want = self.workspace_step(toy, "chebyshev", "appnp_like",
+                                             False, "float64", 2,
+                                             training=training)
+            workspace = model.appnp_workspace(cfg, toy.n, toy.feature_dim,
+                                              toy.class_count, training=True)
+            for arr in workspace:
+                arr.fill(np.nan)
+            _, *got = self.workspace_step(toy, "chebyshev", "appnp_like",
+                                          False, "float64", 2, workspace,
+                                          training)
+            self.assert_same_bytes(got, want)
+            assert got[0].combine.z is workspace.stack
+            assert got[0].mlp.h is workspace.h
+            assert np.isnan(workspace.x_d).all() != training
 
     def test_training_never_writes_into_the_features(self, toy):
         # with dp_l the dropped input is the workspace's array, not x
@@ -1107,21 +1102,46 @@ class TestTrain:
         assert accuracy(preds, ds.labels, split.train) == 1.0
 
     @pytest.mark.parametrize("mode", ["appnp_like", "global_only"])
-    def test_appnp_builds_one_stack_per_epoch(self, toy, mode, monkeypatch):
-        # the training forward builds the stack its backward reads; the
-        # per-epoch evaluation streams the layers and builds none
-        calls = []
+    def test_appnp_builds_one_stack_per_run(self, toy, mode, monkeypatch):
+        # each epoch's training step and per-epoch check propagate into the
+        # run's one workspace stack; no forward allocates a stack of its own
+        made, outs = [], []
 
-        def counted(*args):
-            calls.append(args[0])
-            return build(*args)
+        def workspace(*args, **kwargs):
+            made.append(make(*args, **kwargs))
+            return made[-1]
 
-        build = model.polynomial_layers
-        monkeypatch.setattr(model, "polynomial_layers", counted)
+        def layers(basis, op, x, order, out=None):
+            outs.append(out)
+            return build(basis, op, x, order, out)
+
+        make, build = model.appnp_workspace, model.polynomial_layers
+        monkeypatch.setattr(model, "appnp_workspace", workspace)
+        monkeypatch.setattr(model, "polynomial_layers", layers)
         split = make_split(toy.n, "dense", seed=0)
         result = model.train(toy, split, base_config(mode=mode, epochs=7,
                                                      dp_l=0.2, dp_p=0.2))
-        assert len(calls) == result.epochs_run == 7
+        assert len(made) == 1
+        assert len(outs) == 2 * result.epochs_run == 14
+        assert all(out is made[0].stack for out in outs)
+
+    @pytest.mark.parametrize("mode, batch_size", [
+        ("appnp_like", None), ("global_only", None), ("sgc_like", None),
+        ("sgc_like", 16)])
+    def test_train_reports_what_predict_scores(self, mode, batch_size):
+        # the per-epoch check is the training forward without dropout and
+        # predict streams its own, yet in float64 both score the best
+        # parameters alike
+        ds = planted_partition_dataset(n=120, classes=3, feature_dim=12,
+                                       noise=1.0, seed=8)
+        split = make_split(ds.n, "dense", seed=1)
+        cfg = base_config(mode=mode, batch_size=batch_size, epochs=15,
+                          dp_l=0.3, dp_p=0.3)
+        result = model.train(ds, split, cfg)
+        preds = model.predict(result.params, ds, cfg)[0]
+        assert (result.best_validation_accuracy
+                == result.history[result.best_epoch - 1][3]
+                == accuracy(preds, ds.labels, split.validation))
 
     def test_patience_zero_stops_at_first_plateau(self, toy):
         split = make_split(toy.n, "dense", seed=0)
